@@ -25,7 +25,7 @@ the Fourier inversion check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _iproduct
 from math import comb, factorial
 
@@ -39,10 +39,10 @@ from .symbols import (
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
     DeformationMatrix,
+    centered_dft,
     centered_idft,
     eval_series,
     series_coefficients,
-    series_synthesis,
     significant_terms,
 )
 
@@ -375,51 +375,18 @@ def deformed_product_exact(
 
 
 def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix):
-    """Route (b): alias-folded twisted convolution of series coefficients."""
+    """Route (b): the alias-folded twisted convolution, L_f applied to g.
+
+    The term loop runs over the factor with fewer significant terms: over
+    g it uses (f x_J g)^T = g^T x_{-J} f^T, with pointwise k x k transposes.
+    """
     if J.is_zero:
         return np.einsum("...ab,...bc->...ac", f.values, g.values)
-    fhat = series_coefficients(f)
-    ghat = series_coefficients(g)
-    n, N, L = f.n, f.N, f.L
-    axes = tuple(range(n))
-    half = N // 2
-    m_axis = np.arange(N) - half
-
-    def significant(mags):
-        cutoff = np.float64(1e-13) * mags.max() if mags.size else 0.0
-        return np.argwhere(mags > cutoff)
-
-    fmags = np.abs(fhat).max(axis=(-2, -1))
-    gmags = np.abs(ghat).max(axis=(-2, -1))
-    loop_f = (fmags > 1e-13 * max(fmags.max(), 1e-300)).sum() <= (
-        gmags > 1e-13 * max(gmags.max(), 1e-300)
-    ).sum()
-
-    out = np.zeros_like(fhat)
-    if loop_f:
-        for idx in significant(fmags):
-            m1 = np.array([int(i) - half for i in idx])
-            c1 = fhat[tuple(idx)]
-            # exp(-2 pi i p1.J p2) = exp(-2 pi i (J^T p1).m2 / 2L), separable in m2
-            q = J.entries.T @ (m1 / (2.0 * L))
-            phase = np.exp(-2j * np.pi * q[0] * m_axis / (2.0 * L))
-            for ax in range(1, n):
-                axis_phase = np.exp(-2j * np.pi * q[ax] * m_axis / (2.0 * L))
-                phase = np.multiply.outer(phase, axis_phase)
-            contrib = phase[..., None, None] * np.einsum("ab,...bc->...ac", c1, ghat)
-            out += np.roll(contrib, shift=tuple(m1), axis=axes)
-    else:
-        for idx in significant(gmags):
-            m2 = np.array([int(i) - half for i in idx])
-            c2 = ghat[tuple(idx)]
-            q = J.entries @ (m2 / (2.0 * L))
-            phase = np.exp(-2j * np.pi * q[0] * m_axis / (2.0 * L))
-            for ax in range(1, n):
-                axis_phase = np.exp(-2j * np.pi * q[ax] * m_axis / (2.0 * L))
-                phase = np.multiply.outer(phase, axis_phase)
-            contrib = phase[..., None, None] * np.einsum("...ab,bc->...ac", fhat, c2)
-            out += np.roll(contrib, shift=tuple(m2), axis=axes)
-    return series_synthesis(out, n)
+    if len(significant_terms(f)) <= len(significant_terms(g)):
+        return _lattice_action(tilde_map(f, J), f.N)(g.values)
+    g_t = g.with_values(np.swapaxes(g.values, -1, -2))
+    action = _lattice_action(tilde_map(g_t, DeformationMatrix(-J.entries)), f.N)
+    return np.swapaxes(action(np.swapaxes(f.values, -1, -2)), -1, -2)
 
 
 def _check_point_indices(N: int, count: int) -> list[int]:
@@ -506,6 +473,55 @@ def tilde_map(f, J: DeformationMatrix, rel: float = 1e-13) -> PlaneWavePhaseSymb
         w = J.entries @ (np.asarray(m, dtype=float) / (2.0 * L))
         out.append((m, tuple(w), c))
     return PlaneWavePhaseSymbol(n, L, k, tuple(out))
+
+
+def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
+    """The twisted translation sum of a lattice phase symbol on the N-point grid.
+
+    Returns values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n,
+    ghat = DFT(g).  The zero-shift terms collapse into the pointwise field;
+    every other term is the index shift m_t after the separable phase ramp
+    r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L, formed per term from
+    its 1-D ramps.  adjoint=True gives the exact matrix adjoint: the same
+    loop over the terms (-m_t, conj(r_t) rolled by m_t, c_t^H) and the
+    pointwise adjoint of the field.
+    """
+    n, k = sym.n, sym.k
+    axes = tuple(range(n))
+    half = N // 2
+    lattice = (np.arange(N) - half) / (2.0 * sym.L)
+    zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
+    have_field = False
+    shifted = []
+    for m, w, c in sym.terms:
+        if not any(w):
+            zero_w[tuple((v + half) % N for v in m)] += c
+            have_field = True
+            continue
+        ramps = [np.exp(2j * np.pi * lattice * v) for v in w]
+        if adjoint:
+            ramps = [np.roll(np.conj(r), v) for r, v in zip(ramps, m)]
+            m, c = tuple(-v for v in m), c.conj().T
+        shifted.append((m, ramps, c))
+    field = centered_idft(zero_w, axes) if have_field else None
+    if adjoint and have_field:
+        field = np.conj(np.swapaxes(field, -1, -2))
+
+    def apply(values):
+        if field is not None:
+            out = np.einsum("...ab,...bc->...ac", field, values)
+        else:
+            out = np.zeros_like(np.asarray(values, dtype=np.complex128))
+        if not shifted:
+            return out
+        ghat = centered_dft(values, axes)
+        acc = np.zeros_like(ghat)
+        for m, ramps, c in shifted:
+            phase = reduce(np.multiply.outer, ramps)[..., None, None]
+            acc += np.roll(np.einsum("ab,...bc->...ac", c, ghat) * phase, m, axis=axes)
+        return out + centered_idft(acc, axes) / float(N) ** n
+
+    return apply
 
 
 def _phase_terms(a) -> PlaneWavePhaseSymbol:

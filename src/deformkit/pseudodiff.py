@@ -21,7 +21,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .deformation import _compose_terms, _dagger_terms, tilde_map
+from .deformation import _compose_terms, _dagger_terms, _lattice_action, tilde_map
 from .errors import (
     DivideByZeroError,
     GridMismatchError,
@@ -34,6 +34,7 @@ from .symbols import (
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
+    _sample_norms,
     centered_dft,
     centered_idft,
     default_grid_size,
@@ -168,94 +169,6 @@ def op_apply(op: DiscretizedOperator, g: ModuleVector) -> ModuleVector:
     return op(g)
 
 
-def _prepare_phase_terms(sym: PlaneWavePhaseSymbol, N: int):
-    """Split lattice terms into a pointwise field (zero shifts) and the rest."""
-    n, k = sym.n, sym.k
-    axes = tuple(range(n))
-    half = N // 2
-    lattice = (np.arange(N) - half) / (2.0 * sym.L)
-    prepared = []
-    zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-    have_field = False
-    for m, w, c in sym.terms:
-        if all(v == 0.0 for v in w):
-            idx = tuple((int(v) + half) % N for v in m)
-            zero_w[idx] += np.asarray(c)
-            have_field = True
-            continue
-        ramps = [np.exp(2j * np.pi * lattice * w[ax]) for ax in range(n)]
-        prepared.append((tuple(int(v) for v in m), ramps, np.asarray(c)))
-    field = centered_idft(zero_w, axes) if have_field else None
-    return field, prepared
-
-
-def _phase_term_forward(sym: PlaneWavePhaseSymbol, N: int):
-    """Exact frequency-domain action of a lattice phase-term symbol.
-
-    Terms with zero translation part collapse to one pointwise
-    multiplication field; the rest act per term as an index shift plus
-    phase ramp in the coefficient domain.
-    """
-    n = sym.n
-    axes = tuple(range(n))
-    field, prepared = _prepare_phase_terms(sym, N)
-
-    def forward(values):
-        if field is not None:
-            acc_x = np.einsum("...ab,...bc->...ac", field, values)
-        else:
-            acc_x = np.zeros_like(np.asarray(values, dtype=np.complex128))
-        if not prepared:
-            return acc_x
-        ghat = centered_dft(values, axes)
-        acc = np.zeros_like(ghat)
-        for m, ramps, c in prepared:
-            tmp = ghat
-            for ax in range(n):
-                shape = [1] * tmp.ndim
-                shape[ax] = N
-                tmp = tmp * ramps[ax].reshape(shape)
-            tmp = np.roll(tmp, shift=m, axis=axes)
-            acc += np.einsum("ab,...bc->...ac", c, tmp)
-        return acc_x + centered_idft(acc, axes) / float(N) ** n
-
-    return forward
-
-
-def _phase_term_adjoint_forward(sym: PlaneWavePhaseSymbol, N: int):
-    """Exact matrix adjoint of _phase_term_forward on the discretized module.
-
-    Per term the adjoint unrolls the index shift and conjugates ramp and
-    coefficient, so the pairing contract holds at machine precision for
-    arbitrary grid vectors (including band-edge content, where the
-    dagger symbol's own action differs by aliased phases).
-    """
-    n = sym.n
-    axes = tuple(range(n))
-    field, prepared = _prepare_phase_terms(sym, N)
-    field_adj = np.conj(np.swapaxes(field, -1, -2)) if field is not None else None
-
-    def forward(values):
-        if field_adj is not None:
-            acc_x = np.einsum("...ab,...bc->...ac", field_adj, values)
-        else:
-            acc_x = np.zeros_like(np.asarray(values, dtype=np.complex128))
-        if not prepared:
-            return acc_x
-        ghat = centered_dft(values, axes)
-        acc = np.zeros_like(ghat)
-        for m, ramps, c in prepared:
-            tmp = np.roll(ghat, shift=tuple(-v for v in m), axis=axes)
-            for ax in range(n):
-                shape = [1] * tmp.ndim
-                shape[ax] = N
-                tmp = tmp * np.conj(ramps[ax]).reshape(shape)
-            acc += np.einsum("ab,...bc->...ac", np.conj(c.T), tmp)
-        return acc_x + centered_idft(acc, axes) / float(N) ** n
-
-    return forward
-
-
 def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,
                         label: str = "op") -> DiscretizedOperator:
     """Operator of a phase-space lattice symbol, exact on the periodic grid."""
@@ -263,8 +176,8 @@ def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,
     return DiscretizedOperator(
         geometry,
         geometry,
-        _phase_term_forward(sym, N),
-        _phase_term_adjoint_forward(sym, N),
+        _lattice_action(sym, N),
+        _lattice_action(sym, N, adjoint=True),
         sym,
         label=label,
     )
@@ -316,9 +229,7 @@ def multiplier_operator(phi, n: int, N: int, L: float, k: int = 1,
         return centered_idft(ghat, axes) / float(N) ** n
 
     geometry = (n, N, L, k)
-    op = DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
-    op.multiplier_samples = samples
-    return op
+    return DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
 
 
 def multiplication_operator(psi: GridSymbol, label: str = "multiplication"):
@@ -334,9 +245,7 @@ def multiplication_operator(psi: GridSymbol, label: str = "multiplication"):
         return np.einsum("...ab,...bc->...ac", adj_samples, values)
 
     geometry = psi.geometry()
-    op = DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
-    op.multiplication_samples = samples
-    return op
+    return DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
 
 
 def fourier_operator(n: int, N: int, L: float, k: int = 1,
@@ -389,7 +298,7 @@ def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
         N = op.geometry_in[1]
         return DiscretizedOperator(
             op.geometry_out, op.geometry_in,
-            _phase_term_adjoint_forward(op.terms, N), op.forward, terms,
+            _lattice_action(op.terms, N, adjoint=True), op.forward, terms,
             label=f"{op.label}*",
         )
     raise UnsupportedOperatorError(
@@ -431,13 +340,6 @@ def operator_norm(
     )
 
 
-def _sample_sup(values: np.ndarray, k: int) -> float:
-    flat = values.reshape(-1, k, k)
-    if k == 1:
-        return float(np.abs(flat).max())
-    return float(np.linalg.norm(flat, ord=2, axis=(1, 2)).max())
-
-
 def phase_sup(a, oversample: int = 1) -> float:
     """Sup norm of a phase-space symbol over its (periodic) phase box.
 
@@ -457,7 +359,7 @@ def phase_sup(a, oversample: int = 1) -> float:
         )
         padded[slices] = coeffs
         values = centered_idft(padded, axes)
-    return _sample_sup(values, a.k)
+    return float(_sample_norms(values).max())
 
 
 def cv_functional(a: GridPhaseSymbol, oversample: int = 1) -> float:

@@ -192,6 +192,13 @@ class DeformationMatrix:
 # Plane-wave symbols
 
 
+def _check_box(n: int, L: float):
+    if n not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {n}")
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"half-width must be positive and finite, got {L}")
+
+
 def _as_coeff(c, k: int | None = None) -> np.ndarray:
     arr = np.asarray(c, dtype=np.complex128)
     if arr.ndim == 0:
@@ -200,6 +207,8 @@ def _as_coeff(c, k: int | None = None) -> np.ndarray:
         raise ValueError(f"coefficient must be a square matrix, got shape {arr.shape}")
     if k is not None and arr.shape[0] != k:
         raise ValueError(f"coefficient size {arr.shape[0]} != {k}")
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficient has non-finite entries")
     return arr
 
 
@@ -217,6 +226,7 @@ class PlaneWaveSymbol:
     terms: tuple
 
     def __post_init__(self):
+        _check_box(self.n, self.L)
         merged: dict[tuple[int, ...], np.ndarray] = {}
         for m, c in self.terms:
             m = tuple(int(v) for v in m)
@@ -316,12 +326,9 @@ class _GridData:
     values: np.ndarray
 
     def _init_grid(self, n: int, N: int, L: float, values) -> np.ndarray:
-        if n not in (1, 2):
-            raise ValueError(f"dimension must be 1 or 2, got {n}")
+        _check_box(n, L)
         if not _is_pow2(N):
             raise ValueError(f"points per axis must be a power of two, got {N}")
-        if not (np.isfinite(L) and L > 0):
-            raise ValueError(f"half-width must be positive, got {L}")
         arr = np.asarray(values, dtype=np.complex128)
         if arr.shape == (N,) * n:
             arr = arr.reshape((N,) * n + (1, 1))
@@ -331,6 +338,8 @@ class _GridData:
             or arr.shape[-1] != arr.shape[-2]
         ):
             raise ValueError(f"values shape {arr.shape} does not match grid")
+        if not np.isfinite(arr).all():
+            raise ValueError("grid values have non-finite entries")
         arr = arr.copy()
         arr.flags.writeable = False
         return arr
@@ -866,10 +875,10 @@ def read_plane_wave_json(path) -> PlaneWaveSymbol:
                 [[complex(re, im) for re, im in row] for row in t["coeff"]]
             )
             terms.append((tuple(int(v) for v in t["m"]), coeff))
+        k = terms[0][1].shape[0] if terms else 1
+        return PlaneWaveSymbol(n, L, k, tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed plane-wave document: {exc}") from exc
-    k = terms[0][1].shape[0] if terms else 1
-    return PlaneWaveSymbol(n, L, k, tuple(terms))
 
 
 RSYM_MAGIC = b"RSYM"
@@ -912,6 +921,10 @@ def read_rsym(path) -> GridSymbol:
             f"(need {need} bytes total)"
         )
     data = np.frombuffer(raw, dtype="<c16", offset=RSYM_HEADER.size, count=count)
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        offset = RSYM_HEADER.size + 16 * int(bad[0])
+        raise ValueError(f"{path}: non-finite value at byte offset {offset}")
     values = data.astype(np.complex128).reshape((N,) * n + (k, k))
     return GridSymbol(n, N, L, values)
 

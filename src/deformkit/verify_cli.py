@@ -864,9 +864,8 @@ def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
     status = EXIT_PASS
     for theta in thetas:
         J = DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
-        op = rieffel_operator(f, J, N=N)
-        opn = operator_norm(op)
-        rep = differential_norms(op, m)
+        rep = differential_norms(rieffel_operator(f, J, N=N), m)
+        opn = rep.op_norm
         phase = tilde_map(f, J)
         pi = _pi_functional(phase, f.L)
         ratio = opn / pi if pi > 0 else 0.0

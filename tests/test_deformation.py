@@ -128,13 +128,22 @@ def test_exact_route_rejects_box_mismatch():
 # Grid route
 
 
-def test_numeric_route_matches_exact_on_band_limited():
+@pytest.mark.parametrize("k, f_terms, g_terms, seed", [
+    pytest.param(1, 4, 4, None, id="k1"),
+    pytest.param(2, 4, 4, 7, id="k2"),
+    # fewer terms in f: the term loop runs over f
+    pytest.param(2, 2, 6, 8, id="k2-loop-over-f"),
+    # fewer terms in g: the loop runs over g through the transpose identity
+    pytest.param(2, 6, 2, 9, id="k2-loop-over-g"),
+])
+def test_numeric_route_matches_exact_on_band_limited(k, f_terms, g_terms, seed):
+    rng = RNG if seed is None else np.random.default_rng(seed)
     N = 16
     cfg = OscIntegralConfig(check_points=0)
     for theta in (0.0, 0.25, 1.0):
         J = DeformationMatrix.symplectic(theta, 2)
-        f = random_plane_wave(2, L, 1, 3, 4)
-        g = random_plane_wave(2, L, 1, 3, 4)
+        f = random_plane_wave(2, L, k, 3, f_terms, rng)
+        g = random_plane_wave(2, L, k, 3, g_terms, rng)
         exact = deformed_product_exact(f, g, J).to_grid(N)
         numeric = deformed_product_numeric(f.to_grid(N), g.to_grid(N), J, cfg)
         scale = np.abs(exact.values).max()

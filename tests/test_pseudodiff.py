@@ -1,5 +1,7 @@
 """Discretized operators: twisted translations, norms, adjoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -160,15 +162,42 @@ def test_right_multiply_commutes_with_left_action():
 # Adjoints
 
 
-def test_adjoint_pairing():
-    J = DeformationMatrix.symplectic(0.3, 2)
-    op = rieffel_operator(random_plane_wave(2, L, 1, 2, 3), J, N=16)
-    dag = adjoint(op)
-    f = band_limited_vector(2, 16, L, 2)
-    g = band_limited_vector(2, 16, L, 2)
-    lhs = inner_product(op(f), g).entries
-    rhs = inner_product(f, dag(g)).entries
-    assert np.abs(lhs - rhs).max() <= 1e-10
+def random_phase_symbol(n, k, zero_shift, rng):
+    """Three lattice terms with off-grid translations, plus one w = 0 term."""
+    terms = []
+    for _ in range(3):
+        m = tuple(int(v) for v in rng.integers(-2, 3, size=n))
+        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        terms.append((m, tuple(rng.uniform(-1.0, 1.0, size=n)), c))
+    if zero_shift:
+        terms.append(((1,) * n, (0.0,) * n, rng.normal(size=(k, k)) + 0.5j))
+    return PlaneWavePhaseSymbol(n, L, k, tuple(terms))
+
+
+@pytest.mark.parametrize("n, k, zero_shift, seed", [
+    pytest.param(2, 1, False, None, id="rieffel-n2-k1"),
+    pytest.param(1, 1, False, 1, id="n1-k1"),
+    pytest.param(1, 2, False, 2, id="n1-k2"),
+    pytest.param(2, 1, False, 3, id="n2-k1"),
+    pytest.param(2, 2, False, 4, id="n2-k2"),
+    pytest.param(1, 2, True, 5, id="n1-k2-zero-shift"),
+    pytest.param(2, 2, True, 6, id="n2-k2-zero-shift"),
+])
+def test_adjoint_pairing(n, k, zero_shift, seed):
+    if seed is None:
+        rng = RNG
+        J = DeformationMatrix.symplectic(0.3, 2)
+        op = rieffel_operator(random_plane_wave(2, L, 1, 2, 3), J, N=16)
+    else:
+        rng = np.random.default_rng(seed)
+        op = op_from_phase_terms(random_phase_symbol(n, k, zero_shift, rng), 16)
+    f = band_limited_vector(n, 16, L, 2, k, rng)
+    g = band_limited_vector(n, 16, L, 2, k, rng)
+    # the adjoint closure, and adjoint() rebuilt from the lattice terms alone
+    for dag in (adjoint(op), adjoint(dataclasses.replace(op, adjoint_fn=None))):
+        lhs = inner_product(op(f), g).entries
+        rhs = inner_product(f, dag(g)).entries
+        assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 def test_adjoint_of_multiplication_is_star():

@@ -1,6 +1,7 @@
 """Command line interface tests: parsing, exit codes, formats, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -143,13 +144,37 @@ def test_product_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
-def test_product_malformed_json_exits_2(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
+def _plane_wave_text(n, L, coeff=(1.0, 0.0)):
+    term = {"m": [1] * n, "coeff": [[list(coeff)]]}
+    return json.dumps({"n": n, "L": L, "terms": [term]})
+
+
+# An RSYM1 file (n = 1, k = 1, N = 16, L = 6) whose payload is all NaN.
+NAN_RSYM = (struct.pack("<4sIBHId", b"RSYM", 1, 1, 1, 16, 6.0)
+            + np.full(16, np.nan, dtype="<c16").tobytes())
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("{not json", id="malformed-json"),
+    pytest.param(_plane_wave_text(2, 0.0), id="L-zero"),
+    pytest.param(_plane_wave_text(2, float("nan")), id="L-nan"),
+    pytest.param(_plane_wave_text(2, -3.0), id="L-negative"),
+    pytest.param(_plane_wave_text(3, 6.0), id="n-3"),
+    pytest.param(_plane_wave_text(1, 6.0, (float("nan"), 0.0)), id="coeff-nan"),
+    pytest.param(NAN_RSYM, id="rsym-nan"),
+])
+def test_product_malformed_json_exits_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
     wave_file(tmp_path / "g.json", 1, (((1,), 1.0),))
     code = main(["product", str(bad), str(tmp_path / "g.json"),
                  "--out", str(tmp_path / "o.json")])
     assert code == 2
+    message = capsys.readouterr().err.strip().splitlines()
+    assert len(message) == 1 and message[0].startswith("error: ")
 
 
 def test_product_dimension_mismatch_exits_2(tmp_path):
