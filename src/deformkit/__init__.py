@@ -71,7 +71,6 @@ from .pseudodiff import (
     fourier_operator,
     multiplication_operator,
     multiplier_operator,
-    op_apply,
     op_from_phase_terms,
     operator_norm,
     phase_sup,

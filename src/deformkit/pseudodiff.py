@@ -45,7 +45,6 @@ from .symbols import (
 __all__ = [
     "DiscretizedOperator",
     "ModuleVector",
-    "op_apply",
     "op_from_phase_terms",
     "rieffel_operator",
     "multiplier_operator",
@@ -162,11 +161,6 @@ class DiscretizedOperator:
 
     def __sub__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         return self + other.scaled(-1.0)
-
-
-def op_apply(op: DiscretizedOperator, g: ModuleVector) -> ModuleVector:
-    """Apply an operator to a module vector."""
-    return op(g)
 
 
 def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,

@@ -232,6 +232,8 @@ class PlaneWaveSymbol:
             m = tuple(int(v) for v in m)
             if len(m) != self.n:
                 raise ValueError(f"frequency {m} has wrong length for n={self.n}")
+            if any(abs(v) > 2 ** 53 for v in m):
+                raise ValueError("frequency component beyond 2**53 in magnitude")
             c = _as_coeff(c, self.k)
             if m in merged:
                 merged[m] = merged[m] + c
@@ -864,6 +866,8 @@ def write_plane_wave_json(f: PlaneWaveSymbol, path):
 def read_plane_wave_json(path) -> PlaneWaveSymbol:
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at byte offset {exc.pos}") from exc
     try:
@@ -877,7 +881,7 @@ def read_plane_wave_json(path) -> PlaneWaveSymbol:
             terms.append((tuple(int(v) for v in t["m"]), coeff))
         k = terms[0][1].shape[0] if terms else 1
         return PlaneWaveSymbol(n, L, k, tuple(terms))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed plane-wave document: {exc}") from exc
 
 

@@ -37,7 +37,6 @@ from .deformation import (
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
-    tilde_map,
 )
 from .errors import ConvergenceError, DeformkitError, NoConvergenceError
 from .heisenberg import (
@@ -51,6 +50,7 @@ from .heisenberg import (
     symbol_map_S,
 )
 from .pseudodiff import (
+    POWER_ITER_TOL,
     cv_functional,
     fourier_operator,
     op_from_phase_terms,
@@ -64,6 +64,7 @@ from .symbols import (
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
+    axis_points,
     centered_idft,
     derivative,
     inner_product,
@@ -85,6 +86,10 @@ __all__ = [
     "cmd_info",
     "main",
     "SUITES",
+    # seeded families and claim measurements, shared with the acceptance tests
+    "random_plane_wave", "random_phase_symbol", "band_limited_vector", "gaussian_values",
+    "sup_op_gap", "interplay_residual", "cv_fit", "derivation_error",
+    "kernel_identity_worst", "symbol_map_error", "inverse_cv_slack", "norm_axiom_slacks",
 ]
 
 EXIT_PASS = 0
@@ -218,71 +223,179 @@ def _rng(cfg: RunConfig, tag: str) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, zlib.crc32(tag.encode())))
 
 
-def _random_plane_wave(rng, n: int, L: float, k: int, m_max: int,
-                       n_terms: int) -> PlaneWaveSymbol:
-    terms = []
-    for _ in range(n_terms):
-        m = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n))
-        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        terms.append((m, c))
-    return PlaneWaveSymbol(n, L, k, tuple(terms))
+# ---------------------------------------------------------------------------
+# Seeded families and claim measurements.  The suites call these with the
+# run configuration; the acceptance tests call them with their own seeds,
+# family sizes and tolerances.
 
 
-def _random_phase_symbol(rng, L: float, m_max: int, n_terms: int,
-                         w_choices) -> PlaneWavePhaseSymbol:
-    terms = []
-    for _ in range(n_terms):
-        m = (int(rng.integers(-m_max, m_max + 1)),)
-        w = (float(rng.choice(w_choices)),)
-        c = complex(rng.normal(), rng.normal())
-        terms.append((m, w, c))
-    return PlaneWavePhaseSymbol(1, L, 1, tuple(terms))
+def random_plane_wave(rng, n: int, L: float, k: int, m_max: int,
+                      n_terms: int) -> PlaneWaveSymbol:
+    """n_terms plane waves, m in [-m_max, m_max]^n, complex normal k x k coefficients."""
+    terms = tuple((tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n)),
+                   rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+                  for _ in range(n_terms))
+    return PlaneWaveSymbol(n, L, k, terms)
 
 
-def _gaussian_grid(n: int, N: int, L: float, width: float, k: int = 1,
-                   jitter=None) -> GridSymbol:
-    ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    r2 = sum(m ** 2 for m in mesh)
-    vals = np.exp(-r2 / width).astype(np.complex128)
-    if jitter is not None:
-        vals = vals * (1.0 + jitter)
-    out = np.zeros(vals.shape + (k, k), dtype=np.complex128)
-    for i in range(k):
-        out[..., i, i] = vals
-    return GridSymbol(n, N, L, out)
+def random_phase_symbol(rng, L: float, m_max: int, n_terms: int,
+                        w_choices) -> PlaneWavePhaseSymbol:
+    """One-dimensional scalar lattice phase symbol with shifts drawn from w_choices."""
+    terms = tuple(((int(rng.integers(-m_max, m_max + 1)),), (float(rng.choice(w_choices)),),
+                   complex(rng.normal(), rng.normal()))
+                  for _ in range(n_terms))
+    return PlaneWavePhaseSymbol(1, L, 1, terms)
 
 
-def _gaussian_vector(n: int, N: int, L: float, width: float,
-                     freq: float = 0.0) -> ModuleVector:
-    ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    r2 = sum(m ** 2 for m in mesh)
-    vals = np.exp(-r2 / width) * np.exp(1j * freq * mesh[0])
-    return ModuleVector(n, N, L, vals.reshape(vals.shape + (1, 1)))
-
-
-def _band_limited_vector(rng, n: int, N: int, L: float, m_max: int) -> ModuleVector:
-    coeffs = np.zeros((N,) * n + (1, 1), dtype=np.complex128)
-    half = N // 2
+def band_limited_vector(rng, n: int, N: int, L: float, m_max: int,
+                        k: int = 1) -> ModuleVector:
+    """Module vector with complex normal Fourier modes on |m_i| <= m_max."""
+    coeffs = np.zeros((N,) * n + (k, k), dtype=np.complex128)
     for idx in np.ndindex(*((2 * m_max + 1,) * n)):
-        slot = tuple(half + i - m_max for i in idx)
-        coeffs[slot] = complex(rng.normal(), rng.normal())
+        slot = tuple(N // 2 + i - m_max for i in idx)
+        coeffs[slot] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     return ModuleVector(n, N, L, centered_idft(coeffs, tuple(range(n))))
 
 
-def _plane_terms_map(f: PlaneWaveSymbol) -> dict:
-    return {m: c for m, c in f.terms}
+def gaussian_values(n: int, N: int, L: float, width: float, k: int = 1,
+                    shift: float = 0.0, freq: float = 0.0) -> np.ndarray:
+    """Grid samples of exp(-|x - shift|^2 / width + i freq x_1) times the k x k unit."""
+    mesh = np.meshgrid(*([axis_points(N, L)] * n), indexing="ij")
+    r2 = sum((m - shift) ** 2 for m in mesh)
+    vals = np.exp(-r2 / width) * np.exp(1j * freq * mesh[0])
+    out = np.zeros(vals.shape + (k, k), dtype=np.complex128)
+    for i in range(k):
+        out[..., i, i] = vals
+    return out
+
+
+def sup_op_gap(family, tol: float = POWER_ITER_TOL) -> float:
+    """Worst |sup f - ||L_f||| / sup f at J = 0 over grid symbols f."""
+    worst = 0.0
+    for f in family:
+        sup = sup_norm(f)
+        opn = operator_norm(rieffel_operator(f, DeformationMatrix.zero(f.n)), tol=tol)
+        worst = max(worst, abs(sup - opn) / sup)
+    return worst
+
+
+def interplay_residual(pairs, J: DeformationMatrix, h: ModuleVector,
+                       tol: float = POWER_ITER_TOL) -> float:
+    """Worst ||L_f L_g h - L_{f x_J g} h|| / (||L_f|| ||L_g|| ||h||) over pairs (f, g)."""
+    hn = norm_L2(h)
+    worst = 0.0
+    for f, g in pairs:
+        Lf, Lg, Lfg = (rieffel_operator(s, J, N=h.N)
+                       for s in (f, g, deformed_product_exact(f, g, J)))
+        lhs = Lf.forward(Lg.forward(h.values))
+        rhs = Lfg.forward(h.values)
+        # tightening the norm estimates only shrinks the denominator
+        denom = operator_norm(Lf, tol=tol) * operator_norm(Lg, tol=tol) * hn
+        err = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * h.weight))
+        worst = max(worst, err / denom)
+    return worst
+
+
+def cv_fit(family, L: float, box_xi: float, N: int) -> float:
+    """Largest ||Op(a)|| / cv_functional(a) over the family at N points in x."""
+    x_ax, xi_ax = axis_points(N, L), axis_points(64, box_xi)
+    best = 0.0
+    for sym in family:
+        vals = sym.evaluate(x_ax[:, None, None], xi_ax[None, :, None])
+        dense = GridPhaseSymbol(1, (N, 64), (L, box_xi), vals)
+        pi = cv_functional(dense)
+        opn = operator_norm(op_from_phase_terms(sym, N))
+        if pi > 0:
+            best = max(best, opn / pi)
+    return best
+
+
+def derivation_error(family, gauss: np.ndarray, N: int, alphas,
+                     eps: float = 1e-3) -> float:
+    """Worst relative gap between finite differences of Ad u(x, xi) Op(a) gauss
+    (Richardson for first orders) and Op(delta^alpha a) gauss, alpha in alphas."""
+    worst = 0.0
+    for sym in family:
+        A = op_from_phase_terms(sym, N)
+
+        def conj(x, xi):
+            return adu_conjugate(A, (x,), (xi,)).forward(gauss)
+
+        for alpha in alphas:
+            def along(e):
+                return conj(e, 0.0) if alpha[1] == 0 else conj(0.0, e)
+
+            if alpha == (1, 1):
+                approx = (conj(eps, eps) - conj(eps, -eps)
+                          - conj(-eps, eps) + conj(-eps, -eps)) / (4 * eps ** 2)
+            elif sum(alpha) == 1:
+                c1 = (along(eps) - along(-eps)) / (2 * eps)
+                c2 = (along(eps / 2) - along(-eps / 2)) / eps
+                approx = (4 * c2 - c1) / 3
+            else:
+                approx = (along(eps) - 2 * A.forward(gauss) + along(-eps)) / eps ** 2
+            exact = op_from_phase_terms(delta_symbol(sym, alpha), N).forward(gauss)
+            scale = max(float(np.abs(exact).max()), 1e-12)
+            worst = max(worst, float(np.abs(approx - exact).max()) / scale)
+    return worst
+
+
+def kernel_identity_worst(points) -> float:
+    """Largest kernel pairing residual over the (s, t) grid points x points."""
+    return max(kernel_identity_residual(float(s), float(t))
+               for s in points for t in points)
+
+
+def symbol_map_error(family, N: int, xs, xis) -> float:
+    """Worst relative sup error of S(Op(a)) against a on the grid xs x xis."""
+    worst = 0.0
+    for sym in family:
+        S = symbol_map_S(op_from_phase_terms(sym, N), xs, xis)
+        truth = sym.evaluate(xs[:, None, None], xis[None, :, None])
+        worst = max(worst, float(np.abs(S - truth).max() / np.abs(truth).max()))
+    return worst
+
+
+def inverse_cv_slack(family, N: int, xs, xis) -> float:
+    """Largest sup|a| on xs x xis minus the kernel-pairing bound of inverse_cv_bound."""
+    worst = -np.inf
+    for sym in family:
+        op = op_from_phase_terms(sym, N)
+        sup_val = float(np.abs(sym.evaluate(xs[:, None, None], xis[None, :, None])).max())
+        left, right = inverse_cv_bound(op, sup_val)
+        worst = max(worst, left - right)
+    return worst
+
+
+def norm_axiom_slacks(pairs) -> tuple:
+    """Over pairs (A, B): max |T_0(A) - ||A|||, the Leibniz slacks T_j(AB) -
+    sum_i T_i(A) T_{j-i}(B) (j = 1, 2) and s_m(AB) - s_m(A) s_m(B) (m <= 2)."""
+    t0_gap = 0.0
+    leibniz = [-np.inf] * 2
+    submult = [-np.inf] * 3
+    for A, B in pairs:
+        AB = A @ B
+        ra = differential_norms(A, 2)
+        rb = differential_norms(B, 2)
+        rab = differential_norms(AB, 2)
+        t0_gap = max(t0_gap, abs(ra.T[0] - operator_norm(A)))
+        for j in (1, 2):
+            bound = sum(ra.T[i] * rb.T[j - i] for i in range(j + 1))
+            leibniz[j - 1] = max(leibniz[j - 1], rab.T[j] - bound)
+        for m in range(3):
+            submult[m] = max(submult[m], rab.s[m] - ra.s[m] * rb.s[m])
+    return t0_gap, tuple(leibniz), tuple(submult)
+
+
+def _relative_gap(a, ref) -> float:
+    """Sup distance max |a - ref| relative to max |ref|."""
+    return float(np.abs(a - ref).max()) / max(float(np.abs(ref).max()), 1e-300)
 
 
 def _plane_diff(f: PlaneWaveSymbol, g: PlaneWaveSymbol) -> float:
-    fa, ga = _plane_terms_map(f), _plane_terms_map(g)
-    worst = 0.0
-    for m in set(fa) | set(ga):
-        cf = fa.get(m, 0.0)
-        cg = ga.get(m, 0.0)
-        worst = max(worst, float(np.abs(np.asarray(cf) - np.asarray(cg)).max()))
-    return worst
+    fa, ga = dict(f.terms), dict(g.terms)
+    return max((float(np.abs(fa.get(m, 0.0) - ga.get(m, 0.0)).max())
+                for m in set(fa) | set(ga)), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +410,13 @@ def _suite_product_oracle(cfg: RunConfig) -> list:
         J = DeformationMatrix.symplectic(theta, 2)
         worst = 0.0
         for _ in range(3):
-            f = _random_plane_wave(rng, 2, L, 1, 3, 4)
-            g = _random_plane_wave(rng, 2, L, 1, 3, 4)
+            f = random_plane_wave(rng, 2, L, 1, 3, 4)
+            g = random_plane_wave(rng, 2, L, 1, 3, 4)
             exact = deformed_product_exact(f, g, J).to_grid(N)
             numeric = deformed_product_numeric(
                 f.to_grid(N), g.to_grid(N), J, OscIntegralConfig(check_points=0)
             )
-            scale = max(float(np.abs(exact.values).max()), 1e-300)
-            worst = max(worst, float(np.abs(numeric.values - exact.values).max()) / scale)
+            worst = max(worst, _relative_gap(numeric.values, exact.values))
         records.append(_record(
             f"plane-wave-product-theta-{theta:g}",
             "grid route of the deformed product matches the plane-wave "
@@ -335,23 +447,12 @@ def _suite_product_oracle(cfg: RunConfig) -> list:
 
 def _suite_sup_op(cfg: RunConfig) -> list:
     rng = _rng(cfg, "sup-op")
-    n, N, L, k = 2, 32, cfg.L, 2
-    J = DeformationMatrix.zero(n)
-    worst = 0.0
-    for _ in range(5):
-        coeffs = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-        half = N // 2
-        for idx in np.ndindex(5, 5):
-            slot = (half + idx[0] - 2, half + idx[1] - 2)
-            coeffs[slot] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        f = GridSymbol(n, N, L, centered_idft(coeffs, (0, 1)))
-        sup = sup_norm(f)
-        opn = operator_norm(rieffel_operator(f, J))
-        worst = max(worst, abs(sup - opn) / sup)
+    family = (GridSymbol(2, 32, cfg.L, band_limited_vector(rng, 2, 32, cfg.L, 2, 2).values)
+              for _ in range(5))
     return [_record(
         "sup-equals-op-norm-at-theta-zero",
         "at theta = 0 the sup norm and the operator norm of L_f agree",
-        worst, 0.02,
+        sup_op_gap(family), 0.02,
     )]
 
 
@@ -361,9 +462,9 @@ def _suite_associativity(cfg: RunConfig) -> list:
     J = DeformationMatrix.symplectic(cfg.theta if cfg.theta else 0.25, 2)
     worst = 0.0
     for _ in range(4):
-        f = _random_plane_wave(rng, 2, L, 1, 2, 3)
-        g = _random_plane_wave(rng, 2, L, 1, 2, 3)
-        h = _random_plane_wave(rng, 2, L, 1, 2, 3)
+        f = random_plane_wave(rng, 2, L, 1, 2, 3)
+        g = random_plane_wave(rng, 2, L, 1, 2, 3)
+        h = random_plane_wave(rng, 2, L, 1, 2, 3)
         left = deformed_product_exact(deformed_product_exact(f, g, J), h, J)
         right = deformed_product_exact(f, deformed_product_exact(g, h, J), J)
         worst = max(worst, _plane_diff(left, right))
@@ -374,124 +475,64 @@ def _suite_associativity(cfg: RunConfig) -> list:
     )]
     N = 32
     osc = OscIntegralConfig(check_points=0)
-    f = _gaussian_grid(2, N, L, 2.0)
-    g = _gaussian_grid(2, N, L, 3.0)
-    h = _gaussian_grid(2, N, L, 1.5)
+    f, g, h = (GridSymbol(2, N, L, gaussian_values(2, N, L, w)) for w in (2.0, 3.0, 1.5))
     left = deformed_product_numeric(deformed_product_numeric(f, g, J, osc), h, J, osc)
     right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, osc), J, osc)
-    scale = max(float(np.abs(left.values).max()), 1e-300)
     records.append(_record(
         "associativity-numeric",
         "the grid deformed product is associative on decaying symbols",
-        float(np.abs(left.values - right.values).max()) / scale, 1e-5,
+        _relative_gap(right.values, left.values), 1e-5,
     ))
     return records
 
 
 def _suite_interplay(cfg: RunConfig) -> list:
     rng = _rng(cfg, "interplay")
-    n, N, L = 2, 32, cfg.L
+    L = cfg.L
     J = DeformationMatrix.symplectic(cfg.theta if cfg.theta else 0.25, 2)
-    h = _gaussian_vector(n, N, L, 1.0)
-    hn = norm_L2(h)
-    worst = 0.0
-    for _ in range(3):
-        f = _random_plane_wave(rng, n, L, 1, 2, 3)
-        g = _random_plane_wave(rng, n, L, 1, 2, 3)
-        Lf = rieffel_operator(f, J, N=N)
-        Lg = rieffel_operator(g, J, N=N)
-        Lfg = rieffel_operator(deformed_product_exact(f, g, J), J, N=N)
-        lhs = Lf.forward(Lg.forward(h.values))
-        rhs = Lfg.forward(h.values)
-        denom = operator_norm(Lf) * operator_norm(Lg) * hn
-        err = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * h.weight))
-        worst = max(worst, err / denom)
+    pairs = ((random_plane_wave(rng, 2, L, 1, 2, 3), random_plane_wave(rng, 2, L, 1, 2, 3))
+             for _ in range(3))
+    h = ModuleVector(2, 32, L, gaussian_values(2, 32, L, 1.0))
     return [_record(
         "operator-product-interplay",
         "composing L_f and L_g agrees with the operator of the deformed product",
-        worst, 1e-4,
+        interplay_residual(pairs, J, h), 1e-4,
     )]
-
-
-def _cv_family(cfg: RunConfig):
-    rng = _rng(cfg, "cv")
-    L, box_xi = 4.0, 4.0
-    w_lattice = [j * np.pi / box_xi for j in range(-3, 4)]
-    return [
-        _random_phase_symbol(rng, L, 2, 3, w_lattice) for _ in range(8)
-    ], L, box_xi
-
-
-def _cv_fit(family, L: float, box_xi: float, N: int) -> float:
-    x_ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    xi_ax = (np.arange(64) - 32) * (2.0 * box_xi / 64)
-    best = 0.0
-    for sym in family:
-        vals = sym.evaluate(x_ax[:, None, None], xi_ax[None, :, None])
-        dense = GridPhaseSymbol(1, (N, 64), (L, box_xi), vals)
-        pi = cv_functional(dense)
-        opn = operator_norm(op_from_phase_terms(sym, N))
-        if pi > 0:
-            best = max(best, opn / pi)
-    return best
 
 
 def _suite_cv(cfg: RunConfig) -> list:
-    family, L, box_xi = _cv_family(cfg)
-    c_small = _cv_fit(family, L, box_xi, 64)
-    c_large = _cv_fit(family, L, box_xi, 128)
-    records = [_record(
-        "cv-ratio-finite",
-        "the operator-norm to derivative-functional ratio is finite "
-        "and positive over the symbol family",
-        -c_small, -1e-12,
-    )]
-    records.append(_record(
-        "cv-constant-stability",
-        "the fitted comparison constant is stable under grid refinement",
-        abs(c_small - c_large) / c_large, 0.10,
-    ))
-    return records
+    rng = _rng(cfg, "cv")
+    L, box_xi = 4.0, 4.0
+    w_lattice = [j * np.pi / box_xi for j in range(-3, 4)]
+    family = [random_phase_symbol(rng, L, 2, 3, w_lattice) for _ in range(8)]
+    c_small = cv_fit(family, L, box_xi, 64)
+    c_large = cv_fit(family, L, box_xi, 128)
+    return [
+        _record(
+            "cv-ratio-finite",
+            "the operator-norm to derivative-functional ratio is finite "
+            "and positive over the symbol family",
+            -c_small, -1e-12,
+        ),
+        _record(
+            "cv-constant-stability",
+            "the fitted comparison constant is stable under grid refinement",
+            abs(c_small - c_large) / c_large, 0.10,
+        ),
+    ]
 
 
 def _suite_derivatives(cfg: RunConfig) -> list:
     rng = _rng(cfg, "derivatives")
     N, L = 64, 4.0
-    gauss = _gaussian_vector(1, N, L, 0.5, freq=0.9).values
-    worst = 0.0
-    for _ in range(3):
-        sym = _random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
-        A = op_from_phase_terms(sym, N)
-
-        def fd(direction, eps=1e-3):
-            def args(e):
-                return ((e,), (0.0,)) if direction == 0 else ((0.0,), (e,))
-
-            c1 = (adu_conjugate(A, *args(eps)).forward(gauss)
-                  - adu_conjugate(A, *args(-eps)).forward(gauss)) / (2 * eps)
-            c2 = (adu_conjugate(A, *args(eps / 2)).forward(gauss)
-                  - adu_conjugate(A, *args(-eps / 2)).forward(gauss)) / eps
-            return (4 * c2 - c1) / 3
-
-        for direction, alpha in ((0, (1, 0)), (1, (0, 1))):
-            exact = op_from_phase_terms(delta_symbol(sym, alpha), N).forward(gauss)
-            scale = max(float(np.abs(exact).max()), 1e-12)
-            worst = max(worst, float(np.abs(fd(direction) - exact).max()) / scale)
-        eps = 1e-3
-        mixed = (
-            adu_conjugate(A, (eps,), (eps,)).forward(gauss)
-            - adu_conjugate(A, (eps,), (-eps,)).forward(gauss)
-            - adu_conjugate(A, (-eps,), (eps,)).forward(gauss)
-            + adu_conjugate(A, (-eps,), (-eps,)).forward(gauss)
-        ) / (4 * eps ** 2)
-        exact = op_from_phase_terms(delta_symbol(sym, (1, 1)), N).forward(gauss)
-        scale = max(float(np.abs(exact).max()), 1e-12)
-        worst = max(worst, float(np.abs(mixed - exact).max()) / scale)
+    family = (random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
+              for _ in range(3))
+    gauss = gaussian_values(1, N, L, 0.5, freq=0.9)
     return [_record(
         "derivation-finite-difference",
         "finite differences of the conjugation action match the "
         "termwise derivation symbols through order two",
-        worst, 1e-3,
+        derivation_error(family, gauss, N, ((1, 0), (0, 1), (1, 1))), 1e-3,
     )]
 
 
@@ -499,7 +540,7 @@ def _suite_d_roundtrip(cfg: RunConfig) -> list:
     rng = _rng(cfg, "d-roundtrip")
     worst = 0.0
     for _ in range(6):
-        sym = _random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
+        sym = random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
         back = d_inverse(d_apply(sym))
         orig = {(m, tuple(round(v, 12) for v in w)): c for m, w, c in sym.terms}
         for m, w, c in back.terms:
@@ -513,15 +554,11 @@ def _suite_d_roundtrip(cfg: RunConfig) -> list:
 
 
 def _suite_kernel_identity(cfg: RunConfig) -> list:
-    worst = 0.0
-    for s in (-3.0, -1.5, 0.0):
-        for t in (-3.0, -1.5, 0.0):
-            worst = max(worst, kernel_identity_residual(s, t))
     return [_record(
         "kernel-pairing-identity",
         "the eta pairing of the rank-one kernels collapses to "
         "gamma2(-s) gamma2(-t) exp(-i s t)",
-        worst, 1e-6,
+        kernel_identity_worst((-3.0, -1.5, 0.0)), 1e-6,
     )]
 
 
@@ -530,78 +567,42 @@ def _suite_symbol_map(cfg: RunConfig) -> list:
         1, 4.0, 1,
         (((1,), (0.6,), 0.8 + 0.1j), ((-1,), (-0.6,), 0.5), ((2,), (0.3,), 0.2j)),
     )
-    op = op_from_phase_terms(sym, 64)
-    xs = np.array([0.0, 1.0])
-    xis = np.array([0.0, 0.5])
-    S = symbol_map_S(op, xs, xis)
-    truth = sym.evaluate(xs[:, None, None], xis[None, :, None])
-    rel = float(np.abs(S - truth).max() / np.abs(truth).max())
     return [_record(
         "symbol-map-recovers-symbol",
         "the kernel pairing map applied to Op(a) reproduces a",
-        rel, 5e-2,
+        symbol_map_error([sym], 64, np.array([0.0, 1.0]), np.array([0.0, 0.5])), 5e-2,
     )]
 
 
 def _suite_inverse_cv(cfg: RunConfig) -> list:
     rng = _rng(cfg, "inverse-cv")
     L = 4.0
-    worst = -np.inf
-    for _ in range(3):
-        sym = _random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
-        op = op_from_phase_terms(sym, 64)
-        xs = np.linspace(-L, L, 257)[:, None, None]
-        xis = np.linspace(-8.0, 8.0, 129)[None, :, None]
-        sup_val = float(np.abs(sym.evaluate(xs, xis)).max())
-        left, right = inverse_cv_bound(op, sup_val)
-        worst = max(worst, left - right)
+    family = (random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
+              for _ in range(3))
     return [_record(
         "inverse-cv-slack",
         "the sup of a symbol stays below the kernel-pairing bound "
         "sqrt(2 pi) ||u|| ||v|| ||Op(D a)||",
-        worst, 0.0,
+        inverse_cv_slack(family, 64, np.linspace(-L, L, 257), np.linspace(-8.0, 8.0, 129)),
+        0.0,
     )]
 
 
 def _suite_norm_hierarchy(cfg: RunConfig) -> list:
     rng = _rng(cfg, "norm-hierarchy")
-    n, N, L = 1, 64, 4.0
+    N, L = 64, 4.0
     J = DeformationMatrix.zero(1)
-    t0_worst = 0.0
-    leibniz_worst = -np.inf
-    submult_worst = -np.inf
-    for _ in range(3):
-        f = _random_plane_wave(rng, n, L, 1, 2, 3)
-        g = _random_plane_wave(rng, n, L, 1, 2, 3)
-        A = rieffel_operator(f, J, N=N)
-        B = rieffel_operator(g, J, N=N)
-        AB = A @ B
-        ra = differential_norms(A, 2)
-        rb = differential_norms(B, 2)
-        rab = differential_norms(AB, 2)
-        t0_worst = max(t0_worst, abs(ra.T[0] - operator_norm(A)))
-        leibniz_worst = max(
-            leibniz_worst,
-            rab.T[1] - (ra.T[0] * rb.T[1] + ra.T[1] * rb.T[0]),
-        )
-        for m in range(3):
-            submult_worst = max(submult_worst, rab.s[m] - ra.s[m] * rb.s[m])
+    pairs = ((rieffel_operator(random_plane_wave(rng, 1, L, 1, 2, 3), J, N=N),
+              rieffel_operator(random_plane_wave(rng, 1, L, 1, 2, 3), J, N=N))
+             for _ in range(3))
+    t0_gap, leibniz, submult = norm_axiom_slacks(pairs)
     return [
-        _record(
-            "t0-equals-operator-norm",
-            "the zeroth derivation norm is the operator norm",
-            t0_worst, 1e-9,
-        ),
-        _record(
-            "derivation-leibniz",
-            "T_1 of a product obeys the Leibniz estimate",
-            leibniz_worst, 1e-6,
-        ),
-        _record(
-            "s-m-submultiplicative",
-            "the cumulative norms s_m are submultiplicative",
-            submult_worst, 1e-6,
-        ),
+        _record("t0-equals-operator-norm",
+                "the zeroth derivation norm is the operator norm", t0_gap, 1e-9),
+        _record("derivation-leibniz",
+                "T_1 of a product obeys the Leibniz estimate", leibniz[0], 1e-6),
+        _record("s-m-submultiplicative",
+                "the cumulative norms s_m are submultiplicative", max(submult), 1e-6),
     ]
 
 
@@ -650,11 +651,11 @@ def _suite_fourier_inversion(cfg: RunConfig) -> list:
         "the regularized double integral reproduces constants",
         worst, 1e-8,
     ))
-    wave = _random_plane_wave(rng, 1, L, 1, 2, 3)
+    wave = random_plane_wave(rng, 1, L, 1, 2, 3)
     worst = max(
         fourier_inversion_check(wave, np.array([x])) for x in (-1.0, 0.0, 0.7)
     )
-    gauss = _gaussian_grid(1, 64, L, 2.0)
+    gauss = GridSymbol(1, 64, L, gaussian_values(1, 64, L, 2.0))
     worst = max(worst, max(
         fourier_inversion_check(gauss, np.array([x])) for x in (-1.0, 0.0)
     ))
@@ -694,12 +695,10 @@ def _suite_plancherel(cfg: RunConfig) -> list:
     for n, N in ((1, 64), (2, 16)):
         F = fourier_operator(n, N, cfg.L)
         for _ in range(3):
-            f = _band_limited_vector(rng, n, N, cfg.L, 2)
-            g = _band_limited_vector(rng, n, N, cfg.L, 2)
+            f = band_limited_vector(rng, n, N, cfg.L, 2)
+            g = band_limited_vector(rng, n, N, cfg.L, 2)
             lhs = inner_product(F(f), F(g)).entries
-            rhs = inner_product(f, g).entries
-            scale = max(float(np.abs(rhs).max()), 1e-300)
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / scale)
+            worst = max(worst, _relative_gap(lhs, inner_product(f, g).entries))
     return [_record(
         "fourier-preserves-pairing",
         "the unitary Fourier operator preserves the module inner product",
@@ -788,9 +787,7 @@ def cmd_product(cfg: RunConfig, f_path: str, g_path: str, out_path: str) -> int:
                 f.to_grid(cfg.N), g.to_grid(cfg.N), J,
                 OscIntegralConfig(tol=cfg.tol, check_points=0),
             )
-            ref = product.to_grid(cfg.N)
-            scale = max(float(np.abs(ref.values).max()), 1e-300)
-            disagreement = float(np.abs(fg.values - ref.values).max()) / scale
+            disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)
         else:
             if isinstance(f, PlaneWaveSymbol):
                 f = f.to_grid(g.N)
@@ -864,10 +861,10 @@ def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
     status = EXIT_PASS
     for theta in thetas:
         J = DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
-        rep = differential_norms(rieffel_operator(f, J, N=N), m)
+        op = rieffel_operator(f, J, N=N)
+        rep = differential_norms(op, m)
         opn = rep.op_norm
-        phase = tilde_map(f, J)
-        pi = _pi_functional(phase, f.L)
+        pi = _pi_functional(op.terms, f.L)
         ratio = opn / pi if pi > 0 else 0.0
         row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
         row += [f"{v:.12g}" for v in rep.T]
@@ -958,7 +955,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--suites", metavar="a,b,c",
                           help="comma-separated suite names (default all)")
     p_verify.add_argument("--workers", type=int, metavar="INT",
-                          help="concurrent suite count")
+                          help="concurrent suite count (at least 1)")
     p_verify.add_argument("--out", metavar="PATH",
                           help="JSON report path (default stdout)")
 
@@ -969,6 +966,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
     if args.config:
         try:
             cfg = parse_config(args.config)

@@ -1,6 +1,4 @@
-"""Shared test helpers and the acceptance summary hook."""
-
-import numpy as np
+"""The acceptance summary hook."""
 
 CRITERIA = {}
 
@@ -18,16 +16,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = CRITERIA[name]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"{status}  {name}: {detail}")
-
-
-def gaussian_grid_values(n: int, N: int, L: float, width: float,
-                         k: int = 1) -> np.ndarray:
-    """Diagonal Gaussian samples with negligible boundary mass."""
-    ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    r2 = sum(m ** 2 for m in mesh)
-    vals = np.exp(-r2 / width).astype(np.complex128)
-    out = np.zeros(vals.shape + (k, k), dtype=np.complex128)
-    for i in range(k):
-        out[..., i, i] = vals
-    return out

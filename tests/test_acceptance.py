@@ -23,34 +23,30 @@ from deformkit.deformation import (
     deformed_product_numeric,
     fourier_inversion_check,
 )
-from deformkit.heisenberg import (
-    adu_conjugate,
-    d_apply,
-    d_inverse,
-    delta_symbol,
-    differential_norms,
-    inverse_cv_bound,
-    kernel_identity_residual,
-    symbol_map_S,
-)
-from deformkit.pseudodiff import (
-    cv_functional,
-    fourier_operator,
-    op_from_phase_terms,
-    operator_norm,
-    rieffel_operator,
-)
+from deformkit.heisenberg import d_apply, d_inverse
+from deformkit.pseudodiff import fourier_operator, op_from_phase_terms
 from deformkit.symbols import (
     DeformationMatrix,
-    GridPhaseSymbol,
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
-    centered_idft,
     inner_product,
     norm_L2,
-    sup_norm,
+)
+from deformkit.verify_cli import (
+    band_limited_vector,
+    cv_fit,
+    derivation_error,
+    gaussian_values,
+    interplay_residual,
+    inverse_cv_slack,
+    kernel_identity_worst,
+    norm_axiom_slacks,
+    random_phase_symbol,
+    random_plane_wave,
+    sup_op_gap,
+    symbol_map_error,
 )
 from conftest import record_criterion
 
@@ -68,50 +64,6 @@ NORM_AXIOM_SLACK = 1e-6
 UNITIZATION_TOL = 1e-10
 INVERSION_TOL = 1e-6
 PLANCHEREL_TOL = 1e-10
-
-
-def _random_plane_wave(rng, n, L, k, m_max, n_terms):
-    terms = []
-    for _ in range(n_terms):
-        m = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n))
-        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        terms.append((m, c))
-    return PlaneWaveSymbol(n, L, k, tuple(terms))
-
-
-def _random_phase_symbol(rng, L, m_max, n_terms, w_choices):
-    terms = []
-    for _ in range(n_terms):
-        m = (int(rng.integers(-m_max, m_max + 1)),)
-        w = (float(rng.choice(w_choices)),)
-        c = complex(rng.normal(), rng.normal())
-        terms.append((m, w, c))
-    return PlaneWavePhaseSymbol(1, L, 1, tuple(terms))
-
-
-def _band_limited_grid(rng, n, N, L, m_max, k):
-    coeffs = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-    half = N // 2
-    for idx in np.ndindex(*((2 * m_max + 1,) * n)):
-        slot = tuple(half + i - m_max for i in idx)
-        coeffs[slot] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    return GridSymbol(n, N, L, centered_idft(coeffs, tuple(range(n))))
-
-
-def _gaussian_grid_symbol(n, N, L, width, shift=0.0):
-    ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    r2 = sum((m - shift) ** 2 for m in mesh)
-    vals = np.exp(-r2 / width).astype(np.complex128)
-    return GridSymbol(n, N, L, vals.reshape(vals.shape + (1, 1)))
-
-
-def _gaussian_vector(n, N, L, width, freq=0.0):
-    ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    mesh = np.meshgrid(*([ax] * n), indexing="ij")
-    r2 = sum(m ** 2 for m in mesh)
-    vals = np.exp(-r2 / width) * np.exp(1j * freq * mesh[0])
-    return ModuleVector(n, N, L, vals.reshape(vals.shape + (1, 1)))
 
 
 def _random_vector(rng, n, N, L):
@@ -155,13 +107,9 @@ def test_plane_wave_products_match_phase_law():
 
 def test_undeformed_sup_and_operator_norms_coincide():
     rng = np.random.default_rng(42611)
-    J = DeformationMatrix.zero(2)
-    worst = 0.0
-    for _ in range(20):
-        f = _band_limited_grid(rng, 2, 64, 6.0, 2, 2)
-        sup = sup_norm(f)
-        op = operator_norm(rieffel_operator(f, J), tol=1e-6)
-        worst = max(worst, abs(sup - op) / sup)
+    family = (GridSymbol(2, 64, 6.0, band_limited_vector(rng, 2, 64, 6.0, 2, 2).values)
+              for _ in range(20))
+    worst = sup_op_gap(family, tol=1e-6)
     record_criterion(
         "undeformed sup/op degeneracy",
         worst <= DEGENERACY_TOL,
@@ -192,9 +140,9 @@ def test_product_is_associative():
     cfg = OscIntegralConfig(check_points=0)
     worst_numeric = 0.0
     for _ in range(10):
-        f = _gaussian_grid_symbol(2, 32, L, float(rng.uniform(1.0, 3.0)))
-        g = _gaussian_grid_symbol(2, 32, L, float(rng.uniform(1.0, 3.0)), 0.5)
-        h = _gaussian_grid_symbol(2, 32, L, float(rng.uniform(1.0, 3.0)), -0.5)
+        f = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0))))
+        g = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0)), shift=0.5))
+        h = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0)), shift=-0.5))
         left = deformed_product_numeric(deformed_product_numeric(f, g, J, cfg), h, J, cfg)
         right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, cfg), J, cfg)
         worst_numeric = max(worst_numeric, float(np.abs(left.values - right.values).max()))
@@ -212,43 +160,17 @@ def test_product_is_associative():
 
 def test_operator_composition_matches_deformed_product():
     rng = np.random.default_rng(75314)
-    n, N, L = 2, 32, 6.0
-    J = DeformationMatrix.symplectic(0.25, 2)
-    h = _gaussian_vector(n, N, L, 1.0)
-    hn = norm_L2(h)
-    worst = 0.0
-    for _ in range(20):
-        f = _random_plane_wave(rng, n, L, 1, 2, 3)
-        g = _random_plane_wave(rng, n, L, 1, 2, 3)
-        Lf = rieffel_operator(f, J, N=N)
-        Lg = rieffel_operator(g, J, N=N)
-        Lfg = rieffel_operator(deformed_product_exact(f, g, J), J, N=N)
-        lhs = Lf.forward(Lg.forward(h.values))
-        rhs = Lfg.forward(h.values)
-        # tightening the norm estimates only shrinks the denominator
-        denom = operator_norm(Lf, tol=1e-4) * operator_norm(Lg, tol=1e-4) * hn
-        err = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * h.weight))
-        worst = max(worst, err / denom)
+    L = 6.0
+    pairs = ((random_plane_wave(rng, 2, L, 1, 2, 3), random_plane_wave(rng, 2, L, 1, 2, 3))
+             for _ in range(20))
+    h = ModuleVector(2, 32, L, gaussian_values(2, 32, L, 1.0))
+    worst = interplay_residual(pairs, DeformationMatrix.symplectic(0.25, 2), h, tol=1e-4)
     record_criterion(
         "operator-product interplay",
         worst <= INTERPLAY_TOL,
         f"max relative residual {worst:.2e} <= {INTERPLAY_TOL:g}",
     )
     assert worst <= INTERPLAY_TOL
-
-
-def _cv_fit(family, L, box_xi, N):
-    x_ax = (np.arange(N) - N // 2) * (2.0 * L / N)
-    xi_ax = (np.arange(64) - 32) * (2.0 * box_xi / 64)
-    best = 0.0
-    for sym in family:
-        vals = sym.evaluate(x_ax[:, None, None], xi_ax[None, :, None])
-        dense = GridPhaseSymbol(1, (N, 64), (L, box_xi), vals)
-        pi = cv_functional(dense)
-        opn = operator_norm(op_from_phase_terms(sym, N))
-        if pi > 0:
-            best = max(best, opn / pi)
-    return best
 
 
 def test_bounded_operator_constant_is_stable():
@@ -278,8 +200,8 @@ def test_bounded_operator_constant_is_stable():
                 for _ in range(3)
             )
         family.append(PlaneWavePhaseSymbol(1, L, 1, terms))
-    c_small = _cv_fit(family, L, box_xi, 64)
-    c_large = _cv_fit(family, L, box_xi, 128)
+    c_small = cv_fit(family, L, box_xi, 64)
+    c_large = cv_fit(family, L, box_xi, 128)
     drift = abs(c_small - c_large) / c_small
     ok = np.isfinite(c_small) and c_small > 0 and drift <= CV_STABILITY_TOL
     record_criterion(
@@ -294,41 +216,11 @@ def test_bounded_operator_constant_is_stable():
 def test_derivation_routes_agree():
     rng = np.random.default_rng(69402)
     N, L = 64, 4.0
-    gauss = _gaussian_vector(1, N, L, 0.5, freq=0.9).values
-    worst = 0.0
-    for _ in range(10):
-        sym = _random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
-        A = op_from_phase_terms(sym, N)
-
-        def args(direction, e):
-            return ((e,), (0.0,)) if direction == 0 else ((0.0,), (e,))
-
-        def conj_apply(direction, e):
-            return adu_conjugate(A, *args(direction, e)).forward(gauss)
-
-        def rel_err(approx, alpha):
-            exact = op_from_phase_terms(delta_symbol(sym, alpha), N).forward(gauss)
-            scale = max(float(np.abs(exact).max()), 1e-12)
-            return float(np.abs(approx - exact).max()) / scale
-
-        eps = 1e-3
-        for direction, alpha in ((0, (1, 0)), (1, (0, 1))):
-            c1 = (conj_apply(direction, eps) - conj_apply(direction, -eps)) / (2 * eps)
-            c2 = (conj_apply(direction, eps / 2) - conj_apply(direction, -eps / 2)) / eps
-            worst = max(worst, rel_err((4 * c2 - c1) / 3, alpha))
-        for direction, alpha in ((0, (2, 0)), (1, (0, 2))):
-            second = (
-                conj_apply(direction, eps) - 2 * A.forward(gauss)
-                + conj_apply(direction, -eps)
-            ) / eps ** 2
-            worst = max(worst, rel_err(second, alpha))
-        mixed = (
-            adu_conjugate(A, (eps,), (eps,)).forward(gauss)
-            - adu_conjugate(A, (eps,), (-eps,)).forward(gauss)
-            - adu_conjugate(A, (-eps,), (eps,)).forward(gauss)
-            + adu_conjugate(A, (-eps,), (-eps,)).forward(gauss)
-        ) / (4 * eps ** 2)
-        worst = max(worst, rel_err(mixed, (1, 1)))
+    family = (random_phase_symbol(rng, L, 2, 3, np.linspace(-0.8, 0.8, 9))
+              for _ in range(10))
+    gauss = gaussian_values(1, N, L, 0.5, freq=0.9)
+    alphas = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+    worst = derivation_error(family, gauss, N, alphas)
     record_criterion(
         "derivation finite differences",
         worst <= DERIVATIVE_TOL,
@@ -341,7 +233,7 @@ def test_order_raising_inverse_roundtrip():
     rng = np.random.default_rng(81533)
     worst = 0.0
     for _ in range(10):
-        sym = _random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
+        sym = random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
         back = d_apply(d_inverse(sym))
         orig = {(m, round(w[0], 12)): c for m, w, c in sym.terms}
         got = {(m, round(w[0], 12)): c for m, w, c in back.terms}
@@ -358,10 +250,7 @@ def test_order_raising_inverse_roundtrip():
 
 
 def test_kernel_pairing_identity():
-    worst = 0.0
-    for s in np.linspace(-3.0, 0.0, 5):
-        for t in np.linspace(-3.0, 0.0, 5):
-            worst = max(worst, kernel_identity_residual(float(s), float(t)))
+    worst = kernel_identity_worst(np.linspace(-3.0, 0.0, 5))
     record_criterion(
         "kernel pairing identity",
         worst <= KERNEL_TOL,
@@ -374,19 +263,14 @@ def test_kernel_pairing_identity():
 def _recovery_family():
     rng = np.random.default_rng(90210)
     w_choices = tuple(np.linspace(-0.8, 0.8, 9))
-    return tuple(_random_phase_symbol(rng, 4.0, 2, 3, w_choices) for _ in range(6))
+    return tuple(random_phase_symbol(rng, 4.0, 2, 3, w_choices) for _ in range(6))
 
 
 def test_symbol_map_inverts_quantization():
     start = time.monotonic()
     xs = np.array([-1.0, 0.0, 1.0])
     xis = np.array([-0.5, 0.0, 0.5])
-    worst = 0.0
-    for sym in _recovery_family():
-        op = op_from_phase_terms(sym, 128)
-        S = symbol_map_S(op, xs, xis)
-        truth = sym.evaluate(xs[:, None, None], xis[None, :, None])
-        worst = max(worst, float(np.abs(S - truth).max() / np.abs(truth).max()))
+    worst = symbol_map_error(_recovery_family(), 128, xs, xis)
     elapsed = time.monotonic() - start
     ok = worst <= SYMBOL_MAP_TOL and elapsed <= 600.0
     record_criterion(
@@ -400,14 +284,9 @@ def test_symbol_map_inverts_quantization():
 
 def test_sup_norm_lower_bound_has_nonnegative_slack():
     L = 4.0
-    xs = np.linspace(-L, L, 257)[:, None, None]
-    xis = np.linspace(-8.0, 8.0, 129)[None, :, None]
-    worst = -np.inf
-    for sym in _recovery_family():
-        op = op_from_phase_terms(sym, 64)
-        sup_val = float(np.abs(sym.evaluate(xs, xis)).max())
-        left, right = inverse_cv_bound(op, sup_val)
-        worst = max(worst, left - right)
+    xs = np.linspace(-L, L, 257)
+    xis = np.linspace(-8.0, 8.0, 129)
+    worst = inverse_cv_slack(_recovery_family(), 64, xs, xis)
     record_criterion(
         "sup-norm lower bound",
         worst <= 0.0,
@@ -422,23 +301,12 @@ def test_differential_norm_axioms():
     # grid-commensurate translations compose exactly on the grid; a pair
     # is two single plane waves, so every norm below is an exact value
     w_choices = (2.0 * L / N) * np.arange(-3, 4)
-    worst_t0 = 0.0
-    worst_slack = -np.inf
-    for _ in range(20):
-        sa = _random_phase_symbol(rng, L, 2, 1, w_choices)
-        sb = _random_phase_symbol(rng, L, 2, 1, w_choices)
-        A = op_from_phase_terms(sa, N)
-        B = op_from_phase_terms(sb, N)
-        AB = A @ B
-        ra = differential_norms(A, 2)
-        rb = differential_norms(B, 2)
-        rab = differential_norms(AB, 2)
-        worst_t0 = max(worst_t0, abs(ra.T[0] - operator_norm(A)))
-        leibniz1 = ra.T[0] * rb.T[1] + ra.T[1] * rb.T[0]
-        leibniz2 = ra.T[0] * rb.T[2] + ra.T[1] * rb.T[1] + ra.T[2] * rb.T[0]
-        worst_slack = max(worst_slack, rab.T[1] - leibniz1)
-        worst_slack = max(worst_slack, rab.T[2] - leibniz2)
-        worst_slack = max(worst_slack, rab.s[2] - ra.s[2] * rb.s[2])
+    pairs = ((op_from_phase_terms(random_phase_symbol(rng, L, 2, 1, w_choices), N),
+              op_from_phase_terms(random_phase_symbol(rng, L, 2, 1, w_choices), N))
+             for _ in range(20))
+    worst_t0, leibniz, submult = norm_axiom_slacks(pairs)
+    # Leibniz for T_1 and T_2, submultiplicativity of s_2
+    worst_slack = max(*leibniz, submult[2])
     ok = worst_t0 == 0.0 and worst_slack <= NORM_AXIOM_SLACK
     record_criterion(
         "differential norm axioms",
@@ -496,9 +364,7 @@ def test_fourier_inversion_holds_pointwise():
     cfg = OscIntegralConfig()
     constant = PlaneWaveSymbol(1, 4.0, 1, (((0,), 0.8 - 0.3j),))
     waves = PlaneWaveSymbol(1, 4.0, 1, (((1,), 1.0), ((-2,), 0.5j)))
-    ax = (np.arange(256) - 128) * (2.0 * 8.0 / 256)
-    gauss_vals = np.exp(-ax ** 2).astype(np.complex128).reshape(256, 1, 1)
-    gauss = GridSymbol(1, 256, 8.0, gauss_vals)
+    gauss = GridSymbol(1, 256, 8.0, gaussian_values(1, 256, 8.0, 1.0))
     worst = 0.0
     for f in (constant, waves, gauss):
         for x in np.linspace(-1.0, 1.0, 5):

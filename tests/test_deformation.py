@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import gaussian_grid_values
 from deformkit.deformation import (
     OscIntegralConfig,
     deformed_product_exact,
@@ -23,19 +22,11 @@ from deformkit.symbols import (
     PlaneWaveSymbol,
     symbol_star,
 )
+from deformkit.verify_cli import gaussian_values, random_plane_wave
 
 RNG = np.random.default_rng(16180)
 L = 6.0
 J_HALF = DeformationMatrix.symplectic(0.5, 2)
-
-
-def random_plane_wave(n, L_, k, m_max, n_terms, rng=RNG):
-    terms = []
-    for _ in range(n_terms):
-        m = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n))
-        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        terms.append((m, c))
-    return PlaneWaveSymbol(n, L_, k, tuple(terms))
 
 
 def wave(m, coeff=1.0):
@@ -67,8 +58,8 @@ def test_plane_wave_pair_law(theta):
 
 
 def test_theta_zero_is_pointwise_product():
-    f = random_plane_wave(2, L, 2, 2, 3)
-    g = random_plane_wave(2, L, 2, 2, 3)
+    f = random_plane_wave(RNG, 2, L, 2, 2, 3)
+    g = random_plane_wave(RNG, 2, L, 2, 2, 3)
     prod = deformed_product_exact(f, g, DeformationMatrix.zero(2))
     x = RNG.uniform(-L, L, size=(5, 2))
     assert_allclose(prod.evaluate(x), f.evaluate(x) @ g.evaluate(x), atol=1e-12)
@@ -89,9 +80,9 @@ def test_commutation_phase():
 
 def test_exact_associativity():
     for _ in range(5):
-        f = random_plane_wave(2, L, 1, 2, 3)
-        g = random_plane_wave(2, L, 1, 2, 3)
-        h = random_plane_wave(2, L, 1, 2, 3)
+        f = random_plane_wave(RNG, 2, L, 1, 2, 3)
+        g = random_plane_wave(RNG, 2, L, 1, 2, 3)
+        h = random_plane_wave(RNG, 2, L, 1, 2, 3)
         left = deformed_product_exact(deformed_product_exact(f, g, J_HALF), h, J_HALF)
         right = deformed_product_exact(f, deformed_product_exact(g, h, J_HALF), J_HALF)
         lt, rt = term_map(left), term_map(right)
@@ -102,8 +93,8 @@ def test_exact_associativity():
 
 def test_star_is_antihomomorphism():
     # (f x_J g)* = g* x_J f* for the deformed product.
-    f = random_plane_wave(2, L, 2, 2, 3)
-    g = random_plane_wave(2, L, 2, 2, 3)
+    f = random_plane_wave(RNG, 2, L, 2, 2, 3)
+    g = random_plane_wave(RNG, 2, L, 2, 2, 3)
     lhs = term_map(symbol_star(deformed_product_exact(f, g, J_HALF)))
     rhs = term_map(deformed_product_exact(symbol_star(g), symbol_star(f), J_HALF))
     assert set(lhs) == set(rhs)
@@ -112,14 +103,14 @@ def test_star_is_antihomomorphism():
 
 
 def test_exact_route_needs_plane_waves():
-    g = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
     with pytest.raises(TypeError):
         deformed_product_exact(g, g, J_HALF)
 
 
 def test_exact_route_rejects_box_mismatch():
-    f = random_plane_wave(2, L, 1, 2, 2)
-    g = random_plane_wave(2, 2 * L, 1, 2, 2)
+    f = random_plane_wave(RNG, 2, L, 1, 2, 2)
+    g = random_plane_wave(RNG, 2, 2 * L, 1, 2, 2)
     with pytest.raises(BoxMismatchError):
         deformed_product_exact(f, g, J_HALF)
 
@@ -142,8 +133,8 @@ def test_numeric_route_matches_exact_on_band_limited(k, f_terms, g_terms, seed):
     cfg = OscIntegralConfig(check_points=0)
     for theta in (0.0, 0.25, 1.0):
         J = DeformationMatrix.symplectic(theta, 2)
-        f = random_plane_wave(2, L, k, 3, f_terms, rng)
-        g = random_plane_wave(2, L, k, 3, g_terms, rng)
+        f = random_plane_wave(rng, 2, L, k, 3, f_terms)
+        g = random_plane_wave(rng, 2, L, k, 3, g_terms)
         exact = deformed_product_exact(f, g, J).to_grid(N)
         numeric = deformed_product_numeric(f.to_grid(N), g.to_grid(N), J, cfg)
         scale = np.abs(exact.values).max()
@@ -151,8 +142,8 @@ def test_numeric_route_matches_exact_on_band_limited(k, f_terms, g_terms, seed):
 
 
 def test_numeric_route_reports_disagreement():
-    f = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 2.0))
-    g = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 3.0))
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 3.0))
     report = {}
     deformed_product_numeric(f, g, J_HALF, report=report)
     assert report["points_checked"] == 5
@@ -161,22 +152,22 @@ def test_numeric_route_reports_disagreement():
 
 def test_numeric_route_raises_on_tight_tolerance():
     # The quadrature oracle cannot reach 1e-16, so the gate must trip.
-    f = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 2.0))
-    g = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 3.0))
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 3.0))
     with pytest.raises(ConvergenceError):
         deformed_product_numeric(f, g, J_HALF, OscIntegralConfig(tol=1e-16))
 
 
 def test_numeric_route_rejects_resolution_mismatch():
-    f = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 2.0))
-    g = GridSymbol(2, 32, L, gaussian_grid_values(2, 32, L, 2.0))
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 32, L, gaussian_values(2, 32, L, 2.0))
     with pytest.raises(BoxMismatchError):
         deformed_product_numeric(f, g, J_HALF)
 
 
 def test_numeric_commutator_vanishes_at_theta_zero():
-    f = GridSymbol(2, 16, L, gaussian_grid_values(2, 16, L, 2.0))
-    vals = gaussian_grid_values(2, 16, L, 3.0)
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    vals = gaussian_values(2, 16, L, 3.0)
     ax = (np.arange(16) - 8) * (2 * L / 16)
     vals = vals * np.exp(0.5j * ax)[:, None, None, None]
     g = GridSymbol(2, 16, L, vals)
@@ -203,7 +194,7 @@ def test_tilde_map_of_plane_wave():
 
 
 def test_tilde_map_at_theta_zero_has_no_xi_dependence():
-    f = random_plane_wave(2, L, 1, 2, 3)
+    f = random_plane_wave(RNG, 2, L, 1, 2, 3)
     lifted = tilde_map(f, DeformationMatrix.zero(2))
     assert all(np.abs(np.asarray(w)).max() == 0.0 for _, w, _ in lifted.terms)
 
@@ -283,7 +274,7 @@ def test_regularization_orders_must_exceed_half_dimension():
 
 
 def test_fourier_inversion_on_plane_wave():
-    f = random_plane_wave(1, 4.0, 1, 2, 3)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 2, 3)
     for x in (-1.0, 0.0, 0.7):
         assert fourier_inversion_check(f, np.array([x])) <= 1e-6
 
@@ -295,6 +286,6 @@ def test_fourier_inversion_on_constant_is_sharper():
 
 
 def test_fourier_inversion_on_grid_gaussian():
-    g = GridSymbol(1, 64, 6.0, gaussian_grid_values(1, 64, 6.0, 2.0))
+    g = GridSymbol(1, 64, 6.0, gaussian_values(1, 64, 6.0, 2.0))
     for x in (-1.0, 0.5):
         assert fourier_inversion_check(g, np.array([x])) <= 1e-6

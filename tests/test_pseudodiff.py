@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import gaussian_grid_values
-from deformkit.deformation import deformed_product_exact, tilde_map
+from deformkit.deformation import deformed_product_exact
 from deformkit.errors import DivideByZeroError, GridMismatchError
 from deformkit.pseudodiff import (
-    DiscretizedOperator,
     adjoint,
     cv_functional,
     cv_ratio,
     fourier_operator,
     multiplication_operator,
     multiplier_operator,
-    op_apply,
     op_from_phase_terms,
     operator_norm,
     phase_sup,
@@ -31,31 +28,19 @@ from deformkit.symbols import (
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
-    centered_idft,
     inner_product,
     norm_L2,
+)
+from deformkit.verify_cli import (
+    band_limited_vector,
+    cv_fit,
+    gaussian_values,
+    random_phase_symbol,
+    random_plane_wave,
 )
 
 RNG = np.random.default_rng(14142)
 L = 6.0
-
-
-def random_plane_wave(n, L_, k, m_max, n_terms, rng=RNG):
-    terms = []
-    for _ in range(n_terms):
-        m = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n))
-        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        terms.append((m, c))
-    return PlaneWaveSymbol(n, L_, k, tuple(terms))
-
-
-def band_limited_vector(n, N, L_, m_max, k=1, rng=RNG):
-    coeffs = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-    half = N // 2
-    for idx in np.ndindex(*((2 * m_max + 1,) * n)):
-        slot = tuple(half + i - m_max for i in idx)
-        coeffs[slot] = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    return ModuleVector(n, N, L_, centered_idft(coeffs, tuple(range(n))))
 
 
 def dense_matrix(op):
@@ -94,12 +79,12 @@ def test_plane_wave_action_translates_argument():
 def test_composition_matches_deformed_product():
     J = DeformationMatrix.symplectic(0.25, 2)
     N = 32
-    f = random_plane_wave(2, L, 1, 2, 3)
-    g = random_plane_wave(2, L, 1, 2, 3)
+    f = random_plane_wave(RNG, 2, L, 1, 2, 3)
+    g = random_plane_wave(RNG, 2, L, 1, 2, 3)
     Lf = rieffel_operator(f, J, N=N)
     Lg = rieffel_operator(g, J, N=N)
     Lfg = rieffel_operator(deformed_product_exact(f, g, J), J, N=N)
-    h = band_limited_vector(2, N, L, 3)
+    h = band_limited_vector(RNG, 2, N, L, 3)
     lhs = Lf.forward(Lg.forward(h.values))
     rhs = Lfg.forward(h.values)
     scale = np.abs(rhs).max()
@@ -108,10 +93,10 @@ def test_composition_matches_deformed_product():
 
 def test_operator_is_linear():
     op = rieffel_operator(
-        random_plane_wave(1, 4.0, 1, 2, 3), DeformationMatrix.zero(1), N=32
+        random_plane_wave(RNG, 1, 4.0, 1, 2, 3), DeformationMatrix.zero(1), N=32
     )
-    g1 = band_limited_vector(1, 32, 4.0, 3)
-    g2 = band_limited_vector(1, 32, 4.0, 3)
+    g1 = band_limited_vector(RNG, 1, 32, 4.0, 3)
+    g2 = band_limited_vector(RNG, 1, 32, 4.0, 3)
     lhs = op.forward(2.0 * g1.values - 1j * g2.values)
     rhs = 2.0 * op.forward(g1.values) - 1j * op.forward(g2.values)
     assert np.abs(lhs - rhs).max() <= 1e-12
@@ -119,28 +104,20 @@ def test_operator_is_linear():
 
 def test_op_apply_returns_module_vector():
     op = rieffel_operator(
-        random_plane_wave(1, 4.0, 1, 2, 2), DeformationMatrix.zero(1), N=32
+        random_plane_wave(RNG, 1, 4.0, 1, 2, 2), DeformationMatrix.zero(1), N=32
     )
-    g = band_limited_vector(1, 32, 4.0, 2)
-    out = op_apply(op, g)
+    g = band_limited_vector(RNG, 1, 32, 4.0, 2)
+    out = op(g)
     assert isinstance(out, ModuleVector)
     assert out.geometry() == g.geometry()
 
 
-def test_call_is_op_apply():
-    op = rieffel_operator(
-        random_plane_wave(1, 4.0, 1, 2, 2), DeformationMatrix.zero(1), N=32
-    )
-    g = band_limited_vector(1, 32, 4.0, 2)
-    assert_allclose(op(g).values, op_apply(op, g).values, atol=0.0)
-
-
 def test_composition_rejects_geometry_mismatch():
     a = rieffel_operator(
-        random_plane_wave(1, 4.0, 1, 1, 2), DeformationMatrix.zero(1), N=32
+        random_plane_wave(RNG, 1, 4.0, 1, 1, 2), DeformationMatrix.zero(1), N=32
     )
     b = rieffel_operator(
-        random_plane_wave(1, 4.0, 1, 1, 2), DeformationMatrix.zero(1), N=64
+        random_plane_wave(RNG, 1, 4.0, 1, 1, 2), DeformationMatrix.zero(1), N=64
     )
     with pytest.raises(GridMismatchError):
         a @ b
@@ -149,9 +126,9 @@ def test_composition_rejects_geometry_mismatch():
 def test_right_multiply_commutes_with_left_action():
     # The deformed left action is a module map: L_f (g.c) = (L_f g).c.
     op = rieffel_operator(
-        random_plane_wave(1, 4.0, 2, 2, 3), DeformationMatrix.zero(1), N=32
+        random_plane_wave(RNG, 1, 4.0, 2, 2, 3), DeformationMatrix.zero(1), N=32
     )
-    g = band_limited_vector(1, 32, 4.0, 2, k=2)
+    g = band_limited_vector(RNG, 1, 32, 4.0, 2, 2)
     c = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     lhs = op(right_multiply(g, c))
     rhs = right_multiply(op(g), c)
@@ -162,7 +139,7 @@ def test_right_multiply_commutes_with_left_action():
 # Adjoints
 
 
-def random_phase_symbol(n, k, zero_shift, rng):
+def off_grid_phase_symbol(n, k, zero_shift, rng):
     """Three lattice terms with off-grid translations, plus one w = 0 term."""
     terms = []
     for _ in range(3):
@@ -187,12 +164,12 @@ def test_adjoint_pairing(n, k, zero_shift, seed):
     if seed is None:
         rng = RNG
         J = DeformationMatrix.symplectic(0.3, 2)
-        op = rieffel_operator(random_plane_wave(2, L, 1, 2, 3), J, N=16)
+        op = rieffel_operator(random_plane_wave(RNG, 2, L, 1, 2, 3), J, N=16)
     else:
         rng = np.random.default_rng(seed)
-        op = op_from_phase_terms(random_phase_symbol(n, k, zero_shift, rng), 16)
-    f = band_limited_vector(n, 16, L, 2, k, rng)
-    g = band_limited_vector(n, 16, L, 2, k, rng)
+        op = op_from_phase_terms(off_grid_phase_symbol(n, k, zero_shift, rng), 16)
+    f = band_limited_vector(rng, n, 16, L, 2, k)
+    g = band_limited_vector(rng, n, 16, L, 2, k)
     # the adjoint closure, and adjoint() rebuilt from the lattice terms alone
     for dag in (adjoint(op), adjoint(dataclasses.replace(op, adjoint_fn=None))):
         lhs = inner_product(op(f), g).entries
@@ -201,10 +178,10 @@ def test_adjoint_pairing(n, k, zero_shift, seed):
 
 
 def test_adjoint_of_multiplication_is_star():
-    psi = GridSymbol(1, 32, 4.0, gaussian_grid_values(1, 32, 4.0, 1.0) * (1 + 0.5j))
+    psi = GridSymbol(1, 32, 4.0, gaussian_values(1, 32, 4.0, 1.0) * (1 + 0.5j))
     op = multiplication_operator(psi)
     dag = adjoint(op)
-    g = band_limited_vector(1, 32, 4.0, 3)
+    g = band_limited_vector(RNG, 1, 32, 4.0, 3)
     expected = np.conj(np.swapaxes(psi.values, -1, -2)) @ g.values
     assert np.abs(dag.forward(g.values) - expected).max() <= 1e-12
 
@@ -214,7 +191,7 @@ def test_adjoint_of_multiplication_is_star():
 
 
 def test_operator_norm_matches_dense_svd():
-    f = random_plane_wave(1, 4.0, 1, 2, 3)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 2, 3)
     op = rieffel_operator(f, DeformationMatrix.zero(1), N=16)
     dense = dense_matrix(op)
     assert_allclose(operator_norm(op), np.linalg.norm(dense, 2), rtol=1e-6)
@@ -227,14 +204,14 @@ def test_operator_norm_of_unitary_modulation():
 
 
 def test_multiplication_norm_is_sup():
-    psi = GridSymbol(1, 64, 4.0, gaussian_grid_values(1, 64, 4.0, 1.0) * 2.5)
+    psi = GridSymbol(1, 64, 4.0, gaussian_values(1, 64, 4.0, 1.0) * 2.5)
     op = multiplication_operator(psi)
     assert_allclose(operator_norm(op), 2.5, rtol=1e-7)
 
 
 def test_fourier_operator_is_isometric():
     F = fourier_operator(1, 64, 4.0)
-    g = band_limited_vector(1, 64, 4.0, 5)
+    g = band_limited_vector(RNG, 1, 64, 4.0, 5)
     assert_allclose(norm_L2(F(g)), norm_L2(g), rtol=1e-12)
     Finv = fourier_operator(1, 64, 4.0, inverse=True)
     back = Finv(F(g))
@@ -297,32 +274,16 @@ def test_cv_ratio_zero_over_zero():
 
 def test_norm_bounded_by_cv_functional_times_constant():
     # ||Op(a)|| stays within a grid-independent multiple of pi(a).
-    L1, box_xi = 4.0, 4.0
-    ratios = []
-    for _ in range(5):
-        sym = PlaneWavePhaseSymbol(
-            1, L1, 1,
-            tuple(
-                ((int(RNG.integers(-2, 3)),),
-                 (float(RNG.choice(np.arange(-3, 4) * np.pi / box_xi)),),
-                 complex(RNG.normal(), RNG.normal()))
-                for _ in range(3)
-            ),
-        )
-        x = np.linspace(-L1, L1, 64, endpoint=False)
-        xi = np.linspace(-box_xi, box_xi, 64, endpoint=False)
-        vals = sym.evaluate(x[:, None, None], xi[None, :, None])
-        dense = GridPhaseSymbol(1, (64, 64), (L1, box_xi), vals)
-        op = op_from_phase_terms(sym, 64)
-        ratios.append(operator_norm(op) / cv_functional(dense))
-    assert max(ratios) <= 10.0
+    w_choices = np.arange(-3, 4) * np.pi / 4.0
+    family = [random_phase_symbol(RNG, 4.0, 2, 3, w_choices) for _ in range(5)]
+    assert cv_fit(family, 4.0, 4.0, 64) <= 10.0
 
 
 def test_op_from_phase_terms_reduces_to_multiplication():
     # A xi-independent phase symbol acts by pointwise multiplication.
     sym = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.0,), 0.8),))
     op = op_from_phase_terms(sym, 32)
-    g = band_limited_vector(1, 32, 4.0, 3)
+    g = band_limited_vector(RNG, 1, 32, 4.0, 3)
     pts = g.points()
     factor = sym.evaluate(pts[..., 0], np.zeros_like(pts[..., 0]))
     expected = factor @ g.values

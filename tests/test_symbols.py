@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from conftest import gaussian_grid_values
 from deformkit.errors import DecayViolationError
 from deformkit.symbols import (
     DeformationMatrix,
@@ -34,19 +36,12 @@ from deformkit.symbols import (
     significant_terms,
     sup_norm,
     symbol_star,
+    write_rsym,
     write_symbol_file,
 )
+from deformkit.verify_cli import gaussian_values, random_plane_wave
 
 RNG = np.random.default_rng(27182)
-
-
-def random_plane_wave(n, L, k, m_max, n_terms, rng=RNG):
-    terms = []
-    for _ in range(n_terms):
-        m = tuple(int(v) for v in rng.integers(-m_max, m_max + 1, size=n))
-        c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        terms.append((m, c))
-    return PlaneWaveSymbol(n, L, k, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +77,20 @@ def test_plane_wave_prunes_zero_terms():
 
 
 def test_plane_wave_evaluate_periodicity():
-    f = random_plane_wave(1, 4.0, 2, 3, 4)
+    f = random_plane_wave(RNG, 1, 4.0, 2, 3, 4)
     x = np.array([0.3])
     assert_allclose(f.evaluate(x), f.evaluate(x + 8.0), atol=1e-12)
 
 
 def test_plane_wave_to_grid_matches_evaluate():
-    f = random_plane_wave(2, 6.0, 1, 2, 3)
+    f = random_plane_wave(RNG, 2, 6.0, 1, 2, 3)
     g = f.to_grid(16)
     pts = g.points()
     assert_allclose(g.values, f.evaluate(pts), atol=1e-12)
 
 
 def test_plane_wave_star_squares_to_identity():
-    f = random_plane_wave(2, 6.0, 2, 2, 4)
+    f = random_plane_wave(RNG, 2, 6.0, 2, 2, 4)
     again = f.star().star()
     assert [m for m, _ in again.terms] == [m for m, _ in f.terms]
     for (m, c), (m2, c2) in zip(f.terms, again.terms):
@@ -103,7 +98,7 @@ def test_plane_wave_star_squares_to_identity():
 
 
 def test_symbol_star_is_pointwise_adjoint():
-    f = random_plane_wave(1, 4.0, 2, 2, 3)
+    f = random_plane_wave(RNG, 1, 4.0, 2, 2, 3)
     x = np.array([0.7])
     assert_allclose(
         symbol_star(f).evaluate(x),
@@ -140,7 +135,7 @@ def test_dual_axis_points_scale():
 
 
 def test_series_roundtrip():
-    f = random_plane_wave(2, 6.0, 2, 3, 5)
+    f = random_plane_wave(RNG, 2, 6.0, 2, 3, 5)
     g = f.to_grid(16)
     coeffs = series_coefficients(g)
     back = series_synthesis(coeffs, 2)
@@ -163,7 +158,7 @@ def test_significant_terms_prunes_noise():
 
 
 def test_eval_series_matches_evaluate():
-    f = random_plane_wave(1, 4.0, 1, 3, 4)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 3, 4)
     terms = [(m, c) for m, c in f.terms]
     x = np.array([[0.3], [-1.7]])
     assert_allclose(eval_series(terms, 4.0, x, 1), f.evaluate(x), atol=1e-12)
@@ -198,7 +193,7 @@ def test_derivative_of_plane_wave_is_exact():
 
 
 def test_derivative_matches_finite_difference_on_grid():
-    f = random_plane_wave(1, 4.0, 1, 2, 3).to_grid(64)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 2, 3).to_grid(64)
     d = derivative(f, (1,))
     h = f.dx
     fd = (np.roll(f.values, -1, axis=0) - np.roll(f.values, 1, axis=0)) / (2 * h)
@@ -206,7 +201,7 @@ def test_derivative_matches_finite_difference_on_grid():
 
 
 def test_seminorm_B_monotone_in_order():
-    f = random_plane_wave(1, 4.0, 1, 2, 3)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 2, 3)
     values = [seminorm_B(f, m) for m in range(4)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert_allclose(values[0], sup_norm(f), rtol=1e-6)
@@ -219,7 +214,7 @@ def test_seminorm_S_needs_decay():
 
 
 def test_seminorm_S_on_gaussian_exceeds_plain_sup():
-    g = GridSymbol(1, 256, 8.0, gaussian_grid_values(1, 256, 8.0, 0.5))
+    g = GridSymbol(1, 256, 8.0, gaussian_values(1, 256, 8.0, 0.5))
     assert seminorm_S(g, 2) >= seminorm_B(g, 2) - 1e-12
 
 
@@ -239,7 +234,7 @@ def test_sup_norm_rejects_unknown_type():
 
 
 def test_inner_product_positive():
-    f = ModuleVector(1, 32, 4.0, gaussian_grid_values(1, 32, 4.0, 1.0))
+    f = ModuleVector(1, 32, 4.0, gaussian_values(1, 32, 4.0, 1.0))
     gram = inner_product(f, f).entries
     eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() >= -1e-14
@@ -248,12 +243,12 @@ def test_inner_product_positive():
 
 def test_norm_l2_of_gaussian():
     # ||exp(-x^2)||_2^2 = sqrt(pi / 2) on a box that captures the tails.
-    g = ModuleVector(1, 256, 8.0, gaussian_grid_values(1, 256, 8.0, 1.0))
+    g = ModuleVector(1, 256, 8.0, gaussian_values(1, 256, 8.0, 1.0))
     assert_allclose(norm_L2(g) ** 2, np.sqrt(np.pi / 2.0), rtol=1e-6)
 
 
 def test_fourier_unitary_on_grid():
-    f = ModuleVector(1, 64, 4.0, gaussian_grid_values(1, 64, 4.0, 1.0))
+    f = ModuleVector(1, 64, 4.0, gaussian_values(1, 64, 4.0, 1.0))
     g = GridSymbol(1, 64, 4.0, f.values)
     assert_allclose(norm_L2(fourier(g)), norm_L2(g), rtol=1e-12)
     back = fourier(fourier(g), sign=-1)
@@ -297,28 +292,6 @@ def test_grid_phase_symbol_shape_check():
 # File formats
 
 
-def test_plane_wave_json_roundtrip(tmp_path):
-    f = random_plane_wave(2, 6.0, 2, 3, 4)
-    path = tmp_path / "f.json"
-    write_symbol_file(f, path)
-    g = read_symbol_file(path)
-    assert isinstance(g, PlaneWaveSymbol)
-    assert (g.n, g.L, g.k) == (f.n, f.L, f.k)
-    for (m, c), (m2, c2) in zip(f.terms, g.terms):
-        assert m == m2
-        assert_allclose(c, c2, atol=1e-15)
-
-
-def test_rsym_roundtrip(tmp_path):
-    f = GridSymbol(2, 16, 6.0, gaussian_grid_values(2, 16, 6.0, 2.0, k=2))
-    path = tmp_path / "f.rsym"
-    write_symbol_file(f, path)
-    g = read_symbol_file(path)
-    assert isinstance(g, GridSymbol)
-    assert (g.n, g.N, g.L, g.k) == (2, 16, 6.0, 2)
-    assert_allclose(g.values, f.values, atol=0.0)
-
-
 def test_read_malformed_json_names_byte_offset(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1, "L": 4.0, "terms": [')
@@ -327,7 +300,7 @@ def test_read_malformed_json_names_byte_offset(tmp_path):
 
 
 def test_read_truncated_rsym_names_byte_offset(tmp_path):
-    f = GridSymbol(1, 16, 4.0, gaussian_grid_values(1, 16, 4.0, 1.0))
+    f = GridSymbol(1, 16, 4.0, gaussian_values(1, 16, 4.0, 1.0))
     path = tmp_path / "f.rsym"
     write_symbol_file(f, path)
     data = path.read_bytes()
@@ -344,9 +317,109 @@ def test_read_bad_magic_names_offset_zero(tmp_path):
 
 
 def test_json_payload_is_valid_json(tmp_path):
-    f = random_plane_wave(1, 4.0, 1, 2, 2)
+    f = random_plane_wave(RNG, 1, 4.0, 1, 2, 2)
     path = tmp_path / "f.json"
     write_symbol_file(f, path)
     doc = json.loads(path.read_text())
     assert doc["n"] == 1
     assert {"m", "coeff"} <= set(doc["terms"][0])
+
+
+# Property tests of the readers: exact round trips, and malformed input ends
+# in ValueError (exit 2 at the command line), never in another exception.
+
+READER_SETTINGS = settings(
+    derandomize=True, max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+SIZES = st.sampled_from((1, 2))
+HALF_WIDTHS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plane_wave_symbols(draw):
+    n, k = draw(SIZES), draw(SIZES)
+    m = st.tuples(*[st.integers(-2 ** 53, 2 ** 53)] * n)
+    terms = draw(st.lists(st.tuples(m, arrays(np.complex128, (k, k), elements=COMPLEX)),
+                          max_size=4))
+    return PlaneWaveSymbol(n, draw(HALF_WIDTHS), k, tuple(terms))
+
+
+@st.composite
+def grid_symbols(draw):
+    n, k, N = draw(SIZES), draw(SIZES), draw(st.sampled_from((4, 8)))
+    values = draw(arrays(np.complex128, (N,) * n + (k, k), elements=COMPLEX))
+    return GridSymbol(n, N, draw(HALF_WIDTHS), values)
+
+
+@READER_SETTINGS
+@given(plane_wave_symbols())
+def test_plane_wave_json_roundtrip(tmp_path, f):
+    # the format stores no k, so a symbol without terms reads back with k = 1
+    assume(f.terms or f.k == 1)
+    write_symbol_file(f, tmp_path / "f.json")
+    g = read_symbol_file(tmp_path / "f.json")
+    assert isinstance(g, PlaneWaveSymbol)
+    assert (g.n, g.L, g.k, len(g.terms)) == (f.n, f.L, f.k, len(f.terms))
+    for (m, c), (m2, c2) in zip(f.terms, g.terms):
+        assert m == m2 and np.array_equal(c, c2)
+
+
+@READER_SETTINGS
+@given(grid_symbols())
+def test_rsym_roundtrip(tmp_path, f):
+    write_symbol_file(f, tmp_path / "f.rsym")
+    g = read_symbol_file(tmp_path / "f.rsym")
+    assert isinstance(g, GridSymbol)
+    assert (g.n, g.N, g.L, g.k) == (f.n, f.N, f.L, f.k)
+    assert np.array_equal(g.values, f.values)
+
+
+def _read_or_value_error(path):
+    try:
+        assert isinstance(read_symbol_file(path), (GridSymbol, PlaneWaveSymbol))
+    except ValueError:
+        pass
+
+
+@READER_SETTINGS
+@given(grid_symbols(), st.data())
+def test_damaged_rsym_reads_or_raises_value_error(tmp_path, f, data):
+    path = tmp_path / "f.rsym"
+    write_rsym(f, path)
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        at = data.draw(st.integers(0, 20), label="header byte")
+        raw[at] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+    path.write_bytes(bytes(raw))
+    _read_or_value_error(path)
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(("n", "L", "terms", "m", "coeff")) | st.text(max_size=3),
+        children, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("field", ["document", "n", "L", "m", "coeff"])
+@READER_SETTINGS
+@given(value=st.sampled_from((float("inf"), float("nan"), 10 ** 400, -1)) | JSON_DOCS)
+def test_json_reads_or_raises_value_error(tmp_path, field, value):
+    # a random document, or a valid one with one field replaced
+    doc = {"n": 2, "L": 6.0, "terms": [{"m": [1, -2], "coeff": [[[1.0, 0.5]]]}]}
+    if field == "document":
+        doc = value
+    elif field in ("n", "L"):
+        doc[field] = value
+    elif field == "m":
+        doc["terms"][0]["m"][1] = value
+    else:
+        doc["terms"][0]["coeff"][0][0][0] = value
+    (tmp_path / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    _read_or_value_error(tmp_path / "doc.json")

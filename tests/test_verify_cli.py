@@ -18,11 +18,11 @@ from deformkit.symbols import (
 from deformkit.verify_cli import (
     SUITES,
     RunConfig,
+    gaussian_values,
     main,
     parse_config,
     parse_theta_sweep,
 )
-from conftest import gaussian_grid_values
 
 FAST_SUITES = "plancherel,unitization"
 
@@ -125,7 +125,7 @@ def test_product_plane_wave_matches_exact_law(tmp_path):
 
 
 def test_product_grid_inputs_write_grid_output(tmp_path):
-    vals = gaussian_grid_values(1, 32, 6.0, 1.0)
+    vals = gaussian_values(1, 32, 6.0, 1.0)
     write_symbol_file(GridSymbol(1, 32, 6.0, vals), str(tmp_path / "a.rsym"))
     write_symbol_file(GridSymbol(1, 32, 6.0, 0.5 * vals), str(tmp_path / "b.rsym"))
     out = tmp_path / "ab.rsym"
@@ -162,6 +162,9 @@ NAN_RSYM = (struct.pack("<4sIBHId", b"RSYM", 1, 1, 1, 16, 6.0)
     pytest.param(_plane_wave_text(3, 6.0), id="n-3"),
     pytest.param(_plane_wave_text(1, 6.0, (float("nan"), 0.0)), id="coeff-nan"),
     pytest.param(NAN_RSYM, id="rsym-nan"),
+    pytest.param(_plane_wave_text(1, 6.0).replace("[1]", "[1e400]"), id="m-inf"),
+    pytest.param(_plane_wave_text(1, 6.0).replace("[1]", f"[{'9' * 400}]"), id="m-400-digits"),
+    pytest.param(b'\xff\xfe{"n": 1}', id="not-utf8"),
 ])
 def test_product_malformed_json_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad"
@@ -175,6 +178,7 @@ def test_product_malformed_json_exits_2(tmp_path, capsys, content):
     assert code == 2
     message = capsys.readouterr().err.strip().splitlines()
     assert len(message) == 1 and message[0].startswith("error: ")
+    assert str(bad) in message[0]
 
 
 def test_product_dimension_mismatch_exits_2(tmp_path):
@@ -262,6 +266,14 @@ def test_verify_workers_do_not_change_report(tmp_path):
     assert main(["verify", "--suites", FAST_SUITES, "--workers", "2",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_workers_below_one_exits_3(tmp_path, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suites", FAST_SUITES, "--workers", workers,
+              "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 3
 
 
 def test_verify_unknown_suite_exits_3(tmp_path):
