@@ -73,33 +73,13 @@ class MatrixElement:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, k: int) -> "MatrixElement":
-        return cls(np.eye(k))
-
     def adjoint(self) -> "MatrixElement":
         return MatrixElement(self.entries.conj().T)
-
-    def __add__(self, other: "MatrixElement") -> "MatrixElement":
-        return MatrixElement(self.entries + _as_entries(other))
-
-    def __sub__(self, other: "MatrixElement") -> "MatrixElement":
-        return MatrixElement(self.entries - _as_entries(other))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return MatrixElement(self.entries * other)
         return MatrixElement(self.entries @ _as_entries(other))
-
-    def __rmul__(self, scalar) -> "MatrixElement":
-        return MatrixElement(self.entries * scalar)
-
-    def close_to(self, other, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.entries - _as_entries(other)) <= tol))
 
 
 @dataclass(frozen=True)
@@ -116,10 +96,6 @@ class UnitizedElement:
     @classmethod
     def unit(cls, k: int) -> "UnitizedElement":
         return cls(MatrixElement(np.zeros((k, k))), 1.0 + 0.0j)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
 
     def multiply(self, other: "UnitizedElement") -> "UnitizedElement":
         a, alpha = self.matrix.entries, self.scalar

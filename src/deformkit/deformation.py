@@ -34,7 +34,6 @@ from scipy.signal import czt
 
 from .errors import BoxMismatchError, ConvergenceError
 from .symbols import (
-    GridPhaseSymbol,
     GridSymbol,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
@@ -58,35 +57,34 @@ __all__ = [
 ]
 
 
+# Truncation radius and quadrature points per axis of the inner grid, and
+# the zero-padding factor of the transform to the outer grid.
+OSC_R = 12.0
+OSC_Q = 256
+OSC_PAD = 2
+
+
 @dataclass(frozen=True)
 class OscIntegralConfig:
     """Parameters of the regularized oscillatory quadrature.
 
-    n_reg and m_reg default to floor(n/2) + 1 and must exceed n/2 for
-    absolute convergence.  R is the truncation radius and Q the number
-    of quadrature points per axis of the inner grid; pad is the
-    zero-padding factor of the transform to the outer grid.  tol is the
-    route-agreement tolerance and check_points the number of sample
-    points at which the quadrature oracle verifies the lattice route
-    (0 disables the check).
+    n_reg defaults to floor(n/2) + 1 and must exceed n/2 for absolute
+    convergence; the weight order m_reg is always floor(n/2) + 1.  tol
+    is the route-agreement tolerance and check_points the number of
+    sample points at which the quadrature oracle verifies the lattice
+    route (0 disables the check).
     """
 
     n_reg: int | None = None
-    m_reg: int | None = None
-    R: float = 12.0
-    Q: int = 256
-    pad: int = 2
     tol: float = 1e-6
     check_points: int = 5
 
     def resolve(self, n: int) -> tuple[int, int]:
+        """The regularization orders (n_reg, m_reg) in dimension n."""
         n_reg = self.n_reg if self.n_reg is not None else n // 2 + 1
-        m_reg = self.m_reg if self.m_reg is not None else n // 2 + 1
-        if not (n_reg > n / 2 and m_reg > n / 2):
-            raise ValueError(
-                f"regularization orders ({n_reg}, {m_reg}) must exceed n/2 = {n / 2}"
-            )
-        return int(n_reg), int(m_reg)
+        if not n_reg > n / 2:
+            raise ValueError(f"regularization order {n_reg} must exceed n/2 = {n / 2}")
+        return int(n_reg), n // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +166,22 @@ def _reg_pairs(n: int, order: int) -> tuple:
 # Quadrature grids
 
 
-def _inner_axis(cfg: OscIntegralConfig) -> np.ndarray:
-    h = 2.0 * cfg.R / cfg.Q
-    return (np.arange(cfg.Q) - cfg.Q // 2) * h
+def _inner_axis() -> np.ndarray:
+    h = 2.0 * OSC_R / OSC_Q
+    return (np.arange(OSC_Q) - OSC_Q // 2) * h
 
 
-def _outer_axis(cfg: OscIntegralConfig) -> np.ndarray:
-    Qp = cfg.pad * cfg.Q
-    h = 2.0 * cfg.R / cfg.Q
+def _outer_axis() -> np.ndarray:
+    Qp = OSC_PAD * OSC_Q
+    h = 2.0 * OSC_R / OSC_Q
     du = 1.0 / (Qp * h)
     return (np.arange(Qp) - Qp // 2) * du
 
 
-def _transform_inner(psi: np.ndarray, n: int, cfg: OscIntegralConfig) -> np.ndarray:
+def _transform_inner(psi: np.ndarray, n: int) -> np.ndarray:
     """FT with kernel exp(+2 pi i u.v) from the inner grid to the outer grid."""
-    Q, Qp = cfg.Q, cfg.pad * cfg.Q
-    h = 2.0 * cfg.R / cfg.Q
+    Q, Qp = OSC_Q, OSC_PAD * OSC_Q
+    h = 2.0 * OSC_R / OSC_Q
     shape = (Qp,) * n + psi.shape[n:]
     padded = np.zeros(shape, dtype=np.complex128)
     off = (Qp - Q) // 2
@@ -212,8 +210,8 @@ def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.
     """
     cfg = cfg or OscIntegralConfig()
     n_reg, m_reg = cfg.resolve(n)
-    vax = _inner_axis(cfg)
-    uax = _outer_axis(cfg)
+    vax = _inner_axis()
+    uax = _outer_axis()
     fq = np.asarray([t[0] for t in f_terms], dtype=float).reshape(len(f_terms), n)
     fc = np.asarray([t[1] for t in f_terms], dtype=np.complex128).reshape(
         len(f_terms), k, k
@@ -223,7 +221,7 @@ def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.
         len(g_terms), k, k
     )
 
-    psi = np.zeros((cfg.Q,) * n + (k, k), dtype=np.complex128)
+    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
     for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
         wvals = _eval_weight_derivative(n, m_reg, sigma_w, [vax] * n)
         mult = np.ones(len(g_terms), dtype=np.complex128)
@@ -233,7 +231,7 @@ def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.
         gveils = _dense_trig(gq, gc * mult[:, None, None], [vax] * n)
         psi += coef * wvals[..., None, None] * gveils
 
-    gcheck = _transform_inner(psi, n, cfg)
+    gcheck = _transform_inner(psi, n)
 
     fmult = (1.0 + np.sum(fq ** 2, axis=1)) ** m_reg
     fvals = _dense_trig(fq, fc * fmult[:, None, None], [uax] * n)
@@ -289,15 +287,15 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
     """Quadrature route for grid data via chirp-z lattice evaluation."""
     n_reg, m_reg = cfg.resolve(n)
     k = fhat.shape[-1]
-    vax = _inner_axis(cfg)
-    uax = _outer_axis(cfg)
+    vax = _inner_axis()
+    uax = _outer_axis()
     h = vax[1] - vax[0]
     half = fhat.shape[0] // 2
     m_axis = np.arange(fhat.shape[0]) - half
     p_axis = m_axis / (2.0 * L)
 
     # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]
-    psi = np.zeros((cfg.Q,) * n + (k, k), dtype=np.complex128)
+    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
     deriv_cache: dict[tuple, np.ndarray] = {}
     for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
         if sigma_g not in deriv_cache:
@@ -309,12 +307,12 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
                     shape[ax] = c.shape[ax]
                     c = c * factor.reshape(shape)
             for ax in range(n):
-                c = _czt_axis(c, ax, L, 1.0, float(x[ax]) - cfg.R, h, cfg.Q)
+                c = _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
             deriv_cache[sigma_g] = c
         wvals = _eval_weight_derivative(n, m_reg, sigma_w, [vax] * n)
         psi += coef * wvals[..., None, None] * deriv_cache[sigma_g]
 
-    gcheck = _transform_inner(psi, n, cfg)
+    gcheck = _transform_inner(psi, n)
 
     if J.is_zero:
         fvals = _lattice_point_values(fhat, n, L, x)
@@ -453,7 +451,7 @@ def deformed_product_numeric(
 # Phase-space symbol calculus
 
 
-def tilde_map(f, J: DeformationMatrix, rel: float = 1e-13) -> PlaneWavePhaseSymbol:
+def tilde_map(f, J: DeformationMatrix) -> PlaneWavePhaseSymbol:
     """Phase-space symbol of the deformed left action of f.
 
     tilde(f)(x, xi) = f(x - J xi / 2 pi); a plane wave e_p maps to the
@@ -462,7 +460,7 @@ def tilde_map(f, J: DeformationMatrix, rel: float = 1e-13) -> PlaneWavePhaseSymb
     if isinstance(f, PlaneWaveSymbol):
         terms = list(f.terms)
     elif isinstance(f, GridSymbol):
-        terms = significant_terms(f, rel)
+        terms = significant_terms(f)
     else:
         raise TypeError(f"cannot lift {type(f).__name__}")
     n, L, k = f.n, f.L, f.k
@@ -527,18 +525,7 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
 def _phase_terms(a) -> PlaneWavePhaseSymbol:
     if isinstance(a, PlaneWavePhaseSymbol):
         return a
-    if isinstance(a, GridPhaseSymbol):
-        return a.to_terms()
-    raise TypeError(f"not a phase-space symbol: {type(a).__name__}")
-
-
-def _resample_like(terms: PlaneWavePhaseSymbol, like: GridPhaseSymbol) -> GridPhaseSymbol:
-    axes_x = [like.axis(i) for i in range(like.n)]
-    axes_xi = [like.axis(like.n + i) for i in range(like.n)]
-    mesh = np.meshgrid(*(axes_x + axes_xi), indexing="ij")
-    x = np.stack(mesh[: like.n], axis=-1)
-    xi = np.stack(mesh[like.n:], axis=-1)
-    return GridPhaseSymbol(like.n, like.shape, like.half_widths, terms.evaluate(x, xi))
+    raise TypeError(f"not a lattice phase-space symbol: {type(a).__name__}")
 
 
 def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
@@ -594,12 +581,13 @@ def _spot_phase_points(a: PlaneWavePhaseSymbol, count: int = 3):
 
 
 def symbol_dagger(a, cfg: OscIntegralConfig | None = None):
-    """Involution of a phase-space symbol: Op(dagger(a)) = Op(a)*.
+    """Involution of a lattice phase-space symbol: Op(dagger(a)) = Op(a)*.
 
     Termwise law (exact): c e^{i(omega.x + w.xi)} maps to
     conj(c)^T e^{i omega.w} e^{-i(omega.x + w.xi)}.  The defining
     twisted-kernel integral is re-evaluated per distinct frequency by
-    the quadrature oracle; ConvergenceError beyond 10x cfg.tol.
+    the quadrature oracle; ConvergenceError beyond 10x cfg.tol.  a must
+    be a PlaneWavePhaseSymbol (TypeError otherwise).
     """
     cfg = cfg or OscIntegralConfig()
     terms = _phase_terms(a)
@@ -615,19 +603,18 @@ def symbol_dagger(a, cfg: OscIntegralConfig | None = None):
             raise ConvergenceError(
                 f"involution kernel quadrature off by {worst:.3e} (tol {cfg.tol:.1e})"
             )
-    if isinstance(a, GridPhaseSymbol):
-        return _resample_like(result, a)
     return result
 
 
 def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
-    """Composition of phase-space symbols: Op(compose(a, b)) = Op(a) Op(b).
+    """Composition of lattice phase-space symbols: Op(compose(a, b)) = Op(a) Op(b).
 
     Termwise law (exact): frequencies add and the coefficient picks up
     exp(i w_a . omega_b).  The defining integral
     (2pi)^{-n} int int e^{-iz.eta} a(x, xi-eta) b(x-z, xi) dz deta is
     re-evaluated at sample phase points by the quadrature oracle;
-    ConvergenceError beyond 10x cfg.tol.
+    ConvergenceError beyond 10x cfg.tol.  a and b must be
+    PlaneWavePhaseSymbols (TypeError otherwise).
     """
     cfg = cfg or OscIntegralConfig()
     ta, tb = _phase_terms(a), _phase_terms(b)
@@ -666,8 +653,6 @@ def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
             raise ConvergenceError(
                 f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
             )
-    if isinstance(a, GridPhaseSymbol):
-        return _resample_like(result, a)
     return result
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 from scipy.integrate import simpson
@@ -60,6 +60,30 @@ __all__ = [
     "symbol_map_S",
     "inverse_cv_bound",
 ]
+
+# d_inverse: truncation point and Simpson step of the gamma2 transform.
+D_INVERSE_T = 27.0
+D_INVERSE_STEP = 0.005
+
+# kernel_identity_residual: first lower eta limit and quadrature step.
+KERNEL_ETA_FLOOR = -20.0
+KERNEL_STEP = 1e-3
+
+# symbol_map_S: the s, sigma and eta quadrature axes, and the finite
+# difference step of the check of D at the origin.
+SYMBOL_S_FLOOR = -25.0
+SYMBOL_DS = 0.025
+SYMBOL_SIGMA_SPAN = (-26.0, 25.0)
+SYMBOL_DSIGMA = 0.0125
+SYMBOL_ETA_FLOOR = -30.0
+SYMBOL_N_ETA = 241
+FD_STEP = 1e-2
+
+# inverse_cv_bound: safety factor on the quadrature kernel norms, and the
+# half-width and step of the square on which _kernel_l2 integrates.
+CV_MARGIN = 1.05
+KERNEL_L2_SPAN = 30.0
+KERNEL_L2_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -227,26 +251,25 @@ def _require_terms(op: DiscretizedOperator) -> PlaneWavePhaseSymbol:
     return op.terms
 
 
-def rho_m(op: DiscretizedOperator, m: int, norm_tol: float = 1e-8) -> float:
+def rho_m(op: DiscretizedOperator, m: int) -> float:
     """max over |alpha| <= m of the operator norm of Op(d^alpha sigma)."""
     sym = _require_terms(op)
     N = op.geometry_in[1]
     best = 0.0
     for alpha in multi_indices(2 * sym.n, m):
         d = derivative(sym, alpha) if any(alpha) else sym
-        best = max(best, operator_norm(op_from_phase_terms(d, N), tol=norm_tol))
+        best = max(best, operator_norm(op_from_phase_terms(d, N)))
     return best
 
 
-def differential_norm_T(op: DiscretizedOperator, k: int,
-                        norm_tol: float = 1e-8) -> float:
+def differential_norm_T(op: DiscretizedOperator, k: int) -> float:
     """T_k(A) = (1/k!) sum over |alpha| = k of the norm of delta^alpha A."""
     sym = _require_terms(op)
     N = op.geometry_in[1]
     total = 0.0
     for alpha in multi_indices(2 * sym.n, k, exact=True):
         d = delta_symbol(sym, alpha)
-        total += operator_norm(op_from_phase_terms(d, N), tol=norm_tol)
+        total += operator_norm(op_from_phase_terms(d, N))
     return total / factorial(k)
 
 
@@ -263,10 +286,9 @@ class DifferentialNormReport:
         return self.T[0]
 
 
-def differential_norms(op: DiscretizedOperator, m: int,
-                       norm_tol: float = 1e-8) -> DifferentialNormReport:
+def differential_norms(op: DiscretizedOperator, m: int) -> DifferentialNormReport:
     """The hierarchy (T_0, ..., T_m) and the nondecreasing sums s_k."""
-    T = [differential_norm_T(op, k, norm_tol) for k in range(m + 1)]
+    T = [differential_norm_T(op, k) for k in range(m + 1)]
     s = list(np.cumsum(T))
     return DifferentialNormReport(m, tuple(T), tuple(float(v) for v in s))
 
@@ -305,7 +327,7 @@ def d_apply(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     return PlaneWavePhaseSymbol(sym.n, sym.L, sym.k, tuple(terms))
 
 
-def d_inverse_factor(nu: float, T: float = 27.0, step: float = 0.005) -> complex:
+def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
     """int_0^T gamma2(s) exp(-i nu s) ds by Simpson quadrature.
 
     The analytic value is (1 + i nu)^{-2}; the quadrature keeps the
@@ -317,14 +339,13 @@ def d_inverse_factor(nu: float, T: float = 27.0, step: float = 0.005) -> complex
         raise ConvergenceError(
             f"gamma2 tail {tail:.2e} beyond T={T} exceeds 1e-10"
         )
-    count = int(np.ceil(T / step)) | 1
+    count = int(np.ceil(T / D_INVERSE_STEP)) | 1
     s = np.linspace(0.0, T, count + 1)
     vals = gamma2(s) * np.exp(-1j * nu * s)
     return complex(simpson(vals, x=s))
 
 
-def d_inverse(sym: PlaneWavePhaseSymbol, T: float = 27.0,
-              step: float = 0.005) -> PlaneWavePhaseSymbol:
+def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     """Inverse of D by the gamma2 x gamma2 convolution, termwise.
 
     Each axis contributes the quadrature factor int gamma2(s)
@@ -335,7 +356,7 @@ def d_inverse(sym: PlaneWavePhaseSymbol, T: float = 27.0,
     def factor(nu: float) -> complex:
         key = round(float(nu), 14)
         if key not in cache:
-            cache[key] = d_inverse_factor(nu, T, step)
+            cache[key] = d_inverse_factor(nu)
         return cache[key]
 
     terms = []
@@ -373,8 +394,7 @@ def kernel_u(s, eta):
     return gamma2(-s) * np.exp(1j * s * eta) * bracket
 
 
-def kernel_identity_residual(s: float, t: float, eta_floor: float = -20.0,
-                             step: float = 1e-3) -> float:
+def kernel_identity_residual(s: float, t: float) -> float:
     """Residual of int conj(u(s, eta)) v(t, eta) deta = gamma2(-s) gamma2(-t) e^{-i s t}.
 
     The integrand lives on eta <= min(0, t) and decays like exp(2 eta);
@@ -382,9 +402,9 @@ def kernel_identity_residual(s: float, t: float, eta_floor: float = -20.0,
     1e-12 of the peak (ConvergenceError if that fails).
     """
     upper = min(0.0, float(t))
-    floor = float(eta_floor)
+    floor = KERNEL_ETA_FLOOR
     for _ in range(8):
-        count = max(int(np.ceil((upper - floor) / step)), 8) | 1
+        count = max(int(np.ceil((upper - floor) / KERNEL_STEP)), 8) | 1
         eta = np.linspace(floor, upper, count + 1)
         vals = np.conj(kernel_u(s, eta)) * kernel_v(t, eta)
         peak = float(np.abs(vals).max())
@@ -398,8 +418,7 @@ def kernel_identity_residual(s: float, t: float, eta_floor: float = -20.0,
     return abs(quad - target)
 
 
-def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float,
-                h: float = 1e-2) -> complex:
+def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float) -> complex:
     """D sym at one point by central differences with one Richardson step."""
 
     def eval_at(x, xi):
@@ -420,8 +439,6 @@ def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float,
 
     def d_at(hh):
         total = 0.0 + 0.0j
-        from math import comb
-
         for i in range(3):
             for j in range(3):
                 def mixed(x, xi, i=i, j=j):
@@ -433,23 +450,12 @@ def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float,
                 total += comb(2, i) * comb(2, j) * mixed(x0, xi0)
         return total
 
-    coarse = d_at(h)
-    fine = d_at(h / 2.0)
+    coarse = d_at(FD_STEP)
+    fine = d_at(FD_STEP / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def symbol_map_S(
-    op: DiscretizedOperator,
-    x_points,
-    xi_points,
-    s_floor: float = -25.0,
-    ds: float = 0.025,
-    sigma_span: tuple = (-26.0, 25.0),
-    dsigma: float = 0.0125,
-    eta_floor: float = -30.0,
-    n_eta: int = 241,
-    check_d: bool = True,
-) -> np.ndarray:
+def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     """Reconstruct the symbol of a lattice operator at phase-space points.
 
     S(A)(x, xi) = sqrt(2 pi) < u . 1, {(Op(b_{x,xi}) F^{-1}) (x) I} v . 1 >
@@ -470,7 +476,7 @@ def symbol_map_S(
         intervals += intervals % 2
         return np.linspace(lo, hi, intervals + 1)
 
-    if check_d and sym.k == 1:
+    if sym.k == 1:
         symbolic = complex(b.evaluate(np.zeros(1), np.zeros(1))[0, 0])
         fd = _fd_d_value(sym, 0.0, 0.0)
         scale = max(abs(symbolic), abs(fd), 1e-12)
@@ -481,9 +487,9 @@ def symbol_map_S(
             )
 
     k = sym.k
-    s_ax = odd_linspace(s_floor, 0.0, ds)
-    sig_ax = odd_linspace(sigma_span[0], sigma_span[1], dsigma)
-    eta_ax = np.linspace(eta_floor, 0.0, n_eta | 1)
+    s_ax = odd_linspace(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
+    sig_ax = odd_linspace(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
+    eta_ax = np.linspace(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_N_ETA | 1)
 
     u_vals = np.conj(kernel_u(s_ax[:, None], eta_ax[None, :]))
     v_vals = kernel_v(sig_ax[:, None], eta_ax[None, :])
@@ -523,13 +529,8 @@ def symbol_map_S(
     return out
 
 
-def inverse_cv_bound(
-    op: DiscretizedOperator,
-    sup_value: float,
-    norm_tol: float = 1e-8,
-    margin: float = 1.05,
-) -> tuple:
-    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)|| margin).
+def inverse_cv_bound(op: DiscretizedOperator, sup_value: float) -> tuple:
+    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)|| CV_MARGIN).
 
     The symbol map's Cauchy-Schwarz estimate bounds the sup of a symbol
     by the operator norm of Op(D a); the returned right-hand side uses
@@ -542,19 +543,24 @@ def inverse_cv_bound(
     N = op.geometry_in[1]
     b = d_apply(sym)
     op_b = op_from_phase_terms(b, N)
-    norm_b = operator_norm(op_b, tol=norm_tol)
+    norm_b = operator_norm(op_b)
     u_l2 = _kernel_l2(kernel_u)
     v_l2 = _kernel_l2(kernel_v)
-    bound = float(np.sqrt(2.0 * np.pi) * u_l2 * v_l2 * norm_b * margin)
+    bound = float(np.sqrt(2.0 * np.pi) * u_l2 * v_l2 * norm_b * CV_MARGIN)
     return float(sup_value), bound
 
 
 @lru_cache(maxsize=8)
-def _kernel_l2(kernel, first_span=(-30.0, 30.0), eta_span=(-30.0, 30.0),
-               step: float = 0.01) -> float:
-    """L2 norm of a two-argument kernel over its effective support."""
-    first = np.arange(first_span[0], first_span[1] + step / 2, step)
-    eta = np.arange(eta_span[0], eta_span[1] + step / 2, step)
-    vals = np.abs(kernel(first[:, None], eta[None, :])) ** 2
-    inner = simpson(vals, x=eta, axis=1)
-    return float(np.sqrt(simpson(inner, x=first)))
+def _kernel_l2(kernel) -> float:
+    """L2 norm of a two-argument kernel over its effective support.
+
+    Simpson in eta, one block of rows at a time, then Simpson over the
+    row integrals; the full 6001 x 6001 sample square is never formed.
+    """
+    span, step = KERNEL_L2_SPAN, KERNEL_L2_STEP
+    axis = np.arange(-span, span + step / 2, step)
+    inner = np.concatenate([
+        simpson(np.abs(kernel(rows[:, None], axis[None, :])) ** 2, x=axis, axis=1)
+        for rows in np.array_split(axis, -(-axis.size // 256))
+    ])
+    return float(np.sqrt(simpson(inner, x=axis)))

@@ -120,48 +120,6 @@ class DiscretizedOperator:
     def __matmul__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         return self.compose(other)
 
-    def __add__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        if (other.geometry_in, other.geometry_out) != (self.geometry_in, self.geometry_out):
-            raise GridMismatchError("operator shapes differ")
-        terms = None
-        if self.terms is not None and other.terms is not None:
-            terms = self.terms + other.terms
-        adj = None
-        if self.adjoint_fn is not None and other.adjoint_fn is not None:
-            mine, theirs = self.adjoint_fn, other.adjoint_fn
-
-            def adj(values):
-                return mine(values) + theirs(values)
-
-        def fwd(values, a=self.forward, b=other.forward):
-            return a(values) + b(values)
-
-        return DiscretizedOperator(
-            self.geometry_in, self.geometry_out, fwd, adj, terms,
-            label=f"{self.label}+{other.label}",
-        )
-
-    def scaled(self, s) -> "DiscretizedOperator":
-        s = complex(s)
-        terms = self.terms.scaled(s) if self.terms is not None else None
-        adj = None
-        if self.adjoint_fn is not None:
-            base = self.adjoint_fn
-
-            def adj(values):
-                return np.conj(s) * base(values)
-
-        def fwd(values, base=self.forward):
-            return s * base(values)
-
-        return DiscretizedOperator(
-            self.geometry_in, self.geometry_out, fwd, adj, terms,
-            label=f"{s}*{self.label}",
-        )
-
-    def __sub__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        return self + other.scaled(-1.0)
-
 
 def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,
                         label: str = "op") -> DiscretizedOperator:
@@ -300,26 +258,21 @@ def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
     )
 
 
-def operator_norm(
-    op: DiscretizedOperator,
-    tol: float = POWER_ITER_TOL,
-    max_iter: int = POWER_ITER_MAX,
-    seed: int = POWER_ITER_SEED,
-) -> float:
+def operator_norm(op: DiscretizedOperator, tol: float = POWER_ITER_TOL) -> float:
     """Spectral norm by power iteration on A*A.
 
-    Deterministic start (seeded), stops when the Rayleigh quotient
-    changes by less than tol relatively; NoConvergenceError after
-    max_iter iterations.
+    Deterministic start (seeded with POWER_ITER_SEED), stops when the
+    Rayleigh quotient changes by less than tol relatively;
+    NoConvergenceError after POWER_ITER_MAX iterations.
     """
     n, N, L, k = op.geometry_in
     star = adjoint(op)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POWER_ITER_SEED)
     shape = (N,) * n + (k, k)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_ITER_MAX):
         w = star.forward(op.forward(v))
         new_lam = float(np.real(np.vdot(v, w)))
         scale = np.linalg.norm(w)
@@ -330,33 +283,18 @@ def operator_norm(
             return float(np.sqrt(new_lam))
         lam = new_lam
     raise NoConvergenceError(
-        f"power iteration did not settle within {max_iter} iterations"
+        f"power iteration did not settle within {POWER_ITER_MAX} iterations"
     )
 
 
-def phase_sup(a, oversample: int = 1) -> float:
-    """Sup norm of a phase-space symbol over its (periodic) phase box.
-
-    oversample > 1 refines the sample grid by exact trigonometric
-    interpolation (zero-padded coefficient grid).
-    """
+def phase_sup(a) -> float:
+    """Sup norm of a phase-space symbol over its phase-box samples."""
     if not isinstance(a, GridPhaseSymbol):
         raise TypeError(f"cannot take phase-space sup of {type(a).__name__}")
-    values = a.values
-    if oversample > 1:
-        axes = tuple(range(2 * a.n))
-        coeffs = centered_dft(values, axes) / float(np.prod(a.shape))
-        big = tuple(oversample * s for s in a.shape)
-        padded = np.zeros(big + values.shape[2 * a.n:], dtype=np.complex128)
-        slices = tuple(
-            slice(b // 2 - s // 2, b // 2 + s // 2) for b, s in zip(big, a.shape)
-        )
-        padded[slices] = coeffs
-        values = centered_idft(padded, axes)
-    return float(_sample_norms(values).max())
+    return float(_sample_norms(a.values).max())
 
 
-def cv_functional(a: GridPhaseSymbol, oversample: int = 1) -> float:
+def cv_functional(a: GridPhaseSymbol) -> float:
     """max over mixed first derivatives (at most one per axis) of sup norms.
 
     pi(a) = max_{beta, gamma in {0,1}^n} sup |d_x^beta d_xi^gamma a|,
@@ -368,13 +306,13 @@ def cv_functional(a: GridPhaseSymbol, oversample: int = 1) -> float:
         for gamma in _iproduct((0, 1), repeat=n):
             alpha = tuple(beta) + tuple(gamma)
             d = derivative(a, alpha) if any(alpha) else a
-            best = max(best, phase_sup(d, oversample))
+            best = max(best, phase_sup(d))
     return best
 
 
-def cv_ratio(norm_value: float, a: GridPhaseSymbol, oversample: int = 1) -> float:
+def cv_ratio(norm_value: float, a: GridPhaseSymbol) -> float:
     """Operator norm divided by the derivative functional pi(a)."""
-    pi = cv_functional(a, oversample)
+    pi = cv_functional(a)
     if pi == 0.0:
         if norm_value == 0.0:
             return 0.0

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coeff_algebra import MatrixElement
+from .coeff_algebra import MAX_DIM, MatrixElement
 from .errors import (
     DecayViolationError,
     GridMismatchError,
@@ -184,9 +184,6 @@ class DeformationMatrix:
         j[half:, :half] = -np.eye(half)
         return cls(theta * j)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(v, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # Plane-wave symbols
@@ -197,6 +194,14 @@ def _check_box(n: int, L: float):
         raise ValueError(f"dimension must be 1 or 2, got {n}")
     if not (np.isfinite(L) and L > 0):
         raise ValueError(f"half-width must be positive and finite, got {L}")
+
+
+def _integral(v, what: str) -> int:
+    """int(v), refusing a value that int() would truncate (such as 1.5)."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return i
 
 
 def _as_coeff(c, k: int | None = None) -> np.ndarray:
@@ -217,7 +222,8 @@ class PlaneWaveSymbol:
     """Finite sum of matrix-weighted plane waves c_m exp(2 pi i (m/2L).x).
 
     Terms are stored sorted by the integer frequency vector m; zero
-    coefficients are pruned on construction.
+    coefficients are pruned on construction.  Non-integral frequencies
+    and fiber sizes k outside 1..MAX_DIM are rejected.
     """
 
     n: int
@@ -227,18 +233,22 @@ class PlaneWaveSymbol:
 
     def __post_init__(self):
         _check_box(self.n, self.L)
+        if not 1 <= self.k <= MAX_DIM:
+            raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {self.k}")
         merged: dict[tuple[int, ...], np.ndarray] = {}
         for m, c in self.terms:
-            m = tuple(int(v) for v in m)
+            m = tuple(_integral(v, "frequency component") for v in m)
             if len(m) != self.n:
                 raise ValueError(f"frequency {m} has wrong length for n={self.n}")
             if any(abs(v) > 2 ** 53 for v in m):
                 raise ValueError("frequency component beyond 2**53 in magnitude")
             c = _as_coeff(c, self.k)
             if m in merged:
-                merged[m] = merged[m] + c
-            else:
-                merged[m] = c
+                with np.errstate(over="ignore"):
+                    c = merged[m] + c
+                if not np.isfinite(c).all():
+                    raise ValueError(f"coefficients at frequency {m} sum past the float range")
+            merged[m] = c
         clean = []
         for m in sorted(merged):
             c = merged[m]
@@ -248,24 +258,6 @@ class PlaneWaveSymbol:
             c.flags.writeable = False
             clean.append((m, c))
         object.__setattr__(self, "terms", tuple(clean))
-
-    @classmethod
-    def from_terms(cls, n: int, L: float, terms, k: int | None = None) -> "PlaneWaveSymbol":
-        terms = [(tuple(m), _as_coeff(c)) for m, c in terms]
-        if k is None:
-            k = terms[0][1].shape[0] if terms else 1
-        return cls(n, L, k, tuple(terms))
-
-    @classmethod
-    def constant(cls, c, n: int, L: float) -> "PlaneWaveSymbol":
-        c = _as_coeff(c)
-        return cls(n, L, c.shape[0], (((0,) * n, c),))
-
-    @classmethod
-    def plane_wave(cls, m, L: float, coeff=1.0) -> "PlaneWaveSymbol":
-        m = tuple(int(v) for v in np.atleast_1d(m))
-        c = _as_coeff(coeff)
-        return cls(len(m), L, c.shape[0], ((m, c),))
 
     def frequency(self, m) -> np.ndarray:
         """Cycle frequency p = m/(2L) of a term."""
@@ -297,16 +289,6 @@ class PlaneWaveSymbol:
             (tuple(-v for v in m), c.conj().T) for m, c in self.terms
         ]
         return PlaneWaveSymbol(self.n, self.L, self.k, tuple(terms))
-
-    def scaled(self, s) -> "PlaneWaveSymbol":
-        return PlaneWaveSymbol(
-            self.n, self.L, self.k, tuple((m, s * c) for m, c in self.terms)
-        )
-
-    def __add__(self, other: "PlaneWaveSymbol") -> "PlaneWaveSymbol":
-        if (other.n, other.L, other.k) != (self.n, self.L, self.k):
-            raise GridMismatchError("plane-wave symbols live on different boxes")
-        return PlaneWaveSymbol(self.n, self.L, self.k, self.terms + other.terms)
 
     @property
     def max_abs_m(self) -> int:
@@ -363,23 +345,12 @@ class _GridData:
     def axis(self) -> np.ndarray:
         return axis_points(self.N, self.L)
 
-    @property
-    def dual_axis(self) -> np.ndarray:
-        return dual_axis_points(self.N, self.L)
-
     def points(self) -> np.ndarray:
         """All grid points, shape (N,)*n + (n,)."""
         return np.stack(np.meshgrid(*([self.axis] * self.n), indexing="ij"), axis=-1)
 
     def geometry(self) -> tuple:
         return (self.n, self.N, self.L, self.k)
-
-
-def _same_geometry(a: _GridData, b: _GridData, what: str = "grids"):
-    if (a.n, a.N, a.k) != (b.n, b.N, b.k) or abs(a.L - b.L) > 1e-12 * max(a.L, b.L):
-        raise GridMismatchError(
-            f"{what} have different geometry: {a.geometry()} vs {b.geometry()}"
-        )
 
 
 def _sample_norms(values: np.ndarray) -> np.ndarray:
@@ -439,17 +410,6 @@ class GridSymbol(_GridData):
     def star(self) -> "GridSymbol":
         return self.with_values(np.conj(np.swapaxes(self.values, -1, -2)))
 
-    def __add__(self, other: "GridSymbol") -> "GridSymbol":
-        _same_geometry(self, other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "GridSymbol") -> "GridSymbol":
-        _same_geometry(self, other)
-        return self.with_values(self.values - other.values)
-
-    def scaled(self, s) -> "GridSymbol":
-        return self.with_values(self.values * s)
-
 
 @dataclass(frozen=True)
 class ModuleVector(_GridData):
@@ -466,17 +426,6 @@ class ModuleVector(_GridData):
 
     def with_values(self, values) -> "ModuleVector":
         return ModuleVector(self.n, self.N, self.L, values)
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        _same_geometry(self, other)
-        return self.with_values(self.values + other.values)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        _same_geometry(self, other)
-        return self.with_values(self.values - other.values)
-
-    def scaled(self, s) -> "ModuleVector":
-        return self.with_values(self.values * s)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +447,14 @@ def series_synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
     return centered_idft(coeffs, tuple(range(n)))
 
 
-def significant_terms(data: _GridData, rel: float = PRUNE_REL) -> list:
+def significant_terms(data: _GridData) -> list:
     """Pruned series terms [(m, coeff), ...] sorted by m.
 
-    Terms whose max entry is below rel times the global max are dropped.
+    Terms whose max entry is below PRUNE_REL times the global max are dropped.
     """
     coeffs = series_coefficients(data)
     mags = np.abs(coeffs).max(axis=(-2, -1))
-    cutoff = rel * float(mags.max()) if mags.size else 0.0
+    cutoff = PRUNE_REL * float(mags.max()) if mags.size else 0.0
     terms = []
     half = data.N // 2
     for idx in np.argwhere(mags > cutoff):
@@ -590,24 +539,6 @@ class PlaneWavePhaseSymbol:
             out += phase[..., None, None] * np.asarray(c)
         return out
 
-    def star_terms(self) -> "PlaneWavePhaseSymbol":
-        """Pointwise adjoint (coefficientwise; not the operator dagger)."""
-        terms = [
-            (tuple(-v for v in m), tuple(-v for v in w), c.conj().T)
-            for m, w, c in self.terms
-        ]
-        return PlaneWavePhaseSymbol(self.n, self.L, self.k, tuple(terms))
-
-    def scaled(self, s) -> "PlaneWavePhaseSymbol":
-        return PlaneWavePhaseSymbol(
-            self.n, self.L, self.k, tuple((m, w, s * c) for m, w, c in self.terms)
-        )
-
-    def __add__(self, other: "PlaneWavePhaseSymbol") -> "PlaneWavePhaseSymbol":
-        if (other.n, other.k) != (self.n, self.k) or abs(other.L - self.L) > 1e-12 * self.L:
-            raise GridMismatchError("phase symbols live on different boxes")
-        return PlaneWavePhaseSymbol(self.n, self.L, self.k, self.terms + other.terms)
-
 
 @dataclass(frozen=True)
 class GridPhaseSymbol:
@@ -639,41 +570,6 @@ class GridPhaseSymbol:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "half_widths", widths)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[-1]
-
-    def axis(self, i: int) -> np.ndarray:
-        return axis_points(self.shape[i], self.half_widths[i])
-
-    def to_terms(self, rel: float = PRUNE_REL) -> PlaneWavePhaseSymbol:
-        """Pruned lattice-term representation (exact on the periodic model)."""
-        for N in self.shape:
-            if not _is_pow2(N):
-                raise ValueError("lattice extraction needs power-of-two axes")
-        if any(abs(w - self.half_widths[0]) > 1e-12 for w in self.half_widths[: self.n]):
-            raise ValueError("lattice extraction needs equal position half-widths")
-        axes = tuple(range(2 * self.n))
-        coeffs = centered_dft(self.values, axes) / float(np.prod(self.shape))
-        mags = np.abs(coeffs).max(axis=(-2, -1))
-        cutoff = rel * float(mags.max()) if mags.size else 0.0
-        terms = []
-        for idx in np.argwhere(mags > cutoff):
-            ms = [int(idx[i]) - self.shape[i] // 2 for i in range(2 * self.n)]
-            # x-axes need integer lattice relative to the symbol's L field;
-            # xi-axes carry their own angular lattice pi*m/L_axis.
-            m_x = tuple(ms[: self.n])
-            w_xi = tuple(
-                ms[self.n + i] * np.pi / self.half_widths[self.n + i]
-                for i in range(self.n)
-            )
-            terms.append((m_x, w_xi, coeffs[tuple(idx)]))
-        L_x = self.half_widths[0]
-        return PlaneWavePhaseSymbol(self.n, L_x, self.k, tuple(terms))
-
-
-PhaseSymbol = (PlaneWavePhaseSymbol, GridPhaseSymbol)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +728,10 @@ def fourier(f: GridSymbol, sign: int = 1) -> GridSymbol:
 
 def inner_product(f, g) -> MatrixElement:
     """Module inner product <f, g> = sum_i f_i^H g_i dx^n."""
-    _same_geometry(f, g, "module vectors")
+    if (f.n, f.N, f.k) != (g.n, g.N, g.k) or abs(f.L - g.L) > 1e-12 * max(f.L, g.L):
+        raise GridMismatchError(
+            f"module vectors have different geometry: {f.geometry()} vs {g.geometry()}"
+        )
     prod = np.einsum("...ij,...il->...jl", np.conj(f.values), g.values)
     return MatrixElement(prod.sum(axis=tuple(range(f.n))) * f.weight)
 
@@ -854,16 +753,17 @@ def norm_L2(f) -> float:
 
 
 def write_plane_wave_json(f: PlaneWaveSymbol, path):
-    """Write the JSON plane-wave format {n, L, terms:[{m, coeff}]}."""
+    """Write the JSON plane-wave format {n, L, k, terms:[{m, coeff}]}."""
     terms = []
     for m, c in f.terms:
         coeff = [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(c)]
         terms.append({"m": list(m), "coeff": coeff})
-    doc = {"n": f.n, "L": f.L, "terms": terms}
+    doc = {"n": f.n, "L": f.L, "k": f.k, "terms": terms}
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 
 
 def read_plane_wave_json(path) -> PlaneWaveSymbol:
+    """Read the JSON plane-wave format; without "k" the first coefficient sets it."""
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
     except UnicodeDecodeError as exc:
@@ -871,15 +771,18 @@ def read_plane_wave_json(path) -> PlaneWaveSymbol:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON at byte offset {exc.pos}") from exc
     try:
-        n = int(doc["n"])
+        n = _integral(doc["n"], "n")
         L = float(doc["L"])
         terms = []
         for t in doc["terms"]:
             coeff = np.asarray(
                 [[complex(re, im) for re, im in row] for row in t["coeff"]]
             )
-            terms.append((tuple(int(v) for v in t["m"]), coeff))
-        k = terms[0][1].shape[0] if terms else 1
+            terms.append((tuple(t["m"]), coeff))
+        if "k" in doc:
+            k = _integral(doc["k"], "k")
+        else:
+            k = terms[0][1].shape[0] if terms else 1
         return PlaneWaveSymbol(n, L, k, tuple(terms))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed plane-wave document: {exc}") from exc
@@ -946,7 +849,8 @@ def write_symbol_file(f, path):
 def read_symbol_file(path):
     """Read a symbol file, sniffing RSYM1 magic vs JSON."""
     p = Path(path)
-    head = p.open("rb").read(4)
+    with p.open("rb") as fh:
+        head = fh.read(4)
     if head == RSYM_MAGIC:
         return read_rsym(p)
     return read_plane_wave_json(p)

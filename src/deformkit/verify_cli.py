@@ -99,13 +99,14 @@ EXIT_USAGE = 3
 
 SCHEMA_VERSION = 1
 
+# Finite-difference step of derivation_error.
+DERIVATION_FD_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved run configuration (flat key = value file plus flags)."""
 
-    n: int = 2
-    k: int = 1
     N: int = 32
     L: float = 6.0
     theta: float = 0.25
@@ -117,10 +118,6 @@ class RunConfig:
     suites: tuple = ()
 
     def __post_init__(self):
-        if self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
         if self.N < 4 or self.N & (self.N - 1) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
         if self.L <= 0:
@@ -132,15 +129,8 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
 
-    def deformation(self, theta: float | None = None) -> DeformationMatrix:
-        """Skew-symmetric J for this geometry: theta times the block form."""
-        t = self.theta if theta is None else theta
-        if self.n == 1:
-            return DeformationMatrix.zero(1)
-        return DeformationMatrix.symplectic(t, self.n)
 
-
-_INT_KEYS = {"n", "k", "N", "norm_order", "seed", "workers"}
+_INT_KEYS = {"N", "norm_order", "seed", "workers"}
 _FLOAT_KEYS = {"L", "theta", "tol"}
 _STR_KEYS = {"out"}
 _LIST_KEYS = {"suites"}
@@ -310,10 +300,10 @@ def cv_fit(family, L: float, box_xi: float, N: int) -> float:
     return best
 
 
-def derivation_error(family, gauss: np.ndarray, N: int, alphas,
-                     eps: float = 1e-3) -> float:
+def derivation_error(family, gauss: np.ndarray, N: int, alphas) -> float:
     """Worst relative gap between finite differences of Ad u(x, xi) Op(a) gauss
     (Richardson for first orders) and Op(delta^alpha a) gauss, alpha in alphas."""
+    eps = DERIVATION_FD_STEP
     worst = 0.0
     for sym in family:
         A = op_from_phase_terms(sym, N)
@@ -912,7 +902,7 @@ def cmd_verify(cfg: RunConfig, suites, workers: int | None,
 def cmd_info(cfg: RunConfig) -> int:
     """Print the resolved configuration and available suites."""
     print(f"deformkit {__version__}")
-    print(f"geometry: n = {cfg.n}, k = {cfg.k}, N = {cfg.N}, L = {cfg.L:g}")
+    print(f"geometry: N = {cfg.N}, L = {cfg.L:g}")
     print(f"deformation: theta = {cfg.theta:g}")
     print(f"tolerance: {cfg.tol:g}")
     print(f"norm order: {cfg.norm_order}")

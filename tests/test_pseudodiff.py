@@ -186,6 +186,31 @@ def test_adjoint_of_multiplication_is_star():
     assert np.abs(dag.forward(g.values) - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind, n, k, seed", [
+    pytest.param("fourier", 1, 1, 7, id="fourier-n1-k1"),
+    pytest.param("fourier", 2, 2, 8, id="fourier-n2-k2"),
+    pytest.param("fourier-inverse", 1, 2, 9, id="fourier-inverse-n1-k2"),
+    pytest.param("fourier-inverse", 2, 1, 10, id="fourier-inverse-n2-k1"),
+    pytest.param("multiplier", 1, 2, 11, id="multiplier-n1-k2"),
+    pytest.param("multiplier", 2, 1, 12, id="multiplier-n2-k1"),
+])
+def test_closure_adjoint_pairing(kind, n, k, seed):
+    # <A f, g> = <f, A* g> for the operators that carry only an adjoint closure
+    rng = np.random.default_rng(seed)
+    if kind == "multiplier":
+        def phi(*xi):
+            return np.exp(1j * xi[0]) / (1.0 + sum(v ** 2 for v in xi))
+
+        op = multiplier_operator(phi, n, 16, 4.0, k)
+    else:
+        op = fourier_operator(n, 16, 4.0, k, inverse=kind == "fourier-inverse")
+    f = band_limited_vector(rng, n, 16, op.geometry_in[2], 2, k)
+    g = band_limited_vector(rng, n, 16, op.geometry_out[2], 2, k)
+    lhs = inner_product(op(f), g).entries
+    rhs = inner_product(f, adjoint(op)(g)).entries
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
 # ---------------------------------------------------------------------------
 # Norms
 

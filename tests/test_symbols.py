@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -71,6 +71,12 @@ def test_plane_wave_merges_duplicate_frequencies():
     assert_allclose(f.terms[0][1], [[3.0]])
 
 
+def test_plane_wave_rejects_overflowing_merge():
+    big = np.finfo(float).max
+    with pytest.raises(ValueError, match="float range"):
+        PlaneWaveSymbol(1, 4.0, 1, (((1,), big), ((1,), big)))
+
+
 def test_plane_wave_prunes_zero_terms():
     f = PlaneWaveSymbol(1, 4.0, 1, (((1,), 1.0), ((2,), 0.0)))
     assert [m for m, _ in f.terms] == [(1,)]
@@ -105,6 +111,12 @@ def test_symbol_star_is_pointwise_adjoint():
         np.conj(np.swapaxes(f.evaluate(x), -1, -2)),
         atol=1e-12,
     )
+    grid = f.to_grid(16)
+    star = symbol_star(grid)
+    assert isinstance(star, GridSymbol)
+    assert np.array_equal(star.values, np.conj(np.swapaxes(grid.values, -1, -2)))
+    with pytest.raises(TypeError):
+        symbol_star(PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +337,15 @@ def test_json_payload_is_valid_json(tmp_path):
     assert {"m", "coeff"} <= set(doc["terms"][0])
 
 
+def test_plane_wave_json_without_k_reads(tmp_path):
+    # the README example: k comes from the first coefficient
+    path = tmp_path / "f.json"
+    path.write_text('{"L": 6.0, "n": 2, "terms": [{"m": [1, 0], "coeff": [[[0.5, 0.0]]]}]}')
+    f = read_symbol_file(path)
+    assert (f.n, f.L, f.k) == (2, 6.0, 1)
+    assert f.terms[0][0] == (1, 0)
+
+
 # Property tests of the readers: exact round trips, and malformed input ends
 # in ValueError (exit 2 at the command line), never in another exception.
 
@@ -343,7 +364,12 @@ def plane_wave_symbols(draw):
     m = st.tuples(*[st.integers(-2 ** 53, 2 ** 53)] * n)
     terms = draw(st.lists(st.tuples(m, arrays(np.complex128, (k, k), elements=COMPLEX)),
                           max_size=4))
-    return PlaneWaveSymbol(n, draw(HALF_WIDTHS), k, tuple(terms))
+    try:
+        return PlaneWaveSymbol(n, draw(HALF_WIDTHS), k, tuple(terms))
+    except ValueError:
+        # repeated frequencies whose coefficients sum past the float range
+        # (test_plane_wave_rejects_overflowing_merge)
+        reject()
 
 
 @st.composite
@@ -356,8 +382,6 @@ def grid_symbols(draw):
 @READER_SETTINGS
 @given(plane_wave_symbols())
 def test_plane_wave_json_roundtrip(tmp_path, f):
-    # the format stores no k, so a symbol without terms reads back with k = 1
-    assume(f.terms or f.k == 1)
     write_symbol_file(f, tmp_path / "f.json")
     g = read_symbol_file(tmp_path / "f.json")
     assert isinstance(g, PlaneWaveSymbol)

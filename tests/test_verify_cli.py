@@ -59,7 +59,6 @@ def test_parse_config_reads_typed_keys(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# geometry\n"
-        "n = 1\n"
         "N = 64  # grid\n"
         "L = 4.0\n"
         "theta = 0.5\n"
@@ -68,7 +67,6 @@ def test_parse_config_reads_typed_keys(tmp_path):
         encoding="utf-8",
     )
     cfg = parse_config(str(path))
-    assert cfg.n == 1
     assert cfg.N == 64
     assert cfg.L == 4.0
     assert cfg.theta == 0.5
@@ -77,10 +75,12 @@ def test_parse_config_reads_typed_keys(tmp_path):
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
+    # the dimension n and the fiber size k come from the symbol files
     path = tmp_path / "bad.cfg"
-    path.write_text("volume = 11\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.cfg:1"):
-        parse_config(str(path))
+    for line in ("volume = 11", "n = 1", "k = 2"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.cfg:1: unknown config key"):
+            parse_config(str(path))
 
 
 def test_parse_config_rejects_missing_equals(tmp_path):
@@ -92,18 +92,11 @@ def test_parse_config_rejects_missing_equals(tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n", 3), ("N", 48), ("N", 0), ("L", -1.0), ("k", 0), ("tol", 0.0),
-     ("norm_order", -1), ("workers", 0)],
+    [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0)],
 )
 def test_run_config_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError):
         RunConfig(**{field: value})
-
-
-def test_run_config_deformation_dimension():
-    assert RunConfig(n=1).deformation().entries.shape == (1, 1)
-    J = RunConfig(n=2, theta=0.5).deformation().entries
-    assert_allclose(J, 0.5 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +157,8 @@ NAN_RSYM = (struct.pack("<4sIBHId", b"RSYM", 1, 1, 1, 16, 6.0)
     pytest.param(NAN_RSYM, id="rsym-nan"),
     pytest.param(_plane_wave_text(1, 6.0).replace("[1]", "[1e400]"), id="m-inf"),
     pytest.param(_plane_wave_text(1, 6.0).replace("[1]", f"[{'9' * 400}]"), id="m-400-digits"),
+    pytest.param(_plane_wave_text(1, 6.0).replace("[1]", "[1.5]"), id="m-fraction"),
+    pytest.param(json.dumps({"n": 1, "L": 6.0, "k": 0, "terms": []}), id="k-zero"),
     pytest.param(b'\xff\xfe{"n": 1}', id="not-utf8"),
 ])
 def test_product_malformed_json_exits_2(tmp_path, capsys, content):
