@@ -24,7 +24,6 @@ from .errors import (
     ConvergenceError,
     DecayViolationError,
     DeformkitError,
-    DivideByZeroError,
     GridMismatchError,
     NoConvergenceError,
     NotHomomorphismError,
@@ -35,7 +34,6 @@ from .errors import (
 )
 from .symbols import (
     DeformationMatrix,
-    GridPhaseSymbol,
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
@@ -67,13 +65,11 @@ from .pseudodiff import (
     DiscretizedOperator,
     adjoint,
     cv_functional,
-    cv_ratio,
     fourier_operator,
     multiplication_operator,
     multiplier_operator,
     op_from_phase_terms,
     operator_norm,
-    phase_sup,
     rieffel_operator,
     right_multiply,
 )

@@ -11,7 +11,6 @@ __all__ = [
     "BoxMismatchError",
     "ConvergenceError",
     "NoConvergenceError",
-    "DivideByZeroError",
     "UnsupportedOperatorError",
 ]
 
@@ -54,10 +53,6 @@ class ConvergenceError(DeformkitError):
 
 class NoConvergenceError(DeformkitError):
     """An iteration failed to converge within its iteration budget."""
-
-
-class DivideByZeroError(DeformkitError):
-    """A ratio was requested whose denominator vanishes while the numerator does not."""
 
 
 class UnsupportedOperatorError(DeformkitError):

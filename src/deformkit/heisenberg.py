@@ -165,11 +165,8 @@ def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
     """sigma(. - a, . - b): each term picks up exp(-i(omega.a + w.b))."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    terms = []
-    for m, w, c in sym.terms:
-        phase = np.exp(-1j * (float(sym.omega(m) @ a) + float(np.asarray(w) @ b)))
-        terms.append((m, w, phase * c))
-    return PlaneWavePhaseSymbol(sym.n, sym.L, sym.k, tuple(terms))
+    return sym.scale_terms(
+        lambda om, w: np.exp(-1j * (float(om @ a) + float(np.asarray(w) @ b))))
 
 
 def _act_adjoint(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
@@ -232,15 +229,15 @@ def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != 2 * sym.n:
         raise ValueError(f"delta index {alpha} needs length {2 * sym.n}")
-    terms = []
-    for m, w, c in sym.terms:
-        om = sym.omega(m)
-        factor = 1.0 + 0.0j
+
+    def factor(om, w):
+        out = 1.0 + 0.0j
         for j in range(sym.n):
-            factor *= (-1j * om[j]) ** alpha[j]
-            factor *= (-1j * w[j]) ** alpha[sym.n + j]
-        terms.append((m, w, factor * c))
-    return PlaneWavePhaseSymbol(sym.n, sym.L, sym.k, tuple(terms))
+            out *= (-1j * om[j]) ** alpha[j]
+            out *= (-1j * w[j]) ** alpha[sym.n + j]
+        return out
+
+    return sym.scale_terms(factor)
 
 
 def _require_terms(op: DiscretizedOperator) -> PlaneWavePhaseSymbol:
@@ -317,14 +314,13 @@ def gamma2_prime(t):
 
 def d_apply(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     """D = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 on lattice terms (exact)."""
-    terms = []
-    for m, w, c in sym.terms:
-        om = sym.omega(m)
-        factor = 1.0 + 0.0j
+    def factor(om, w):
+        out = 1.0 + 0.0j
         for j in range(sym.n):
-            factor *= (1.0 + 1j * om[j]) ** 2 * (1.0 + 1j * w[j]) ** 2
-        terms.append((m, w, factor * c))
-    return PlaneWavePhaseSymbol(sym.n, sym.L, sym.k, tuple(terms))
+            out *= (1.0 + 1j * om[j]) ** 2 * (1.0 + 1j * w[j]) ** 2
+        return out
+
+    return sym.scale_terms(factor)
 
 
 def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
@@ -353,20 +349,19 @@ def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     """
     cache: dict[float, complex] = {}
 
-    def factor(nu: float) -> complex:
+    def axis_factor(nu: float) -> complex:
         key = round(float(nu), 14)
         if key not in cache:
             cache[key] = d_inverse_factor(nu)
         return cache[key]
 
-    terms = []
-    for m, w, c in sym.terms:
-        om = sym.omega(m)
-        f = 1.0 + 0.0j
+    def factor(om, w):
+        out = 1.0 + 0.0j
         for j in range(sym.n):
-            f *= factor(om[j]) * factor(w[j])
-        terms.append((m, w, f * c))
-    return PlaneWavePhaseSymbol(sym.n, sym.L, sym.k, tuple(terms))
+            out *= axis_factor(om[j]) * axis_factor(w[j])
+        return out
+
+    return sym.scale_terms(factor)
 
 
 # ---------------------------------------------------------------------------

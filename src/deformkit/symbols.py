@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -36,7 +37,6 @@ __all__ = [
     "GridSymbol",
     "ModuleVector",
     "PlaneWavePhaseSymbol",
-    "GridPhaseSymbol",
     "axis_points",
     "dual_axis_points",
     "default_grid_size",
@@ -217,6 +217,69 @@ def _as_coeff(c, k: int | None = None) -> np.ndarray:
     return arr
 
 
+def _frequency(m, n: int) -> tuple:
+    """The integer frequency vector of a term, checked against the dimension n."""
+    m = tuple(_integral(v, "frequency component") for v in m)
+    if len(m) != n:
+        raise ValueError(f"frequency {m} has wrong length for n={n}")
+    if any(abs(v) > 2 ** 53 for v in m):
+        raise ValueError("frequency component beyond 2**53 in magnitude")
+    return m
+
+
+def _plane_wave_term(term, n: int) -> tuple:
+    """(key, head, c) of a plane-wave term (m, c): the key is m."""
+    m, c = term
+    m = _frequency(m, n)
+    return m, (m,), c
+
+
+def _phase_term(term, n: int) -> tuple:
+    """(key, head, c) of a phase term (m, w, c): the key is (m, w rounded to 12 decimals)."""
+    m, w, c = term
+    m = _frequency(m, n)
+    w = tuple(float(v) for v in w)
+    if len(w) != n:
+        raise ValueError(f"xi-frequency {w} has wrong length for n={n}")
+    if not all(math.isfinite(v) for v in w):
+        raise ValueError(f"xi-frequency {w} has non-finite entries")
+    return (m, tuple(round(v, 12) for v in w)), (m, w), c
+
+
+def _canonical_terms(sym, split) -> tuple:
+    """The terms of a plane-wave or phase symbol in canonical form.
+
+    Checks the box and the fiber size, then each term through
+    split(term, n) -> (key, head, c).  Terms with equal keys merge into
+    the first one's head (ValueError if their coefficients sum past the
+    float range); zero coefficients are pruned, and the result is one
+    frozen head + (c,) tuple per key, sorted by key.
+    """
+    _check_box(sym.n, sym.L)
+    if not 1 <= sym.k <= MAX_DIM:
+        raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {sym.k}")
+    merged: dict[tuple, tuple] = {}
+    for term in sym.terms:
+        key, head, c = split(term, sym.n)
+        c = _as_coeff(c, sym.k)
+        if key in merged:
+            head, first = merged[key]
+            with np.errstate(over="ignore"):
+                c = first + c
+            if not np.isfinite(c).all():
+                raise ValueError(f"coefficients at frequency {key} sum past the float range")
+        merged[key] = (head, c)
+    clean = []
+    for key in sorted(merged):
+        head, c = merged[key]
+        if np.abs(c).max() == 0.0:
+            continue
+        c = c.copy()
+        c.flags.writeable = False
+        clean.append(head + (c,))
+    return tuple(clean)
+
+
 @dataclass(frozen=True)
 class PlaneWaveSymbol:
     """Finite sum of matrix-weighted plane waves c_m exp(2 pi i (m/2L).x).
@@ -232,32 +295,7 @@ class PlaneWaveSymbol:
     terms: tuple
 
     def __post_init__(self):
-        _check_box(self.n, self.L)
-        if not 1 <= self.k <= MAX_DIM:
-            raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {self.k}")
-        merged: dict[tuple[int, ...], np.ndarray] = {}
-        for m, c in self.terms:
-            m = tuple(_integral(v, "frequency component") for v in m)
-            if len(m) != self.n:
-                raise ValueError(f"frequency {m} has wrong length for n={self.n}")
-            if any(abs(v) > 2 ** 53 for v in m):
-                raise ValueError("frequency component beyond 2**53 in magnitude")
-            c = _as_coeff(c, self.k)
-            if m in merged:
-                with np.errstate(over="ignore"):
-                    c = merged[m] + c
-                if not np.isfinite(c).all():
-                    raise ValueError(f"coefficients at frequency {m} sum past the float range")
-            merged[m] = c
-        clean = []
-        for m in sorted(merged):
-            c = merged[m]
-            if np.abs(c).max() == 0.0:
-                continue
-            c = c.copy()
-            c.flags.writeable = False
-            clean.append((m, c))
-        object.__setattr__(self, "terms", tuple(clean))
+        object.__setattr__(self, "terms", _canonical_terms(self, _plane_wave_term))
 
     def frequency(self, m) -> np.ndarray:
         """Cycle frequency p = m/(2L) of a term."""
@@ -483,8 +521,10 @@ class PlaneWavePhaseSymbol:
     """Phase-space symbol sum_t c_t exp(i (omega.x + w.xi)).
 
     x-frequencies are commensurate with the box: omega = pi m / L with
-    integer m; xi-frequencies w are arbitrary real angular vectors (the
-    symbol of a twisted translation needs w = -J^T p off any lattice).
+    integer m; xi-frequencies w are arbitrary finite real angular vectors
+    (the symbol of a twisted translation needs w = -J^T p off any
+    lattice).  Terms are merged on (m, w rounded to 12 decimals), pruned
+    and sorted with the same checks as PlaneWaveSymbol.
     """
 
     n: int
@@ -493,27 +533,7 @@ class PlaneWavePhaseSymbol:
     terms: tuple  # ((m ints), (w floats), coeff) sorted
 
     def __post_init__(self):
-        merged: dict[tuple, np.ndarray] = {}
-        for m, w, c in self.terms:
-            m = tuple(int(v) for v in m)
-            w = tuple(float(v) for v in w)
-            if len(m) != self.n or len(w) != self.n:
-                raise ValueError("frequency length mismatch")
-            c = _as_coeff(c, self.k)
-            key = (m, tuple(round(v, 12) for v in w))
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + c)
-            else:
-                merged[key] = (w, c)
-        clean = []
-        for key in sorted(merged):
-            w, c = merged[key]
-            if np.abs(c).max() == 0.0:
-                continue
-            c = c.copy()
-            c.flags.writeable = False
-            clean.append((key[0], w, c))
-        object.__setattr__(self, "terms", tuple(clean))
+        object.__setattr__(self, "terms", _canonical_terms(self, _phase_term))
 
     @classmethod
     def constant(cls, c, n: int, L: float) -> "PlaneWavePhaseSymbol":
@@ -523,6 +543,11 @@ class PlaneWavePhaseSymbol:
     def omega(self, m) -> np.ndarray:
         """Angular x-frequency pi*m/L of a term."""
         return np.asarray(m, dtype=float) * (np.pi / self.L)
+
+    def scale_terms(self, factor) -> "PlaneWavePhaseSymbol":
+        """The symbol with each coefficient c_t multiplied by factor(omega_t, w_t)."""
+        return PlaneWavePhaseSymbol(self.n, self.L, self.k, tuple(
+            (m, w, factor(self.omega(m), w) * c) for m, w, c in self.terms))
 
     def evaluate(self, x, xi) -> np.ndarray:
         """Sample at broadcastable x, xi of shape (..., n); returns (..., k, k)."""
@@ -538,38 +563,6 @@ class PlaneWavePhaseSymbol:
             phase = np.exp(1j * (x @ self.omega(m) + xi @ np.asarray(w)))
             out += phase[..., None, None] * np.asarray(c)
         return out
-
-
-@dataclass(frozen=True)
-class GridPhaseSymbol:
-    """Dense phase-space samples a(x_i, xi_j) on a 2n-axis product grid.
-
-    Axis order is the n position axes then the n frequency axes; each
-    axis carries its own point count and half-width (the frequency box
-    generally differs from the position box).  Axis points follow the
-    same centered convention as GridSymbol.
-    """
-
-    n: int
-    shape: tuple
-    half_widths: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        shape = tuple(int(v) for v in self.shape)
-        widths = tuple(float(v) for v in self.half_widths)
-        if len(shape) != 2 * self.n or len(widths) != 2 * self.n:
-            raise ValueError("need one count and one half-width per phase axis")
-        arr = np.asarray(self.values, dtype=np.complex128)
-        if arr.shape == shape:
-            arr = arr.reshape(shape + (1, 1))
-        if arr.shape[: 2 * self.n] != shape or arr.shape[-1] != arr.shape[-2]:
-            raise ValueError(f"values shape {arr.shape} does not match {shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "half_widths", widths)
-        object.__setattr__(self, "values", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +601,11 @@ def derivative(f, alpha):
         return PlaneWaveSymbol(f.n, f.L, f.k, tuple(terms))
     if isinstance(f, PlaneWavePhaseSymbol):
         alpha = _check_order(alpha, 2 * f.n)
-        terms = []
-        for m, w, c in f.terms:
-            om = f.omega(m)
-            factor = np.prod(
-                [(1j * om[j]) ** alpha[j] for j in range(f.n)]
-            ) * np.prod(
-                [(1j * w[j]) ** alpha[f.n + j] for j in range(f.n)]
-            )
-            terms.append((m, w, factor * c))
-        return PlaneWavePhaseSymbol(f.n, f.L, f.k, tuple(terms))
+        return f.scale_terms(lambda om, w: np.prod(
+            [(1j * om[j]) ** alpha[j] for j in range(f.n)]
+        ) * np.prod(
+            [(1j * w[j]) ** alpha[f.n + j] for j in range(f.n)]
+        ))
     if isinstance(f, GridSymbol):
         alpha = _check_order(alpha, f.n)
         coeffs = series_coefficients(f)
@@ -631,19 +619,6 @@ def derivative(f, alpha):
             shape[ax] = f.N
             coeffs = coeffs * factor.reshape(shape)
         return f.with_values(series_synthesis(coeffs, f.n))
-    if isinstance(f, GridPhaseSymbol):
-        alpha = _check_order(alpha, 2 * f.n)
-        axes = tuple(range(2 * f.n))
-        coeffs = centered_dft(f.values, axes) / float(np.prod(f.shape))
-        for ax, order in enumerate(alpha):
-            if order == 0:
-                continue
-            m_axis = np.arange(f.shape[ax]) - f.shape[ax] // 2
-            factor = (1j * np.pi * m_axis / f.half_widths[ax]) ** order
-            shape = [1] * coeffs.ndim
-            shape[ax] = f.shape[ax]
-            coeffs = coeffs * factor.reshape(shape)
-        return GridPhaseSymbol(f.n, f.shape, f.half_widths, centered_idft(coeffs, axes))
     raise TypeError(f"cannot differentiate {type(f).__name__}")
 
 

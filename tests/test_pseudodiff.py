@@ -7,23 +7,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deformkit.deformation import deformed_product_exact
-from deformkit.errors import DivideByZeroError, GridMismatchError
+from deformkit.errors import GridMismatchError
 from deformkit.pseudodiff import (
     adjoint,
     cv_functional,
-    cv_ratio,
     fourier_operator,
     multiplication_operator,
     multiplier_operator,
     op_from_phase_terms,
     operator_norm,
-    phase_sup,
     rieffel_operator,
     right_multiply,
 )
 from deformkit.symbols import (
     DeformationMatrix,
-    GridPhaseSymbol,
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
@@ -260,41 +257,35 @@ def test_multiplier_operator_diagonal_in_frequency():
 # Phase-space functionals
 
 
-def test_phase_sup_of_constant():
-    a = PlaneWavePhaseSymbol.constant(3.0, 1, 4.0)
-    x = np.linspace(-4, 4, 32, endpoint=False)
-    xi = np.linspace(-2, 2, 16, endpoint=False)
-    vals = a.evaluate(x[:, None, None], xi[None, :, None])
-    dense = GridPhaseSymbol(1, (32, 16), (4.0, 2.0), vals)
-    assert_allclose(phase_sup(dense), 3.0, atol=1e-12)
-
-
 def test_cv_functional_includes_derivatives():
     # For exp(i omega x) with omega > 1 the x-derivative dominates.
     L1, box_xi = 4.0, 2.0
     a = PlaneWavePhaseSymbol(1, L1, 1, (((2,), (0.0,), 1.0),))
     x = np.linspace(-L1, L1, 64, endpoint=False)
     xi = np.linspace(-box_xi, box_xi, 8, endpoint=False)
-    vals = a.evaluate(x[:, None, None], xi[None, :, None])
-    dense = GridPhaseSymbol(1, (64, 8), (L1, box_xi), vals)
     omega = np.pi * 2 / L1
-    assert_allclose(cv_functional(dense), omega, rtol=1e-6)
+    assert_allclose(cv_functional(a, x, xi), omega, rtol=1e-6)
 
 
-def test_cv_ratio_divides():
-    a = PlaneWavePhaseSymbol.constant(2.0, 1, 4.0)
-    x = np.linspace(-4, 4, 16, endpoint=False)
-    xi = np.linspace(-2, 2, 8, endpoint=False)
-    vals = a.evaluate(x[:, None, None], xi[None, :, None])
-    dense = GridPhaseSymbol(1, (16, 8), (4.0, 2.0), vals)
-    assert_allclose(cv_ratio(1.0, dense), 0.5, rtol=1e-12)
-
-
-def test_cv_ratio_zero_over_zero():
-    zero = GridPhaseSymbol(1, (8, 8), (4.0, 2.0), np.zeros((8, 8)))
-    assert cv_ratio(0.0, zero) == 0.0
-    with pytest.raises(DivideByZeroError):
-        cv_ratio(1.0, zero)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+def test_cv_functional_single_term_closed_form(n, k):
+    # Every derivative of c exp(i(omega.x + w.xi)) has the norm
+    # ||c||_2 prod |omega_j|^beta_j |w_j|^gamma_j at every point.
+    rng = np.random.default_rng(10 * n + k)
+    L1 = 4.0
+    m = (3, -1)[:n]
+    w = (0.5, -1.7)[:n]
+    c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    a = PlaneWavePhaseSymbol(n, L1, k, ((m, w, c),))
+    omega = np.pi * np.asarray(m) / L1
+    freqs = np.abs(np.concatenate([omega, w]))
+    largest = max(np.prod(freqs ** np.asarray(alpha))
+                  for alpha in np.ndindex(*((2,) * (2 * n))))
+    x = np.linspace(-L1, L1, 8, endpoint=False)
+    xi = np.linspace(-3.0, 3.0, 8, endpoint=False)
+    expected = np.linalg.norm(c, 2) * largest
+    assert_allclose(cv_functional(a, x, xi), expected, rtol=1e-12)
 
 
 def test_norm_bounded_by_cv_functional_times_constant():

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from deformkit.errors import DecayViolationError
 from deformkit.symbols import (
     DeformationMatrix,
-    GridPhaseSymbol,
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
@@ -71,10 +70,16 @@ def test_plane_wave_merges_duplicate_frequencies():
     assert_allclose(f.terms[0][1], [[3.0]])
 
 
-def test_plane_wave_rejects_overflowing_merge():
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda c: PlaneWaveSymbol(1, 4.0, 1, (((1,), c), ((1,), c))),
+                 id="plane-wave"),
+    pytest.param(lambda c: PlaneWavePhaseSymbol(
+        1, 4.0, 1, (((1,), (0.5,), c), ((1,), (0.5,), c))), id="phase-symbol"),
+])
+def test_plane_wave_rejects_overflowing_merge(build):
     big = np.finfo(float).max
     with pytest.raises(ValueError, match="float range"):
-        PlaneWaveSymbol(1, 4.0, 1, (((1,), big), ((1,), big)))
+        build(big)
 
 
 def test_plane_wave_prunes_zero_terms():
@@ -295,9 +300,18 @@ def test_phase_symbol_derivative_multiplies_frequencies():
     assert_allclose(d.terms[0][2], [[1j * omega * 1j * 0.7]], atol=1e-15)
 
 
-def test_grid_phase_symbol_shape_check():
+@pytest.mark.parametrize("n, L, k, m, w", [
+    pytest.param(1, 4.0, 1, (1.5,), (0.5,), id="fractional-m"),
+    pytest.param(1, 4.0, 1, (2 ** 60,), (0.5,), id="huge-m"),
+    pytest.param(1, 4.0, 1, (1,), (float("nan"),), id="nan-w"),
+    pytest.param(1, 4.0, 1, (1,), (float("inf"),), id="inf-w"),
+    pytest.param(3, 4.0, 1, (1, 0, 0), (0.5, 0.0, 0.0), id="n3"),
+    pytest.param(1, -1.0, 1, (1,), (0.5,), id="negative-L"),
+    pytest.param(1, 4.0, 0, (1,), (0.5,), id="k0"),
+])
+def test_phase_symbol_rejects_bad_terms(n, L, k, m, w):
     with pytest.raises(ValueError):
-        GridPhaseSymbol(1, (8, 8), (4.0, 4.0), np.ones((8, 4)))
+        PlaneWavePhaseSymbol(n, L, k, ((m, w, 1.0),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Command line interface tests: parsing, exit codes, formats, determinism."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from deformkit.verify_cli import (
 )
 
 FAST_SUITES = "plancherel,unitization"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def wave_file(path, n, terms, L=6.0):
@@ -315,3 +320,17 @@ def test_unknown_flag_exits_3():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--bogus"])
     assert exc.value.code == 3
+
+
+def test_benchmark_trace_installs(tmp_path):
+    # The benchmark's tracer wraps package functions by name; a renamed or
+    # deleted one breaks every traced run, which this catches.
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "cli", str(trace), "info"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    assert set(doc) >= {"calls", "seconds", "counters"}
