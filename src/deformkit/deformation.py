@@ -30,7 +30,6 @@ from itertools import product as _iproduct
 from math import comb, factorial
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import BoxMismatchError, ConvergenceError
 from .symbols import (
@@ -121,17 +120,20 @@ def _weight_derivative(n: int, m_reg: int, sigma: tuple) -> tuple:
     return tuple((mono, q, c) for (mono, q), c in sorted(terms.items()))
 
 
-def _eval_weight_derivative(n, m_reg, sigma, axes):
-    """d^sigma (1+|v|^2)^{-m_reg} on the mesh spanned by the given axes."""
-    mesh = np.meshgrid(*axes, indexing="ij") if n > 1 else [axes[0]]
+@lru_cache(maxsize=None)
+def _eval_weight_derivative(n: int, m_reg: int, sigma: tuple) -> np.ndarray:
+    """d^sigma (1+|v|^2)^{-m_reg} on the inner mesh (cached, read-only)."""
+    vax = _inner_axis()
+    mesh = np.meshgrid(*([vax] * n), indexing="ij") if n > 1 else [vax]
     r2 = sum(v * v for v in mesh)
     out = np.zeros_like(r2, dtype=float)
-    for mono, q, c in _weight_derivative(n, m_reg, tuple(sigma)):
+    for mono, q, c in _weight_derivative(n, m_reg, sigma):
         term = c * (1.0 + r2) ** float(-q)
         for ax, power in enumerate(mono):
             if power:
                 term = term * mesh[ax] ** power
         out += term
+    out.flags.writeable = False
     return out
 
 
@@ -200,6 +202,34 @@ def _dense_trig(freqs: np.ndarray, coeffs: np.ndarray, axes) -> np.ndarray:
     return np.einsum("tq,tr,tab->qrab", phases[0], phases[1], coeffs)
 
 
+def _regularized_quadrature(n: int, n_reg: int, m_reg: int, g_derivative, fvals):
+    """int W_N(u) F_M(u) Gcheck(u) du from the caller's two evaluators.
+
+    g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh and fvals
+    holds F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on the outer mesh, both
+    with trailing k x k axes.
+    """
+    k = fvals.shape[-1]
+    # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]
+    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
+    g_cache: dict[tuple, np.ndarray] = {}
+    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
+        if sigma_g not in g_cache:
+            g_cache[sigma_g] = g_derivative(sigma_g)
+        wvals = _eval_weight_derivative(n, m_reg, sigma_w)
+        psi += coef * wvals[..., None, None] * g_cache[sigma_g]
+
+    gcheck = _transform_inner(psi, n)
+
+    uax = _outer_axis()
+    umesh = np.meshgrid(*([uax] * n), indexing="ij") if n > 1 else [uax]
+    wn = (1.0 + sum(u * u for u in umesh)) ** float(-n_reg)
+    du = uax[1] - uax[0]
+    if n == 1:
+        return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
+    return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
+
+
 def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.ndarray:
     """Regularized evaluation of int int F(u) G(v) exp(2 pi i u.v) dv du.
 
@@ -221,27 +251,16 @@ def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.
         len(g_terms), k, k
     )
 
-    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
-    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
-        wvals = _eval_weight_derivative(n, m_reg, sigma_w, [vax] * n)
+    def g_derivative(sigma_g):
         mult = np.ones(len(g_terms), dtype=np.complex128)
         for ax, order in enumerate(sigma_g):
             if order:
                 mult = mult * (2j * np.pi * gq[:, ax]) ** order
-        gveils = _dense_trig(gq, gc * mult[:, None, None], [vax] * n)
-        psi += coef * wvals[..., None, None] * gveils
-
-    gcheck = _transform_inner(psi, n)
+        return _dense_trig(gq, gc * mult[:, None, None], [vax] * n)
 
     fmult = (1.0 + np.sum(fq ** 2, axis=1)) ** m_reg
     fvals = _dense_trig(fq, fc * fmult[:, None, None], [uax] * n)
-
-    umesh = np.meshgrid(*([uax] * n), indexing="ij") if n > 1 else [uax]
-    wn = (1.0 + sum(u * u for u in umesh)) ** float(-n_reg)
-    du = uax[1] - uax[0]
-    if n == 1:
-        return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
-    return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
+    return _regularized_quadrature(n, n_reg, m_reg, g_derivative, fvals)
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +272,24 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     """Evaluate sum_m C[m] exp(2 pi i scale (m/2L) y_j), y_j = start + j step.
 
     The summed axis is indexed by i = m + N/2 and is replaced by the
-    output point axis of length count.
+    output point axis of length count.  Bluestein's chirp-z algorithm
+    (Rabiner, Schafer and Rader, 1969): with psi = 2 pi scale step / 2L and
+    mj = (m^2 + j^2 - (j - m)^2) / 2 the sum is a linear convolution with
+    the chirp exp(-i psi k^2 / 2), done by zero-padded FFTs.
     """
     N = coeffs.shape[axis]
-    half = N // 2
-    m = np.arange(N) - half
-    pre = np.exp(2j * np.pi * scale * m * start / (2.0 * L))
-    shape = [1] * coeffs.ndim
-    shape[axis] = N
-    x = coeffs * pre.reshape(shape)
+    m = np.arange(N) - N // 2
+    j = np.arange(count)
+    k = np.arange(1 - N, count) + N // 2
     psi = 2.0 * np.pi * scale * step / (2.0 * L)
-    out = czt(x, m=count, w=np.exp(1j * psi), axis=axis)
-    post = np.exp(-1j * psi * half * np.arange(count))
-    shape = [1] * out.ndim
-    shape[axis] = count
-    return out * post.reshape(shape)
+    shape = [1] * coeffs.ndim
+    shape[axis] = -1
+    pre = np.exp(2j * np.pi * scale * m * start / (2.0 * L) + 0.5j * psi * m * m)
+    size = 1 << (N + count - 2).bit_length()
+    y = np.fft.fft(coeffs * pre.reshape(shape), size, axis=axis)
+    h = np.fft.fft(np.exp(-0.5j * psi * k * k), size).reshape(shape)
+    conv = np.fft.ifft(y * h, axis=axis).take(N - 1 + j, axis=axis)
+    return conv * np.exp(0.5j * psi * j * j).reshape(shape)
 
 
 def _lattice_point_values(coeffs: np.ndarray, n: int, L: float, x) -> np.ndarray:
@@ -294,29 +316,21 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
     m_axis = np.arange(fhat.shape[0]) - half
     p_axis = m_axis / (2.0 * L)
 
-    # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]
-    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
-    deriv_cache: dict[tuple, np.ndarray] = {}
-    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
-        if sigma_g not in deriv_cache:
-            c = ghat
-            for ax, order in enumerate(sigma_g):
-                if order:
-                    factor = (2j * np.pi * p_axis) ** order
-                    shape = [1] * c.ndim
-                    shape[ax] = c.shape[ax]
-                    c = c * factor.reshape(shape)
-            for ax in range(n):
-                c = _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
-            deriv_cache[sigma_g] = c
-        wvals = _eval_weight_derivative(n, m_reg, sigma_w, [vax] * n)
-        psi += coef * wvals[..., None, None] * deriv_cache[sigma_g]
-
-    gcheck = _transform_inner(psi, n)
+    def g_derivative(sigma_g):
+        c = ghat
+        for ax, order in enumerate(sigma_g):
+            if order:
+                factor = (2j * np.pi * p_axis) ** order
+                shape = [1] * c.ndim
+                shape[ax] = c.shape[ax]
+                c = c * factor.reshape(shape)
+        for ax in range(n):
+            c = _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
+        return c
 
     if J.is_zero:
         fvals = _lattice_point_values(fhat, n, L, x)
-        fvals = np.broadcast_to(fvals, gcheck.shape)
+        fvals = np.broadcast_to(fvals, (len(uax),) * n + (k, k))
     else:
         theta = _theta_of(J)
         # f(x + Ju) = sum c_m exp(2 pi i p.x) exp(2 pi i (J^T p).u) with
@@ -332,13 +346,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
         du = uax[1] - uax[0]
         c = _czt_axis(c, 0, L, -theta, float(uax[0]), du, len(uax))
         fvals = _czt_axis(c, 1, L, theta, float(uax[0]), du, len(uax))
-
-    umesh = np.meshgrid(*([uax] * n), indexing="ij") if n > 1 else [uax]
-    wn = (1.0 + sum(u * u for u in umesh)) ** float(-n_reg)
-    du = uax[1] - uax[0]
-    if n == 1:
-        return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
-    return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
+    return _regularized_quadrature(n, n_reg, m_reg, g_derivative, fvals)
 
 
 # ---------------------------------------------------------------------------

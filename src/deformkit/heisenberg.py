@@ -17,11 +17,9 @@ pairing with the kernels u and v built from the Green kernels of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConvergenceError, UnsupportedOperatorError
 from .pseudodiff import (
@@ -76,14 +74,13 @@ SYMBOL_DS = 0.025
 SYMBOL_SIGMA_SPAN = (-26.0, 25.0)
 SYMBOL_DSIGMA = 0.0125
 SYMBOL_ETA_FLOOR = -30.0
-SYMBOL_N_ETA = 241
+SYMBOL_DETA = 0.125
 FD_STEP = 1e-2
 
-# inverse_cv_bound: safety factor on the quadrature kernel norms, and the
-# half-width and step of the square on which _kernel_l2 integrates.
-CV_MARGIN = 1.05
-KERNEL_L2_SPAN = 30.0
-KERNEL_L2_STEP = 0.01
+# inverse_cv_bound: the exact kernel norms ||u||_2^2 = 303/32 and
+# ||v||_2^2 = pi/4.
+KERNEL_U_L2 = float(np.sqrt(303.0 / 32.0))
+KERNEL_V_L2 = float(np.sqrt(np.pi / 4.0))
 
 
 @dataclass(frozen=True)
@@ -291,6 +288,25 @@ def differential_norms(op: DiscretizedOperator, m: int) -> DifferentialNormRepor
 
 
 # ---------------------------------------------------------------------------
+# Composite Simpson quadrature
+
+
+def _simpson_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """Nodes on [lo, hi] with an even number (at least 8) of intervals near step."""
+    intervals = max(int(round((hi - lo) / step)), 8)
+    intervals += intervals % 2
+    return np.linspace(lo, hi, intervals + 1)
+
+
+def _simpson_weights(axis: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights h/3 (1, 4, 2, ..., 2, 4, 1) on a _simpson_axis."""
+    w = np.ones(axis.shape)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * ((axis[1] - axis[0]) / 3.0)
+
+
+# ---------------------------------------------------------------------------
 # Green kernels and the D calculus
 
 
@@ -335,10 +351,9 @@ def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
         raise ConvergenceError(
             f"gamma2 tail {tail:.2e} beyond T={T} exceeds 1e-10"
         )
-    count = int(np.ceil(T / D_INVERSE_STEP)) | 1
-    s = np.linspace(0.0, T, count + 1)
+    s = _simpson_axis(0.0, T, D_INVERSE_STEP)
     vals = gamma2(s) * np.exp(-1j * nu * s)
-    return complex(simpson(vals, x=s))
+    return complex(_simpson_weights(s) @ vals)
 
 
 def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
@@ -399,8 +414,7 @@ def kernel_identity_residual(s: float, t: float) -> float:
     upper = min(0.0, float(t))
     floor = KERNEL_ETA_FLOOR
     for _ in range(8):
-        count = max(int(np.ceil((upper - floor) / KERNEL_STEP)), 8) | 1
-        eta = np.linspace(floor, upper, count + 1)
+        eta = _simpson_axis(floor, upper, KERNEL_STEP)
         vals = np.conj(kernel_u(s, eta)) * kernel_v(t, eta)
         peak = float(np.abs(vals).max())
         if peak == 0.0 or float(np.abs(vals[0])) <= 1e-12 * peak:
@@ -408,7 +422,7 @@ def kernel_identity_residual(s: float, t: float) -> float:
         floor *= 2.0
     else:
         raise ConvergenceError("kernel integrand tail does not decay below 1e-12")
-    quad = complex(simpson(vals, x=eta))
+    quad = complex(_simpson_weights(eta) @ vals)
     target = complex(gamma2(-s) * gamma2(-t) * np.exp(-1j * s * t))
     return abs(quad - target)
 
@@ -466,11 +480,6 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
         raise UnsupportedOperatorError("symbol map is implemented for n = 1")
     b = d_apply(sym)
 
-    def odd_linspace(lo, hi, step):
-        intervals = max(int(round((hi - lo) / step)), 2)
-        intervals += intervals % 2
-        return np.linspace(lo, hi, intervals + 1)
-
     if sym.k == 1:
         symbolic = complex(b.evaluate(np.zeros(1), np.zeros(1))[0, 0])
         fd = _fd_d_value(sym, 0.0, 0.0)
@@ -482,9 +491,9 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
             )
 
     k = sym.k
-    s_ax = odd_linspace(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
-    sig_ax = odd_linspace(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
-    eta_ax = np.linspace(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_N_ETA | 1)
+    s_ax = _simpson_axis(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
+    sig_ax = _simpson_axis(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
+    eta_ax = _simpson_axis(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_DETA)
 
     u_vals = np.conj(kernel_u(s_ax[:, None], eta_ax[None, :]))
     v_vals = kernel_v(sig_ax[:, None], eta_ax[None, :])
@@ -501,14 +510,8 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     out = np.zeros((len(x_points), len(xi_points), k, k), dtype=np.complex128)
 
     # composite Simpson weights; plain sums bias the oscillatory pairing
-    def simpson_weights(ax):
-        w = np.ones(ax.shape)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * ((ax[1] - ax[0]) / 3.0)
-
-    u_w = u_vals * (simpson_weights(s_ax)[:, None] * simpson_weights(eta_ax)[None, :])
-    v_w = v_vals * simpson_weights(sig_ax)[:, None]
+    u_w = u_vals * (_simpson_weights(s_ax)[:, None] * _simpson_weights(eta_ax)[None, :])
+    v_w = v_vals * _simpson_weights(sig_ax)[:, None]
     for ix, x0 in enumerate(x_points):
         for jxi, xi0 in enumerate(xi_points):
             bmat = b.evaluate(
@@ -525,12 +528,10 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
 
 
 def inverse_cv_bound(op: DiscretizedOperator, sup_value: float) -> tuple:
-    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)|| CV_MARGIN).
+    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)||).
 
     The symbol map's Cauchy-Schwarz estimate bounds the sup of a symbol
-    by the operator norm of Op(D a); the returned right-hand side uses
-    numerically integrated kernel norms with a safety margin absorbing
-    their quadrature error.
+    by the operator norm of Op(D a); the kernel norms are exact.
     """
     sym = _require_terms(op)
     if sym.n != 1:
@@ -539,23 +540,5 @@ def inverse_cv_bound(op: DiscretizedOperator, sup_value: float) -> tuple:
     b = d_apply(sym)
     op_b = op_from_phase_terms(b, N)
     norm_b = operator_norm(op_b)
-    u_l2 = _kernel_l2(kernel_u)
-    v_l2 = _kernel_l2(kernel_v)
-    bound = float(np.sqrt(2.0 * np.pi) * u_l2 * v_l2 * norm_b * CV_MARGIN)
+    bound = float(np.sqrt(2.0 * np.pi) * KERNEL_U_L2 * KERNEL_V_L2 * norm_b)
     return float(sup_value), bound
-
-
-@lru_cache(maxsize=8)
-def _kernel_l2(kernel) -> float:
-    """L2 norm of a two-argument kernel over its effective support.
-
-    Simpson in eta, one block of rows at a time, then Simpson over the
-    row integrals; the full 6001 x 6001 sample square is never formed.
-    """
-    span, step = KERNEL_L2_SPAN, KERNEL_L2_STEP
-    axis = np.arange(-span, span + step / 2, step)
-    inner = np.concatenate([
-        simpson(np.abs(kernel(rows[:, None], axis[None, :])) ** 2, x=axis, axis=1)
-        for rows in np.array_split(axis, -(-axis.size // 256))
-    ])
-    return float(np.sqrt(simpson(inner, x=axis)))

@@ -118,6 +118,9 @@ class RunConfig:
     def __post_init__(self):
         if self.N < 4 or self.N & (self.N - 1) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {self.N}")
+        for name in ("L", "theta", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
         if self.tol <= 0:
@@ -165,6 +168,8 @@ def parse_theta_sweep(spec: str) -> tuple:
     if len(parts) != 3:
         raise ValueError(f"theta sweep must be start:step:end, got {spec!r}")
     start, step, end = (float(p) for p in parts)
+    if not np.isfinite([start, step, end]).all():
+        raise ValueError(f"theta sweep parts must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"theta sweep step must be positive, got {step}")
     count = int(np.floor((end - start) / step + 1e-9)) + 1

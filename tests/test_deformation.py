@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from deformkit.deformation import (
     OscIntegralConfig,
+    _czt_axis,
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
@@ -289,3 +290,24 @@ def test_fourier_inversion_on_grid_gaussian():
     g = GridSymbol(1, 64, 6.0, gaussian_values(1, 64, 6.0, 2.0))
     for x in (-1.0, 0.5):
         assert fourier_inversion_check(g, np.array([x])) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Chirp-z lattice evaluation
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("N,count", [(64, 1), (64, 256), (256, 512)])
+def test_czt_axis_matches_direct_sums(N, count, axis):
+    # sum_m C[m] exp(2 pi i scale (m/2L) y_j), y_j = start + j step, summed
+    # term by term; the start is off the origin so the pre-phase counts.
+    scale, start, step = 0.75, -3.3, 0.047
+    coeffs = RNG.normal(size=(N, 3)) + 1j * RNG.normal(size=(N, 3))
+    m = np.arange(N) - N // 2
+    y = start + step * np.arange(count)
+    direct = np.exp(2j * np.pi * scale * np.outer(y, m) / (2.0 * L)) @ coeffs
+    if axis == 1:
+        coeffs, direct = coeffs.T, direct.T
+    got = _czt_axis(coeffs, axis, L, scale, start, step, count)
+    assert got.shape == direct.shape
+    assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()

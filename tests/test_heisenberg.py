@@ -7,7 +7,11 @@ from scipy.integrate import simpson
 
 from deformkit.errors import ConvergenceError, UnsupportedOperatorError
 from deformkit.heisenberg import (
+    KERNEL_U_L2,
+    KERNEL_V_L2,
     HeisenbergElement,
+    _simpson_axis,
+    _simpson_weights,
     adu_conjugate,
     d_apply,
     d_inverse,
@@ -375,6 +379,38 @@ def test_kernel_v_l2_norm_analytic():
     vals = np.abs(kernel_v(t[:, None], t[:, None] - xi[None, :])) ** 2
     total = simpson(simpson(vals, x=xi, axis=1), x=t)
     assert abs(total - np.pi / 4.0) <= 1e-5
+    assert abs(total - KERNEL_V_L2 ** 2) <= 1e-5
+
+
+def test_kernel_u_l2_norm_analytic():
+    # int |u|^2 = 303/32.  u vanishes unless s <= 0 and eta <= 0, and is
+    # smooth on that quadrant, whose edges carry its kinks.
+    ax = np.linspace(-30.0, 0.0, 1501)
+    vals = np.abs(kernel_u(ax[:, None], ax[None, :])) ** 2
+    total = simpson(simpson(vals, x=ax, axis=1), x=ax)
+    assert abs(total / (303.0 / 32.0) - 1.0) <= 1e-6
+    assert abs(total / KERNEL_U_L2 ** 2 - 1.0) <= 1e-6
+
+
+def test_simpson_weights_exact_on_cubics():
+    ax = _simpson_axis(-1.3, 2.1, 0.05)
+    cubic = 2.0 * ax ** 3 - ax ** 2 + 0.5 * ax - 4.0
+
+    def antiderivative(x):
+        return 0.5 * x ** 4 - x ** 3 / 3.0 + 0.25 * x ** 2 - 4.0 * x
+
+    exact = antiderivative(2.1) - antiderivative(-1.3)
+    assert abs(_simpson_weights(ax) @ cubic - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "lo,hi,step", [(0.0, 27.0, 0.005), (-20.0, -0.37, 1e-3), (0.0, 1.0, 0.3),
+                   (-26.0, 25.0, 0.0125), (0.0, 0.7, 0.1)],
+)
+def test_simpson_axis_has_even_interval_count(lo, hi, step):
+    ax = _simpson_axis(lo, hi, step)
+    assert len(ax) % 2 == 1 and len(ax) >= 9
+    assert ax[0] == lo and ax[-1] == hi
 
 
 # ---------------------------------------------------------------------------

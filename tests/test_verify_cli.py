@@ -54,7 +54,8 @@ def test_parse_theta_sweep_single_point():
     assert parse_theta_sweep("0.5:1:0.5") == (0.5,)
 
 
-@pytest.mark.parametrize("spec", ["0:0.1", "1:-0.1:0", "1:0.1:0", "a:b:c"])
+@pytest.mark.parametrize("spec", ["0:0.1", "1:-0.1:0", "1:0.1:0", "a:b:c",
+                                  "0:0.1:inf", "0:inf:1", "nan:0.1:1"])
 def test_parse_theta_sweep_rejects_malformed(spec):
     with pytest.raises(ValueError):
         parse_theta_sweep(spec)
@@ -97,7 +98,9 @@ def test_parse_config_rejects_missing_equals(tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0)],
+    [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0),
+     ("L", float("nan")), ("L", float("inf")), ("theta", float("nan")),
+     ("theta", float("inf")), ("tol", float("nan"))],
 )
 def test_run_config_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError):
@@ -179,6 +182,17 @@ def test_product_malformed_json_exits_2(tmp_path, capsys, content):
     message = capsys.readouterr().err.strip().splitlines()
     assert len(message) == 1 and message[0].startswith("error: ")
     assert str(bad) in message[0]
+
+
+def test_product_nan_theta_config_exits_2(tmp_path, capsys):
+    wave_file(tmp_path / "f.json", 2, (((1, 0), 1.0),))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = nan\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "product", str(tmp_path / "f.json"),
+                 str(tmp_path / "f.json"), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    message = capsys.readouterr().err.strip().splitlines()
+    assert len(message) == 1 and message[0].startswith("error: ")
 
 
 def test_product_dimension_mismatch_exits_2(tmp_path):
@@ -334,3 +348,14 @@ def test_benchmark_trace_installs(tmp_path):
     assert done.returncode == 0, done.stderr
     doc = json.loads(trace.read_text(encoding="utf-8"))
     assert set(doc) >= {"calls", "seconds", "counters"}
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    code = ("import sys, deformkit, deformkit.verify_cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
