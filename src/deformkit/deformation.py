@@ -212,10 +212,10 @@ def _regularized_quadrature(n: int, n_reg: int, m_reg: int, g_derivative, fvals)
     k = fvals.shape[-1]
     # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]
     psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
-    g_cache: dict[tuple, np.ndarray] = {}
-    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
-        if sigma_g not in g_cache:
-            g_cache[sigma_g] = g_derivative(sigma_g)
+    pairs = _reg_pairs(n, n_reg)
+    # in sorted order, so the derivatives come grouped by their first order
+    g_cache = {sg: g_derivative(sg) for sg in sorted({sg for _, sg, _ in pairs})}
+    for sigma_w, sigma_g, coef in pairs:
         wvals = _eval_weight_derivative(n, m_reg, sigma_w)
         psi += coef * wvals[..., None, None] * g_cache[sigma_g]
 
@@ -316,16 +316,25 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
     m_axis = np.arange(fhat.shape[0]) - half
     p_axis = m_axis / (2.0 * L)
 
+    def czt_pass(c, ax, order):
+        """d^order along axis ax of the coefficients, then the chirp-z pass on ax."""
+        if order:
+            shape = [1] * c.ndim
+            shape[ax] = c.shape[ax]
+            c = c * ((2j * np.pi * p_axis) ** order).reshape(shape)
+        return _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
+
+    # the axis-0 pass depends on sigma_g[0] alone, and _regularized_quadrature
+    # asks for sigma_g in sorted order, so one (order, pass) pair is kept
+    first_pass = (None, None)
+
     def g_derivative(sigma_g):
-        c = ghat
-        for ax, order in enumerate(sigma_g):
-            if order:
-                factor = (2j * np.pi * p_axis) ** order
-                shape = [1] * c.ndim
-                shape[ax] = c.shape[ax]
-                c = c * factor.reshape(shape)
-        for ax in range(n):
-            c = _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
+        nonlocal first_pass
+        if first_pass[0] != sigma_g[0]:
+            first_pass = (sigma_g[0], czt_pass(ghat, 0, sigma_g[0]))
+        c = first_pass[1]
+        for ax in range(1, n):
+            c = czt_pass(c, ax, sigma_g[ax])
         return c
 
     if J.is_zero:

@@ -17,10 +17,11 @@ pairing with the kernels u and v built from the Green kernels of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
+from .deformation import _czt_axis
 from .errors import ConvergenceError, UnsupportedOperatorError
 from .pseudodiff import (
     DiscretizedOperator,
@@ -353,7 +354,7 @@ def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
         )
     s = _simpson_axis(0.0, T, D_INVERSE_STEP)
     vals = gamma2(s) * np.exp(-1j * nu * s)
-    return complex(_simpson_weights(s) @ vals)
+    return complex(np.sum(_simpson_weights(s) * vals))
 
 
 def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
@@ -422,46 +423,26 @@ def kernel_identity_residual(s: float, t: float) -> float:
         floor *= 2.0
     else:
         raise ConvergenceError("kernel integrand tail does not decay below 1e-12")
-    quad = complex(_simpson_weights(eta) @ vals)
+    quad = complex(np.sum(_simpson_weights(eta) * vals))
     target = complex(gamma2(-s) * gamma2(-t) * np.exp(-1j * s * t))
     return abs(quad - target)
 
 
-def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float) -> complex:
-    """D sym at one point by central differences with one Richardson step."""
+def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float) -> np.ndarray:
+    """D sym at one point by central differences with one Richardson step.
 
-    def eval_at(x, xi):
-        return complex(
-            sym.evaluate(np.array([x]), np.array([xi]))[0, 0]
-        ) if sym.k == 1 else None
+    (1 + d)^2 = 1 + 2 d + d^2 is the 3-point stencil (1/h^2 - 1/h,
+    1 - 2/h^2, 1/h^2 + 1/h) at offsets (-h, 0, h); D is its outer product
+    over the x and xi axes.
+    """
 
-    def partial(fun, which, order, x, xi, hh):
-        if order == 0:
-            return fun(x, xi)
-        if order == 1:
-            if which == 0:
-                return (fun(x + hh, xi) - fun(x - hh, xi)) / (2 * hh)
-            return (fun(x, xi + hh) - fun(x, xi - hh)) / (2 * hh)
-        if which == 0:
-            return (fun(x + hh, xi) - 2 * fun(x, xi) + fun(x - hh, xi)) / hh ** 2
-        return (fun(x, xi + hh) - 2 * fun(x, xi) + fun(x, xi - hh)) / hh ** 2
+    def d_at(h):
+        stencil = np.array([1.0 / h ** 2 - 1.0 / h, 1.0 - 2.0 / h ** 2, 1.0 / h ** 2 + 1.0 / h])
+        offsets = np.array([-h, 0.0, h])
+        vals = sym.evaluate((x0 + offsets)[:, None, None], (xi0 + offsets)[None, :, None])
+        return np.sum(np.outer(stencil, stencil)[..., None, None] * vals, axis=(0, 1))
 
-    def d_at(hh):
-        total = 0.0 + 0.0j
-        for i in range(3):
-            for j in range(3):
-                def mixed(x, xi, i=i, j=j):
-                    def fx(xx, xxi):
-                        return partial(eval_at, 1, j, xx, xxi, hh)
-
-                    return partial(fx, 0, i, x, xi, hh)
-
-                total += comb(2, i) * comb(2, j) * mixed(x0, xi0)
-        return total
-
-    coarse = d_at(FD_STEP)
-    fine = d_at(FD_STEP / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return (4.0 * d_at(FD_STEP / 2.0) - d_at(FD_STEP)) / 3.0
 
 
 def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
@@ -470,27 +451,24 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     S(A)(x, xi) = sqrt(2 pi) < u . 1, {(Op(b_{x,xi}) F^{-1}) (x) I} v . 1 >
     with b = D a and b_{x,xi} = b(. + x, . + xi); the pairing collapses
     through the kernel identity and the gamma2 smoothing inverts D, so
-    S(Op(a)) = a.  One-dimensional operators only; the operator must
-    carry a lattice symbol (UnsupportedOperatorError otherwise).  The D
-    route is cross-checked once at the origin against finite
-    differences (ConvergenceError beyond 1e-3 relative).
+    S(Op(a)) = a.  As b is a sum of plane waves, the Simpson-weighted
+    pairing scales each term b_t by one number K(omega_t, w_t) =
+    sum_s e^{i omega s} sum_eta u(s, eta) sum_sigma e^{i (s + w) sigma}
+    v(sigma, eta); the sigma sum is a chirp-z transform.  One-dimensional
+    operators only; the operator must carry a lattice symbol
+    (UnsupportedOperatorError otherwise).  The D route is cross-checked
+    once at the origin against finite differences (ConvergenceError
+    beyond 1e-3 relative).
     """
     sym = _require_terms(op)
     if sym.n != 1:
         raise UnsupportedOperatorError("symbol map is implemented for n = 1")
     b = d_apply(sym)
+    symbolic, fd = b.evaluate(0.0, 0.0), _fd_d_value(sym, 0.0, 0.0)
+    gap = np.abs(symbolic - fd).max() / max(np.abs(symbolic).max(), np.abs(fd).max(), 1e-12)
+    if gap > 1e-3:
+        raise ConvergenceError(f"D routes disagree at the origin by {gap:.2e} relative")
 
-    if sym.k == 1:
-        symbolic = complex(b.evaluate(np.zeros(1), np.zeros(1))[0, 0])
-        fd = _fd_d_value(sym, 0.0, 0.0)
-        scale = max(abs(symbolic), abs(fd), 1e-12)
-        if abs(symbolic - fd) / scale > 1e-3:
-            raise ConvergenceError(
-                f"D routes disagree at the origin: symbolic {symbolic:.6e}, "
-                f"finite differences {fd:.6e}"
-            )
-
-    k = sym.k
     s_ax = _simpson_axis(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
     sig_ax = _simpson_axis(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
     eta_ax = _simpson_axis(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_DETA)
@@ -504,27 +482,25 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     if u_peak > 0 and u_tail > 1e-6 * u_peak:
         raise ConvergenceError("eta truncation leaves kernel tail mass above 1e-6")
 
-    osc = np.exp(1j * np.outer(s_ax, sig_ax))
-    x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
-    xi_points = np.atleast_1d(np.asarray(xi_points, dtype=float))
-    out = np.zeros((len(x_points), len(xi_points), k, k), dtype=np.complex128)
-
     # composite Simpson weights; plain sums bias the oscillatory pairing
     u_w = u_vals * (_simpson_weights(s_ax)[:, None] * _simpson_weights(eta_ax)[None, :])
     v_w = v_vals * _simpson_weights(sig_ax)[:, None]
-    for ix, x0 in enumerate(x_points):
-        for jxi, xi0 in enumerate(xi_points):
-            bmat = b.evaluate(
-                (s_ax + x0)[:, None, None], (sig_ax + xi0)[None, :, None]
-            )
-            bker = osc[..., None, None] * bmat
-            if k == 1:
-                W = (bker[..., 0, 0] @ v_w)
-                out[ix, jxi, 0, 0] = np.sum(u_w * W)
-            else:
-                W = np.einsum("soab,oe->seab", bker, v_w)
-                out[ix, jxi] = np.einsum("se,seab->ab", u_w, W)
-    return out
+    # sigma = sigma_c + m dsigma over the centered index m, so the chirp-z
+    # with L = pi and scale dsigma sums e^{i m dsigma y} at y = s + w
+    sig_c = sig_ax[len(sig_ax) // 2]
+    pairing: dict[tuple, np.ndarray] = {}
+
+    def multiplier(om, w):
+        if w not in pairing:
+            y = s_ax + w[0]
+            V = _czt_axis(v_w, 0, np.pi, sig_ax[1] - sig_ax[0], y[0], s_ax[1] - s_ax[0], len(y))
+            pairing[w] = np.sum(u_w * (V * np.exp(1j * y * sig_c)[:, None]), axis=1)
+        return np.sum(np.exp(1j * om[0] * s_ax) * pairing[w])
+
+    x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
+    xi_points = np.atleast_1d(np.asarray(xi_points, dtype=float))
+    return b.scale_terms(multiplier).evaluate(
+        x_points[:, None, None], xi_points[None, :, None])
 
 
 def inverse_cv_bound(op: DiscretizedOperator, sup_value: float) -> tuple:

@@ -9,7 +9,14 @@ from deformkit.errors import ConvergenceError, UnsupportedOperatorError
 from deformkit.heisenberg import (
     KERNEL_U_L2,
     KERNEL_V_L2,
+    SYMBOL_DETA,
+    SYMBOL_DS,
+    SYMBOL_DSIGMA,
+    SYMBOL_ETA_FLOOR,
+    SYMBOL_S_FLOOR,
+    SYMBOL_SIGMA_SPAN,
     HeisenbergElement,
+    _fd_d_value,
     _simpson_axis,
     _simpson_weights,
     adu_conjugate,
@@ -42,6 +49,13 @@ N = 64
 SYM3 = PlaneWavePhaseSymbol(
     1, L, 1,
     (((1,), (0.6,), 0.8 + 0.1j), ((-1,), (-0.6,), 0.5), ((2,), (0.3,), 0.2j)),
+)
+
+SYM3_K2 = PlaneWavePhaseSymbol(
+    1, L, 2,
+    (((1,), (0.6,), [[0.3 - 0.4j, 0.2], [0.0, 0.5j]]),
+     ((-1,), (-0.6,), [[0.5, -0.3j], [0.1, 0.4]]),
+     ((2,), (0.3,), [[0.2j, 0.0], [0.3, -0.1 + 0.2j]])),
 )
 
 
@@ -417,8 +431,53 @@ def test_simpson_axis_has_even_interval_count(lo, hi, step):
 # Symbol map
 
 
-def test_symbol_map_recovers_symbol():
-    assert symbol_map_error([SYM3], N, np.array([0.0, 1.0]), np.array([0.0, 0.5])) <= 5e-2
+@pytest.mark.parametrize("sym", [SYM3, SYM3_K2], ids=["k1", "k2"])
+def test_symbol_map_recovers_symbol(sym):
+    assert symbol_map_error([sym], N, np.array([0.0, 1.0]), np.array([0.0, 0.5])) <= 5e-2
+
+
+def dense_symbol_map(sym, x0, xi0):
+    """The kernel pairing at one point, summed directly on the (s, sigma) mesh.
+
+    b = D a is sampled at (s + x0, sigma + xi0) entry by entry, multiplied
+    by e^{i s sigma} and contracted with the Simpson-weighted kernels,
+    on the quadrature axes of symbol_map_S.
+    """
+    b = d_apply(sym)
+    s = _simpson_axis(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
+    sig = _simpson_axis(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
+    eta = _simpson_axis(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_DETA)
+    u_w = np.conj(kernel_u(s[:, None], eta[None, :])) * np.outer(
+        _simpson_weights(s), _simpson_weights(eta))
+    v_w = kernel_v(sig[:, None], eta[None, :]) * _simpson_weights(sig)[:, None]
+    osc = np.exp(1j * np.outer(s, sig))
+    out = np.zeros((sym.k, sym.k), dtype=np.complex128)
+    for a, c in np.ndindex(sym.k, sym.k):
+        entry = PlaneWavePhaseSymbol(1, sym.L, 1, tuple(
+            (m, w, coeff[a, c]) for m, w, coeff in b.terms))
+        bmat = entry.evaluate((s + x0)[:, None, None], (sig + xi0)[None, :, None])[..., 0, 0]
+        out[a, c] = np.sum(u_w * ((osc * bmat) @ v_w))
+    return out
+
+
+@pytest.mark.parametrize("sym", [SYM3, SYM3_K2], ids=["k1", "k2"])
+def test_fd_d_value_matches_d_apply(sym):
+    # the finite-difference route that symbol_map_S checks D against
+    for x0, xi0 in [(0.0, 0.0), (0.7, -0.4)]:
+        want = d_apply(sym).evaluate(x0, xi0)
+        got = _fd_d_value(sym, x0, xi0)
+        assert got.shape == (sym.k, sym.k)
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sym", [SYM3, SYM3_K2], ids=["k1", "k2"])
+def test_symbol_map_matches_dense_pairing(sym):
+    # symbol_map_S sums the same discrete pairing termwise, with the sigma
+    # sum as a chirp-z transform; the mesh sum is its independent oracle.
+    x0, xi0 = 0.7, -0.4
+    got = symbol_map_S(op_from_phase_terms(sym, N), x0, xi0)[0, 0]
+    want = dense_symbol_map(sym, x0, xi0)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_symbol_map_needs_one_dimension():

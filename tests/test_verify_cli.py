@@ -359,3 +359,21 @@ def test_runtime_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_report_independent_of_blas_threads(tmp_path):
+    # The kernel-pairing and symbol-map records reduce long quadratures;
+    # they are numpy sums and FFTs, never a BLAS call whose rounding
+    # depends on how many threads split it.
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "deformkit.verify_cli", "verify",
+             "--suites", "kernel-identity,symbol-map", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
