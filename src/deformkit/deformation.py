@@ -37,6 +37,8 @@ from .symbols import (
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
     DeformationMatrix,
+    _rowdot,
+    _term_array,
     centered_dft,
     centered_idft,
     eval_series,
@@ -111,7 +113,6 @@ def _diff_weight_terms(terms, axis: int):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-@lru_cache(maxsize=None)
 def _weight_derivative(n: int, m_reg: int, sigma: tuple) -> tuple:
     terms = {((0,) * n, m_reg): 1.0}
     for axis, order in enumerate(sigma):
@@ -120,9 +121,8 @@ def _weight_derivative(n: int, m_reg: int, sigma: tuple) -> tuple:
     return tuple((mono, q, c) for (mono, q), c in sorted(terms.items()))
 
 
-@lru_cache(maxsize=None)
 def _eval_weight_derivative(n: int, m_reg: int, sigma: tuple) -> np.ndarray:
-    """d^sigma (1+|v|^2)^{-m_reg} on the inner mesh (cached, read-only)."""
+    """d^sigma (1+|v|^2)^{-m_reg} on the inner mesh."""
     vax = _inner_axis()
     mesh = np.meshgrid(*([vax] * n), indexing="ij") if n > 1 else [vax]
     r2 = sum(v * v for v in mesh)
@@ -133,11 +133,9 @@ def _eval_weight_derivative(n: int, m_reg: int, sigma: tuple) -> np.ndarray:
             if power:
                 term = term * mesh[ax] ** power
         out += term
-    out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=None)
 def _reg_pairs(n: int, order: int) -> tuple:
     """Leibniz expansion of (1 - Lap/4pi^2)^order applied to w(v)*G(v).
 
@@ -162,6 +160,23 @@ def _reg_pairs(n: int, order: int) -> tuple:
                 key = (sigma, sigma_g)
                 acc[key] = acc.get(key, 0.0) + c
     return tuple((sw, sg, c) for (sw, sg), c in sorted(acc.items()))
+
+
+@lru_cache(maxsize=None)
+def _weight_groups(n: int, n_reg: int, m_reg: int) -> tuple:
+    """_reg_pairs(n, n_reg) grouped by sigma_g (cached, read-only).
+
+    Returns ((sigma_g, W), ...) in sorted sigma_g order with W the sum of
+    coef * d^{sigma_w} (1+|v|^2)^{-m_reg} over the pairs of that sigma_g,
+    on the inner mesh.
+    """
+    groups: dict[tuple, np.ndarray] = {}
+    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
+        term = coef * _eval_weight_derivative(n, m_reg, sigma_w)
+        groups[sigma_g] = groups[sigma_g] + term if sigma_g in groups else term
+    for w in groups.values():
+        w.flags.writeable = False
+    return tuple(sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +225,12 @@ def _regularized_quadrature(n: int, n_reg: int, m_reg: int, g_derivative, fvals)
     with trailing k x k axes.
     """
     k = fvals.shape[-1]
-    # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]
+    # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]: one
+    # derivative of G at a time, in sorted order, so they come grouped by
+    # their first order
     psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
-    pairs = _reg_pairs(n, n_reg)
-    # in sorted order, so the derivatives come grouped by their first order
-    g_cache = {sg: g_derivative(sg) for sg in sorted({sg for _, sg, _ in pairs})}
-    for sigma_w, sigma_g, coef in pairs:
-        wvals = _eval_weight_derivative(n, m_reg, sigma_w)
-        psi += coef * wvals[..., None, None] * g_cache[sigma_g]
+    for sigma_g, weight in _weight_groups(n, n_reg, m_reg):
+        psi += weight[..., None, None] * g_derivative(sigma_g)
 
     gcheck = _transform_inner(psi, n)
 
@@ -230,29 +243,25 @@ def _regularized_quadrature(n: int, n_reg: int, m_reg: int, g_derivative, fvals)
     return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
 
 
-def oscillatory_pair_integral(f_terms, g_terms, n: int, k: int, cfg=None) -> np.ndarray:
+def oscillatory_pair_integral(fq, fc, gq, gc, cfg=None) -> np.ndarray:
     """Regularized evaluation of int int F(u) G(v) exp(2 pi i u.v) dv du.
 
-    F(u) = sum cf exp(2 pi i qf.u), G(v) = sum cg exp(2 pi i pg.v) with
-    real cycle frequencies; coefficients are k x k matrices and the
-    result keeps F on the left.  Dense term evaluation; meant for
-    moderate term counts.
+    F(u) = sum_t fc[t] exp(2 pi i fq[t].u), G(v) = sum_t gc[t]
+    exp(2 pi i gq[t].v) with real cycle frequencies fq, gq of shape
+    (T, n) and k x k coefficients fc, gc of shape (T, k, k); the result
+    keeps F on the left.  Dense term evaluation; meant for moderate term
+    counts.
     """
     cfg = cfg or OscIntegralConfig()
+    fq, gq = np.asarray(fq, dtype=float), np.asarray(gq, dtype=float)
+    fc, gc = np.asarray(fc, dtype=np.complex128), np.asarray(gc, dtype=np.complex128)
+    n = fq.shape[1]
     n_reg, m_reg = cfg.resolve(n)
     vax = _inner_axis()
     uax = _outer_axis()
-    fq = np.asarray([t[0] for t in f_terms], dtype=float).reshape(len(f_terms), n)
-    fc = np.asarray([t[1] for t in f_terms], dtype=np.complex128).reshape(
-        len(f_terms), k, k
-    )
-    gq = np.asarray([t[0] for t in g_terms], dtype=float).reshape(len(g_terms), n)
-    gc = np.asarray([t[1] for t in g_terms], dtype=np.complex128).reshape(
-        len(g_terms), k, k
-    )
 
     def g_derivative(sigma_g):
-        mult = np.ones(len(g_terms), dtype=np.complex128)
+        mult = np.ones(len(gq), dtype=np.complex128)
         for ax, order in enumerate(sigma_g):
             if order:
                 mult = mult * (2j * np.pi * gq[:, ax]) ** order
@@ -379,14 +388,12 @@ def deformed_product_exact(
     _check_boxes(f, g)
     if J.n != f.n:
         raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
-    terms = []
-    for m1, c1 in f.terms:
-        p1 = f.frequency(m1)
-        for m2, c2 in g.terms:
-            p2 = g.frequency(m2)
-            phase = np.exp(-2j * np.pi * float(p1 @ J.entries @ p2))
-            terms.append((tuple(a + b for a, b in zip(m1, m2)), phase * (c1 @ c2)))
-    return PlaneWaveSymbol(f.n, f.L, f.k, tuple(terms))
+    tf, tg = f.terms, g.terms
+    i, j = np.divmod(np.arange(len(tf) * len(tg)), len(tg))  # every pair, j inner
+    pJ = np.matmul(f.frequency(tf["m"])[:, None, :], J.entries)[:, 0, :]
+    phase = np.exp(-2j * np.pi * _rowdot(pJ[i], g.frequency(tg["m"])[j]))
+    c = phase[:, None, None] * np.matmul(tf["c"][i], tg["c"][j])
+    return PlaneWaveSymbol(f.n, f.L, f.k, _term_array(tf["m"][i] + tg["m"][j], c))
 
 
 def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix):
@@ -394,12 +401,17 @@ def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix)
 
     The term loop runs over the factor with fewer significant terms: over
     g it uses (f x_J g)^T = g^T x_{-J} f^T, with pointwise k x k transposes.
+    Each factor's series is computed once; transposing the coefficients of
+    g keeps its significant set, which keys on the largest entry.
     """
     if J.is_zero:
         return np.einsum("...ab,...bc->...ac", f.values, g.values)
-    if len(significant_terms(f)) <= len(significant_terms(g)):
-        return _lattice_action(tilde_map(f, J), f.N)(g.values)
-    g_t = g.with_values(np.swapaxes(g.values, -1, -2))
+    sf, sg = significant_terms(f), significant_terms(g)
+    if len(sf.terms) <= len(sg.terms):
+        return _lattice_action(tilde_map(sf, J), f.N)(g.values)
+    t = sg.terms.copy()
+    t["c"] = np.swapaxes(t["c"], -1, -2)
+    g_t = PlaneWaveSymbol(g.n, g.L, g.k, t)
     action = _lattice_action(tilde_map(g_t, DeformationMatrix(-J.entries)), f.N)
     return np.swapaxes(action(np.swapaxes(f.values, -1, -2)), -1, -2)
 
@@ -474,20 +486,15 @@ def tilde_map(f, J: DeformationMatrix) -> PlaneWavePhaseSymbol:
     tilde(f)(x, xi) = f(x - J xi / 2 pi); a plane wave e_p maps to the
     phase term with angular x-frequency 2 pi p and xi-frequency Jp.
     """
-    if isinstance(f, PlaneWaveSymbol):
-        terms = list(f.terms)
-    elif isinstance(f, GridSymbol):
-        terms = significant_terms(f)
-    else:
+    if isinstance(f, GridSymbol):
+        f = significant_terms(f)
+    elif not isinstance(f, PlaneWaveSymbol):
         raise TypeError(f"cannot lift {type(f).__name__}")
-    n, L, k = f.n, f.L, f.k
-    if J.n != n:
-        raise BoxMismatchError(f"J has dimension {J.n}, symbol has {n}")
-    out = []
-    for m, c in terms:
-        w = J.entries @ (np.asarray(m, dtype=float) / (2.0 * L))
-        out.append((m, tuple(w), c))
-    return PlaneWavePhaseSymbol(n, L, k, tuple(out))
+    if J.n != f.n:
+        raise BoxMismatchError(f"J has dimension {J.n}, symbol has {f.n}")
+    t = f.terms
+    w = f.frequency(t["m"]) @ J.entries.T
+    return PlaneWavePhaseSymbol(f.n, f.L, f.k, _term_array(t["m"], t["c"], w))
 
 
 def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
@@ -505,19 +512,18 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
     axes = tuple(range(n))
     half = N // 2
     lattice = (np.arange(N) - half) / (2.0 * sym.L)
+    m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
+    zero = ~w.any(axis=1)
+    have_field = bool(zero.any())
     zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-    have_field = False
-    shifted = []
-    for m, w, c in sym.terms:
-        if not any(w):
-            zero_w[tuple((v + half) % N for v in m)] += c
-            have_field = True
-            continue
-        ramps = [np.exp(2j * np.pi * lattice * v) for v in w]
-        if adjoint:
-            ramps = [np.roll(np.conj(r), v) for r, v in zip(ramps, m)]
-            m, c = tuple(-v for v in m), c.conj().T
-        shifted.append((m, ramps, c))
+    np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
+    m, w, c = m[~zero], w[~zero], c[~zero]
+    ramps = np.exp(2j * np.pi * lattice * w[:, :, None])  # (terms, n, N)
+    if adjoint:
+        # roll each 1-D ramp by its own m: r[(i - m) % N]
+        ramps = np.take_along_axis(np.conj(ramps), (np.arange(N) - m[:, :, None]) % N, axis=-1)
+        m, c = -m, np.conj(np.swapaxes(c, -1, -2))
+    shifted = list(zip(m.tolist(), ramps, c))
     field = centered_idft(zero_w, axes) if have_field else None
     if adjoint and have_field:
         field = np.conj(np.swapaxes(field, -1, -2))
@@ -546,12 +552,11 @@ def _phase_terms(a) -> PlaneWavePhaseSymbol:
 
 
 def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
-    terms = []
-    for m, w, c in a.terms:
-        omega = a.omega(m)
-        phase = np.exp(1j * float(omega @ np.asarray(w)))
-        terms.append((tuple(-v for v in m), tuple(-v for v in w), phase * c.conj().T))
-    return PlaneWavePhaseSymbol(a.n, a.L, a.k, tuple(terms))
+    t = a.terms.copy()
+    phase = np.exp(1j * _rowdot(a.omega(t["m"]), t["w"]))
+    t["m"], t["w"] = -t["m"], -t["w"]
+    t["c"] = phase[:, None, None] * np.conj(np.swapaxes(t["c"], -1, -2))
+    return PlaneWavePhaseSymbol(a.n, a.L, a.k, t)
 
 
 def _compose_terms(
@@ -559,35 +564,27 @@ def _compose_terms(
 ) -> PlaneWavePhaseSymbol:
     if (a.n, a.k) != (b.n, b.k) or abs(a.L - b.L) > 1e-12 * a.L:
         raise BoxMismatchError("phase symbols live on different boxes")
-    terms = []
-    for m1, w1, c1 in a.terms:
-        for m2, w2, c2 in b.terms:
-            omega2 = b.omega(m2)
-            phase = np.exp(1j * float(np.asarray(w1) @ omega2))
-            terms.append(
-                (
-                    tuple(p + q for p, q in zip(m1, m2)),
-                    tuple(p + q for p, q in zip(w1, w2)),
-                    phase * (c1 @ c2),
-                )
-            )
-    return PlaneWavePhaseSymbol(a.n, a.L, a.k, tuple(terms))
+    ta, tb = a.terms, b.terms
+    i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))  # every pair, j inner
+    phase = np.exp(1j * _rowdot(ta["w"][i], b.omega(tb["m"])[j]))
+    c = phase[:, None, None] * np.matmul(ta["c"][i], tb["c"][j])
+    return PlaneWavePhaseSymbol(a.n, a.L, a.k, _term_array(
+        ta["m"][i] + tb["m"][j], c, ta["w"][i] + tb["w"][j]))
 
 
-def _kernel_value_oracle(omega, w, n: int, k: int, cfg) -> complex:
+def _kernel_value_oracle(omega, w, cfg) -> complex:
     """Quadrature value of (2pi)^{-n} int int e^{-iz.eta} e^{i omega.z} e^{i w.eta}.
 
     Separable per axis; the analytic value is exp(i omega.w).  Evaluated
     with the generic pair integral in cycle variables.
     """
     val = 1.0 + 0.0j
-    eye = np.eye(1)
-    for ax in range(n):
+    one = np.ones((1, 1, 1))
+    for om_ax, w_ax in zip(omega, w):
         # eta-side factor exp(i w eta) -> F(u) = exp(2 pi i (w/2pi) u);
         # z-side exp(i omega z), z = -2 pi v -> G(v) = exp(2 pi i (-omega) v).
-        f_terms = [((w[ax] / (2.0 * np.pi),), eye)]
-        g_terms = [((-omega[ax],), eye)]
-        val *= complex(oscillatory_pair_integral(f_terms, g_terms, 1, 1, cfg)[0, 0])
+        pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one, cfg)
+        val *= complex(pair[0, 0])
     return val
 
 
@@ -609,12 +606,12 @@ def symbol_dagger(a, cfg: OscIntegralConfig | None = None):
     cfg = cfg or OscIntegralConfig()
     terms = _phase_terms(a)
     result = _dagger_terms(terms)
-    if cfg.check_points > 0 and terms.terms:
+    if cfg.check_points > 0 and len(terms.terms):
         worst = 0.0
         for m, w, _ in terms.terms[: cfg.check_points]:
             omega = terms.omega(m)
             exact = np.exp(1j * float(omega @ np.asarray(w)))
-            oracle = _kernel_value_oracle(omega, w, terms.n, terms.k, cfg)
+            oracle = _kernel_value_oracle(omega, w, cfg)
             worst = max(worst, abs(oracle - exact))
         if worst > 10.0 * cfg.tol:
             raise ConvergenceError(
@@ -636,34 +633,25 @@ def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
     cfg = cfg or OscIntegralConfig()
     ta, tb = _phase_terms(a), _phase_terms(b)
     result = _compose_terms(ta, tb)
-    if cfg.check_points > 0 and ta.terms and tb.terms:
-        n, k = ta.n, ta.k
+    if cfg.check_points > 0 and len(ta.terms) and len(tb.terms):
+        n = ta.n
         xs, xis = _spot_phase_points(ta, max(2, min(cfg.check_points, 4)))
         worst = 0.0
         scale = max(float(np.abs(result.evaluate(np.zeros(n), np.zeros(n))).max()), 1.0)
+        sa, sb = ta.terms, tb.terms
+        om_a, om_b = ta.omega(sa["m"]), tb.omega(sb["m"])
+
+        def at(t, om, xv, xiv):
+            """The coefficients of the terms t times their phase at (x, xi)."""
+            return (t["c"] * np.exp(1j * _rowdot(om, xv))[:, None, None]
+                    * np.exp(1j * _rowdot(t["w"], xiv))[:, None, None])
+
         for x, xi in zip(xs, xis):
             xv = np.full(n, x)
             xiv = np.full(n, xi)
             # F(u) = a(x, xi - u): cycles -w/2pi; G(v) = b(x + 2 pi v, xi).
-            f_terms = [
-                (
-                    tuple(-np.asarray(w) / (2.0 * np.pi)),
-                    c
-                    * np.exp(1j * float(ta.omega(m) @ xv))
-                    * np.exp(1j * float(np.asarray(w) @ xiv)),
-                )
-                for m, w, c in ta.terms
-            ]
-            g_terms = [
-                (
-                    tuple(tb.omega(m)),
-                    c
-                    * np.exp(1j * float(tb.omega(m) @ xv))
-                    * np.exp(1j * float(np.asarray(w) @ xiv)),
-                )
-                for m, w, c in tb.terms
-            ]
-            oracle = oscillatory_pair_integral(f_terms, g_terms, n, k, cfg)
+            oracle = oscillatory_pair_integral(-sa["w"] / (2.0 * np.pi), at(sa, om_a, xv, xiv),
+                                               om_b, at(sb, om_b, xv, xiv), cfg)
             exact = result.evaluate(xv, xiv)
             worst = max(worst, float(np.abs(oracle - exact).max()) / scale)
         if worst > 10.0 * cfg.tol:
@@ -683,12 +671,9 @@ def fourier_inversion_check(f, x, cfg: OscIntegralConfig | None = None) -> float
     if isinstance(f, PlaneWaveSymbol):
         n, k = f.n, f.k
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        f_terms = [((0.0,) * n, np.eye(k))]
-        g_terms = [
-            (tuple(f.frequency(m)), c * np.exp(2j * np.pi * float(f.frequency(m) @ xv)))
-            for m, c in f.terms
-        ]
-        value = oscillatory_pair_integral(f_terms, g_terms, n, k, cfg)
+        p = f.frequency(f.terms["m"])
+        gc = f.terms["c"] * np.exp(2j * np.pi * _rowdot(p, xv))[:, None, None]
+        value = oscillatory_pair_integral(np.zeros((1, n)), np.eye(k)[None], p, gc, cfg)
         target = f.evaluate(xv if n > 1 else xv[0])
     elif isinstance(f, GridSymbol):
         n, k = f.n, f.k
@@ -700,7 +685,7 @@ def fourier_inversion_check(f, x, cfg: OscIntegralConfig | None = None) -> float
         value = _quadrature_point_lattice(
             fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv, cfg
         )
-        target = eval_series(significant_terms(f), f.L, xv.reshape(1, n), k)[0]
+        target = eval_series(significant_terms(f).terms, f.L, xv.reshape(1, n))[0]
     else:
         raise TypeError(f"cannot check {type(f).__name__}")
     return float(np.abs(value - target).max())

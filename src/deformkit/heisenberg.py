@@ -31,6 +31,7 @@ from .pseudodiff import (
 )
 from .symbols import (
     PlaneWavePhaseSymbol,
+    _rowdot,
     centered_dft,
     centered_idft,
     derivative,
@@ -161,10 +162,9 @@ def heisenberg_act(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
 
 def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
     """sigma(. - a, . - b): each term picks up exp(-i(omega.a + w.b))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return sym.scale_terms(
-        lambda om, w: np.exp(-1j * (float(om @ a) + float(np.asarray(w) @ b))))
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    return sym.scale_terms(np.exp(-1j * (_rowdot(om, np.asarray(a, dtype=float))
+                                         + _rowdot(w, np.asarray(b, dtype=float)))))
 
 
 def _act_adjoint(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
@@ -227,14 +227,11 @@ def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     alpha = tuple(int(v) for v in alpha)
     if len(alpha) != 2 * sym.n:
         raise ValueError(f"delta index {alpha} needs length {2 * sym.n}")
-
-    def factor(om, w):
-        out = 1.0 + 0.0j
-        for j in range(sym.n):
-            out *= (-1j * om[j]) ** alpha[j]
-            out *= (-1j * w[j]) ** alpha[sym.n + j]
-        return out
-
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    factor = np.ones(len(om), dtype=np.complex128)
+    for j in range(sym.n):
+        factor = factor * (-1j * om[:, j]) ** alpha[j]
+        factor = factor * (-1j * w[:, j]) ** alpha[sym.n + j]
     return sym.scale_terms(factor)
 
 
@@ -331,12 +328,10 @@ def gamma2_prime(t):
 
 def d_apply(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     """D = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 on lattice terms (exact)."""
-    def factor(om, w):
-        out = 1.0 + 0.0j
-        for j in range(sym.n):
-            out *= (1.0 + 1j * om[j]) ** 2 * (1.0 + 1j * w[j]) ** 2
-        return out
-
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    factor = np.ones(len(om), dtype=np.complex128)
+    for j in range(sym.n):
+        factor = factor * ((1.0 + 1j * om[:, j]) ** 2 * (1.0 + 1j * w[:, j]) ** 2)
     return sym.scale_terms(factor)
 
 
@@ -361,22 +356,16 @@ def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     """Inverse of D by the gamma2 x gamma2 convolution, termwise.
 
     Each axis contributes the quadrature factor int gamma2(s)
-    exp(-i nu s) ds at the term frequency nu.
+    exp(-i nu s) ds at the term frequency nu, computed once per distinct
+    frequency.
     """
-    cache: dict[float, complex] = {}
-
-    def axis_factor(nu: float) -> complex:
-        key = round(float(nu), 14)
-        if key not in cache:
-            cache[key] = d_inverse_factor(nu)
-        return cache[key]
-
-    def factor(om, w):
-        out = 1.0 + 0.0j
-        for j in range(sym.n):
-            out *= axis_factor(om[j]) * axis_factor(w[j])
-        return out
-
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    nus, index = np.unique(np.concatenate([om, w], axis=1), return_inverse=True)
+    per_nu = np.array([d_inverse_factor(float(nu)) for nu in nus], dtype=np.complex128)
+    axis_factor = per_nu[index.reshape(len(om), 2 * sym.n)]
+    factor = np.ones(len(om), dtype=np.complex128)
+    for j in range(sym.n):
+        factor = factor * (axis_factor[:, j] * axis_factor[:, sym.n + j])
     return sym.scale_terms(factor)
 
 
@@ -488,14 +477,16 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     # sigma = sigma_c + m dsigma over the centered index m, so the chirp-z
     # with L = pi and scale dsigma sums e^{i m dsigma y} at y = s + w
     sig_c = sig_ax[len(sig_ax) // 2]
-    pairing: dict[tuple, np.ndarray] = {}
 
-    def multiplier(om, w):
-        if w not in pairing:
-            y = s_ax + w[0]
-            V = _czt_axis(v_w, 0, np.pi, sig_ax[1] - sig_ax[0], y[0], s_ax[1] - s_ax[0], len(y))
-            pairing[w] = np.sum(u_w * (V * np.exp(1j * y * sig_c)[:, None]), axis=1)
-        return np.sum(np.exp(1j * om[0] * s_ax) * pairing[w])
+    def pairing(w):
+        y = s_ax + w
+        V = _czt_axis(v_w, 0, np.pi, sig_ax[1] - sig_ax[0], y[0], s_ax[1] - s_ax[0], len(y))
+        return np.sum(u_w * (V * np.exp(1j * y * sig_c)[:, None]), axis=1)
+
+    ws, index = np.unique(b.terms["w"][:, 0], return_inverse=True)
+    pairings = np.array([pairing(w) for w in ws]).reshape(len(ws), len(s_ax))[index]
+    om = b.omega(b.terms["m"])
+    multiplier = np.sum(np.exp(1j * om * s_ax) * pairings, axis=1)
 
     x_points = np.atleast_1d(np.asarray(x_points, dtype=float))
     xi_points = np.atleast_1d(np.asarray(xi_points, dtype=float))

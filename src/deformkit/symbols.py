@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -153,6 +152,8 @@ class DeformationMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has non-finite entries")
         scale = max(1.0, float(np.abs(arr).max()))
         sym = np.abs(arr + arr.T).max()
         if sym > 1e-14 * scale:
@@ -178,6 +179,8 @@ class DeformationMatrix:
         """theta times the standard symplectic form [[0, I], [-I, 0]]."""
         if n % 2 != 0:
             raise ValueError("symplectic form needs even dimension")
+        if not np.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         half = n // 2
         j = np.zeros((n, n))
         j[:half, half:] = np.eye(half)
@@ -204,101 +207,139 @@ def _integral(v, what: str) -> int:
     return i
 
 
-def _as_coeff(c, k: int | None = None) -> np.ndarray:
-    arr = np.asarray(c, dtype=np.complex128)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"coefficient must be a square matrix, got shape {arr.shape}")
-    if k is not None and arr.shape[0] != k:
-        raise ValueError(f"coefficient size {arr.shape[0]} != {k}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coefficient has non-finite entries")
-    return arr
+def _column(values, shape: tuple, what: str, dtype=None) -> np.ndarray:
+    """values as an array of shape (T,) + shape; ValueError on another shape."""
+    col = np.asarray(values, dtype=dtype)
+    col = col.reshape((0,) + shape) if len(col) == 0 else col
+    if col.shape[1:] != shape:
+        raise ValueError(f"{what} have shape {col.shape[1:]}, need {shape}")
+    return col
 
 
-def _frequency(m, n: int) -> tuple:
-    """The integer frequency vector of a term, checked against the dimension n."""
-    m = tuple(_integral(v, "frequency component") for v in m)
-    if len(m) != n:
-        raise ValueError(f"frequency {m} has wrong length for n={n}")
-    if any(abs(v) > 2 ** 53 for v in m):
-        raise ValueError("frequency component beyond 2**53 in magnitude")
-    return m
+def _term_array(m, c, w=None) -> np.ndarray:
+    """A structured term array with fields m (T, n), w (T, n) if given, c (T, k, k)."""
+    n, k = np.shape(m)[1], np.shape(c)[-1]
+    fields = [("m", np.int64, (n,))] + ([] if w is None else [("w", np.float64, (n,))])
+    out = np.empty(len(m), dtype=fields + [("c", np.complex128, (k, k))])
+    out["m"], out["c"] = m, c
+    if w is not None:
+        out["w"] = w
+    return out
 
 
-def _plane_wave_term(term, n: int) -> tuple:
-    """(key, head, c) of a plane-wave term (m, c): the key is m."""
-    m, c = term
-    m = _frequency(m, n)
-    return m, (m,), c
-
-
-def _phase_term(term, n: int) -> tuple:
-    """(key, head, c) of a phase term (m, w, c): the key is (m, w rounded to 12 decimals)."""
-    m, w, c = term
-    m = _frequency(m, n)
-    w = tuple(float(v) for v in w)
-    if len(w) != n:
-        raise ValueError(f"xi-frequency {w} has wrong length for n={n}")
-    if not all(math.isfinite(v) for v in w):
-        raise ValueError(f"xi-frequency {w} has non-finite entries")
-    return (m, tuple(round(v, 12) for v in w)), (m, w), c
-
-
-def _canonical_terms(sym, split) -> tuple:
+def _canonical_terms(sym, names: tuple) -> np.ndarray:
     """The terms of a plane-wave or phase symbol in canonical form.
 
-    Checks the box and the fiber size, then each term through
-    split(term, n) -> (key, head, c).  Terms with equal keys merge into
-    the first one's head (ValueError if their coefficients sum past the
-    float range); zero coefficients are pruned, and the result is one
-    frozen head + (c,) tuple per key, sorted by key.
+    sym.terms is a structured term array or a sequence of tuples, with the
+    fields names: ("m", "c") or ("m", "w", "c").  Checks the box, the fiber
+    size and each column: integral |m| <= 2**53, finite w and c; from
+    tuples with k = 1, scalar coefficients count as 1 x 1.  The key of a
+    term is m, then w rounded to 12 decimals; terms with equal keys merge
+    into the first one's head, summed left to right (ValueError past the
+    float range), and zero coefficients are pruned.  Returns a read-only
+    structured array sorted by key.
     """
-    _check_box(sym.n, sym.L)
-    if not 1 <= sym.k <= MAX_DIM:
-        raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {sym.k}")
-    merged: dict[tuple, tuple] = {}
-    for term in sym.terms:
-        key, head, c = split(term, sym.n)
-        c = _as_coeff(c, sym.k)
-        if key in merged:
-            head, first = merged[key]
-            with np.errstate(over="ignore"):
-                c = first + c
-            if not np.isfinite(c).all():
-                raise ValueError(f"coefficients at frequency {key} sum past the float range")
-        merged[key] = (head, c)
-    clean = []
-    for key in sorted(merged):
-        head, c = merged[key]
-        if np.abs(c).max() == 0.0:
-            continue
-        c = c.copy()
-        c.flags.writeable = False
-        clean.append(head + (c,))
-    return tuple(clean)
+    n, k = sym.n, sym.k
+    _check_box(n, sym.L)
+    if not 1 <= k <= MAX_DIM:
+        raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {k}")
+    terms = sym.terms
+    if isinstance(terms, np.ndarray) and terms.dtype.names is not None:
+        if terms.dtype.names != names:
+            raise ValueError(f"term array has fields {terms.dtype.names}, need {names}")
+        columns = [terms[name] for name in names]
+    else:
+        terms = tuple(terms)
+        if set(map(len, terms)) - {len(names)}:
+            raise ValueError(f"each term must be a tuple ({', '.join(names)})")
+        columns = list(zip(*terms)) or [()] * len(names)
+        shapes = set(map(np.shape, columns[-1]))
+        if not shapes <= ({(), (1, 1)} if k == 1 else {(k, k)}):
+            raise ValueError(f"coefficients must be {k} x {k} matrices, got shapes {shapes}")
+        columns[-1] = np.reshape(list(map(np.ravel, columns[-1])) if k == 1 else columns[-1],
+                                 (-1, k, k))
+    m = _column(columns[0], (n,), "frequencies")
+    if m.dtype.kind == "O":  # Python integers beyond int64, or non-numbers
+        try:
+            m = m.astype(float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"frequency component is not a number: {exc}") from exc
+    if m.dtype.kind not in "biuf" or not (np.isfinite(m) & (m == np.trunc(m))).all():
+        raise ValueError("frequency components must be integers")
+    if ((m > 2 ** 53) | (m < -(2 ** 53))).any():
+        raise ValueError("frequency component beyond 2**53 in magnitude")
+    m = m.astype(np.int64)
+    c = _column(columns[-1], (k, k), "coefficients", np.complex128)
+    if not np.isfinite(c).all():
+        raise ValueError("coefficient has non-finite entries")
+    key = m.astype(float)  # exact, as |m| <= 2**53
+    if len(names) == 3:
+        w = _column(columns[1], (n,), "xi-frequencies", float)
+        if not np.isfinite(w).all():
+            raise ValueError("xi-frequency has non-finite entries")
+        key = np.concatenate([key, np.round(w, 12)], axis=1)
+    order = np.lexsort(key.T[::-1])  # stable: the first of equal keys stays first
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = (key[order][1:] != key[order][:-1]).any(axis=1)
+    head, rest = order[first], order[~first]
+    merged = c[head]
+    with np.errstate(over="ignore"):
+        np.add.at(merged, np.cumsum(first)[~first] - 1, c[rest])
+    bad = ~np.isfinite(merged).all(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"coefficients at frequency {tuple(m[head][bad][0].tolist())} "
+                         "sum past the float range")
+    keep = (merged != 0).any(axis=(1, 2))
+    head = head[keep]
+    out = _term_array(m[head], merged[keep], w[head] if len(names) == 3 else None)
+    out.flags.writeable = False
+    return out
+
+
+def _wave_sum(c: np.ndarray, scale: complex, points, freqs) -> np.ndarray:
+    """sum_t c[t] exp(scale * sum_j points[j] @ freqs[j][t]), added term by term.
+
+    points are broadcastable arrays of shape (..., n) and freqs the matching
+    (T, n) frequency columns.  The terms are added in order, one phase array
+    of the point shape at a time.
+    """
+    shape = np.broadcast_shapes(*(x.shape[:-1] for x in points))
+    out = np.zeros(shape + c.shape[1:], dtype=np.complex128)
+    for t in range(len(c)):
+        arg = points[0] @ freqs[0][t]
+        for x, f in zip(points[1:], freqs[1:]):
+            arg = arg + x @ f[t]
+        out += np.exp(scale * arg)[..., None, None] * c[t]
+    return out
+
+
+def _rowdot(a, b) -> np.ndarray:
+    """a[t] @ b[t] for each row of broadcastable (T, n) arrays, by the 1-D matmul."""
+    a, b = (np.ascontiguousarray(v) for v in np.broadcast_arrays(a, b))
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
 class PlaneWaveSymbol:
     """Finite sum of matrix-weighted plane waves c_m exp(2 pi i (m/2L).x).
 
-    Terms are stored sorted by the integer frequency vector m; zero
-    coefficients are pruned on construction.  Non-integral frequencies
-    and fiber sizes k outside 1..MAX_DIM are rejected.
+    terms is a read-only structured array with fields m (int64, shape n)
+    and c (complex128, shape k x k), sorted by m; the constructor also
+    takes (m, c) tuples.  Repeated frequencies merge, zero coefficients are
+    pruned, and non-integral frequencies and fiber sizes k outside
+    1..MAX_DIM are rejected.
     """
 
     n: int
     L: float
     k: int
-    terms: tuple
+    terms: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical_terms(self, _plane_wave_term))
+        object.__setattr__(self, "terms", _canonical_terms(self, ("m", "c")))
 
     def frequency(self, m) -> np.ndarray:
-        """Cycle frequency p = m/(2L) of a term."""
+        """Cycle frequencies p = m/(2L) of an array of frequency vectors."""
         return np.asarray(m, dtype=float) / (2.0 * self.L)
 
     def evaluate(self, x) -> np.ndarray:
@@ -306,12 +347,8 @@ class PlaneWaveSymbol:
         x = np.asarray(x, dtype=float)
         if self.n == 1 and (x.ndim == 0 or x.shape[-1] != 1):
             x = x.reshape(x.shape + (1,))
-        out = np.zeros(x.shape[:-1] + (self.k, self.k), dtype=np.complex128)
-        for m, c in self.terms:
-            p = self.frequency(m)
-            phase = np.exp(2j * np.pi * (x @ p))
-            out += phase[..., None, None] * c
-        return out
+        return _wave_sum(self.terms["c"], 2j * np.pi, (x,),
+                         (self.frequency(self.terms["m"]),))
 
     def to_grid(self, N: int | None = None) -> "GridSymbol":
         if N is None:
@@ -323,16 +360,13 @@ class PlaneWaveSymbol:
 
     def star(self) -> "PlaneWaveSymbol":
         """Pointwise adjoint: terms map to conj-transpose coefficients at -m."""
-        terms = [
-            (tuple(-v for v in m), c.conj().T) for m, c in self.terms
-        ]
-        return PlaneWaveSymbol(self.n, self.L, self.k, tuple(terms))
+        t = self.terms.copy()
+        t["m"], t["c"] = -t["m"], np.conj(np.swapaxes(t["c"], -1, -2))
+        return PlaneWaveSymbol(self.n, self.L, self.k, t)
 
     @property
     def max_abs_m(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(abs(v) for v in m) for m, _ in self.terms)
+        return int(np.abs(self.terms["m"]).max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +519,23 @@ def series_synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
     return centered_idft(coeffs, tuple(range(n)))
 
 
-def significant_terms(data: _GridData) -> list:
-    """Pruned series terms [(m, coeff), ...] sorted by m.
+def significant_terms(data: _GridData) -> PlaneWaveSymbol:
+    """The series of grid data as a plane-wave symbol, pruned.
 
     Terms whose max entry is below PRUNE_REL times the global max are dropped.
     """
     coeffs = series_coefficients(data)
     mags = np.abs(coeffs).max(axis=(-2, -1))
     cutoff = PRUNE_REL * float(mags.max()) if mags.size else 0.0
-    terms = []
-    half = data.N // 2
-    for idx in np.argwhere(mags > cutoff):
-        m = tuple(int(i) - half for i in idx)
-        terms.append((m, coeffs[tuple(idx)]))
-    return sorted(terms, key=lambda t: t[0])
+    idx = np.argwhere(mags > cutoff)
+    return PlaneWaveSymbol(data.n, data.L, data.k,
+                           _term_array(idx - data.N // 2, coeffs[tuple(idx.T)]))
 
 
-def eval_series(terms, L: float, x: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate sum_m c_m exp(2 pi i (m/2L).x) at points x of shape (..., n)."""
+def eval_series(terms: np.ndarray, L: float, x: np.ndarray) -> np.ndarray:
+    """Evaluate sum_m c_m exp(2 pi i (m/2L).x) over a plane-wave term array at x (..., n)."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (k, k), dtype=np.complex128)
-    for m, c in terms:
-        p = np.asarray(m, dtype=float) / (2.0 * L)
-        phase = np.exp(2j * np.pi * (x @ p))
-        out += phase[..., None, None] * np.asarray(c)
-    return out
+    return _wave_sum(terms["c"], 2j * np.pi, (x,), (terms["m"] / (2.0 * L),))
 
 
 # ---------------------------------------------------------------------------
@@ -523,31 +549,34 @@ class PlaneWavePhaseSymbol:
     x-frequencies are commensurate with the box: omega = pi m / L with
     integer m; xi-frequencies w are arbitrary finite real angular vectors
     (the symbol of a twisted translation needs w = -J^T p off any
-    lattice).  Terms are merged on (m, w rounded to 12 decimals), pruned
-    and sorted with the same checks as PlaneWaveSymbol.
+    lattice).  terms is a read-only structured array with fields m, w
+    (float64, shape n) and c, sorted by (m, w rounded to 12 decimals) and
+    merged, pruned and checked as in PlaneWaveSymbol; the constructor also
+    takes (m, w, c) tuples.
     """
 
     n: int
     L: float
     k: int
-    terms: tuple  # ((m ints), (w floats), coeff) sorted
+    terms: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical_terms(self, _phase_term))
+        object.__setattr__(self, "terms", _canonical_terms(self, ("m", "w", "c")))
 
     @classmethod
     def constant(cls, c, n: int, L: float) -> "PlaneWavePhaseSymbol":
-        c = _as_coeff(c)
-        return cls(n, L, c.shape[0], (((0,) * n, (0.0,) * n, c),))
+        c = np.asarray(c, dtype=np.complex128)
+        return cls(n, L, c.shape[0] if c.ndim else 1, (((0,) * n, (0.0,) * n, c),))
 
     def omega(self, m) -> np.ndarray:
-        """Angular x-frequency pi*m/L of a term."""
+        """Angular x-frequencies pi*m/L of an array of frequency vectors."""
         return np.asarray(m, dtype=float) * (np.pi / self.L)
 
     def scale_terms(self, factor) -> "PlaneWavePhaseSymbol":
-        """The symbol with each coefficient c_t multiplied by factor(omega_t, w_t)."""
-        return PlaneWavePhaseSymbol(self.n, self.L, self.k, tuple(
-            (m, w, factor(self.omega(m), w) * c) for m, w, c in self.terms))
+        """The symbol with each coefficient c_t multiplied by factor[t]."""
+        t = self.terms.copy()
+        t["c"] = np.asarray(factor)[:, None, None] * t["c"]
+        return PlaneWavePhaseSymbol(self.n, self.L, self.k, t)
 
     def evaluate(self, x, xi) -> np.ndarray:
         """Sample at broadcastable x, xi of shape (..., n); returns (..., k, k)."""
@@ -557,12 +586,8 @@ class PlaneWavePhaseSymbol:
             x = x.reshape(x.shape + (1,))
         if self.n == 1 and (xi.ndim == 0 or xi.shape[-1] != 1):
             xi = xi.reshape(xi.shape + (1,))
-        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-        out = np.zeros(shape + (self.k, self.k), dtype=np.complex128)
-        for m, w, c in self.terms:
-            phase = np.exp(1j * (x @ self.omega(m) + xi @ np.asarray(w)))
-            out += phase[..., None, None] * np.asarray(c)
-        return out
+        t = self.terms
+        return _wave_sum(t["c"], 1j, (x, xi), (self.omega(t["m"]), t["w"]))
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +617,15 @@ def derivative(f, alpha):
     """
     if isinstance(f, PlaneWaveSymbol):
         alpha = _check_order(alpha, f.n)
-        terms = []
-        for m, c in f.terms:
-            factor = np.prod(
-                [(2j * np.pi * f.frequency(m)[j]) ** alpha[j] for j in range(f.n)]
-            )
-            terms.append((m, factor * c))
-        return PlaneWaveSymbol(f.n, f.L, f.k, tuple(terms))
+        t = f.terms.copy()
+        factor = np.prod((2j * np.pi * f.frequency(t["m"])) ** np.array(alpha), axis=1)
+        t["c"] = factor[:, None, None] * t["c"]
+        return PlaneWaveSymbol(f.n, f.L, f.k, t)
     if isinstance(f, PlaneWavePhaseSymbol):
-        alpha = _check_order(alpha, 2 * f.n)
-        return f.scale_terms(lambda om, w: np.prod(
-            [(1j * om[j]) ** alpha[j] for j in range(f.n)]
-        ) * np.prod(
-            [(1j * w[j]) ** alpha[f.n + j] for j in range(f.n)]
-        ))
+        alpha = np.array(_check_order(alpha, 2 * f.n))
+        om, w = f.omega(f.terms["m"]), f.terms["w"]
+        return f.scale_terms(np.prod((1j * om) ** alpha[:f.n], axis=1)
+                             * np.prod((1j * w) ** alpha[f.n:], axis=1))
     if isinstance(f, GridSymbol):
         alpha = _check_order(alpha, f.n)
         coeffs = series_coefficients(f)
@@ -729,10 +749,9 @@ def norm_L2(f) -> float:
 
 def write_plane_wave_json(f: PlaneWaveSymbol, path):
     """Write the JSON plane-wave format {n, L, k, terms:[{m, coeff}]}."""
-    terms = []
-    for m, c in f.terms:
-        coeff = [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(c)]
-        terms.append({"m": list(m), "coeff": coeff})
+    c = f.terms["c"]
+    terms = [{"m": m, "coeff": coeff} for m, coeff in zip(
+        f.terms["m"].tolist(), np.stack((c.real, c.imag), axis=-1).tolist())]
     doc = {"n": f.n, "L": f.L, "k": f.k, "terms": terms}
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", "utf-8")
 

@@ -384,9 +384,11 @@ def _relative_gap(a, ref) -> float:
 
 
 def _plane_diff(f: PlaneWaveSymbol, g: PlaneWaveSymbol) -> float:
-    fa, ga = dict(f.terms), dict(g.terms)
-    return max((float(np.abs(fa.get(m, 0.0) - ga.get(m, 0.0)).max())
-                for m in set(fa) | set(ga)), default=0.0)
+    """max_m |f_m - g_m| over both symbols' terms (a missing term counts as 0)."""
+    t = np.concatenate([f.terms, g.terms])
+    t["c"][len(f.terms):] = -g.terms["c"]
+    # f_m + (-g_m) is f_m - g_m exactly; equal coefficients merge to a pruned zero
+    return float(np.abs(PlaneWaveSymbol(f.n, f.L, f.k, t).terms["c"]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +428,9 @@ def _suite_product_oracle(cfg: RunConfig) -> list:
         pf = np.asarray(p, dtype=float) / (2.0 * L)
         qf = np.asarray(q, dtype=float) / (2.0 * L)
         phase = np.exp(-4j * np.pi * float(pf @ (J.entries @ qf)))
-        worst = max(worst, _plane_diff(fg, PlaneWaveSymbol(
-            2, L, 1, tuple((m, phase * c) for m, c in gf.terms))))
+        t = gf.terms.copy()
+        t["c"] = phase * t["c"]
+        worst = max(worst, _plane_diff(fg, PlaneWaveSymbol(2, L, 1, t)))
     records.append(_record(
         "commutation-phase",
         "plane waves commute up to the phase exp(-4 pi i p.Jq)",
@@ -532,12 +535,13 @@ def _suite_d_roundtrip(cfg: RunConfig) -> list:
     worst = 0.0
     for _ in range(6):
         sym = random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
-        back = d_inverse(d_apply(sym))
+        back = d_inverse(d_apply(sym)).terms
         # D and its inverse scale each coefficient by a nonzero factor, so
         # the terms stay in the same order with the same frequencies
-        for (m, w, c), (m0, w0, ref) in zip(back.terms, sym.terms, strict=True):
-            assert (m, w) == (m0, w0)
-            worst = max(worst, float(np.abs(c - ref).max() / np.abs(ref).max()))
+        assert all(np.array_equal(back[name], sym.terms[name]) for name in ("m", "w"))
+        c, ref = back["c"], sym.terms["c"]
+        worst = max(worst, float(np.max(np.abs(c - ref).max(axis=(1, 2))
+                                        / np.abs(ref).max(axis=(1, 2)), initial=0.0)))
     return [_record(
         "d-inverse-roundtrip",
         "the quadrature inverse of D undoes D on lattice symbols",
@@ -835,7 +839,7 @@ def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
         op = rieffel_operator(f, J, N=N)
         rep = differential_norms(op, m)
         opn = rep.op_norm
-        w_max = max((max(abs(v) for v in w) for _, w, _ in op.terms.terms), default=0.0)
+        w_max = float(np.abs(op.terms.terms["w"]).max(initial=0.0))
         box_xi = max(2.0 * np.pi, 2.0 * w_max)
         pi = cv_functional(op.terms, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
         ratio = opn / pi if pi > 0 else 0.0

@@ -131,7 +131,7 @@ def test_product_is_associative():
                 qr = deformed_product_exact(symbols[q], symbols[r], J)
                 left = deformed_product_exact(pq, symbols[r], J)
                 right = deformed_product_exact(symbols[p], qr, J)
-                la, ra = dict(left.terms), dict(right.terms)
+                la, ra = ({tuple(m.tolist()): c for m, c in s.terms} for s in (left, right))
                 assert la.keys() == ra.keys()
                 for m, c in la.items():
                     worst_exact = max(worst_exact, float(np.abs(c - ra[m]).max()))
@@ -235,8 +235,8 @@ def test_order_raising_inverse_roundtrip():
     for _ in range(10):
         sym = random_phase_symbol(rng, 4.0, 4, 4, np.linspace(-2.0, 2.0, 17))
         back = d_apply(d_inverse(sym))
-        orig = {(m, round(w[0], 12)): c for m, w, c in sym.terms}
-        got = {(m, round(w[0], 12)): c for m, w, c in back.terms}
+        orig = {(tuple(m.tolist()), round(float(w[0]), 12)): c for m, w, c in sym.terms}
+        got = {(tuple(m.tolist()), round(float(w[0]), 12)): c for m, w, c in back.terms}
         residual = 0.0
         for key in set(orig) | set(got):
             residual += float(np.abs(orig.get(key, 0.0) - got.get(key, 0.0)).max())

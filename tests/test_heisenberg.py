@@ -348,9 +348,12 @@ def test_d_roundtrip():
         (((3,), (1.7,), 0.4 - 0.2j), ((-4,), (-2.0,), 1.1), ((0,), (0.9,), 0.6j)),
     )
     back = d_inverse(d_apply(sym))
-    orig = {(m, tuple(round(v, 12) for v in w)): c for m, w, c in sym.terms}
+    def key(m, w):
+        return tuple(m.tolist()), tuple(round(v, 12) for v in w.tolist())
+
+    orig = {key(m, w): c for m, w, c in sym.terms}
     for m, w, c in back.terms:
-        ref = orig[(m, tuple(round(v, 12) for v in w))]
+        ref = orig[key(m, w)]
         assert np.abs(c - ref).max() <= 1e-6 * np.abs(ref).max()
 
 

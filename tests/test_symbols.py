@@ -52,6 +52,18 @@ def test_deformation_matrix_rejects_symmetric_part():
         DeformationMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: DeformationMatrix([[0.0, np.nan], [np.nan, 0.0]]), id="nan-entry"),
+    pytest.param(lambda: DeformationMatrix([[0.0, np.inf], [-np.inf, 0.0]]), id="inf-entry"),
+    pytest.param(lambda: DeformationMatrix.symplectic(np.nan), id="symplectic-nan"),
+    pytest.param(lambda: DeformationMatrix.symplectic(np.inf), id="symplectic-inf"),
+])
+def test_deformation_matrix_rejects_non_finite(build):
+    # NaN passes a tolerance comparison, so a finiteness check must come first
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_deformation_matrix_zero_and_symplectic():
     z = DeformationMatrix.zero(2)
     assert np.all(z.entries == 0.0)
@@ -84,7 +96,7 @@ def test_plane_wave_rejects_overflowing_merge(build):
 
 def test_plane_wave_prunes_zero_terms():
     f = PlaneWaveSymbol(1, 4.0, 1, (((1,), 1.0), ((2,), 0.0)))
-    assert [m for m, _ in f.terms] == [(1,)]
+    assert f.terms["m"].tolist() == [[1]]
 
 
 def test_plane_wave_evaluate_periodicity():
@@ -103,7 +115,7 @@ def test_plane_wave_to_grid_matches_evaluate():
 def test_plane_wave_star_squares_to_identity():
     f = random_plane_wave(RNG, 2, 6.0, 2, 2, 4)
     again = f.star().star()
-    assert [m for m, _ in again.terms] == [m for m, _ in f.terms]
+    assert np.array_equal(again.terms["m"], f.terms["m"])
     for (m, c), (m2, c2) in zip(f.terms, again.terms):
         assert_allclose(c, c2, atol=1e-15)
 
@@ -170,15 +182,14 @@ def test_series_coefficients_isolate_plane_wave():
 
 def test_significant_terms_prunes_noise():
     f = PlaneWaveSymbol(1, 4.0, 1, (((1,), 1.0), ((-2,), 0.5j)))
-    terms = significant_terms(f.to_grid(32))
-    assert sorted(m for m, _ in terms) == [(-2,), (1,)]
+    terms = significant_terms(f.to_grid(32)).terms
+    assert terms["m"].tolist() == [[-2], [1]]
 
 
 def test_eval_series_matches_evaluate():
     f = random_plane_wave(RNG, 1, 4.0, 1, 3, 4)
-    terms = [(m, c) for m, c in f.terms]
     x = np.array([[0.3], [-1.7]])
-    assert_allclose(eval_series(terms, 4.0, x, 1), f.evaluate(x), atol=1e-12)
+    assert_allclose(eval_series(f.terms, 4.0, x), f.evaluate(x), atol=1e-12)
 
 
 def test_centered_transforms_invert():
@@ -314,6 +325,128 @@ def test_phase_symbol_rejects_bad_terms(n, L, k, m, w):
         PlaneWavePhaseSymbol(n, L, k, ((m, w, 1.0),))
 
 
+def test_term_array_fields_must_match_class():
+    phase = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0),))
+    assert len(PlaneWavePhaseSymbol(1, 4.0, 1, phase.terms).terms) == 1
+    with pytest.raises(ValueError, match="fields"):
+        PlaneWaveSymbol(1, 4.0, 1, phase.terms)  # would drop w
+
+
+# The dict-based canonicaliser the term arrays replaced, kept as an
+# independent oracle: validate term by term, merge repeated keys into the
+# first head left to right, prune zeros, sort by key.
+
+
+def _oracle_integral(v) -> int:
+    i = int(v)
+    if i != v:
+        raise ValueError(f"frequency component must be an integer, got {v!r}")
+    return i
+
+
+def _oracle_frequency(m, n):
+    m = tuple(_oracle_integral(v) for v in m)
+    if len(m) != n or any(abs(v) > 2 ** 53 for v in m):
+        raise ValueError(f"bad frequency {m}")
+    return m
+
+
+def _oracle_coeff(c, k):
+    arr = np.asarray(c, dtype=np.complex128)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    if arr.shape != (k, k) or not np.isfinite(arr).all():
+        raise ValueError(f"bad coefficient of shape {arr.shape}")
+    return arr
+
+
+def oracle_canonical_terms(n, L, k, terms, phase):
+    """[(m, w, c)] (w None for plane waves) in the order the symbol stores them."""
+    if n not in (1, 2) or not (np.isfinite(L) and L > 0) or not 1 <= k <= 8:
+        raise ValueError("bad box or fiber size")
+    merged = {}
+    for term in terms:
+        if phase:
+            m, w, c = term
+            m = _oracle_frequency(m, n)
+            w = tuple(float(v) for v in w)
+            if len(w) != n or not all(np.isfinite(w)):
+                raise ValueError(f"bad xi-frequency {w}")
+            key, head = (m, tuple(round(v, 12) for v in w)), (m, w)
+        else:
+            m, c = term
+            key = head = _oracle_frequency(m, n)
+        c = _oracle_coeff(c, k)
+        if key in merged:
+            head, first = merged[key]
+            with np.errstate(over="ignore"):
+                c = first + c
+            if not np.isfinite(c).all():
+                raise ValueError("sum past the float range")
+        merged[key] = (head, c)
+    out = []
+    for key in sorted(merged):
+        head, c = merged[key]
+        if np.abs(c).max() != 0.0:
+            out.append((head[0], head[1], c) if phase else (head, None, c))
+    return out
+
+
+# w values away from decimal ties, where numpy's rint-based round and
+# Python's correctly rounded round agree; 1/3 and 1/3 + 1e-14 share a key.
+ORACLE_W = st.sampled_from((0.0, -0.0, -1.25, 1 / 3, 1 / 3 + 1e-14))
+# Sums of 0.1, 1/3 and 1e16 round differently when grouped differently.
+ORACLE_C = st.sampled_from((0.0, -0.0, 1.0, 0.1, 1 / 3 - 0.7j, 1e16, 0.5j, 1e-300,
+                            np.finfo(float).max))
+# the bad inputs of test_phase_symbol_rejects_bad_terms
+ORACLE_BAD = st.sampled_from((None, "fractional-m", "huge-m", "nan-w", "inf-w", "n3",
+                              "negative-L", "k0"))
+
+
+@st.composite
+def raw_symbols(draw):
+    phase, n, k = draw(st.booleans()), draw(SIZES), draw(SIZES)
+    L, bad = 4.0, draw(ORACLE_BAD)
+    m = st.lists(st.integers(-1, 1), min_size=n, max_size=n).map(tuple)
+    w = st.lists(ORACLE_W, min_size=n, max_size=n).map(tuple)
+    c = st.one_of(ORACLE_C if k == 1 else st.nothing(),
+                  arrays(np.complex128, (k, k), elements=ORACLE_C))
+    terms = draw(st.lists(st.tuples(m, w, c) if phase else st.tuples(m, c), max_size=8))
+    if bad in ("fractional-m", "huge-m") and terms:
+        value = 1.5 if bad == "fractional-m" else 2 ** 60
+        terms[0] = ((value,) * n,) + terms[0][1:]
+    elif bad in ("nan-w", "inf-w") and phase and terms:
+        terms[0] = (terms[0][0], (float(bad[:3]),) * n, terms[0][2])
+    elif bad == "n3":
+        n = 3
+    elif bad == "negative-L":
+        L = -1.0
+    elif bad == "k0":
+        k = 0
+    return phase, n, L, k, terms
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_symbols())
+def test_canonical_terms_match_dict_oracle(raw):
+    phase, n, L, k, terms = raw
+    cls = PlaneWavePhaseSymbol if phase else PlaneWaveSymbol
+    try:
+        expected = oracle_canonical_terms(n, L, k, terms, phase)
+    except ValueError:
+        with pytest.raises(ValueError):
+            cls(n, L, k, tuple(terms))
+        return
+    got = cls(n, L, k, tuple(terms)).terms
+    assert not got.flags.writeable
+    assert len(got) == len(expected)
+    for row, (m, w, c) in zip(got, expected):
+        assert row["m"].tolist() == list(m)
+        if phase:
+            assert row["w"].tobytes() == np.asarray(w, dtype=float).tobytes()
+        assert row["c"].tobytes() == c.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # File formats
 
@@ -357,7 +490,7 @@ def test_plane_wave_json_without_k_reads(tmp_path):
     path.write_text('{"L": 6.0, "n": 2, "terms": [{"m": [1, 0], "coeff": [[[0.5, 0.0]]]}]}')
     f = read_symbol_file(path)
     assert (f.n, f.L, f.k) == (2, 6.0, 1)
-    assert f.terms[0][0] == (1, 0)
+    assert f.terms["m"].tolist() == [[1, 0]]
 
 
 # Property tests of the readers: exact round trips, and malformed input ends
@@ -400,8 +533,8 @@ def test_plane_wave_json_roundtrip(tmp_path, f):
     g = read_symbol_file(tmp_path / "f.json")
     assert isinstance(g, PlaneWaveSymbol)
     assert (g.n, g.L, g.k, len(g.terms)) == (f.n, f.L, f.k, len(f.terms))
-    for (m, c), (m2, c2) in zip(f.terms, g.terms):
-        assert m == m2 and np.array_equal(c, c2)
+    assert np.array_equal(g.terms["m"], f.terms["m"])
+    assert np.array_equal(g.terms["c"], f.terms["c"])
 
 
 @READER_SETTINGS

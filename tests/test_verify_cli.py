@@ -17,6 +17,7 @@ from deformkit.symbols import (
     GridSymbol,
     PlaneWaveSymbol,
     read_symbol_file,
+    significant_terms,
     write_symbol_file,
 )
 from deformkit.verify_cli import (
@@ -120,9 +121,8 @@ def test_product_plane_wave_matches_exact_law(tmp_path):
     assert code == 0
     got = read_symbol_file(str(out))
     expected = deformed_product_exact(f, g, DeformationMatrix.symplectic(0.25, 2))
-    assert dict(got.terms).keys() == dict(expected.terms).keys()
-    for m, c in expected.terms:
-        assert_allclose(dict(got.terms)[m], c, atol=1e-12)
+    assert np.array_equal(got.terms["m"], expected.terms["m"])
+    assert_allclose(got.terms["c"], expected.terms["c"], atol=1e-12)
 
 
 def test_product_grid_inputs_write_grid_output(tmp_path):
@@ -350,6 +350,30 @@ def test_benchmark_trace_installs(tmp_path):
     assert set(doc) >= {"calls", "seconds", "counters"}
 
 
+def test_benchmark_trace_counts_lift_and_evaluation(tmp_path):
+    # A traced product of two plane-wave files reaches tilde_map and the
+    # evaluators; the counters the benchmark reports must match the library.
+    f = wave_file(tmp_path / "a.json", 2, (((1, 0), 1.0), ((0, 1), 0.5j), ((-1, 2), 0.25)))
+    g = wave_file(tmp_path / "b.json", 2, (((0, 1), 2.0), ((1, -1), -0.5)))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "cli", str(trace), "product",
+         str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(tmp_path / "ab.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    counters = json.loads(trace.read_text(encoding="utf-8"))["counters"]
+    cfg = RunConfig()
+    product = deformed_product_exact(f, g, DeformationMatrix.symplectic(cfg.theta, 2))
+    # to_grid evaluates f, g and the exact product on the N x N grid
+    evaluated = len(f.terms) + len(g.terms) + len(product.terms)
+    assert counters["symbols.evaluate.term_points"] == evaluated * cfg.N ** 2
+    # the lattice product lifts the factor with fewer significant terms
+    lifted = min(len(significant_terms(s.to_grid(cfg.N)).terms) for s in (f, g))
+    assert counters["deformation.tilde_map.terms"] == lifted == len(g.terms)
+
+
 def test_runtime_imports_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone.
     code = ("import sys, deformkit, deformkit.verify_cli; "
@@ -364,14 +388,15 @@ def test_runtime_imports_no_scipy():
 def test_report_independent_of_blas_threads(tmp_path):
     # The kernel-pairing and symbol-map records reduce long quadratures;
     # they are numpy sums and FFTs, never a BLAS call whose rounding
-    # depends on how many threads split it.
+    # depends on how many threads split it.  The cv and product-oracle
+    # suites cover the shared term evaluator and the exact product.
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"report-{threads}.json"
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run(
             [sys.executable, "-m", "deformkit.verify_cli", "verify",
-             "--suites", "kernel-identity,symbol-map", "--out", str(out)],
+             "--suites", "cv,kernel-identity,product-oracle,symbol-map", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr
