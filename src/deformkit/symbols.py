@@ -234,10 +234,10 @@ def _canonical_terms(sym, names: tuple) -> np.ndarray:
     fields names: ("m", "c") or ("m", "w", "c").  Checks the box, the fiber
     size and each column: integral |m| <= 2**53, finite w and c; from
     tuples with k = 1, scalar coefficients count as 1 x 1.  The key of a
-    term is m, then w rounded to 12 decimals; terms with equal keys merge
-    into the first one's head, summed left to right (ValueError past the
-    float range), and zero coefficients are pruned.  Returns a read-only
-    structured array sorted by key.
+    term is m, then np.round(w, 12) (w itself where that overflows); terms
+    with equal keys merge into the first one's head, summed left to right
+    (ValueError past the float range), and zero coefficients are pruned.
+    Returns a read-only structured array sorted by key.
     """
     n, k = sym.n, sym.k
     _check_box(n, sym.L)
@@ -277,7 +277,9 @@ def _canonical_terms(sym, names: tuple) -> np.ndarray:
         w = _column(columns[1], (n,), "xi-frequencies", float)
         if not np.isfinite(w).all():
             raise ValueError("xi-frequency has non-finite entries")
-        key = np.concatenate([key, np.round(w, 12)], axis=1)
+        with np.errstate(over="ignore"):  # w * 1e12 overflows past |w| ~ 1.8e296
+            rounded = np.round(w, 12)  # rint(w * 1e12) / 1e12, not Python's round
+        key = np.concatenate([key, np.where(np.isfinite(rounded), rounded, w)], axis=1)
     order = np.lexsort(key.T[::-1])  # stable: the first of equal keys stays first
     first = np.ones(len(key), dtype=bool)
     first[1:] = (key[order][1:] != key[order][:-1]).any(axis=1)
@@ -353,9 +355,7 @@ class PlaneWaveSymbol:
     def to_grid(self, N: int | None = None) -> "GridSymbol":
         if N is None:
             N = default_grid_size(self.n)[0]
-        pts = np.stack(
-            np.meshgrid(*([axis_points(N, self.L)] * self.n), indexing="ij"), axis=-1
-        )
+        pts = np.stack(np.meshgrid(*[axis_points(N, self.L)] * self.n, indexing="ij"), -1)
         return GridSymbol(self.n, N, self.L, self.evaluate(pts))
 
     def star(self) -> "PlaneWaveSymbol":

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -393,8 +393,10 @@ def oracle_canonical_terms(n, L, k, terms, phase):
 
 
 # w values away from decimal ties, where numpy's rint-based round and
-# Python's correctly rounded round agree; 1/3 and 1/3 + 1e-14 share a key.
-ORACLE_W = st.sampled_from((0.0, -0.0, -1.25, 1 / 3, 1 / 3 + 1e-14))
+# Python's correctly rounded round agree (the ties are pinned by
+# test_phase_key_rounds_like_numpy); 1/3 and 1/3 + 1e-14 share a key, and
+# 1e300 and 2e300 are past the overflow of w * 1e12.
+ORACLE_W = st.sampled_from((0.0, -0.0, -1.25, 1 / 3, 1 / 3 + 1e-14, 1e300, 2e300))
 # Sums of 0.1, 1/3 and 1e16 round differently when grouped differently.
 ORACLE_C = st.sampled_from((0.0, -0.0, 1.0, 0.1, 1 / 3 - 0.7j, 1e16, 0.5j, 1e-300,
                             np.finfo(float).max))
@@ -428,6 +430,7 @@ def raw_symbols(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(raw_symbols())
+@example((True, 1, 4.0, 1, [((0,), (1e300,), 1.0), ((0,), (2e300,), 1.0)]))
 def test_canonical_terms_match_dict_oracle(raw):
     phase, n, L, k, terms = raw
     cls = PlaneWavePhaseSymbol if phase else PlaneWaveSymbol
@@ -445,6 +448,24 @@ def test_canonical_terms_match_dict_oracle(raw):
         if phase:
             assert row["w"].tobytes() == np.asarray(w, dtype=float).tobytes()
         assert row["c"].tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("w1, w2, merged, merged_by_oracle", [
+    # a decimal near-tie: np.round gives 9.3349e-07, round gives 9.33489e-07
+    pytest.param(9.334895e-07, 9.3349e-07, True, False, id="tie-numpy-merges"),
+    pytest.param(9.334895e-07, 9.33489e-07, False, True, id="tie-numpy-splits"),
+    pytest.param(1e300, 2e300, False, False, id="past-overflow"),
+    pytest.param(1 / 3, 1 / 3 + 1e-14, True, True, id="below-12-decimals"),
+])
+def test_phase_key_rounds_like_numpy(w1, w2, merged, merged_by_oracle):
+    """w keys are np.round(w, 12), or w itself where that overflows; near
+    decimal ties np.round and Python's round can bucket differently."""
+    terms = (((0,), (w1,), 1.0), ((0,), (w2,), 1.0))
+    got = PlaneWavePhaseSymbol(1, 4.0, 1, terms).terms
+    assert len(got) == (1 if merged else 2)
+    assert got["w"][0, 0] == (w1 if merged else min(w1, w2))
+    assert got["c"][0, 0, 0] == (2.0 if merged else 1.0)
+    assert len(oracle_canonical_terms(1, 4.0, 1, terms, True)) == (1 if merged_by_oracle else 2)
 
 
 # ---------------------------------------------------------------------------
