@@ -25,7 +25,7 @@ the Fourier inversion check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product as _iproduct
 from math import comb, factorial
 
@@ -63,6 +63,7 @@ __all__ = [
 OSC_R = 12.0
 OSC_Q = 256
 OSC_PAD = 2
+_CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _lattice_action groups
 
 
 @dataclass(frozen=True)
@@ -399,8 +400,8 @@ def deformed_product_exact(
 def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix):
     """Route (b): the alias-folded twisted convolution, L_f applied to g.
 
-    The term loop runs over the factor with fewer significant terms: over
-    g it uses (f x_J g)^T = g^T x_{-J} f^T, with pointwise k x k transposes.
+    The lattice action runs over the factor with fewer significant terms:
+    over g it uses (f x_J g)^T = g^T x_{-J} f^T, with pointwise k x k transposes.
     Each factor's series is computed once; transposing the coefficients of
     g keeps its significant set, which keys on the largest entry.
     """
@@ -501,46 +502,60 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
     """The twisted translation sum of a lattice phase symbol on the N-point grid.
 
     Returns values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n,
-    ghat = DFT(g).  The zero-shift terms collapse into the pointwise field;
-    every other term is the index shift m_t after the separable phase ramp
-    r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L, formed per term from
-    its 1-D ramps.  adjoint=True gives the exact matrix adjoint: the same
-    loop over the terms (-m_t, conj(r_t) rolled by m_t, c_t^H) and the
-    pointwise adjoint of the field.
+    ghat = DFT(g), r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift
+    terms form the pointwise field.  The rest group by (w_0, m_1) into one sum
+    S = sum_g FFT_0(K_g) FFT_0(B_g) of k x k products: B_g = roll(r_0 ghat, m_1) on
+    axis 1, and K_g(d, s) adds c_t r_1t(s - m_1) over the group's m_0t = d mod N.
+    The axis-0 IFFT of S and the axis-0 IDFT fold to S[(N/2 - j) mod N] (-1)^(j + N/2).
+    Cost O(G N^n log N) for G groups, in chunks that keep each temporary within
+    max(_CHUNK_POINTS, N^n k^2) values; FFT_0(K_g) is rebuilt per application.
+    adjoint=True is the exact matrix adjoint: the transpose of each step.
     """
-    n, k = sym.n, sym.k
-    axes = tuple(range(n))
-    half = N // 2
+    n, k, half = sym.n, sym.k, N // 2
     lattice = (np.arange(N) - half) / (2.0 * sym.L)
     m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
     zero = ~w.any(axis=1)
-    have_field = bool(zero.any())
     zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
     np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
     m, w, c = m[~zero], w[~zero], c[~zero]
-    ramps = np.exp(2j * np.pi * lattice * w[:, :, None])  # (terms, n, N)
-    if adjoint:
-        # roll each 1-D ramp by its own m: r[(i - m) % N]
-        ramps = np.take_along_axis(np.conj(ramps), (np.arange(N) - m[:, :, None]) % N, axis=-1)
-        m, c = -m, np.conj(np.swapaxes(c, -1, -2))
-    shifted = list(zip(m.tolist(), ramps, c))
-    field = centered_idft(zero_w, axes) if have_field else None
-    if adjoint and have_field:
-        field = np.conj(np.swapaxes(field, -1, -2))
+    # Groups are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, group,
+    # s, axis-0 point), s the point on axis 1 (array axis sax); for n = 1, s is one
+    # point with m_1 = w_1 = 0.  The adjoint moves the roll by m_1 off B_g^H: it
+    # gathers roll(., -m_1) of its input, and its kernels take r_1t at s, not s - m_1.
+    m1, w1, s = m[:, 1:].sum(axis=1), w[:, 1:].sum(axis=1), np.arange(N ** (n - 1))
+    sax, step = tuple(range(2, n + 1)), max(1, _CHUNK_POINTS // (N ** n * k * k))
+    _, first, group = np.unique(w[:, 0] + 1j * m1, return_index=True, return_inverse=True)
+    field = centered_idft(zero_w, tuple(range(n))) if zero.any() or not len(first) else None
+    field = np.conj(np.swapaxes(field, -1, -2)) if adjoint and field is not None else field
+    r1 = lattice[(s - (not adjoint) * m1[:, None]) % N]
+    cr1 = c[..., None] * np.exp(2j * np.pi * w1[:, None] * r1)[:, None, None]
+    r0 = np.exp(2j * np.pi * w[first, :1] * lattice)  # (groups, N)
+    roll = (s - (1 - 2 * adjoint) * m1[first, None]) % N
+    fold = (half - np.arange(N)) % N, (-1.0) ** (np.arange(N) + half)
+
+    def kernels():  # (groups of a chunk, FFT_0 of their kernels)
+        for g in range(0, len(first), step):
+            t = (group >= g) & (group < g + step)
+            K = np.zeros((k, k, min(step, len(first) - g), len(s), N), dtype=np.complex128)
+            np.add.at(K, (..., group[t] - g, slice(None), m[t, 0] % N), cr1[t])
+            yield slice(g, g + step), np.fft.fft(K)
 
     def apply(values):
-        if field is not None:
-            out = np.einsum("...ab,...bc->...ac", field, values)
-        else:
-            out = np.zeros_like(np.asarray(values, dtype=np.complex128))
-        if not shifted:
+        out = 0.0 if field is None else np.einsum("...ab,...bc->...ac", field, values)
+        if not len(first):
             return out
-        ghat = centered_dft(values, axes)
-        acc = np.zeros_like(ghat)
-        for m, ramps, c in shifted:
-            phase = reduce(np.multiply.outer, ramps)[..., None, None]
-            acc += np.roll(np.einsum("ab,...bc->...ac", c, ghat) * phase, m, axis=axes)
-        return out + centered_idft(acc, axes) / float(N) ** n
+        v = np.ascontiguousarray(np.reshape(values, (N, len(s), k, k)).transpose(2, 3, 1, 0))
+        if not adjoint:
+            ghat = centered_dft(v, (3,) + sax)
+            S = sum(np.einsum("abgsf,bcgsf->acsf", FK, np.fft.fft(
+                ghat[..., roll[g], :] * r0[g, None])) for g, FK in kernels())
+            res = centered_idft(S[..., fold[0]] * fold[1], sax)
+        else:
+            S = centered_dft(v, sax)[..., fold[0]] * fold[1]
+            res = centered_idft(sum(np.einsum("gf,acgsf->acsf", np.conj(r0[g]), np.fft.ifft(
+                np.einsum("bagsf,bcgsf->acgsf", np.conj(FK), S[..., roll[g], :]), norm="forward"))
+                for g, FK in kernels()), (3,) + sax)
+        return out + res.transpose(3, 2, 0, 1).reshape(np.shape(values)) / float(N) ** n
 
     return apply
 

@@ -1,12 +1,16 @@
 """Deformed product: plane-wave law, grid route, phase-space calculus."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from deformkit.deformation import (
+    _CHUNK_POINTS,
     OscIntegralConfig,
     _czt_axis,
+    _lattice_action,
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
@@ -21,6 +25,8 @@ from deformkit.symbols import (
     GridSymbol,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
+    centered_dft,
+    centered_idft,
     symbol_star,
 )
 from deformkit.verify_cli import gaussian_values, random_plane_wave
@@ -310,3 +316,90 @@ def test_czt_axis_matches_direct_sums(N, count, axis):
     got = _czt_axis(coeffs, axis, L, scale, start, step, count)
     assert got.shape == direct.shape
     assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+# ---------------------------------------------------------------------------
+# Twisted lattice action: the grouped FFT kernel against the term loop
+
+
+def term_loop_action(sym, N, adjoint=False):
+    """Oracle: the twisted translation sum, one rolled term at a time.
+
+    values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n with
+    r_t = exp(2 pi i p.w_t) formed per term from its 1-D ramps.  The
+    adjoint loops over the terms (-m_t, conj(r_t) rolled by m_t, c_t^H)
+    and takes the pointwise adjoint of the zero-shift field.
+    """
+    n, k = sym.n, sym.k
+    axes = tuple(range(n))
+    half = N // 2
+    lattice = (np.arange(N) - half) / (2.0 * sym.L)
+    m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
+    zero = ~w.any(axis=1)
+    zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
+    np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
+    field = centered_idft(zero_w, axes)
+    m, w, c = m[~zero], w[~zero], c[~zero]
+    ramps = np.exp(2j * np.pi * lattice * w[:, :, None])  # (terms, n, N)
+    if adjoint:
+        field = np.conj(np.swapaxes(field, -1, -2))
+        ramps = np.take_along_axis(np.conj(ramps), (np.arange(N) - m[:, :, None]) % N, axis=-1)
+        m, c = -m, np.conj(np.swapaxes(c, -1, -2))
+
+    def apply(values):
+        ghat = centered_dft(values, axes)
+        acc = np.zeros_like(ghat)
+        for shift, ramp, coeff in zip(m.tolist(), ramps, c):
+            phase = reduce(np.multiply.outer, ramp)[..., None, None]
+            acc += np.roll(np.einsum("ab,...bc->...ac", coeff, ghat) * phase, shift, axis=axes)
+        out = np.einsum("...ab,...bc->...ac", field, values)
+        return out + centered_idft(acc, axes) / float(N) ** n
+
+    return apply
+
+
+def gaussian_lift(N, k, rng):
+    # tilde_map of a 2-D Gaussian grid: about one group per m_1 in [-N/2, N/2)
+    mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    values = gaussian_values(2, N, L, 1.2)[..., :1, :1] * mix
+    return tilde_map(GridSymbol(2, N, L, values), J_HALF)
+
+
+def off_grid_symbol(n, k, rng):
+    # repeated m at different w (one group when w_0 and m_1 agree, so the
+    # kernel scatter-adds into one slot), shifts that wrap, and w = 0 terms
+    terms = []
+    for _ in range(6):
+        m = tuple(int(v) for v in rng.integers(-8, 9, size=n))
+        w0 = float(rng.choice([-0.4, 0.25]))
+        for w_rest in rng.uniform(-1.0, 1.0, size=(2, n - 1)):
+            c = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            terms.append((m, (w0,) + tuple(w_rest), c))
+        terms.append((m, tuple(rng.uniform(-1.0, 1.0, size=n)), rng.normal(size=(k, k))))
+    for m in ((0,) * n, (3,) + (-2,) * (n - 1)):
+        terms.append((m, (0.0,) * n, rng.normal(size=(k, k)) + 0.5j))
+    return PlaneWavePhaseSymbol(n, L, k, tuple(terms))
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+@pytest.mark.parametrize("family, n, k, N, seed", [
+    pytest.param("gaussian", 2, 1, 32, 1, id="gaussian-n2-k1"),
+    pytest.param("gaussian", 2, 2, 32, 2, id="gaussian-n2-k2"),
+    pytest.param("off-grid", 1, 1, 16, 3, id="off-grid-n1-k1"),
+    pytest.param("off-grid", 1, 2, 16, 4, id="off-grid-n1-k2"),
+    pytest.param("off-grid", 2, 1, 16, 5, id="off-grid-n2-k1"),
+    pytest.param("off-grid", 2, 2, 16, 6, id="off-grid-n2-k2"),
+])
+def test_lattice_action_matches_term_loop(family, n, k, N, seed, adjoint):
+    rng = np.random.default_rng(seed)
+    sym = gaussian_lift(N, k, rng) if family == "gaussian" else off_grid_symbol(n, k, rng)
+    if family == "gaussian":
+        # more groups than one chunk holds, and shifts up to N/2 that wrap
+        groups = len(np.unique(sym.terms["m"][:, 1]))
+        assert groups > _CHUNK_POINTS // (N ** n * k * k)
+        assert np.abs(sym.terms["m"]).max() >= N // 2 - 1
+    shape = (N,) * n + (k, k)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = term_loop_action(sym, N, adjoint)(values)
+    got = _lattice_action(sym, N, adjoint)(values)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deformkit.deformation import deformed_product_exact
+from deformkit.deformation import _CHUNK_POINTS, deformed_product_exact
 from deformkit.errors import GridMismatchError
 from deformkit.pseudodiff import (
     adjoint,
@@ -148,25 +148,31 @@ def off_grid_phase_symbol(n, k, zero_shift, rng):
     return PlaneWavePhaseSymbol(n, L, k, tuple(terms))
 
 
-@pytest.mark.parametrize("n, k, zero_shift, seed", [
-    pytest.param(2, 1, False, None, id="rieffel-n2-k1"),
-    pytest.param(1, 1, False, 1, id="n1-k1"),
-    pytest.param(1, 2, False, 2, id="n1-k2"),
-    pytest.param(2, 1, False, 3, id="n2-k1"),
-    pytest.param(2, 2, False, 4, id="n2-k2"),
-    pytest.param(1, 2, True, 5, id="n1-k2-zero-shift"),
-    pytest.param(2, 2, True, 6, id="n2-k2-zero-shift"),
+@pytest.mark.parametrize("family, n, k, zero_shift, seed", [
+    pytest.param("rieffel", 2, 1, False, None, id="rieffel-n2-k1"),
+    pytest.param("phase", 1, 1, False, 1, id="n1-k1"),
+    pytest.param("phase", 1, 2, False, 2, id="n1-k2"),
+    pytest.param("phase", 2, 1, False, 3, id="n2-k1"),
+    pytest.param("phase", 2, 2, False, 4, id="n2-k2"),
+    pytest.param("phase", 1, 2, True, 5, id="n1-k2-zero-shift"),
+    pytest.param("phase", 2, 2, True, 6, id="n2-k2-zero-shift"),
+    pytest.param("gaussian", 2, 1, True, 11, id="rieffel-gaussian32"),
 ])
-def test_adjoint_pairing(n, k, zero_shift, seed):
-    if seed is None:
-        rng = RNG
+def test_adjoint_pairing(family, n, k, zero_shift, seed):
+    N = 32 if family == "gaussian" else 16
+    rng = RNG if seed is None else np.random.default_rng(seed)
+    if family == "rieffel":
         J = DeformationMatrix.symplectic(0.3, 2)
         op = rieffel_operator(random_plane_wave(RNG, 2, L, 1, 2, 3), J, N=16)
+    elif family == "gaussian":
+        # 32 term groups, one per m_1: the lattice action runs them in two chunks
+        f = GridSymbol(2, N, L, gaussian_values(2, N, L, 1.2))
+        op = rieffel_operator(f, DeformationMatrix.symplectic(0.3, 2))
+        assert len(np.unique(op.terms.terms["m"][:, 1])) > _CHUNK_POINTS // N ** 2
     else:
-        rng = np.random.default_rng(seed)
         op = op_from_phase_terms(off_grid_phase_symbol(n, k, zero_shift, rng), 16)
-    f = band_limited_vector(rng, n, 16, L, 2, k)
-    g = band_limited_vector(rng, n, 16, L, 2, k)
+    f = band_limited_vector(rng, n, N, L, 2, k)
+    g = band_limited_vector(rng, n, N, L, 2, k)
     # the adjoint closure, and adjoint() rebuilt from the lattice terms alone
     for dag in (adjoint(op), adjoint(dataclasses.replace(op, adjoint_fn=None))):
         lhs = inner_product(op(f), g).entries

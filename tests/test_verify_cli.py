@@ -385,6 +385,29 @@ def test_runtime_imports_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_product_independent_of_blas_threads(tmp_path):
+    # The lattice action multiplies k x k blocks per frequency with einsum,
+    # never a BLAS call whose rounding depends on how many threads split it.
+    rng = np.random.default_rng(23)
+    paths = []
+    for width in (1.2, 0.9):
+        mix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        values = gaussian_values(2, 32, 6.0, width)[..., :1, :1] * mix
+        paths.append(str(tmp_path / f"w{width}.rsym"))
+        write_symbol_file(GridSymbol(2, 32, 6.0, values), paths[-1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"product-{threads}.rsym"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-m", "deformkit.verify_cli", "product", *paths, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_report_independent_of_blas_threads(tmp_path):
     # The kernel-pairing and symbol-map records reduce long quadratures;
     # they are numpy sums and FFTs, never a BLAS call whose rounding
