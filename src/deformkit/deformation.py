@@ -39,6 +39,7 @@ from .symbols import (
     DeformationMatrix,
     _rowdot,
     _term_array,
+    _wave_sum,
     centered_dft,
     centered_idft,
     eval_series,
@@ -70,23 +71,14 @@ _CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _lattice_actio
 class OscIntegralConfig:
     """Parameters of the regularized oscillatory quadrature.
 
-    n_reg defaults to floor(n/2) + 1 and must exceed n/2 for absolute
-    convergence; the weight order m_reg is always floor(n/2) + 1.  tol
-    is the route-agreement tolerance and check_points the number of
-    sample points at which the quadrature oracle verifies the lattice
-    route (0 disables the check).
+    The regularization order is floor(n/2) + 1 in dimension n, above n/2
+    for absolute convergence.  tol is the route-agreement tolerance and
+    check_points the number of sample points at which the quadrature
+    oracle verifies the lattice route (0 disables the check).
     """
 
-    n_reg: int | None = None
     tol: float = 1e-6
     check_points: int = 5
-
-    def resolve(self, n: int) -> tuple[int, int]:
-        """The regularization orders (n_reg, m_reg) in dimension n."""
-        n_reg = self.n_reg if self.n_reg is not None else n // 2 + 1
-        if not n_reg > n / 2:
-            raise ValueError(f"regularization order {n_reg} must exceed n/2 = {n / 2}")
-        return int(n_reg), n // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +106,21 @@ def _diff_weight_terms(terms, axis: int):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
-def _weight_derivative(n: int, m_reg: int, sigma: tuple) -> tuple:
-    terms = {((0,) * n, m_reg): 1.0}
-    for axis, order in enumerate(sigma):
-        for _ in range(order):
+def _weight_derivative(n: int, order: int, sigma: tuple) -> tuple:
+    terms = {((0,) * n, order): 1.0}
+    for axis, count in enumerate(sigma):
+        for _ in range(count):
             terms = _diff_weight_terms(terms, axis)
     return tuple((mono, q, c) for (mono, q), c in sorted(terms.items()))
 
 
-def _eval_weight_derivative(n: int, m_reg: int, sigma: tuple) -> np.ndarray:
-    """d^sigma (1+|v|^2)^{-m_reg} on the inner mesh."""
+def _eval_weight_derivative(n: int, order: int, sigma: tuple) -> np.ndarray:
+    """d^sigma (1+|v|^2)^{-order} on the inner mesh."""
     vax = _inner_axis()
     mesh = np.meshgrid(*([vax] * n), indexing="ij") if n > 1 else [vax]
     r2 = sum(v * v for v in mesh)
     out = np.zeros_like(r2, dtype=float)
-    for mono, q, c in _weight_derivative(n, m_reg, sigma):
+    for mono, q, c in _weight_derivative(n, order, sigma):
         term = c * (1.0 + r2) ** float(-q)
         for ax, power in enumerate(mono):
             if power:
@@ -164,16 +156,16 @@ def _reg_pairs(n: int, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _weight_groups(n: int, n_reg: int, m_reg: int) -> tuple:
-    """_reg_pairs(n, n_reg) grouped by sigma_g (cached, read-only).
+def _weight_groups(n: int, order: int) -> tuple:
+    """_reg_pairs(n, order) grouped by sigma_g (cached, read-only).
 
     Returns ((sigma_g, W), ...) in sorted sigma_g order with W the sum of
-    coef * d^{sigma_w} (1+|v|^2)^{-m_reg} over the pairs of that sigma_g,
+    coef * d^{sigma_w} (1+|v|^2)^{-order} over the pairs of that sigma_g,
     on the inner mesh.
     """
     groups: dict[tuple, np.ndarray] = {}
-    for sigma_w, sigma_g, coef in _reg_pairs(n, n_reg):
-        term = coef * _eval_weight_derivative(n, m_reg, sigma_w)
+    for sigma_w, sigma_g, coef in _reg_pairs(n, order):
+        term = coef * _eval_weight_derivative(n, order, sigma_w)
         groups[sigma_g] = groups[sigma_g] + term if sigma_g in groups else term
     for w in groups.values():
         w.flags.writeable = False
@@ -207,44 +199,33 @@ def _transform_inner(psi: np.ndarray, n: int) -> np.ndarray:
     return centered_idft(padded, tuple(range(n))) * h ** n
 
 
-def _dense_trig(freqs: np.ndarray, coeffs: np.ndarray, axes) -> np.ndarray:
-    """sum_t coeffs[t] prod_ax exp(2 pi i freqs[t, ax] axes[ax]) on the mesh."""
-    n = freqs.shape[1]
-    phases = [
-        np.exp(2j * np.pi * np.outer(freqs[:, ax], axes[ax])) for ax in range(n)
-    ]
-    if n == 1:
-        return np.einsum("tq,tab->qab", phases[0], coeffs)
-    return np.einsum("tq,tr,tab->qrab", phases[0], phases[1], coeffs)
-
-
-def _regularized_quadrature(n: int, n_reg: int, m_reg: int, g_derivative, fvals):
+def _regularized_quadrature(n: int, order: int, g_derivative, fvals):
     """int W_N(u) F_M(u) Gcheck(u) du from the caller's two evaluators.
 
     g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh and fvals
     holds F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on the outer mesh, both
-    with trailing k x k axes.
+    with trailing k x k axes; order is the regularization order N = M.
     """
     k = fvals.shape[-1]
-    # Psi(v) = (1 - Lap/4pi^2)^{n_reg} [ (1+|v|^2)^{-m_reg} g(x+v) ]: one
+    # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one
     # derivative of G at a time, in sorted order, so they come grouped by
     # their first order
     psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
-    for sigma_g, weight in _weight_groups(n, n_reg, m_reg):
+    for sigma_g, weight in _weight_groups(n, order):
         psi += weight[..., None, None] * g_derivative(sigma_g)
 
     gcheck = _transform_inner(psi, n)
 
     uax = _outer_axis()
     umesh = np.meshgrid(*([uax] * n), indexing="ij") if n > 1 else [uax]
-    wn = (1.0 + sum(u * u for u in umesh)) ** float(-n_reg)
+    wn = (1.0 + sum(u * u for u in umesh)) ** float(-order)
     du = uax[1] - uax[0]
     if n == 1:
         return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
     return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
 
 
-def oscillatory_pair_integral(fq, fc, gq, gc, cfg=None) -> np.ndarray:
+def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
     """Regularized evaluation of int int F(u) G(v) exp(2 pi i u.v) dv du.
 
     F(u) = sum_t fc[t] exp(2 pi i fq[t].u), G(v) = sum_t gc[t]
@@ -253,24 +234,20 @@ def oscillatory_pair_integral(fq, fc, gq, gc, cfg=None) -> np.ndarray:
     keeps F on the left.  Dense term evaluation; meant for moderate term
     counts.
     """
-    cfg = cfg or OscIntegralConfig()
     fq, gq = np.asarray(fq, dtype=float), np.asarray(gq, dtype=float)
     fc, gc = np.asarray(fc, dtype=np.complex128), np.asarray(gc, dtype=np.complex128)
     n = fq.shape[1]
-    n_reg, m_reg = cfg.resolve(n)
-    vax = _inner_axis()
-    uax = _outer_axis()
+    order = n // 2 + 1
+    vmesh = np.stack(np.meshgrid(*([_inner_axis()] * n), indexing="ij"), axis=-1)
+    umesh = np.stack(np.meshgrid(*([_outer_axis()] * n), indexing="ij"), axis=-1)
 
     def g_derivative(sigma_g):
-        mult = np.ones(len(gq), dtype=np.complex128)
-        for ax, order in enumerate(sigma_g):
-            if order:
-                mult = mult * (2j * np.pi * gq[:, ax]) ** order
-        return _dense_trig(gq, gc * mult[:, None, None], [vax] * n)
+        mult = np.prod((2j * np.pi * gq) ** np.asarray(sigma_g), axis=1)
+        return _wave_sum(gc * mult[:, None, None], 2j * np.pi, (vmesh,), (gq,))
 
-    fmult = (1.0 + np.sum(fq ** 2, axis=1)) ** m_reg
-    fvals = _dense_trig(fq, fc * fmult[:, None, None], [uax] * n)
-    return _regularized_quadrature(n, n_reg, m_reg, g_derivative, fvals)
+    fmult = (1.0 + np.sum(fq ** 2, axis=1)) ** order
+    fvals = _wave_sum(fc * fmult[:, None, None], 2j * np.pi, (umesh,), (fq,))
+    return _regularized_quadrature(n, order, g_derivative, fvals)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +292,9 @@ def _theta_of(J: DeformationMatrix) -> float:
     return float(J.entries[0, 1])
 
 
-def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
+def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     """Quadrature route for grid data via chirp-z lattice evaluation."""
-    n_reg, m_reg = cfg.resolve(n)
+    order = n // 2 + 1
     k = fhat.shape[-1]
     vax = _inner_axis()
     uax = _outer_axis()
@@ -359,13 +336,13 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x, cfg) -> np.ndarray:
         mult = (
             1.0
             + theta ** 2 * (p_axis[:, None] ** 2 + p_axis[None, :] ** 2)
-        ) ** m_reg
+        ) ** order
         c = fhat * (pre1[:, None] * pre2[None, :] * mult)[..., None, None]
         c = np.swapaxes(c, 0, 1)
         du = uax[1] - uax[0]
         c = _czt_axis(c, 0, L, -theta, float(uax[0]), du, len(uax))
         fvals = _czt_axis(c, 1, L, theta, float(uax[0]), du, len(uax))
-    return _regularized_quadrature(n, n_reg, m_reg, g_derivative, fvals)
+    return _regularized_quadrature(n, order, g_derivative, fvals)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +439,7 @@ def deformed_product_numeric(
         for i in _check_point_indices(f.N, cfg.check_points):
             idx = (i,) * f.n
             x = [float(f.axis[i])] * f.n
-            oracle = _quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x, cfg)
+            oracle = _quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x)
             disagree = float(np.abs(oracle - values[idx]).max()) / scale
             worst = max(worst, disagree)
             checked += 1
@@ -587,7 +564,7 @@ def _compose_terms(
         ta["m"][i] + tb["m"][j], c, ta["w"][i] + tb["w"][j]))
 
 
-def _kernel_value_oracle(omega, w, cfg) -> complex:
+def _kernel_value_oracle(omega, w) -> complex:
     """Quadrature value of (2pi)^{-n} int int e^{-iz.eta} e^{i omega.z} e^{i w.eta}.
 
     Separable per axis; the analytic value is exp(i omega.w).  Evaluated
@@ -598,7 +575,7 @@ def _kernel_value_oracle(omega, w, cfg) -> complex:
     for om_ax, w_ax in zip(omega, w):
         # eta-side factor exp(i w eta) -> F(u) = exp(2 pi i (w/2pi) u);
         # z-side exp(i omega z), z = -2 pi v -> G(v) = exp(2 pi i (-omega) v).
-        pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one, cfg)
+        pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one)
         val *= complex(pair[0, 0])
     return val
 
@@ -626,7 +603,7 @@ def symbol_dagger(a, cfg: OscIntegralConfig | None = None):
         for m, w, _ in terms.terms[: cfg.check_points]:
             omega = terms.omega(m)
             exact = np.exp(1j * float(omega @ np.asarray(w)))
-            oracle = _kernel_value_oracle(omega, w, cfg)
+            oracle = _kernel_value_oracle(omega, w)
             worst = max(worst, abs(oracle - exact))
         if worst > 10.0 * cfg.tol:
             raise ConvergenceError(
@@ -666,7 +643,7 @@ def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
             xiv = np.full(n, xi)
             # F(u) = a(x, xi - u): cycles -w/2pi; G(v) = b(x + 2 pi v, xi).
             oracle = oscillatory_pair_integral(-sa["w"] / (2.0 * np.pi), at(sa, om_a, xv, xiv),
-                                               om_b, at(sb, om_b, xv, xiv), cfg)
+                                               om_b, at(sb, om_b, xv, xiv))
             exact = result.evaluate(xv, xiv)
             worst = max(worst, float(np.abs(oracle - exact).max()) / scale)
         if worst > 10.0 * cfg.tol:
@@ -676,19 +653,18 @@ def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
     return result
 
 
-def fourier_inversion_check(f, x, cfg: OscIntegralConfig | None = None) -> float:
+def fourier_inversion_check(f, x) -> float:
     """Residual of int int exp(2 pi i u.v) f(x+v) dv du against f(x).
 
     The double integral is evaluated by the regularized quadrature
     (constant left factor); exact inversion means a zero residual.
     """
-    cfg = cfg or OscIntegralConfig()
     if isinstance(f, PlaneWaveSymbol):
         n, k = f.n, f.k
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         p = f.frequency(f.terms["m"])
         gc = f.terms["c"] * np.exp(2j * np.pi * _rowdot(p, xv))[:, None, None]
-        value = oscillatory_pair_integral(np.zeros((1, n)), np.eye(k)[None], p, gc, cfg)
+        value = oscillatory_pair_integral(np.zeros((1, n)), np.eye(k)[None], p, gc)
         target = f.evaluate(xv if n > 1 else xv[0])
     elif isinstance(f, GridSymbol):
         n, k = f.n, f.k
@@ -697,9 +673,7 @@ def fourier_inversion_check(f, x, cfg: OscIntegralConfig | None = None) -> float
         eye_slot = (f.N // 2,) * n
         fhat[eye_slot] = np.eye(k)
         ghat = series_coefficients(f)
-        value = _quadrature_point_lattice(
-            fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv, cfg
-        )
+        value = _quadrature_point_lattice(fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv)
         target = eval_series(significant_terms(f).terms, f.L, xv.reshape(1, n))[0]
     else:
         raise TypeError(f"cannot check {type(f).__name__}")

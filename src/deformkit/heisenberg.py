@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .deformation import _czt_axis
-from .errors import ConvergenceError, UnsupportedOperatorError
+from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
 from .pseudodiff import (
     DiscretizedOperator,
     ModuleVector,
@@ -173,8 +173,9 @@ def _act_adjoint(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
     The action factors as phase * modulation * translation; both
     translation branches are exactly unitary on the grid, so the adjoint
     is the reversed product of the inverted factors.  For incommensurate
-    shifts combined with modulation this differs from acting with
-    el.inverse() by a band-edge wrap, which the reversed order avoids.
+    shifts combined with modulation this differs from acting with the
+    inverse group element by a band-edge wrap, which the reversed order
+    avoids.
     """
     n = len(el.a)
     zero = (0.0,) * n
@@ -184,36 +185,30 @@ def _act_adjoint(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
 
 
 def adu_conjugate(op: DiscretizedOperator, a, b) -> DiscretizedOperator:
-    """AdU(a,b)(A) = U_{a,b} A U_{a,b}^{-1}.
+    """AdU(a,b)(A) = U A U* with U = U_{a,b}; U* = U^{-1} as U is unitary on the grid.
 
-    The forward closure conjugates by the unitary action; when A carries
-    a lattice symbol the shifted symbol sigma(. - a, . - b) rides along,
-    so the two routes can be compared.
+    Both closures are conjugated, so U A* U* is the exact adjoint of
+    U A U*.  When A carries a lattice symbol the shifted symbol
+    sigma(. - a, . - b) rides along, so the two routes can be compared.
+    A and U must act on one box (GridMismatchError otherwise).
     """
+    if op.geometry_in != op.geometry_out:
+        raise GridMismatchError(
+            f"AdU needs an operator on one box, got {op.geometry_in} -> {op.geometry_out}"
+        )
     n, N, L, k = op.geometry_in
     el = HeisenbergElement(tuple(a), tuple(b), 0.0)
-    inv = el.inverse()
 
-    def make(fn):
+    def conjugate(fn):
         def conjugated(values):
-            g = ModuleVector(n, N, L, values)
-            return heisenberg_act(el, ModuleVector(n, N, L, fn(heisenberg_act(inv, g).values))).values
+            mid = fn(_act_adjoint(el, ModuleVector(n, N, L, values)).values)
+            return heisenberg_act(el, ModuleVector(n, N, L, mid)).values
 
         return conjugated
 
-    def make_adjoint(fn):
-        def conjugated_adjoint(values):
-            g = ModuleVector(n, N, L, values)
-            mid = ModuleVector(n, N, L, fn(_act_adjoint(el, g).values))
-            return _act_adjoint(inv, mid).values
-
-        return conjugated_adjoint
-
     terms = shifted_symbol(op.terms, a, b) if op.terms is not None else None
-    adj = make_adjoint(op.adjoint_fn) if op.adjoint_fn is not None else None
     return DiscretizedOperator(
-        op.geometry_in, op.geometry_out, make(op.forward), adj, terms,
-        label=f"AdU({op.label})",
+        op.geometry_in, op.geometry_out, conjugate(op.forward), conjugate(op.adjoint_fn), terms
     )
 
 
@@ -237,9 +232,7 @@ def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
 
 def _require_terms(op: DiscretizedOperator) -> PlaneWavePhaseSymbol:
     if op.terms is None:
-        raise UnsupportedOperatorError(
-            f"operator {op.label!r} carries no lattice symbol"
-        )
+        raise UnsupportedOperatorError("operator carries no lattice symbol")
     return op.terms
 
 

@@ -10,28 +10,26 @@ operator built from phase-space lattice terms
 acts exactly on the periodic grid: in the coefficient domain each term
 is an index shift by m_t (omega_t = pi m_t / L) together with the phase
 ramp exp(2 pi i p . w_t), so modulation and translation are both exact.
-The adjoint of such an operator is the operator of the dagger symbol,
-and compositions stay inside the lattice class.
+Every operator carries its exact adjoint closure.  The adjoint of a
+lattice operator is the operator of the dagger symbol, and compositions
+stay inside the lattice class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
 
 from .deformation import _compose_terms, _dagger_terms, _lattice_action, tilde_map
-from .errors import (
-    GridMismatchError,
-    NoConvergenceError,
-    UnsupportedOperatorError,
-)
+from .errors import GridMismatchError, NoConvergenceError
 from .symbols import (
     DeformationMatrix,
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
+    _is_pow2,
     _sample_norms,
     centered_dft,
     centered_idft,
@@ -67,20 +65,19 @@ def right_multiply(g: ModuleVector, c) -> ModuleVector:
 
 @dataclass
 class DiscretizedOperator:
-    """Linear operator between discretized modules.
+    """Linear operator between discretized modules, with its exact adjoint.
 
-    forward maps value arrays of geometry_in to geometry_out.  When the
-    operator is a lattice phase-term sum its terms are carried along,
-    keeping adjoints and compositions exact; otherwise an explicit
-    adjoint closure may be supplied.
+    forward maps value arrays of geometry_in to geometry_out and adjoint_fn
+    is its exact matrix adjoint, from geometry_out back to geometry_in.  A
+    lattice phase-term operator also carries its terms, the symbolic form
+    that adjoints dagger and compositions multiply.
     """
 
     geometry_in: tuple
     geometry_out: tuple
     forward: object
-    adjoint_fn: object = None
+    adjoint_fn: object
     terms: PlaneWavePhaseSymbol | None = None
-    label: str = field(default="")
 
     def __call__(self, g: ModuleVector) -> ModuleVector:
         if g.geometry() != self.geometry_in:
@@ -98,28 +95,28 @@ class DiscretizedOperator:
             # continuum law; matches fwd exactly when every translation
             # in self.terms is a multiple of the grid step
             terms = _compose_terms(self.terms, other.terms)
-        adj = None
-        if self.adjoint_fn is not None and other.adjoint_fn is not None:
-            mine, theirs = self.adjoint_fn, other.adjoint_fn
-
-            def adj(values):
-                return theirs(mine(values))
-
-        def fwd(values, first=other.forward, second=self.forward):
-            return second(first(values))
-
         return DiscretizedOperator(
-            other.geometry_in, self.geometry_out, fwd, adj, terms,
-            label=f"{self.label}.{other.label}",
+            other.geometry_in, self.geometry_out, _chain(other.forward, self.forward),
+            _chain(self.adjoint_fn, other.adjoint_fn), terms,
         )
 
     def __matmul__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         return self.compose(other)
 
 
-def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,
-                        label: str = "op") -> DiscretizedOperator:
-    """Operator of a phase-space lattice symbol, exact on the periodic grid."""
+def _chain(first, second):
+    """values -> second(first(values))."""
+    return lambda values: second(first(values))
+
+
+def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int) -> DiscretizedOperator:
+    """Operator of a phase-space lattice symbol, exact on the periodic grid.
+
+    N must be a power of two, as for grid symbols: the lattice kernel folds
+    its axis-0 transforms for such grids (ValueError otherwise).
+    """
+    if not _is_pow2(N):
+        raise ValueError(f"points per axis must be a power of two, got {N}")
     geometry = (sym.n, N, sym.L, sym.k)
     return DiscretizedOperator(
         geometry,
@@ -127,7 +124,6 @@ def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int,
         _lattice_action(sym, N),
         _lattice_action(sym, N, adjoint=True),
         sym,
-        label=label,
     )
 
 
@@ -146,54 +142,46 @@ def rieffel_operator(
     if N is None:
         N = f.N if isinstance(f, GridSymbol) else default_grid_size(f.n)[0]
     sym = tilde_map(f, J)
-    return op_from_phase_terms(sym, N, label="L_f")
+    return op_from_phase_terms(sym, N)
 
 
-def multiplier_operator(phi, n: int, N: int, L: float, k: int = 1,
-                        label: str = "multiplier") -> DiscretizedOperator:
+def _sampled_operator(geometry: tuple, samples: np.ndarray, axes=()) -> DiscretizedOperator:
+    """Left multiplication by k x k samples: pointwise, or per frequency over axes.
+
+    The adjoint multiplies by the conjugate transposed samples.
+    """
+
+    def by(s):
+        def apply(values):
+            if not axes:
+                return np.einsum("...ab,...bc->...ac", s, values)
+            ghat = np.einsum("...ab,...bc->...ac", s, centered_dft(values, axes))
+            return centered_idft(ghat, axes) / float(geometry[1]) ** len(axes)
+
+        return apply
+
+    return DiscretizedOperator(
+        geometry, geometry, by(samples), by(np.conj(np.swapaxes(samples, -1, -2)))
+    )
+
+
+def multiplier_operator(phi, n: int, N: int, L: float, k: int = 1) -> DiscretizedOperator:
     """Operator of a frequency-only symbol phi(xi): diagonal after Fourier.
 
     phi is a callable taking arrays of angular frequencies per axis (as
     a mesh) and returning scalar or k x k samples.
     """
-    axes = tuple(range(n))
     xi = dual_axis_points(N, L)
     mesh = np.meshgrid(*([xi] * n), indexing="ij") if n > 1 else [xi]
     vals = np.asarray(phi(*mesh), dtype=np.complex128)
     if vals.shape == (N,) * n:
         vals = vals[..., None, None] * np.eye(k)
-    samples = vals
-
-    def forward(values):
-        ghat = centered_dft(values, axes)
-        ghat = np.einsum("...ab,...bc->...ac", samples, ghat)
-        return centered_idft(ghat, axes) / float(N) ** n
-
-    adj_samples = np.conj(np.swapaxes(samples, -1, -2))
-
-    def adjoint_fn(values):
-        ghat = centered_dft(values, axes)
-        ghat = np.einsum("...ab,...bc->...ac", adj_samples, ghat)
-        return centered_idft(ghat, axes) / float(N) ** n
-
-    geometry = (n, N, L, k)
-    return DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
+    return _sampled_operator((n, N, L, k), vals, tuple(range(n)))
 
 
-def multiplication_operator(psi: GridSymbol, label: str = "multiplication"):
+def multiplication_operator(psi: GridSymbol) -> DiscretizedOperator:
     """Pointwise left multiplication by a sampled symbol."""
-    samples = psi.values
-
-    def forward(values):
-        return np.einsum("...ab,...bc->...ac", samples, values)
-
-    adj_samples = np.conj(np.swapaxes(samples, -1, -2))
-
-    def adjoint_fn(values):
-        return np.einsum("...ab,...bc->...ac", adj_samples, values)
-
-    geometry = psi.geometry()
-    return DiscretizedOperator(geometry, geometry, forward, adjoint_fn, None, label=label)
+    return _sampled_operator(psi.geometry(), psi.values)
 
 
 def fourier_operator(n: int, N: int, L: float, k: int = 1,
@@ -203,55 +191,28 @@ def fourier_operator(n: int, N: int, L: float, k: int = 1,
     L_dual = np.pi * N / (2.0 * L)
     dx = 2.0 * L / N
     dxi = 2.0 * L_dual / N
-    if not inverse:
-        scale = (2.0 * np.pi) ** (-n / 2.0) * dx ** n
 
-        def forward(values):
-            return centered_dft(values, axes) * scale
+    def dft(values):
+        return centered_dft(values, axes) * ((2.0 * np.pi) ** (-n / 2.0) * dx ** n)
 
-        def adjoint_fn(values):
-            return centered_idft(values, axes) * ((2.0 * np.pi) ** (-n / 2.0) * dxi ** n)
+    def idft(values):
+        return centered_idft(values, axes) * ((2.0 * np.pi) ** (-n / 2.0) * dxi ** n)
 
-        geo_in, geo_out = (n, N, L, k), (n, N, L_dual, k)
-    else:
-        scale = (2.0 * np.pi) ** (-n / 2.0) * dxi ** n
-
-        def forward(values):
-            return centered_idft(values, axes) * scale
-
-        def adjoint_fn(values):
-            return centered_dft(values, axes) * ((2.0 * np.pi) ** (-n / 2.0) * dx ** n)
-
-        geo_in, geo_out = (n, N, L_dual, k), (n, N, L, k)
-    return DiscretizedOperator(
-        geo_in, geo_out, forward, adjoint_fn, None,
-        label="fourier_inv" if inverse else "fourier",
-    )
+    box, dual = (n, N, L, k), (n, N, L_dual, k)
+    if inverse:
+        return DiscretizedOperator(dual, box, idft, dft)
+    return DiscretizedOperator(box, dual, dft, idft)
 
 
 def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
     """Adjoint with respect to the weighted L2 inner product.
 
-    Uses the exact adjoint closure (matrix adjoint of the forward
-    action); lattice-term operators carry the dagger symbol along as
-    the adjoint's symbolic representation.
+    Swaps the forward action and its exact adjoint; lattice-term
+    operators carry the dagger symbol along as the adjoint's symbolic
+    representation.
     """
     terms = _dagger_terms(op.terms) if op.terms is not None else None
-    if op.adjoint_fn is not None:
-        return DiscretizedOperator(
-            op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward, terms,
-            label=f"{op.label}*",
-        )
-    if terms is not None:
-        N = op.geometry_in[1]
-        return DiscretizedOperator(
-            op.geometry_out, op.geometry_in,
-            _lattice_action(op.terms, N, adjoint=True), op.forward, terms,
-            label=f"{op.label}*",
-        )
-    raise UnsupportedOperatorError(
-        f"operator {op.label!r} has neither lattice terms nor an adjoint closure"
-    )
+    return DiscretizedOperator(op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward, terms)
 
 
 def operator_norm(op: DiscretizedOperator, tol: float = POWER_ITER_TOL) -> float:

@@ -361,14 +361,13 @@ def test_unitization_identities():
 
 
 def test_fourier_inversion_holds_pointwise():
-    cfg = OscIntegralConfig()
     constant = PlaneWaveSymbol(1, 4.0, 1, (((0,), 0.8 - 0.3j),))
     waves = PlaneWaveSymbol(1, 4.0, 1, (((1,), 1.0), ((-2,), 0.5j)))
     gauss = GridSymbol(1, 256, 8.0, gaussian_values(1, 256, 8.0, 1.0))
     worst = 0.0
     for f in (constant, waves, gauss):
         for x in np.linspace(-1.0, 1.0, 5):
-            worst = max(worst, float(fourier_inversion_check(f, np.array([x]), cfg)))
+            worst = max(worst, float(fourier_inversion_check(f, np.array([x]))))
     record_criterion(
         "fourier inversion",
         worst <= INVERSION_TOL,

@@ -261,22 +261,15 @@ def test_compose_quadrature_gate_passes_on_defaults():
 
 def test_pair_integral_of_constants():
     # F = G = 1 gives int int e^{-2 pi i u.v} du dv = 1 after regularization.
-    value = oscillatory_pair_integral([[0.0]], [np.eye(1)], [[0.0]], [np.eye(1)],
-                                      OscIntegralConfig())
+    value = oscillatory_pair_integral([[0.0]], [np.eye(1)], [[0.0]], [np.eye(1)])
     assert_allclose(value, [[1.0]], atol=1e-8)
 
 
 def test_pair_integral_matches_point_evaluation():
     # F constant, G a single wave: the integral collapses to G(0) = c.
     c = 0.7 - 0.2j
-    value = oscillatory_pair_integral([[0.0]], [np.eye(1)], [[0.25]], [c * np.eye(1)],
-                                      OscIntegralConfig())
+    value = oscillatory_pair_integral([[0.0]], [np.eye(1)], [[0.25]], [c * np.eye(1)])
     assert_allclose(value, [[c]], atol=1e-6)
-
-
-def test_regularization_orders_must_exceed_half_dimension():
-    with pytest.raises(ValueError):
-        OscIntegralConfig(n_reg=0).resolve(1)
 
 
 def test_fourier_inversion_on_plane_wave():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from deformkit.errors import ConvergenceError, UnsupportedOperatorError
+from deformkit.errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
 from deformkit.heisenberg import (
     KERNEL_U_L2,
     KERNEL_V_L2,
@@ -38,9 +38,14 @@ from deformkit.heisenberg import (
     shifted_symbol,
     symbol_map_S,
 )
-from deformkit.pseudodiff import fourier_operator, op_from_phase_terms, operator_norm
+from deformkit.pseudodiff import adjoint, fourier_operator, op_from_phase_terms, operator_norm
 from deformkit.symbols import ModuleVector, PlaneWavePhaseSymbol, norm_L2
-from deformkit.verify_cli import gaussian_values, norm_axiom_slacks, symbol_map_error
+from deformkit.verify_cli import (
+    band_limited_vector,
+    gaussian_values,
+    norm_axiom_slacks,
+    symbol_map_error,
+)
 
 RNG = np.random.default_rng(17320)
 L = 4.0
@@ -202,6 +207,21 @@ def test_conjugation_carries_shifted_terms():
     for (m, w, c), (m2, w2, c2) in zip(conj.terms.terms, expected.terms):
         assert m == m2
         assert_allclose(c, c2, atol=1e-15)
+
+
+@pytest.mark.parametrize("a, b", [(0.37, 0.0), (0.0, 0.25), (0.37, 0.25)])
+def test_adu_fixes_identity(a, b):
+    # U 1 U* = 1: AdU conjugates by U* = U^-1, also for b off the box characters
+    one = op_from_phase_terms(PlaneWavePhaseSymbol(1, L, 1, (((0,), (0.0,), 1.0),)), 32)
+    conj = adu_conjugate(one, (a,), (b,))
+    g = band_limited_vector(RNG, 1, 32, L, 3)
+    assert np.abs(conj(g).values - g.values).max() <= 1e-13
+    assert np.abs(adjoint(conj)(g).values - g.values).max() <= 1e-13
+
+
+def test_adu_rejects_operators_between_two_boxes():
+    with pytest.raises(GridMismatchError):
+        adu_conjugate(fourier_operator(1, 32, L), (0.37,), (0.25,))
 
 
 # ---------------------------------------------------------------------------

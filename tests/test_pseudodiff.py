@@ -1,13 +1,12 @@
 """Discretized operators: twisted translations, norms, adjoints."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from deformkit.deformation import _CHUNK_POINTS, deformed_product_exact
 from deformkit.errors import GridMismatchError
+from deformkit.heisenberg import adu_conjugate
 from deformkit.pseudodiff import (
     adjoint,
     cv_functional,
@@ -25,6 +24,7 @@ from deformkit.symbols import (
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
+    dual_axis_points,
     inner_product,
     norm_L2,
 )
@@ -173,11 +173,9 @@ def test_adjoint_pairing(family, n, k, zero_shift, seed):
         op = op_from_phase_terms(off_grid_phase_symbol(n, k, zero_shift, rng), 16)
     f = band_limited_vector(rng, n, N, L, 2, k)
     g = band_limited_vector(rng, n, N, L, 2, k)
-    # the adjoint closure, and adjoint() rebuilt from the lattice terms alone
-    for dag in (adjoint(op), adjoint(dataclasses.replace(op, adjoint_fn=None))):
-        lhs = inner_product(op(f), g).entries
-        rhs = inner_product(f, dag(g)).entries
-        assert np.abs(lhs - rhs).max() <= 1e-10
+    lhs = inner_product(op(f), g).entries
+    rhs = inner_product(f, adjoint(op)(g)).entries
+    assert np.abs(lhs - rhs).max() <= 1e-10
 
 
 def test_adjoint_of_multiplication_is_star():
@@ -196,15 +194,33 @@ def test_adjoint_of_multiplication_is_star():
     pytest.param("fourier-inverse", 2, 1, 10, id="fourier-inverse-n2-k1"),
     pytest.param("multiplier", 1, 2, 11, id="multiplier-n1-k2"),
     pytest.param("multiplier", 2, 1, 12, id="multiplier-n2-k1"),
+    pytest.param("multiplication", 1, 2, 13, id="multiplication-n1-k2"),
+    pytest.param("multiplication", 2, 2, 14, id="multiplication-n2-k2"),
+    pytest.param("adu", 1, 2, 15, id="adu-n1-k2"),
+    pytest.param("adu", 2, 1, 16, id="adu-n2-k1"),
+    pytest.param("compose", 1, 2, 17, id="compose-n1-k2"),
+    pytest.param("compose", 2, 1, 18, id="compose-n2-k1"),
 ])
 def test_closure_adjoint_pairing(kind, n, k, seed):
-    # <A f, g> = <f, A* g> for the operators that carry only an adjoint closure
+    # <A f, g> = <f, A* g> for the adjoint closure of every operator constructor
     rng = np.random.default_rng(seed)
+
+    def multiplication():
+        values = rng.normal(size=(16,) * n + (k, k)) + 1j * rng.normal(size=(16,) * n + (k, k))
+        return multiplication_operator(GridSymbol(n, 16, L, values))
+
     if kind == "multiplier":
         def phi(*xi):
             return np.exp(1j * xi[0]) / (1.0 + sum(v ** 2 for v in xi))
 
         op = multiplier_operator(phi, n, 16, 4.0, k)
+    elif kind == "multiplication":
+        op = multiplication()
+    elif kind == "adu":
+        phase = op_from_phase_terms(off_grid_phase_symbol(n, k, True, rng), 16)
+        op = adu_conjugate(phase, (0.37,) * n, (0.25,) * n)
+    elif kind == "compose":
+        op = op_from_phase_terms(off_grid_phase_symbol(n, k, False, rng), 16) @ multiplication()
     else:
         op = fourier_operator(n, 16, 4.0, k, inverse=kind == "fourier-inverse")
     f = band_limited_vector(rng, n, 16, op.geometry_in[2], 2, k)
@@ -212,6 +228,25 @@ def test_closure_adjoint_pairing(kind, n, k, seed):
     lhs = inner_product(op(f), g).entries
     rhs = inner_product(f, adjoint(op)(g)).entries
     assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(lhs).max()
+
+
+def test_fourier_conjugated_multiplication_is_multiplier():
+    # F^-1 M_phi F with M_phi pointwise on the dual box is the multiplier phi(xi)
+    n, N, L1, k = 2, 16, 4.0, 2
+    c = np.array([[1.0, 0.5j], [-0.25, 2.0]])
+
+    def phi(*xi):
+        return (np.exp(1j * xi[0]) / (1.0 + xi[0] ** 2 + xi[1] ** 2))[..., None, None] * c
+
+    F = fourier_operator(n, N, L1, k)
+    # the points of the dual box are the angular frequencies of the box
+    xi = dual_axis_points(N, L1)
+    dual = GridSymbol(n, N, F.geometry_out[2], phi(*np.meshgrid(xi, xi, indexing="ij")))
+    op = fourier_operator(n, N, L1, k, inverse=True) @ multiplication_operator(dual) @ F
+    expected = multiplier_operator(phi, n, N, L1, k)
+    g = band_limited_vector(RNG, n, N, L1, 3, k)
+    assert np.abs(op(g).values - expected(g).values).max() <= 1e-12
+    assert np.abs(adjoint(op)(g).values - adjoint(expected)(g).values).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +334,15 @@ def test_norm_bounded_by_cv_functional_times_constant():
     w_choices = np.arange(-3, 4) * np.pi / 4.0
     family = [random_phase_symbol(RNG, 4.0, 2, 3, w_choices) for _ in range(5)]
     assert cv_fit(family, 4.0, 4.0, 64) <= 10.0
+
+
+@pytest.mark.parametrize("N", [9, 12, 15])
+def test_op_from_phase_terms_rejects_non_power_of_two(N):
+    # the grouped lattice kernel folds the axis-0 transforms for even, 2^j grids
+    sym = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.3,), 0.8), ((-2,), (0.0,), 0.5),
+                                            ((0,), (-0.7,), 0.2j)))
+    with pytest.raises(ValueError, match="power of two"):
+        op_from_phase_terms(sym, N)
 
 
 def test_op_from_phase_terms_reduces_to_multiplication():
