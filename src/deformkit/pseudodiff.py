@@ -17,6 +17,7 @@ stay inside the lattice class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
@@ -52,9 +53,9 @@ __all__ = [
     "right_multiply",
 ]
 
-POWER_ITER_SEED = 0x5EED
-POWER_ITER_TOL = 1e-8
-POWER_ITER_MAX = 10_000
+NORM_SEED = 0x5EED
+NORM_TOL = 1e-8
+NORM_MAX_STEPS = 10_000
 
 
 def right_multiply(g: ModuleVector, c) -> ModuleVector:
@@ -215,33 +216,103 @@ def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
     return DiscretizedOperator(op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward, terms)
 
 
-def operator_norm(op: DiscretizedOperator, tol: float = POWER_ITER_TOL) -> float:
-    """Spectral norm by power iteration on A*A.
+def operator_norm(op: DiscretizedOperator, tol: float = NORM_TOL) -> float:
+    """Spectral norm by the Lanczos recurrence on A*A.
 
-    Deterministic start (seeded with POWER_ITER_SEED), stops when the
-    Rayleigh quotient changes by less than tol relatively;
-    NoConvergenceError after POWER_ITER_MAX iterations.
+    The symmetric three-term recurrence runs from a seeded random start
+    (NORM_SEED) and keeps only the last two Lanczos vectors and the
+    coefficients alpha_j, beta_j of the tridiagonal T_k.  It stops when
+    the residual beta_k |s_k| of the top Ritz pair of T_k is at most
+    tol * theta_k and returns sqrt(theta_k), which approaches the norm
+    from below.  NoConvergenceError after NORM_MAX_STEPS steps, or at
+    once when an application gives a non-finite alpha or beta.
     """
     n, N, L, k = op.geometry_in
-    star = adjoint(op)
-    rng = np.random.default_rng(POWER_ITER_SEED)
+    rng = np.random.default_rng(NORM_SEED)
     shape = (N,) * n + (k, k)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITER_MAX):
-        w = star.forward(op.forward(v))
-        new_lam = float(np.real(np.vdot(v, w)))
-        scale = np.linalg.norm(w)
-        if scale == 0.0:
-            return 0.0
-        v = w / scale
-        if new_lam > 0 and abs(new_lam - lam) <= tol * new_lam:
-            return float(np.sqrt(new_lam))
-        lam = new_lam
-    raise NoConvergenceError(
-        f"power iteration did not settle within {POWER_ITER_MAX} iterations"
-    )
+    v /= _real_dot(v, v) ** 0.5
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = theta = residual = 0.0
+    for _ in range(NORM_MAX_STEPS):
+        w = op.adjoint_fn(op.forward(v))
+        alpha = _real_dot(v, w)
+        w = w - alpha * v - beta * v_prev
+        beta = _real_dot(w, w) ** 0.5
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NoConvergenceError(f"non-finite Lanczos step: alpha {alpha}, beta {beta}")
+        alphas.append(alpha)
+        betas.append(beta)
+        theta, s = _top_ritz(alphas, betas, theta, residual) if alphas[1:] else (alpha, 1.0)
+        residual = beta * s
+        if residual <= tol * theta:
+            return math.sqrt(max(theta, 0.0))
+        v_prev, v = v, w / beta
+    raise NoConvergenceError(f"Lanczos did not settle within {NORM_MAX_STEPS} steps")
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> by einsum over the float views: no BLAS, so no thread-dependent rounding."""
+    return float(np.einsum("i,i->", a.reshape(-1).view(np.float64),
+                           b.reshape(-1).view(np.float64)))
+
+
+def _top_ritz(alphas: list, betas: list, pole: float, r: float) -> tuple:
+    """Top eigenvalue of the Lanczos matrix T_k and the last entry of its eigenvector.
+
+    T_k has diagonal alphas and off-diagonal betas[:-1]; pole is the top
+    eigenvalue of T_{k-1} and r = betas[-2] |s_{k-1}| its residual.  By
+    interlacing and Weyl the root lies in [pole, max(pole, alpha_k) +
+    beta_{k-1}], and the top eigenvalue of [[pole, r], [r, alpha_k]] is a
+    lower bound to start from.  Above the pole every leading pivot of
+    x - T_k is positive, and the last one, d_k(x), has the root as its
+    only zero and a pole of residue -r^2 at the pole.  Newton runs on
+    (x - pole) d_k(x), which is smooth there; bisection guards the
+    bracket.  |s_k| then comes from the bottom-up pivots, whose products
+    are the eigenvector's entries.  Each pass is O(k).
+    """
+    a_k = alphas[-1]
+    lo, hi = pole, max(pole, a_k) + betas[-2]
+    x = min(max(0.5 * (pole + a_k) + math.hypot(0.5 * (pole - a_k), r), lo), hi)
+    couplings = list(zip(alphas[1:], betas))
+    while True:
+        d, slope = x - alphas[0], 1.0
+        for a, b in couplings:
+            if d <= 0.0:
+                lo = x  # below the top eigenvalue of a leading block
+                break
+            q = b / d
+            slope = 1.0 + q * q * slope
+            d = x - a - b * q
+        else:
+            if d > 0.0:
+                hi = x
+            else:
+                lo = x
+            t = x - pole
+            dg = d + t * slope  # derivative of (x - pole) d_k(x)
+            if dg > 0.0:
+                step = x - t * d / dg
+                if step == x:
+                    break
+                if lo < step < hi:
+                    x = step
+                    continue
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        x = mid
+    # bottom-up pivots D_j of x - T_k: eigenvector entry j is entry j + 1
+    # times D_{j+1} / beta_j, from entry k = 1
+    D, entry, total = x - a_k, 1.0, 1.0
+    for a, b in zip(alphas[-2::-1], betas[-2::-1]):
+        if D <= 0.0:
+            return x, 1.0
+        entry *= D / b
+        total += entry * entry
+        D = x - a - b * b / D
+    return x, total ** -0.5
 
 
 def cv_functional(sym: PlaneWavePhaseSymbol, x_axis, xi_axis) -> float:

@@ -50,7 +50,7 @@ from .heisenberg import (
     symbol_map_S,
 )
 from .pseudodiff import (
-    POWER_ITER_TOL,
+    NORM_TOL,
     cv_functional,
     fourier_operator,
     op_from_phase_terms,
@@ -262,7 +262,7 @@ def gaussian_values(n: int, N: int, L: float, width: float, k: int = 1,
     return out
 
 
-def sup_op_gap(family, tol: float = POWER_ITER_TOL) -> float:
+def sup_op_gap(family, tol: float = NORM_TOL) -> float:
     """Worst |sup f - ||L_f||| / sup f at J = 0 over grid symbols f."""
     worst = 0.0
     for f in family:
@@ -273,7 +273,7 @@ def sup_op_gap(family, tol: float = POWER_ITER_TOL) -> float:
 
 
 def interplay_residual(pairs, J: DeformationMatrix, h: ModuleVector,
-                       tol: float = POWER_ITER_TOL) -> float:
+                       tol: float = NORM_TOL) -> float:
     """Worst ||L_f L_g h - L_{f x_J g} h|| / (||L_f|| ||L_g|| ||h||) over pairs (f, g)."""
     hn = norm_L2(h)
     worst = 0.0
@@ -834,24 +834,28 @@ def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
     pts = 256 if n == 1 else 32
     x_ax = np.linspace(-f.L, f.L, pts, endpoint=False)
     status = EXIT_PASS
-    for theta in thetas:
-        J = DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
-        op = rieffel_operator(f, J, N=N)
-        rep = differential_norms(op, m)
-        opn = rep.op_norm
-        w_max = float(np.abs(op.terms.terms["w"]).max(initial=0.0))
-        box_xi = max(2.0 * np.pi, 2.0 * w_max)
-        pi = cv_functional(op.terms, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
-        ratio = opn / pi if pi > 0 else 0.0
-        row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
-        row += [f"{v:.12g}" for v in rep.T]
-        row += [f"{v:.12g}" for v in rep.s]
-        row.append(f"{ratio:.12g}")
-        rows.append(",".join(row))
-        if abs(theta) < 1e-12 and abs(sup - opn) > 0.02 * sup:
-            print(f"check failure: sup norm {sup:.6g} and operator norm "
-                  f"{opn:.6g} disagree beyond 2% at theta = 0", file=sys.stderr)
-            status = EXIT_CHECK
+    try:
+        for theta in thetas:
+            J = DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
+            op = rieffel_operator(f, J, N=N)
+            rep = differential_norms(op, m)
+            opn = rep.op_norm
+            w_max = float(np.abs(op.terms.terms["w"]).max(initial=0.0))
+            box_xi = max(2.0 * np.pi, 2.0 * w_max)
+            pi = cv_functional(op.terms, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
+            ratio = opn / pi if pi > 0 else 0.0
+            row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
+            row += [f"{v:.12g}" for v in rep.T]
+            row += [f"{v:.12g}" for v in rep.s]
+            row.append(f"{ratio:.12g}")
+            rows.append(",".join(row))
+            if abs(theta) < 1e-12 and abs(sup - opn) > 0.02 * sup:
+                print(f"check failure: sup norm {sup:.6g} and operator norm "
+                      f"{opn:.6g} disagree beyond 2% at theta = 0", file=sys.stderr)
+                status = EXIT_CHECK
+    except (ConvergenceError, NoConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     text = "\n".join(rows) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -871,7 +875,11 @@ def cmd_verify(cfg: RunConfig, suites, workers: int | None,
               f"available: {', '.join(sorted(SUITES))}", file=sys.stderr)
         return EXIT_USAGE
     start = time.monotonic()
-    reports = run_suites(cfg, names, workers or cfg.workers)
+    try:
+        reports = run_suites(cfg, names, workers or cfg.workers)
+    except (ConvergenceError, NoConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
     print(f"total wall-clock: {time.monotonic() - start:.1f}s", file=sys.stderr)
     text = _report_json(reports)
     target = out_path or cfg.out

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deformkit.deformation import _CHUNK_POINTS, deformed_product_exact
-from deformkit.errors import GridMismatchError
+from deformkit.errors import GridMismatchError, NoConvergenceError
 from deformkit.heisenberg import adu_conjugate
 from deformkit.pseudodiff import (
+    DiscretizedOperator,
     adjoint,
     cv_functional,
     fourier_operator,
@@ -34,6 +35,7 @@ from deformkit.verify_cli import (
     gaussian_values,
     random_phase_symbol,
     random_plane_wave,
+    sup_op_gap,
 )
 
 RNG = np.random.default_rng(14142)
@@ -41,7 +43,7 @@ L = 6.0
 
 
 def dense_matrix(op):
-    """Materialize a k=1 operator as a dense matrix for oracle norms."""
+    """Materialize an operator as a dense matrix for oracle norms."""
     n, N, _, k = op.geometry_in
     dim = N ** n * k * k
     cols = []
@@ -258,6 +260,36 @@ def test_operator_norm_matches_dense_svd():
     op = rieffel_operator(f, DeformationMatrix.zero(1), N=16)
     dense = dense_matrix(op)
     assert_allclose(operator_norm(op), np.linalg.norm(dense, 2), rtol=1e-6)
+    # deformed 2-D operators up to dimension 8^2 * 2^2 = 256: the Ritz value
+    # meets the dense norm at the default tolerance and never passes it
+    for theta, k in ((0.0, 1), (0.25, 1), (0.25, 2), (0.7, 2)):
+        f = random_plane_wave(RNG, 2, 6.0, k, 2, 4)
+        op = rieffel_operator(f, DeformationMatrix.symplectic(theta, 2), N=8)
+        exact = np.linalg.norm(dense_matrix(op), 2)
+        estimate = operator_norm(op)
+        assert_allclose(estimate, exact, rtol=1e-8)
+        assert estimate <= exact * (1.0 + 1e-12)
+
+
+def test_undeformed_sup_op_gap_is_rounding():
+    rng = np.random.default_rng(27182)
+    family = [GridSymbol(2, 16, L, band_limited_vector(rng, 2, 16, L, 2, 2).values)
+              for _ in range(4)]
+    assert sup_op_gap(family) <= 1e-10
+
+
+def test_operator_norm_fails_at_once_on_non_finite_values():
+    applications = []
+
+    def nan_values(values):
+        applications.append(values.shape)
+        return np.full_like(values, np.nan)
+
+    geometry = (1, 16, 4.0, 1)
+    op = DiscretizedOperator(geometry, geometry, nan_values, nan_values)
+    with pytest.raises(NoConvergenceError):
+        operator_norm(op)
+    assert len(applications) <= 2
 
 
 def test_operator_norm_of_unitary_modulation():

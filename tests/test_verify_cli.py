@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deformkit import verify_cli
 from deformkit.deformation import deformed_product_exact
+from deformkit.errors import ConvergenceError, NoConvergenceError
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
@@ -243,6 +245,18 @@ def test_norms_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("error", [NoConvergenceError, ConvergenceError])
+def test_norms_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("norm did not settle")
+
+    monkeypatch.setattr(verify_cli, "differential_norms", fail)
+    wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
+    code = main(["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: norm did not settle"]
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -293,6 +307,19 @@ def test_verify_workers_below_one_exits_3(tmp_path, workers):
 def test_verify_unknown_suite_exits_3(tmp_path):
     code = main(["verify", "--suites", "bogus", "--out", str(tmp_path / "r.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("error", [NoConvergenceError, ConvergenceError])
+def test_verify_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("norm did not settle")
+
+    monkeypatch.setattr(verify_cli, "operator_norm", fail)
+    out = tmp_path / "r.json"
+    code = main(["verify", "--suites", "sup-op", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: norm did not settle"]
+    assert not out.exists()
 
 
 def test_verify_honors_config_file(tmp_path):
@@ -412,14 +439,16 @@ def test_report_independent_of_blas_threads(tmp_path):
     # The kernel-pairing and symbol-map records reduce long quadratures;
     # they are numpy sums and FFTs, never a BLAS call whose rounding
     # depends on how many threads split it.  The cv and product-oracle
-    # suites cover the shared term evaluator and the exact product.
+    # suites cover the shared term evaluator and the exact product; the
+    # norm suites cover the Lanczos inner products and the Ritz solve.
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"report-{threads}.json"
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run(
             [sys.executable, "-m", "deformkit.verify_cli", "verify",
-             "--suites", "cv,kernel-identity,product-oracle,symbol-map", "--out", str(out)],
+             "--suites", "cv,interplay,inverse-cv,kernel-identity,norm-hierarchy,"
+             "product-oracle,sup-op,symbol-map", "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert done.returncode == 0, done.stderr
