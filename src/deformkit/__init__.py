@@ -10,10 +10,7 @@ from .coeff_algebra import (
     MatrixElement,
     UnitizedElement,
     cstar_norm,
-    seminorm_from_rep,
     smooth_calculus,
-    spectral_invariance_check,
-    spectral_radius,
     spectral_smoothing,
     spectrum,
     unitized_inverse,
@@ -22,11 +19,9 @@ from .coeff_algebra import (
 from .errors import (
     BoxMismatchError,
     ConvergenceError,
-    DecayViolationError,
     DeformkitError,
     GridMismatchError,
     NoConvergenceError,
-    NotHomomorphismError,
     NotSelfAdjointError,
     OrderTooHighError,
     SingularError,
@@ -40,15 +35,10 @@ from .symbols import (
     PlaneWaveSymbol,
     default_grid_size,
     derivative,
-    fourier,
     inner_product,
-    norm_2,
     norm_L2,
     read_symbol_file,
-    seminorm_B,
-    seminorm_S,
     sup_norm,
-    symbol_star,
     write_symbol_file,
 )
 from .deformation import (
@@ -57,8 +47,6 @@ from .deformation import (
     deformed_product_numeric,
     fourier_inversion_check,
     oscillatory_pair_integral,
-    symbol_compose,
-    symbol_dagger,
     tilde_map,
 )
 from .pseudodiff import (
@@ -66,12 +54,9 @@ from .pseudodiff import (
     adjoint,
     cv_functional,
     fourier_operator,
-    multiplication_operator,
-    multiplier_operator,
     op_from_phase_terms,
     operator_norm,
     rieffel_operator,
-    right_multiply,
 )
 from .heisenberg import (
     DifferentialNormReport,

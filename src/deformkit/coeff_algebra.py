@@ -2,20 +2,18 @@
 
 The coefficient fibers are full matrix algebras M_k (k <= 8) with the
 operator 2-norm as C*-norm.  This module provides the norm, spectra of
-elements and of their unitizations, inversion in the unitization,
-smooth functional calculus for self-adjoint elements, seminorms induced
-by *-representations, and a spectral-invariance membership check for
-unital subalgebras.
+elements and of their unitizations, inversion in the unitization, and
+smooth functional calculus for self-adjoint elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import NotHomomorphismError, NotSelfAdjointError, SingularError
+from .errors import NotSelfAdjointError, SingularError
 
 __all__ = [
     "MatrixElement",
@@ -24,12 +22,9 @@ __all__ = [
     "cstar_norm",
     "spectrum",
     "unitized_spectrum",
-    "spectral_radius",
     "unitized_inverse",
     "smooth_calculus",
     "spectral_smoothing",
-    "seminorm_from_rep",
-    "spectral_invariance_check",
 ]
 
 MAX_DIM = 8
@@ -137,11 +132,6 @@ def unitized_spectrum(a) -> tuple:
     return _cluster(np.asarray(list(vals) + [0.0 + 0.0j]))
 
 
-def spectral_radius(a) -> float:
-    """Largest modulus of an eigenvalue of a."""
-    return float(max(abs(np.linalg.eigvals(_as_entries(a)))))
-
-
 def unitized_inverse(x: UnitizedElement) -> UnitizedElement:
     """Inverse of (a, alpha) in the unitization.
 
@@ -203,93 +193,3 @@ def spectral_smoothing(y, eps: float) -> MatrixElement:
         return t * (1.0 - chi)
 
     return smooth_calculus(f, y)
-
-
-def _matrix_units(k: int) -> list[np.ndarray]:
-    units = []
-    for i in range(k):
-        for j in range(k):
-            e = np.zeros((k, k), dtype=np.complex128)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
-
-
-def seminorm_from_rep(rho: Callable[[np.ndarray], np.ndarray], b) -> float:
-    """Seminorm ||rho(b)|| induced by a *-representation rho of M_k.
-
-    Multiplicativity and adjoint-compatibility of rho are checked on all
-    matrix units to 1e-12; NotHomomorphismError otherwise.  The result
-    never exceeds ||b|| + 1e-10.
-    """
-    mat = _as_entries(b)
-    k = mat.shape[0]
-    units = _matrix_units(k)
-    images = [np.asarray(rho(e), dtype=np.complex128) for e in units]
-    scale = max(1.0, max(np.linalg.norm(im, 2) for im in images))
-    for e, im in zip(units, images):
-        im_star = np.asarray(rho(e.conj().T), dtype=np.complex128)
-        if np.linalg.norm(im_star - im.conj().T, 2) > 1e-12 * scale:
-            raise NotHomomorphismError("rho is not adjoint-compatible on matrix units")
-    for (e, im_e) in zip(units, images):
-        for (f_, im_f) in zip(units, images):
-            im_prod = np.asarray(rho(e @ f_), dtype=np.complex128)
-            if np.linalg.norm(im_prod - im_e @ im_f, 2) > 1e-12 * scale * scale:
-                raise NotHomomorphismError("rho is not multiplicative on matrix units")
-    return float(np.linalg.norm(np.asarray(rho(mat), dtype=np.complex128), 2))
-
-
-def _orthonormal_span(vectors: list[np.ndarray], tol: float = 1e-12) -> np.ndarray:
-    """Gram-Schmidt basis (columns) of the span of the given flat vectors."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(np.complex128).copy()
-        scale = np.linalg.norm(w)
-        if scale == 0:
-            continue
-        for q in basis:
-            w -= q * np.vdot(q, w)
-        # Reorthogonalize once for numerical safety.
-        for q in basis:
-            w -= q * np.vdot(q, w)
-        nrm = np.linalg.norm(w)
-        if nrm > tol * scale:
-            basis.append(w / nrm)
-    return np.array(basis).T if basis else np.zeros((vectors[0].size, 0))
-
-
-def _residual_outside_span(q: np.ndarray, v: np.ndarray) -> float:
-    """Relative norm of the component of v outside the span with basis q."""
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
-        return 0.0
-    resid = v - q @ (q.conj().T @ v)
-    return float(np.linalg.norm(resid) / nrm)
-
-
-def spectral_invariance_check(b, basis: Sequence) -> bool:
-    """Check that b^{-1} stays in the unital subalgebra generated by basis.
-
-    The span of words in {1} + basis is saturated under products, b is
-    required to lie in it, and True is returned when b^{-1} lies in it
-    with relative residual <= 1e-10.  SingularError when b is singular.
-    """
-    mat = _as_entries(b)
-    k = mat.shape[0]
-    mats = [np.eye(k, dtype=np.complex128)] + [_as_entries(m) for m in basis]
-    vecs = [m.reshape(-1) for m in mats]
-    q = _orthonormal_span(vecs)
-    # Saturate under multiplication: the span of words stabilizes at dim <= k^2.
-    while q.shape[1] < k * k:
-        cols = [q[:, i].reshape(k, k) for i in range(q.shape[1])]
-        products = [(a @ c).reshape(-1) for a in cols for c in cols]
-        q_new = _orthonormal_span([q[:, i] for i in range(q.shape[1])] + products)
-        if q_new.shape[1] == q.shape[1]:
-            break
-        q = q_new
-    if _residual_outside_span(q, mat.reshape(-1)) > 1e-10:
-        raise ValueError("b does not lie in the span of the generated subalgebra")
-    if np.linalg.cond(mat) > COND_LIMIT:
-        raise SingularError("b is singular or too ill-conditioned to invert")
-    inv = np.linalg.inv(mat)
-    return _residual_outside_span(q, inv.reshape(-1)) <= 1e-10

@@ -17,9 +17,9 @@ regularized oscillatory integral
     Gcheck = FT[ (1 - Lap_v / 4 pi^2)^N [ (1+|v|^2)^{-M} g(x + v) ] ],
 
 absolutely convergent once N, M > n/2, and serves as the independent
-oracle at sampled points.  The same machinery backs the phase-space
-composition and involution integrals (in angular variables z, eta) and
-the Fourier inversion check.
+oracle at sampled points.  The same machinery backs the Fourier
+inversion check.  The phase-space composition and involution act on
+lattice symbols by exact termwise laws (_compose_terms, _dagger_terms).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "deformed_product_exact",
     "deformed_product_numeric",
     "tilde_map",
-    "symbol_dagger",
-    "symbol_compose",
     "fourier_inversion_check",
     "oscillatory_pair_integral",
 ]
@@ -537,13 +535,11 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
     return apply
 
 
-def _phase_terms(a) -> PlaneWavePhaseSymbol:
-    if isinstance(a, PlaneWavePhaseSymbol):
-        return a
-    raise TypeError(f"not a lattice phase-space symbol: {type(a).__name__}")
-
-
 def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
+    """The involution, Op(dagger(a)) = Op(a)*, by its exact termwise law.
+
+    c e^{i(omega.x + w.xi)} maps to conj(c)^T e^{i omega.w} e^{-i(omega.x + w.xi)}.
+    """
     t = a.terms.copy()
     phase = np.exp(1j * _rowdot(a.omega(t["m"]), t["w"]))
     t["m"], t["w"] = -t["m"], -t["w"]
@@ -554,6 +550,10 @@ def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
 def _compose_terms(
     a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol
 ) -> PlaneWavePhaseSymbol:
+    """The composition, Op(compose(a, b)) = Op(a) Op(b), by its exact termwise law.
+
+    Frequencies add and the coefficient picks up exp(i w_a . omega_b).
+    """
     if (a.n, a.k) != (b.n, b.k) or abs(a.L - b.L) > 1e-12 * a.L:
         raise BoxMismatchError("phase symbols live on different boxes")
     ta, tb = a.terms, b.terms
@@ -562,95 +562,6 @@ def _compose_terms(
     c = phase[:, None, None] * np.matmul(ta["c"][i], tb["c"][j])
     return PlaneWavePhaseSymbol(a.n, a.L, a.k, _term_array(
         ta["m"][i] + tb["m"][j], c, ta["w"][i] + tb["w"][j]))
-
-
-def _kernel_value_oracle(omega, w) -> complex:
-    """Quadrature value of (2pi)^{-n} int int e^{-iz.eta} e^{i omega.z} e^{i w.eta}.
-
-    Separable per axis; the analytic value is exp(i omega.w).  Evaluated
-    with the generic pair integral in cycle variables.
-    """
-    val = 1.0 + 0.0j
-    one = np.ones((1, 1, 1))
-    for om_ax, w_ax in zip(omega, w):
-        # eta-side factor exp(i w eta) -> F(u) = exp(2 pi i (w/2pi) u);
-        # z-side exp(i omega z), z = -2 pi v -> G(v) = exp(2 pi i (-omega) v).
-        pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one)
-        val *= complex(pair[0, 0])
-    return val
-
-
-def _spot_phase_points(a: PlaneWavePhaseSymbol, count: int = 3):
-    xs = np.linspace(-a.L / 2.0, a.L / 2.0, count)
-    xis = np.linspace(-1.0, 1.0, count)
-    return xs, xis
-
-
-def symbol_dagger(a, cfg: OscIntegralConfig | None = None):
-    """Involution of a lattice phase-space symbol: Op(dagger(a)) = Op(a)*.
-
-    Termwise law (exact): c e^{i(omega.x + w.xi)} maps to
-    conj(c)^T e^{i omega.w} e^{-i(omega.x + w.xi)}.  The defining
-    twisted-kernel integral is re-evaluated per distinct frequency by
-    the quadrature oracle; ConvergenceError beyond 10x cfg.tol.  a must
-    be a PlaneWavePhaseSymbol (TypeError otherwise).
-    """
-    cfg = cfg or OscIntegralConfig()
-    terms = _phase_terms(a)
-    result = _dagger_terms(terms)
-    if cfg.check_points > 0 and len(terms.terms):
-        worst = 0.0
-        for m, w, _ in terms.terms[: cfg.check_points]:
-            omega = terms.omega(m)
-            exact = np.exp(1j * float(omega @ np.asarray(w)))
-            oracle = _kernel_value_oracle(omega, w)
-            worst = max(worst, abs(oracle - exact))
-        if worst > 10.0 * cfg.tol:
-            raise ConvergenceError(
-                f"involution kernel quadrature off by {worst:.3e} (tol {cfg.tol:.1e})"
-            )
-    return result
-
-
-def symbol_compose(a, b, cfg: OscIntegralConfig | None = None):
-    """Composition of lattice phase-space symbols: Op(compose(a, b)) = Op(a) Op(b).
-
-    Termwise law (exact): frequencies add and the coefficient picks up
-    exp(i w_a . omega_b).  The defining integral
-    (2pi)^{-n} int int e^{-iz.eta} a(x, xi-eta) b(x-z, xi) dz deta is
-    re-evaluated at sample phase points by the quadrature oracle;
-    ConvergenceError beyond 10x cfg.tol.  a and b must be
-    PlaneWavePhaseSymbols (TypeError otherwise).
-    """
-    cfg = cfg or OscIntegralConfig()
-    ta, tb = _phase_terms(a), _phase_terms(b)
-    result = _compose_terms(ta, tb)
-    if cfg.check_points > 0 and len(ta.terms) and len(tb.terms):
-        n = ta.n
-        xs, xis = _spot_phase_points(ta, max(2, min(cfg.check_points, 4)))
-        worst = 0.0
-        scale = max(float(np.abs(result.evaluate(np.zeros(n), np.zeros(n))).max()), 1.0)
-        sa, sb = ta.terms, tb.terms
-        om_a, om_b = ta.omega(sa["m"]), tb.omega(sb["m"])
-
-        def at(t, om, xv, xiv):
-            """The coefficients of the terms t times their phase at (x, xi)."""
-            return (t["c"] * np.exp(1j * _rowdot(om, xv))[:, None, None]
-                    * np.exp(1j * _rowdot(t["w"], xiv))[:, None, None])
-
-        for x, xi in zip(xs, xis):
-            xv = np.full(n, x)
-            xiv = np.full(n, xi)
-            # F(u) = a(x, xi - u): cycles -w/2pi; G(v) = b(x + 2 pi v, xi).
-            oracle = oscillatory_pair_integral(-sa["w"] / (2.0 * np.pi), at(sa, om_a, xv, xiv),
-                                               om_b, at(sb, om_b, xv, xiv))
-            exact = result.evaluate(xv, xiv)
-            worst = max(worst, float(np.abs(oracle - exact).max()) / scale)
-        if worst > 10.0 * cfg.tol:
-            raise ConvergenceError(
-                f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
-            )
-    return result
 
 
 def fourier_inversion_check(f, x) -> float:

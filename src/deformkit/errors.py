@@ -4,9 +4,7 @@ __all__ = [
     "DeformkitError",
     "SingularError",
     "NotSelfAdjointError",
-    "NotHomomorphismError",
     "OrderTooHighError",
-    "DecayViolationError",
     "GridMismatchError",
     "BoxMismatchError",
     "ConvergenceError",
@@ -27,16 +25,8 @@ class NotSelfAdjointError(DeformkitError):
     """Functional calculus requested for a non self-adjoint element."""
 
 
-class NotHomomorphismError(DeformkitError):
-    """A map claimed to be a *-homomorphism fails the basis checks."""
-
-
 class OrderTooHighError(DeformkitError):
     """Derivative order exceeds the supported maximum."""
-
-
-class DecayViolationError(DeformkitError):
-    """Grid data does not decay enough at the box boundary for the operation."""
 
 
 class GridMismatchError(DeformkitError):

@@ -100,21 +100,6 @@ class HeisenbergElement:
         if len(self.a) != len(self.b):
             raise ValueError("translation and modulation parts differ in length")
 
-    @classmethod
-    def identity(cls, n: int) -> "HeisenbergElement":
-        return cls((0.0,) * n, (0.0,) * n, 0.0)
-
-    def compose(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        """Group law: central phase picks up -a.b' from moving U_2 past U_1."""
-        a1, b1 = np.asarray(self.a), np.asarray(self.b)
-        a2, b2 = np.asarray(other.a), np.asarray(other.b)
-        c = self.c + other.c - float(a1 @ b2)
-        return HeisenbergElement(tuple(a1 + a2), tuple(b1 + b2), c)
-
-    def inverse(self) -> "HeisenbergElement":
-        a, b = np.asarray(self.a), np.asarray(self.b)
-        return HeisenbergElement(tuple(-a), tuple(-b), -self.c - float(a @ b))
-
 
 def heisenberg_act(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
     """U_{a,b,c} g = exp(ic) exp(ib.x) g(. - a) on the periodic grid.

@@ -36,7 +36,6 @@ from .symbols import (
     centered_idft,
     default_grid_size,
     derivative,
-    dual_axis_points,
 )
 
 __all__ = [
@@ -44,24 +43,15 @@ __all__ = [
     "ModuleVector",
     "op_from_phase_terms",
     "rieffel_operator",
-    "multiplier_operator",
-    "multiplication_operator",
     "fourier_operator",
     "adjoint",
     "operator_norm",
     "cv_functional",
-    "right_multiply",
 ]
 
 NORM_SEED = 0x5EED
 NORM_TOL = 1e-8
 NORM_MAX_STEPS = 10_000
-
-
-def right_multiply(g: ModuleVector, c) -> ModuleVector:
-    """Right module action g . c with c a k x k matrix."""
-    c = np.asarray(c, dtype=np.complex128)
-    return g.with_values(np.einsum("...ab,bc->...ac", g.values, c))
 
 
 @dataclass
@@ -144,45 +134,6 @@ def rieffel_operator(
         N = f.N if isinstance(f, GridSymbol) else default_grid_size(f.n)[0]
     sym = tilde_map(f, J)
     return op_from_phase_terms(sym, N)
-
-
-def _sampled_operator(geometry: tuple, samples: np.ndarray, axes=()) -> DiscretizedOperator:
-    """Left multiplication by k x k samples: pointwise, or per frequency over axes.
-
-    The adjoint multiplies by the conjugate transposed samples.
-    """
-
-    def by(s):
-        def apply(values):
-            if not axes:
-                return np.einsum("...ab,...bc->...ac", s, values)
-            ghat = np.einsum("...ab,...bc->...ac", s, centered_dft(values, axes))
-            return centered_idft(ghat, axes) / float(geometry[1]) ** len(axes)
-
-        return apply
-
-    return DiscretizedOperator(
-        geometry, geometry, by(samples), by(np.conj(np.swapaxes(samples, -1, -2)))
-    )
-
-
-def multiplier_operator(phi, n: int, N: int, L: float, k: int = 1) -> DiscretizedOperator:
-    """Operator of a frequency-only symbol phi(xi): diagonal after Fourier.
-
-    phi is a callable taking arrays of angular frequencies per axis (as
-    a mesh) and returning scalar or k x k samples.
-    """
-    xi = dual_axis_points(N, L)
-    mesh = np.meshgrid(*([xi] * n), indexing="ij") if n > 1 else [xi]
-    vals = np.asarray(phi(*mesh), dtype=np.complex128)
-    if vals.shape == (N,) * n:
-        vals = vals[..., None, None] * np.eye(k)
-    return _sampled_operator((n, N, L, k), vals, tuple(range(n)))
-
-
-def multiplication_operator(psi: GridSymbol) -> DiscretizedOperator:
-    """Pointwise left multiplication by a sampled symbol."""
-    return _sampled_operator(psi.geometry(), psi.values)
 
 
 def fourier_operator(n: int, N: int, L: float, k: int = 1,

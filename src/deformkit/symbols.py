@@ -23,11 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .coeff_algebra import MAX_DIM, MatrixElement
-from .errors import (
-    DecayViolationError,
-    GridMismatchError,
-    OrderTooHighError,
-)
+from .errors import GridMismatchError, OrderTooHighError
 
 __all__ = [
     "MAX_DERIV_ORDER",
@@ -37,22 +33,15 @@ __all__ = [
     "ModuleVector",
     "PlaneWavePhaseSymbol",
     "axis_points",
-    "dual_axis_points",
     "default_grid_size",
     "multi_indices",
     "centered_dft",
     "centered_idft",
     "series_coefficients",
-    "series_synthesis",
     "significant_terms",
     "eval_series",
     "derivative",
-    "symbol_star",
-    "seminorm_B",
-    "seminorm_S",
-    "fourier",
     "inner_product",
-    "norm_2",
     "norm_L2",
     "sup_norm",
     "read_symbol_file",
@@ -64,9 +53,6 @@ __all__ = [
 ]
 
 MAX_DERIV_ORDER = 8
-
-# Boundary-to-interior ratio below which grid data counts as decaying.
-ADMISSIBLE_RATIO = 1e-10
 
 # Relative threshold for pruning trigonometric series coefficients.
 PRUNE_REL = 1e-13
@@ -87,11 +73,6 @@ def default_grid_size(n: int) -> tuple[int, float]:
 def axis_points(N: int, L: float) -> np.ndarray:
     """Grid points (i - N/2) * (2L/N) for i = 0..N-1."""
     return (np.arange(N) - N // 2) * (2.0 * L / N)
-
-
-def dual_axis_points(N: int, L: float) -> np.ndarray:
-    """Dual (angular frequency) grid (pi/L) * {-N/2, ..., N/2 - 1}."""
-    return (np.arange(N) - N // 2) * (np.pi / L)
 
 
 def multi_indices(n: int, max_order: int, exact: bool = False) -> list[tuple[int, ...]]:
@@ -358,12 +339,6 @@ class PlaneWaveSymbol:
         pts = np.stack(np.meshgrid(*[axis_points(N, self.L)] * self.n, indexing="ij"), -1)
         return GridSymbol(self.n, N, self.L, self.evaluate(pts))
 
-    def star(self) -> "PlaneWaveSymbol":
-        """Pointwise adjoint: terms map to conj-transpose coefficients at -m."""
-        t = self.terms.copy()
-        t["m"], t["c"] = -t["m"], np.conj(np.swapaxes(t["c"], -1, -2))
-        return PlaneWaveSymbol(self.n, self.L, self.k, t)
-
     @property
     def max_abs_m(self) -> int:
         return int(np.abs(self.terms["m"]).max(initial=0))
@@ -373,19 +348,25 @@ class PlaneWaveSymbol:
 # Grid-sampled data
 
 
+@dataclass(frozen=True)
 class _GridData:
-    """Shared geometry/validation for grid-sampled matrix-valued data."""
+    """Grid-sampled k x k data on the box [-L, L)^n, n in {1, 2}.
+
+    N must be a power of two; values of shape (N,)*n are scalar data and
+    become (N,)*n + (1, 1); non-finite values are rejected.
+    """
 
     n: int
     N: int
     L: float
     values: np.ndarray
 
-    def _init_grid(self, n: int, N: int, L: float, values) -> np.ndarray:
-        _check_box(n, L)
+    def __post_init__(self):
+        n, N = self.n, self.N
+        _check_box(n, self.L)
         if not _is_pow2(N):
             raise ValueError(f"points per axis must be a power of two, got {N}")
-        arr = np.asarray(values, dtype=np.complex128)
+        arr = np.asarray(self.values, dtype=np.complex128)
         if arr.shape == (N,) * n:
             arr = arr.reshape((N,) * n + (1, 1))
         if (
@@ -398,7 +379,7 @@ class _GridData:
             raise ValueError("grid values have non-finite entries")
         arr = arr.copy()
         arr.flags.writeable = False
-        return arr
+        object.__setattr__(self, "values", arr)
 
     @property
     def k(self) -> int:
@@ -417,12 +398,12 @@ class _GridData:
     def axis(self) -> np.ndarray:
         return axis_points(self.N, self.L)
 
-    def points(self) -> np.ndarray:
-        """All grid points, shape (N,)*n + (n,)."""
-        return np.stack(np.meshgrid(*([self.axis] * self.n), indexing="ij"), axis=-1)
-
     def geometry(self) -> tuple:
         return (self.n, self.N, self.L, self.k)
+
+    def with_values(self, values):
+        """The same grid with other values, as the same class."""
+        return type(self)(self.n, self.N, self.L, values)
 
 
 def _sample_norms(values: np.ndarray) -> np.ndarray:
@@ -432,72 +413,12 @@ def _sample_norms(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(values, ord=2, axis=(-2, -1))
 
 
-@dataclass(frozen=True)
 class GridSymbol(_GridData):
-    """Matrix-valued samples on the box grid [-L, L)^n, n in {1, 2}.
-
-    The constructor records the boundary-to-peak decay ratio; operations
-    that need decay (weighted seminorms) enforce it via
-    require_admissible.
-    """
-
-    n: int
-    N: int
-    L: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = self._init_grid(self.n, self.N, self.L, self.values)
-        object.__setattr__(self, "values", arr)
-        norms = _sample_norms(arr)
-        peak = float(norms.max()) if norms.size else 0.0
-        edge = 0.0
-        for ax in range(self.n):
-            idx_lo = [slice(None)] * self.n
-            idx_lo[ax] = 0
-            idx_hi = [slice(None)] * self.n
-            idx_hi[ax] = self.N - 1
-            edge = max(edge, float(norms[tuple(idx_lo)].max()))
-            edge = max(edge, float(norms[tuple(idx_hi)].max()))
-        object.__setattr__(self, "_boundary_ratio", edge / peak if peak > 0 else 0.0)
-
-    @property
-    def boundary_ratio(self) -> float:
-        return self._boundary_ratio
-
-    @property
-    def is_admissible(self) -> bool:
-        return self.boundary_ratio <= ADMISSIBLE_RATIO
-
-    def require_admissible(self, op: str):
-        if not self.is_admissible:
-            raise DecayViolationError(
-                f"{op} needs boundary decay <= {ADMISSIBLE_RATIO:.0e}; "
-                f"got ratio {self.boundary_ratio:.2e}"
-            )
-
-    def with_values(self, values) -> "GridSymbol":
-        return GridSymbol(self.n, self.N, self.L, values)
-
-    def star(self) -> "GridSymbol":
-        return self.with_values(np.conj(np.swapaxes(self.values, -1, -2)))
+    """Matrix-valued samples of a symbol on the box grid [-L, L)^n."""
 
 
-@dataclass(frozen=True)
 class ModuleVector(_GridData):
     """Grid-sampled element of the discretized module over the box."""
-
-    n: int
-    N: int
-    L: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = self._init_grid(self.n, self.N, self.L, self.values)
-        object.__setattr__(self, "values", arr)
-
-    def with_values(self, values) -> "ModuleVector":
-        return ModuleVector(self.n, self.N, self.L, values)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +433,6 @@ def series_coefficients(data: _GridData) -> np.ndarray:
     """
     axes = tuple(range(data.n))
     return centered_dft(data.values, axes) / float(data.N) ** data.n
-
-
-def series_synthesis(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of series_coefficients (values on the grid)."""
-    return centered_idft(coeffs, tuple(range(n)))
 
 
 def significant_terms(data: _GridData) -> PlaneWaveSymbol:
@@ -563,11 +479,6 @@ class PlaneWavePhaseSymbol:
     def __post_init__(self):
         object.__setattr__(self, "terms", _canonical_terms(self, ("m", "w", "c")))
 
-    @classmethod
-    def constant(cls, c, n: int, L: float) -> "PlaneWavePhaseSymbol":
-        c = np.asarray(c, dtype=np.complex128)
-        return cls(n, L, c.shape[0] if c.ndim else 1, (((0,) * n, (0.0,) * n, c),))
-
     def omega(self, m) -> np.ndarray:
         """Angular x-frequencies pi*m/L of an array of frequency vectors."""
         return np.asarray(m, dtype=float) * (np.pi / self.L)
@@ -607,50 +518,20 @@ def _check_order(alpha, ndims: int) -> tuple:
     return alpha
 
 
-def derivative(f, alpha):
-    """Partial derivative d^alpha f.
+def derivative(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
+    """Partial derivative d^alpha of a phase-space symbol, exact termwise.
 
-    Plane-wave data is differentiated exactly termwise; grid data via the
-    trigonometric series (exact for band-limited samples, spectrally
-    accurate for decaying smooth data).  Phase-space symbols take alpha
-    of length 2n (x axes then xi axes).
+    alpha has length 2n (x axes then xi axes); each unit step multiplies a
+    term by i omega_j or i w_j.
     """
-    if isinstance(f, PlaneWaveSymbol):
-        alpha = _check_order(alpha, f.n)
-        t = f.terms.copy()
-        factor = np.prod((2j * np.pi * f.frequency(t["m"])) ** np.array(alpha), axis=1)
-        t["c"] = factor[:, None, None] * t["c"]
-        return PlaneWaveSymbol(f.n, f.L, f.k, t)
-    if isinstance(f, PlaneWavePhaseSymbol):
-        alpha = np.array(_check_order(alpha, 2 * f.n))
-        om, w = f.omega(f.terms["m"]), f.terms["w"]
-        return f.scale_terms(np.prod((1j * om) ** alpha[:f.n], axis=1)
-                             * np.prod((1j * w) ** alpha[f.n:], axis=1))
-    if isinstance(f, GridSymbol):
-        alpha = _check_order(alpha, f.n)
-        coeffs = series_coefficients(f)
-        half = f.N // 2
-        m_axis = np.arange(f.N) - half
-        for ax, order in enumerate(alpha):
-            if order == 0:
-                continue
-            factor = (2j * np.pi * m_axis / (2.0 * f.L)) ** order
-            shape = [1] * coeffs.ndim
-            shape[ax] = f.N
-            coeffs = coeffs * factor.reshape(shape)
-        return f.with_values(series_synthesis(coeffs, f.n))
-    raise TypeError(f"cannot differentiate {type(f).__name__}")
-
-
-def symbol_star(f):
-    """Pointwise adjoint f*(x) = f(x)^H for plane-wave or grid symbols."""
-    if isinstance(f, (PlaneWaveSymbol, GridSymbol)):
-        return f.star()
-    raise TypeError(f"cannot star {type(f).__name__}")
+    alpha = np.array(_check_order(alpha, 2 * sym.n))
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    return sym.scale_terms(np.prod((1j * om) ** alpha[:sym.n], axis=1)
+                           * np.prod((1j * w) ** alpha[sym.n:], axis=1))
 
 
 # ---------------------------------------------------------------------------
-# Seminorms and norms
+# Norms
 
 
 def _dense_axis(f: PlaneWaveSymbol) -> np.ndarray:
@@ -673,54 +554,6 @@ def sup_norm(f) -> float:
     raise TypeError(f"cannot take sup norm of {type(f).__name__}")
 
 
-def seminorm_B(f, m: int) -> float:
-    """max over |alpha| <= m of sup_x ||d^alpha f(x)||."""
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    if m > MAX_DERIV_ORDER:
-        raise OrderTooHighError(f"seminorm order {m} exceeds {MAX_DERIV_ORDER}")
-    best = 0.0
-    for alpha in multi_indices(f.n, m):
-        best = max(best, sup_norm(derivative(f, alpha)))
-    return best
-
-
-def seminorm_S(f: GridSymbol, m: int) -> float:
-    """max over |alpha| <= m of sup_x (1+|x|^2)^{m/2} ||d^alpha f(x)||.
-
-    Needs boundary decay; raises DecayViolationError otherwise.
-    """
-    if not isinstance(f, GridSymbol):
-        raise TypeError("weighted seminorm needs grid data")
-    f.require_admissible("seminorm_S")
-    pts = f.points()
-    weight = (1.0 + np.sum(pts ** 2, axis=-1)) ** (m / 2.0)
-    best = 0.0
-    for alpha in multi_indices(f.n, m):
-        norms = _sample_norms(derivative(f, alpha).values)
-        best = max(best, float((weight * norms).max()))
-    return best
-
-
-def fourier(f: GridSymbol, sign: int = 1) -> GridSymbol:
-    """Unitary Fourier transform between the grid and its dual grid.
-
-    sign=+1: F(f)(xi_j) = (2 pi)^{-n/2} dx^n sum_i exp(-i x_i.xi_j) f_i,
-    returned on the dual grid (half-width pi N/(2L)).  sign=-1 is the
-    inverse kernel; fourier(fourier(f, 1), -1) == f exactly.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    axes = tuple(range(f.n))
-    scale = (2.0 * np.pi) ** (-f.n / 2.0) * f.weight
-    if sign == 1:
-        out = scale * centered_dft(f.values, axes)
-    else:
-        out = scale * centered_idft(f.values, axes)
-    L_dual = np.pi * f.N / (2.0 * f.L)
-    return GridSymbol(f.n, f.N, L_dual, out)
-
-
 def inner_product(f, g) -> MatrixElement:
     """Module inner product <f, g> = sum_i f_i^H g_i dx^n."""
     if (f.n, f.N, f.k) != (g.n, g.N, g.k) or abs(f.L - g.L) > 1e-12 * max(f.L, g.L):
@@ -729,12 +562,6 @@ def inner_product(f, g) -> MatrixElement:
         )
     prod = np.einsum("...ij,...il->...jl", np.conj(f.values), g.values)
     return MatrixElement(prod.sum(axis=tuple(range(f.n))) * f.weight)
-
-
-def norm_2(f) -> float:
-    """Module norm ||<f, f>||^{1/2} (C*-norm of the inner product)."""
-    gram = inner_product(f, f).entries
-    return float(np.sqrt(max(np.linalg.norm(gram, 2), 0.0)))
 
 
 def norm_L2(f) -> float:

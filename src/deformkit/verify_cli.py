@@ -953,30 +953,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
-    if args.config:
-        try:
-            cfg = parse_config(args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        cfg = RunConfig()
-    if args.command == "product":
-        return cmd_product(cfg, args.f, args.g, args.out)
-    if args.command == "norms":
-        return cmd_norms(cfg, args.f, args.theta_sweep, args.out)
-    if args.command == "verify":
-        suites = None
-        if args.suites is not None:
-            suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-        elif cfg.suites:
-            suites = list(cfg.suites)
-        return cmd_verify(cfg, suites, args.workers, args.out)
-    if args.command == "info":
-        return cmd_info(cfg)
+    try:
+        cfg = parse_config(args.config) if args.config else RunConfig()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
+        if args.command == "product":
+            return cmd_product(cfg, args.f, args.g, args.out)
+        if args.command == "norms":
+            return cmd_norms(cfg, args.f, args.theta_sweep, args.out)
+        if args.command == "verify":
+            suites = None
+            if args.suites is not None:
+                suites = [s.strip() for s in args.suites.split(",") if s.strip()]
+            elif cfg.suites:
+                suites = list(cfg.suites)
+            return cmd_verify(cfg, suites, args.workers, args.out)
+        if args.command == "info":
+            return cmd_info(cfg)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_USAGE
 
 

@@ -1,0 +1,187 @@
+"""Oracles and builders that only the tests use.
+
+The quadrature route of the phase-space calculus checks the exact
+termwise laws of ``deformation`` (``_dagger_terms``, ``_compose_terms``),
+and sampled operators (pointwise and Fourier multipliers) exercise the
+operator and adjoint machinery beyond lattice symbols.  No command of
+the package runs any of them.
+"""
+
+import numpy as np
+
+from deformkit.deformation import (
+    OscIntegralConfig,
+    _compose_terms,
+    _dagger_terms,
+    oscillatory_pair_integral,
+)
+from deformkit.errors import ConvergenceError
+from deformkit.pseudodiff import DiscretizedOperator
+from deformkit.symbols import (
+    GridSymbol,
+    ModuleVector,
+    PlaneWavePhaseSymbol,
+    PlaneWaveSymbol,
+    _rowdot,
+    centered_dft,
+    centered_idft,
+)
+
+# ---------------------------------------------------------------------------
+# Grids and symbols
+
+
+def grid_points(data) -> np.ndarray:
+    """All points of a grid symbol or module vector, shape (N,)*n + (n,)."""
+    return np.stack(np.meshgrid(*([data.axis] * data.n), indexing="ij"), axis=-1)
+
+
+def dual_axis_points(N: int, L: float) -> np.ndarray:
+    """Dual (angular frequency) grid (pi/L) * {-N/2, ..., N/2 - 1}."""
+    return (np.arange(N) - N // 2) * (np.pi / L)
+
+
+def symbol_star(f):
+    """Pointwise adjoint f*(x) = f(x)^H of a plane-wave or grid symbol.
+
+    Plane-wave terms map to conj-transposed coefficients at -m.
+    """
+    if isinstance(f, PlaneWaveSymbol):
+        t = f.terms.copy()
+        t["m"], t["c"] = -t["m"], np.conj(np.swapaxes(t["c"], -1, -2))
+        return PlaneWaveSymbol(f.n, f.L, f.k, t)
+    if isinstance(f, GridSymbol):
+        return f.with_values(np.conj(np.swapaxes(f.values, -1, -2)))
+    raise TypeError(f"cannot star {type(f).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Sampled operators
+
+
+def right_multiply(g: ModuleVector, c) -> ModuleVector:
+    """Right module action g . c with c a k x k matrix."""
+    c = np.asarray(c, dtype=np.complex128)
+    return g.with_values(np.einsum("...ab,bc->...ac", g.values, c))
+
+
+def _sampled_operator(geometry: tuple, samples: np.ndarray, axes=()) -> DiscretizedOperator:
+    """Left multiplication by k x k samples: pointwise, or per frequency over axes.
+
+    The adjoint multiplies by the conjugate transposed samples.
+    """
+
+    def by(s):
+        def apply(values):
+            if not axes:
+                return np.einsum("...ab,...bc->...ac", s, values)
+            ghat = np.einsum("...ab,...bc->...ac", s, centered_dft(values, axes))
+            return centered_idft(ghat, axes) / float(geometry[1]) ** len(axes)
+
+        return apply
+
+    return DiscretizedOperator(
+        geometry, geometry, by(samples), by(np.conj(np.swapaxes(samples, -1, -2)))
+    )
+
+
+def multiplier_operator(phi, n: int, N: int, L: float, k: int = 1) -> DiscretizedOperator:
+    """Operator of a frequency-only symbol phi(xi): diagonal after Fourier.
+
+    phi is a callable taking arrays of angular frequencies per axis (as
+    a mesh) and returning scalar or k x k samples.
+    """
+    xi = dual_axis_points(N, L)
+    mesh = np.meshgrid(*([xi] * n), indexing="ij") if n > 1 else [xi]
+    vals = np.asarray(phi(*mesh), dtype=np.complex128)
+    if vals.shape == (N,) * n:
+        vals = vals[..., None, None] * np.eye(k)
+    return _sampled_operator((n, N, L, k), vals, tuple(range(n)))
+
+
+def multiplication_operator(psi: GridSymbol) -> DiscretizedOperator:
+    """Pointwise left multiplication by a sampled symbol."""
+    return _sampled_operator(psi.geometry(), psi.values)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature route of the phase-space calculus
+
+
+def _kernel_value_oracle(omega, w) -> complex:
+    """Quadrature value of (2pi)^{-n} int int e^{-iz.eta} e^{i omega.z} e^{i w.eta}.
+
+    Separable per axis; the analytic value is exp(i omega.w).  Evaluated
+    with the generic pair integral in cycle variables.
+    """
+    val = 1.0 + 0.0j
+    one = np.ones((1, 1, 1))
+    for om_ax, w_ax in zip(omega, w):
+        # eta-side factor exp(i w eta) -> F(u) = exp(2 pi i (w/2pi) u);
+        # z-side exp(i omega z), z = -2 pi v -> G(v) = exp(2 pi i (-omega) v).
+        pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one)
+        val *= complex(pair[0, 0])
+    return val
+
+
+def symbol_dagger(a: PlaneWavePhaseSymbol, cfg: OscIntegralConfig | None = None):
+    """Involution of a lattice phase-space symbol: Op(dagger(a)) = Op(a)*.
+
+    The exact termwise law of _dagger_terms, with the defining
+    twisted-kernel integral re-evaluated per distinct frequency by the
+    quadrature oracle; ConvergenceError beyond 10x cfg.tol.
+    """
+    cfg = cfg or OscIntegralConfig()
+    result = _dagger_terms(a)
+    if cfg.check_points > 0 and len(a.terms):
+        worst = 0.0
+        for m, w, _ in a.terms[: cfg.check_points]:
+            omega = a.omega(m)
+            exact = np.exp(1j * float(omega @ np.asarray(w)))
+            oracle = _kernel_value_oracle(omega, w)
+            worst = max(worst, abs(oracle - exact))
+        if worst > 10.0 * cfg.tol:
+            raise ConvergenceError(
+                f"involution kernel quadrature off by {worst:.3e} (tol {cfg.tol:.1e})"
+            )
+    return result
+
+
+def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
+                   cfg: OscIntegralConfig | None = None):
+    """Composition of lattice phase-space symbols: Op(compose(a, b)) = Op(a) Op(b).
+
+    The exact termwise law of _compose_terms, with the defining integral
+    (2pi)^{-n} int int e^{-iz.eta} a(x, xi-eta) b(x-z, xi) dz deta
+    re-evaluated at sample phase points by the quadrature oracle;
+    ConvergenceError beyond 10x cfg.tol.
+    """
+    cfg = cfg or OscIntegralConfig()
+    result = _compose_terms(a, b)
+    if cfg.check_points > 0 and len(a.terms) and len(b.terms):
+        n = a.n
+        count = max(2, min(cfg.check_points, 4))
+        xs, xis = np.linspace(-a.L / 2.0, a.L / 2.0, count), np.linspace(-1.0, 1.0, count)
+        worst = 0.0
+        scale = max(float(np.abs(result.evaluate(np.zeros(n), np.zeros(n))).max()), 1.0)
+        sa, sb = a.terms, b.terms
+        om_a, om_b = a.omega(sa["m"]), b.omega(sb["m"])
+
+        def at(t, om, xv, xiv):
+            """The coefficients of the terms t times their phase at (x, xi)."""
+            return (t["c"] * np.exp(1j * _rowdot(om, xv))[:, None, None]
+                    * np.exp(1j * _rowdot(t["w"], xiv))[:, None, None])
+
+        for x, xi in zip(xs, xis):
+            xv = np.full(n, x)
+            xiv = np.full(n, xi)
+            # F(u) = a(x, xi - u): cycles -w/2pi; G(v) = b(x + 2 pi v, xi).
+            oracle = oscillatory_pair_integral(-sa["w"] / (2.0 * np.pi), at(sa, om_a, xv, xiv),
+                                               om_b, at(sb, om_b, xv, xiv))
+            exact = result.evaluate(xv, xiv)
+            worst = max(worst, float(np.abs(oracle - exact).max()) / scale)
+        if worst > 10.0 * cfg.tol:
+            raise ConvergenceError(
+                f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
+            )
+    return result

@@ -10,20 +10,13 @@ from deformkit.coeff_algebra import (
     MatrixElement,
     UnitizedElement,
     cstar_norm,
-    seminorm_from_rep,
     smooth_calculus,
-    spectral_invariance_check,
-    spectral_radius,
     spectral_smoothing,
     spectrum,
     unitized_inverse,
     unitized_spectrum,
 )
-from deformkit.errors import (
-    NotHomomorphismError,
-    NotSelfAdjointError,
-    SingularError,
-)
+from deformkit.errors import NotSelfAdjointError, SingularError
 
 RNG = np.random.default_rng(31415)
 
@@ -64,11 +57,6 @@ def test_matrix_element_rejects_nonsquare():
 def test_spectrum_of_diagonal():
     a = MatrixElement(np.diag([1.0, 2.0, -3.0]))
     assert sorted(np.real(spectrum(a))) == [-3.0, 1.0, 2.0]
-
-
-def test_spectral_radius():
-    a = MatrixElement(np.diag([1.0, -5.0, 2.0]))
-    assert spectral_radius(a) == 5.0
 
 
 def test_unitized_spectrum_contains_zero():
@@ -176,46 +164,3 @@ def test_spectral_smoothing_transition_band_is_contractive():
 def test_spectral_smoothing_rejects_bad_eps():
     with pytest.raises(ValueError):
         spectral_smoothing(random_hermitian(2, [1.0, 2.0]), 0.0)
-
-
-def test_seminorm_from_rep_identity_rep():
-    a = random_element(3)
-    assert_allclose(seminorm_from_rep(lambda m: m, a), cstar_norm(a), rtol=1e-12)
-
-
-def test_seminorm_from_rep_amplification():
-    # rho(m) = m (+) m is a *-representation with the same norm.
-    def rho(m):
-        k = m.shape[0]
-        out = np.zeros((2 * k, 2 * k), dtype=complex)
-        out[:k, :k] = m
-        out[k:, k:] = m
-        return out
-
-    a = random_element(2)
-    assert_allclose(seminorm_from_rep(rho, a), cstar_norm(a), rtol=1e-12)
-
-
-def test_seminorm_from_rep_rejects_transpose():
-    # Transpose is multiplicativity-reversing, not a *-homomorphism.
-    with pytest.raises(NotHomomorphismError):
-        seminorm_from_rep(lambda m: m.T, random_element(2))
-
-
-def test_spectral_invariance_full_algebra():
-    # A generic pair generates all of M_k, so any inverse stays inside.
-    a, b = random_element(3), random_element(3)
-    x = MatrixElement(a.entries + 3.0 * np.eye(3))
-    assert spectral_invariance_check(x, [a, b])
-
-
-def test_spectral_invariance_commutative_subalgebra():
-    # Diagonal matrices form a closed subalgebra containing inverses.
-    d = MatrixElement(np.diag([1.0, 2.0, 3.0]))
-    assert spectral_invariance_check(d, [d])
-
-
-def test_spectral_invariance_rejects_singular():
-    d = MatrixElement(np.diag([1.0, 0.0]))
-    with pytest.raises(SingularError):
-        spectral_invariance_check(d, [d])

@@ -12,12 +12,9 @@ from deformkit.pseudodiff import (
     adjoint,
     cv_functional,
     fourier_operator,
-    multiplication_operator,
-    multiplier_operator,
     op_from_phase_terms,
     operator_norm,
     rieffel_operator,
-    right_multiply,
 )
 from deformkit.symbols import (
     DeformationMatrix,
@@ -25,7 +22,6 @@ from deformkit.symbols import (
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
-    dual_axis_points,
     inner_product,
     norm_L2,
 )
@@ -36,6 +32,13 @@ from deformkit.verify_cli import (
     random_phase_symbol,
     random_plane_wave,
     sup_op_gap,
+)
+from oracles import (
+    dual_axis_points,
+    grid_points,
+    multiplication_operator,
+    multiplier_operator,
+    right_multiply,
 )
 
 RNG = np.random.default_rng(14142)
@@ -65,7 +68,7 @@ def test_plane_wave_action_translates_argument():
     p = (1, -2)
     op = rieffel_operator(PlaneWaveSymbol(2, L, 1, ((p, 1.0),)), J, N=N)
     g = PlaneWaveSymbol(2, L, 1, (((2, 1), 1.0),))
-    pts = ModuleVector(2, N, L, np.zeros((N, N))).points()
+    pts = grid_points(ModuleVector(2, N, L, np.zeros((N, N))))
     pvec = np.asarray(p, float) / (2 * L)
     shift = J.entries @ pvec
     out = op.forward(g.evaluate(pts))
@@ -382,7 +385,7 @@ def test_op_from_phase_terms_reduces_to_multiplication():
     sym = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.0,), 0.8),))
     op = op_from_phase_terms(sym, 32)
     g = band_limited_vector(RNG, 1, 32, 4.0, 3)
-    pts = g.points()
+    pts = grid_points(g)
     factor = sym.evaluate(pts[..., 0], np.zeros_like(pts[..., 0]))
     expected = factor @ g.values
     assert np.abs(op.forward(g.values) - expected).max() <= 1e-10

@@ -1,7 +1,9 @@
 """Command line interface tests: parsing, exit codes, formats, determinism."""
 
+import importlib
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -339,6 +341,24 @@ def test_config_unknown_key_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["product", "norms", "verify"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    # an --out path that cannot be written is an I/O error with one error
+    # line naming the path, not a traceback
+    wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
+    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    argv = {
+        "product": ["product", str(tmp_path / "f.json"), str(tmp_path / "f.json")],
+        "norms": ["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"],
+        "verify": ["verify", "--suites", "plancherel"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and str(out) in errors[0]
+
+
 # ---------------------------------------------------------------------------
 # info and usage
 
@@ -399,6 +419,20 @@ def test_benchmark_trace_counts_lift_and_evaluation(tmp_path):
     # the lattice product lifts the factor with fewer significant terms
     lifted = min(len(significant_terms(s.to_grid(cfg.N)).terms) for s in (f, g))
     assert counters["deformation.tilde_map.terms"] == lifted == len(g.terms)
+
+
+MODULES = ["deformkit"] + sorted(
+    m.name for m in pkgutil.iter_modules(importlib.import_module("deformkit").__path__,
+                                         "deformkit."))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    # a stale __all__ entry breaks `import *`, and the benchmark's tracer
+    # wraps every name in coeff_algebra.__all__
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+    exec(f"from {module} import *", {})
 
 
 def test_runtime_imports_no_scipy():
