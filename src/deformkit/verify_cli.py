@@ -3,8 +3,9 @@
 Subcommands: ``product`` writes the deformed product of two symbol
 files, ``norms`` sweeps theta and emits a CSV of norm functionals,
 ``verify`` runs named check suites and writes a JSON report, ``info``
-prints the resolved configuration.  Exit codes: 0 pass, 1 check
-failure, 2 I/O or parse error, 3 usage error.
+prints the resolved configuration.  A flag overrides its config key.
+Exit codes: 0 pass, 1 check failure or unsettled norm, 2 bad input or an
+unwritable output (found before any work), 3 usage error.
 
 Reports are deterministic: fixed seeds, fixed reduction orders, records
 sorted by claim id.  Wall-clock timings go to stderr only.
@@ -13,12 +14,13 @@ sorted by claim id.  Wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,17 +75,8 @@ from .symbols import (
 )
 
 __all__ = [
-    "RunConfig",
-    "SuiteReport",
-    "parse_config",
-    "parse_theta_sweep",
-    "run_suites",
-    "cmd_product",
-    "cmd_norms",
-    "cmd_verify",
-    "cmd_info",
-    "main",
-    "SUITES",
+    "RunConfig", "parse_config", "parse_theta_sweep", "run_suites", "SUITES",
+    "cmd_product", "cmd_norms", "cmd_verify", "cmd_info", "main",
     # seeded families and claim measurements, shared with the acceptance tests
     "random_plane_wave", "random_phase_symbol", "band_limited_vector", "gaussian_values",
     "sup_op_gap", "interplay_residual", "cv_fit", "derivation_error",
@@ -100,8 +93,11 @@ SCHEMA_VERSION = 1
 # Finite-difference step of derivation_error.
 DERIVATION_FD_STEP = 1e-3
 
+# Most theta values one sweep may hold (the default sweep has 11).
+MAX_SWEEP_POINTS = 100_000
 
-@dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Resolved run configuration (flat key = value file plus flags)."""
 
@@ -127,18 +123,21 @@ class RunConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.norm_order < 0:
             raise ValueError(f"norm_order must be nonnegative, got {self.norm_order}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
 
 
-_INT_KEYS = {"N", "norm_order", "seed", "workers"}
-_FLOAT_KEYS = {"L", "theta", "tol"}
-_STR_KEYS = {"out"}
-_LIST_KEYS = {"suites"}
+def _names(text: str) -> tuple:
+    """The comma-separated names of text, stripped, empty ones dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 def parse_config(path) -> RunConfig:
-    """Parse a flat UTF-8 ``key = value`` file with # comments."""
+    """Parse a flat UTF-8 ``key = value`` file with # comments; each value
+    takes the type of its key's default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,16 +148,10 @@ def parse_config(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _INT_KEYS:
-            values[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        elif key in _LIST_KEYS:
-            values[key] = tuple(s.strip() for s in val.split(",") if s.strip())
-        else:
+        if key not in defaults:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = type(defaults[key])
+        values[key] = _names(val) if kind is tuple else kind(val)
     return RunConfig(**values)
 
 
@@ -172,7 +165,10 @@ def parse_theta_sweep(spec: str) -> tuple:
         raise ValueError(f"theta sweep parts must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"theta sweep step must be positive, got {step}")
-    count = int(np.floor((end - start) / step + 1e-9)) + 1
+    span = (end - start) / step + 1e-9  # an overflow gives inf
+    if not span < MAX_SWEEP_POINTS:
+        raise ValueError(f"theta sweep {spec!r} has more than {MAX_SWEEP_POINTS} points")
+    count = int(np.floor(span)) + 1
     if count < 1:
         raise ValueError(f"theta sweep {spec!r} is empty")
     return tuple(round(start + i * step, 12) for i in range(count))
@@ -182,34 +178,10 @@ def parse_theta_sweep(spec: str) -> tuple:
 # Suite machinery
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """One suite's sorted check records plus summary counts."""
-
-    suite: str
-    records: tuple
-    checks: int
-    failures: int
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "records": list(self.records),
-            "checks": self.checks,
-            "failures": self.failures,
-        }
-
-
 def _record(claim_id: str, claim: str, measured: float, bound: float) -> dict:
-    measured = float(measured)
-    bound = float(bound)
-    return {
-        "claim_id": claim_id,
-        "claim": claim,
-        "measured": measured,
-        "bound": bound,
-        "passed": bool(np.isfinite(measured) and measured <= bound),
-    }
+    measured, bound = float(measured), float(bound)
+    return {"claim_id": claim_id, "claim": claim, "measured": measured, "bound": bound,
+            "passed": bool(np.isfinite(measured) and measured <= bound)}
 
 
 def _rng(cfg: RunConfig, tag: str) -> np.random.Generator:
@@ -615,10 +587,7 @@ def _suite_unitization(cfg: RunConfig) -> list:
         x = UnitizedElement(a, alpha)
         y = unitized_inverse(x)
         prod = x.multiply(y)
-        inv_worst = max(
-            inv_worst,
-            cstar_norm(prod.matrix) + abs(prod.scalar - 1.0),
-        )
+        inv_worst = max(inv_worst, cstar_norm(prod.matrix) + abs(prod.scalar - 1.0))
         spec_worst = max(spec_worst, min(abs(v) for v in unitized_spectrum(a)))
     return [
         _record(
@@ -721,34 +690,32 @@ SUITES = {
 }
 
 
-def run_suites(cfg: RunConfig, names, workers: int = 1) -> list:
-    """Run the named suites concurrently; reports sorted by suite name."""
+def run_suites(cfg: RunConfig, names) -> list:
+    """Run the named suites on cfg.workers threads; reports sorted by suite name."""
 
-    def run_one(name: str) -> SuiteReport:
+    def run_one(name: str) -> dict:
         start = time.monotonic()
         records = sorted(SUITES[name](cfg), key=lambda r: r["claim_id"])
         elapsed = time.monotonic() - start
         failures = sum(not r["passed"] for r in records)
         print(f"[{name}] {len(records)} checks, {failures} failed, "
               f"{elapsed:.1f}s", file=sys.stderr)
-        return SuiteReport(name, tuple(records), len(records), failures)
+        return {"suite": name, "records": records, "checks": len(records),
+                "failures": failures}
 
     names = sorted(names)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, names))
-    else:
-        reports = [run_one(name) for name in names]
-    return sorted(reports, key=lambda r: r.suite)
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            return list(pool.map(run_one, names))
+    return [run_one(name) for name in names]
 
 
 def _report_json(reports) -> str:
-    total_checks = sum(r.checks for r in reports)
-    total_failures = sum(r.failures for r in reports)
+    total_failures = sum(r["failures"] for r in reports)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "suites": [r.to_dict() for r in reports],
-        "checks": total_checks,
+        "suites": reports,
+        "checks": sum(r["checks"] for r in reports),
         "failures": total_failures,
         "all_passed": total_failures == 0,
     }
@@ -759,65 +726,55 @@ def _report_json(reports) -> str:
 # Subcommands
 
 
-def cmd_product(cfg: RunConfig, f_path: str, g_path: str, out_path: str) -> int:
-    """Write the deformed product of two symbol files."""
-    try:
-        f = read_symbol_file(f_path)
-        g = read_symbol_file(g_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    n = f.n
-    if g.n != n:
-        print(f"error: dimension mismatch {f_path} is {n}-d, {g_path} is {g.n}-d",
-              file=sys.stderr)
-        return EXIT_IO
-    if n == 1:
-        J = DeformationMatrix.zero(1)
+def _deformation(n: int, theta: float) -> DeformationMatrix:
+    """theta times the symplectic form; zero for n = 1, which has none."""
+    return DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
+
+
+def _emit(text: str, target: str) -> None:
+    """Write text to the file target, or to stdout when target is empty."""
+    if target:
+        Path(target).write_text(text, encoding="utf-8")
+        print(f"wrote {target}")
     else:
-        J = DeformationMatrix.symplectic(cfg.theta, n)
-    try:
-        if isinstance(f, PlaneWaveSymbol) and isinstance(g, PlaneWaveSymbol):
-            product = deformed_product_exact(f, g, J)
-            fg = deformed_product_numeric(
-                f.to_grid(cfg.N), g.to_grid(cfg.N), J,
-                OscIntegralConfig(tol=cfg.tol, check_points=0),
-            )
-            disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)
-        else:
-            if isinstance(f, PlaneWaveSymbol):
-                f = f.to_grid(g.N)
-            if isinstance(g, PlaneWaveSymbol):
-                g = g.to_grid(f.N)
-            report: dict = {}
-            product = deformed_product_numeric(
-                f, g, J, OscIntegralConfig(tol=cfg.tol), report=report
-            )
-            disagreement = report.get("route_disagreement", float("nan"))
-    except (ConvergenceError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except DeformkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    write_symbol_file(product, out_path)
+        sys.stdout.write(text)
+
+
+def cmd_product(cfg: RunConfig, f_path: str, g_path: str) -> int:
+    """Write the deformed product of two symbol files to cfg.out."""
+    f = read_symbol_file(f_path)
+    g = read_symbol_file(g_path)
+    if g.n != f.n:
+        raise ValueError(f"dimension mismatch {f_path} is {f.n}-d, {g_path} is {g.n}-d")
+    J = _deformation(f.n, cfg.theta)
+    if isinstance(f, PlaneWaveSymbol) and isinstance(g, PlaneWaveSymbol):
+        product = deformed_product_exact(f, g, J)
+        fg = deformed_product_numeric(
+            f.to_grid(cfg.N), g.to_grid(cfg.N), J,
+            OscIntegralConfig(tol=cfg.tol, check_points=0),
+        )
+        disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)
+    else:
+        if isinstance(f, PlaneWaveSymbol):
+            f = f.to_grid(g.N)
+        if isinstance(g, PlaneWaveSymbol):
+            g = g.to_grid(f.N)
+        report: dict = {}
+        product = deformed_product_numeric(
+            f, g, J, OscIntegralConfig(tol=cfg.tol), report=report
+        )
+        disagreement = report.get("route_disagreement", float("nan"))
+    write_symbol_file(product, cfg.out)
     print(f"route disagreement: {disagreement:.3e}", file=sys.stderr)
-    print(f"wrote {out_path}")
+    print(f"wrote {cfg.out}")
     return EXIT_PASS
 
 
-def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
-              out_path: str | None) -> int:
+def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None) -> int:
     """Emit the CSV of norm functionals over a theta sweep."""
+    f = read_symbol_file(f_path)
     try:
-        f = read_symbol_file(f_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        thetas = parse_theta_sweep(sweep) if sweep else tuple(
-            round(0.1 * i, 12) for i in range(11)
-        )
+        thetas = parse_theta_sweep(sweep or "0:0.1:1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -834,64 +791,43 @@ def cmd_norms(cfg: RunConfig, f_path: str, sweep: str | None,
     pts = 256 if n == 1 else 32
     x_ax = np.linspace(-f.L, f.L, pts, endpoint=False)
     status = EXIT_PASS
-    try:
-        for theta in thetas:
-            J = DeformationMatrix.zero(1) if n == 1 else DeformationMatrix.symplectic(theta, n)
-            op = rieffel_operator(f, J, N=N)
-            rep = differential_norms(op, m)
-            opn = rep.op_norm
-            w_max = float(np.abs(op.terms.terms["w"]).max(initial=0.0))
-            box_xi = max(2.0 * np.pi, 2.0 * w_max)
-            pi = cv_functional(op.terms, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
-            ratio = opn / pi if pi > 0 else 0.0
-            row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
-            row += [f"{v:.12g}" for v in rep.T]
-            row += [f"{v:.12g}" for v in rep.s]
-            row.append(f"{ratio:.12g}")
-            rows.append(",".join(row))
-            if abs(theta) < 1e-12 and abs(sup - opn) > 0.02 * sup:
-                print(f"check failure: sup norm {sup:.6g} and operator norm "
-                      f"{opn:.6g} disagree beyond 2% at theta = 0", file=sys.stderr)
-                status = EXIT_CHECK
-    except (ConvergenceError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    text = "\n".join(rows) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-        print(f"wrote {out_path}")
-    else:
-        sys.stdout.write(text)
+    for theta in thetas:
+        op = rieffel_operator(f, _deformation(n, theta), N=N)
+        rep = differential_norms(op, m)
+        opn = rep.op_norm
+        w_max = float(np.abs(op.terms.terms["w"]).max(initial=0.0))
+        box_xi = max(2.0 * np.pi, 2.0 * w_max)
+        pi = cv_functional(op.terms, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
+        ratio = opn / pi if pi > 0 else 0.0
+        row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
+        row += [f"{v:.12g}" for v in rep.T]
+        row += [f"{v:.12g}" for v in rep.s]
+        row.append(f"{ratio:.12g}")
+        rows.append(",".join(row))
+        if abs(theta) < 1e-12 and abs(sup - opn) > 0.02 * sup:
+            print(f"check failure: sup norm {sup:.6g} and operator norm "
+                  f"{opn:.6g} disagree beyond 2% at theta = 0", file=sys.stderr)
+            status = EXIT_CHECK
+    _emit("\n".join(rows) + "\n", cfg.out)
     return status
 
 
-def cmd_verify(cfg: RunConfig, suites, workers: int | None,
-               out_path: str | None) -> int:
-    """Run verification suites and write the JSON report."""
-    names = list(suites) if suites else sorted(SUITES)
+def cmd_verify(cfg: RunConfig) -> int:
+    """Run the suites of cfg.suites (default all) and write the JSON report."""
+    names = cfg.suites or sorted(SUITES)
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         print(f"error: unknown suite(s): {', '.join(sorted(unknown))}; "
               f"available: {', '.join(sorted(SUITES))}", file=sys.stderr)
         return EXIT_USAGE
     start = time.monotonic()
-    try:
-        reports = run_suites(cfg, names, workers or cfg.workers)
-    except (ConvergenceError, NoConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+    reports = run_suites(cfg, names)
     print(f"total wall-clock: {time.monotonic() - start:.1f}s", file=sys.stderr)
-    text = _report_json(reports)
-    target = out_path or cfg.out
-    if target:
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    failures = sum(r.failures for r in reports)
+    _emit(_report_json(reports), cfg.out)
     for r in reports:
-        status = "ok" if r.failures == 0 else f"{r.failures} FAILED"
-        print(f"{r.suite}: {r.checks} checks, {status}", file=sys.stderr)
-    return EXIT_PASS if failures == 0 else EXIT_CHECK
+        status = "ok" if r["failures"] == 0 else f"{r['failures']} FAILED"
+        print(f"{r['suite']}: {r['checks']} checks, {status}", file=sys.stderr)
+    return EXIT_PASS if all(r["failures"] == 0 for r in reports) else EXIT_CHECK
 
 
 def cmd_info(cfg: RunConfig) -> int:
@@ -937,7 +873,7 @@ def _build_parser() -> _Parser:
     p_norms.add_argument("--out", metavar="PATH", help="CSV path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suites", metavar="a,b,c",
+    p_verify.add_argument("--suites", metavar="a,b,c", type=_names,
                           help="comma-separated suite names (default all)")
     p_verify.add_argument("--workers", type=int, metavar="INT",
                           help="concurrent suite count (at least 1)")
@@ -948,34 +884,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless path names a file in a writable directory."""
+    target = Path(path)
+    if target.is_dir() or not os.access(target.parent, os.W_OK):
+        raise OSError(f"cannot write {path}: not a file in a writable directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is not None and args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
+    flags = {key: getattr(args, key) for key in ("out", "workers", "suites")
+             if getattr(args, key, None) is not None}
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        if args.command == "product":
-            return cmd_product(cfg, args.f, args.g, args.out)
-        if args.command == "norms":
-            return cmd_norms(cfg, args.f, args.theta_sweep, args.out)
-        if args.command == "verify":
-            suites = None
-            if args.suites is not None:
-                suites = [s.strip() for s in args.suites.split(",") if s.strip()]
-            elif cfg.suites:
-                suites = list(cfg.suites)
-            return cmd_verify(cfg, suites, args.workers, args.out)
+        cfg = dataclasses.replace(cfg, **flags)
         if args.command == "info":
             return cmd_info(cfg)
-    except OSError as exc:  # an output path that cannot be written
+        if cfg.out:
+            _check_writable(cfg.out)
+        if args.command == "product":
+            return cmd_product(cfg, args.f, args.g)
+        if args.command == "norms":
+            return cmd_norms(cfg, args.f, args.theta_sweep)
+        return cmd_verify(cfg)
+    except (ConvergenceError, NoConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except (OSError, ValueError, DeformkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

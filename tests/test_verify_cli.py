@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from deformkit import verify_cli
 from deformkit.deformation import deformed_product_exact
-from deformkit.errors import ConvergenceError, NoConvergenceError
+from deformkit.errors import ConvergenceError, NoConvergenceError, UnsupportedOperatorError
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
@@ -59,8 +59,10 @@ def test_parse_theta_sweep_single_point():
     assert parse_theta_sweep("0.5:1:0.5") == (0.5,)
 
 
+# 0:5e-324:1 has infinitely many points, 0:1e-9:1 more than MAX_SWEEP_POINTS
 @pytest.mark.parametrize("spec", ["0:0.1", "1:-0.1:0", "1:0.1:0", "a:b:c",
-                                  "0:0.1:inf", "0:inf:1", "nan:0.1:1"])
+                                  "0:0.1:inf", "0:inf:1", "nan:0.1:1",
+                                  "0:5e-324:1", "0:1e-9:1"])
 def test_parse_theta_sweep_rejects_malformed(spec):
     with pytest.raises(ValueError):
         parse_theta_sweep(spec)
@@ -74,6 +76,10 @@ def test_parse_config_reads_typed_keys(tmp_path):
         "L = 4.0\n"
         "theta = 0.5\n"
         "seed = 7\n"
+        "tol = 1e-8\n"
+        "norm_order = 3\n"
+        "workers = 2\n"
+        "out = report.json\n"
         "suites = plancherel, unitization\n",
         encoding="utf-8",
     )
@@ -82,6 +88,10 @@ def test_parse_config_reads_typed_keys(tmp_path):
     assert cfg.L == 4.0
     assert cfg.theta == 0.5
     assert cfg.seed == 7
+    assert cfg.tol == 1e-8 and isinstance(cfg.tol, float)
+    assert cfg.norm_order == 3 and isinstance(cfg.norm_order, int)
+    assert cfg.workers == 2 and isinstance(cfg.workers, int)
+    assert cfg.out == "report.json"
     assert cfg.suites == ("plancherel", "unitization")
 
 
@@ -105,11 +115,20 @@ def test_parse_config_rejects_missing_equals(tmp_path):
     "field,value",
     [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0),
      ("L", float("nan")), ("L", float("inf")), ("theta", float("nan")),
-     ("theta", float("inf")), ("tol", float("nan"))],
+     ("theta", float("inf")), ("tol", float("nan")), ("seed", -1)],
 )
 def test_run_config_rejects_invalid_fields(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         RunConfig(**{field: value})
+
+
+def test_negative_seed_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "verify", "--suites", "plancherel"])
+    assert code == 2
+    message = capsys.readouterr().err.strip().splitlines()
+    assert len(message) == 1 and message[0].startswith("error: ") and "seed" in message[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +261,18 @@ def test_norms_default_sweep_runs(tmp_path):
     assert len(lines) == 12
 
 
+def test_norms_honors_config_out(tmp_path, capsys):
+    wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
+    out = tmp_path / "norms.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {out}\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "norms", str(tmp_path / "f.json"),
+                 "--theta-sweep", "0:1:0"])
+    assert code == 0
+    assert out.read_text(encoding="utf-8").startswith("theta,sup_norm,op_norm,")
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
 def test_norms_missing_file_exits_2(tmp_path):
     code = main(["norms", str(tmp_path / "nope.json")])
     assert code == 2
@@ -263,10 +294,11 @@ def test_norms_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
 # verify subcommand
 
 
-def test_verify_report_schema_and_exit(tmp_path):
+def test_verify_report_schema_and_exit(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["verify", "--suites", FAST_SUITES, "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["schema_version"] == 1
     assert report["all_passed"] is True
@@ -324,6 +356,25 @@ def test_verify_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["norms", "verify"])
+def test_package_error_inside_command_exits_2(tmp_path, capsys, monkeypatch, command):
+    # a package error that is not a failed check is bad input: one error
+    # line and exit 2, never a traceback
+    def fail(*args, **kwargs):
+        raise UnsupportedOperatorError("operator carries no lattice symbol")
+
+    monkeypatch.setattr(verify_cli, "differential_norms", fail)
+    monkeypatch.setattr(verify_cli, "operator_norm", fail)
+    wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
+    argv = {
+        "norms": ["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"],
+        "verify": ["verify", "--suites", "sup-op"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: operator carries no lattice symbol"]
+
+
 def test_verify_honors_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 11\nsuites = plancherel\n", encoding="utf-8")
@@ -343,9 +394,14 @@ def test_config_unknown_key_exits_2(tmp_path):
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 @pytest.mark.parametrize("command", ["product", "norms", "verify"])
-def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
     # an --out path that cannot be written is an I/O error with one error
-    # line naming the path, not a traceback
+    # line naming the path, not a traceback, found before any work
+    def work(*args, **kwargs):
+        raise AssertionError("the command worked before it checked its output")
+
+    for name in ("run_suites", "differential_norms", "deformed_product_numeric"):
+        monkeypatch.setattr(verify_cli, name, work)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
     out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
     argv = {
@@ -361,6 +417,13 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, target):
 
 # ---------------------------------------------------------------------------
 # info and usage
+
+
+def test_info_ignores_config_out(tmp_path):
+    # info writes no file, so an output path it cannot write is no error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out = {tmp_path / 'missing' / 'r.json'}\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "info"]) == 0
 
 
 def test_info_lists_suites(capsys):
