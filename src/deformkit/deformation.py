@@ -112,21 +112,6 @@ def _weight_derivative(n: int, order: int, sigma: tuple) -> tuple:
     return tuple((mono, q, c) for (mono, q), c in sorted(terms.items()))
 
 
-def _eval_weight_derivative(n: int, order: int, sigma: tuple) -> np.ndarray:
-    """d^sigma (1+|v|^2)^{-order} on the inner mesh."""
-    vax = _inner_axis()
-    mesh = np.meshgrid(*([vax] * n), indexing="ij") if n > 1 else [vax]
-    r2 = sum(v * v for v in mesh)
-    out = np.zeros_like(r2, dtype=float)
-    for mono, q, c in _weight_derivative(n, order, sigma):
-        term = c * (1.0 + r2) ** float(-q)
-        for ax, power in enumerate(mono):
-            if power:
-                term = term * mesh[ax] ** power
-        out += term
-    return out
-
-
 def _reg_pairs(n: int, order: int) -> tuple:
     """Leibniz expansion of (1 - Lap/4pi^2)^order applied to w(v)*G(v).
 
@@ -159,11 +144,29 @@ def _weight_groups(n: int, order: int) -> tuple:
 
     Returns ((sigma_g, W), ...) in sorted sigma_g order with W the sum of
     coef * d^{sigma_w} (1+|v|^2)^{-order} over the pairs of that sigma_g,
-    on the inner mesh.
+    on the inner mesh.  Each distinct d^{sigma_w} is evaluated once, from a
+    shared table of (1+|v|^2)^{-q}.
     """
+    mesh = np.meshgrid(*([_inner_axis()] * n), indexing="ij", sparse=True)
+    r2 = sum(v * v for v in mesh)
+    pairs = _reg_pairs(n, order)
+    terms = {sw: _weight_derivative(n, order, sw) for sw, _, _ in pairs}
+    decay = {q: (1.0 + r2) ** float(-q) for q in {q for t in terms.values() for _, q, _ in t}}
+
+    def derivative(sigma_w):  # d^sigma_w (1+|v|^2)^{-order}
+        out = np.zeros_like(r2)
+        for mono, q, c in terms[sigma_w]:
+            term = c * decay[q]
+            for ax, power in enumerate(mono):
+                if power:
+                    term = term * mesh[ax] ** power
+            out += term
+        return out
+
+    derivatives = {sw: derivative(sw) for sw in terms}
     groups: dict[tuple, np.ndarray] = {}
-    for sigma_w, sigma_g, coef in _reg_pairs(n, order):
-        term = coef * _eval_weight_derivative(n, order, sigma_w)
+    for sigma_w, sigma_g, coef in pairs:
+        term = coef * derivatives[sigma_w]
         groups[sigma_g] = groups[sigma_g] + term if sigma_g in groups else term
     for w in groups.values():
         w.flags.writeable = False
@@ -194,7 +197,19 @@ def _transform_inner(psi: np.ndarray, n: int) -> np.ndarray:
     padded = np.zeros(shape, dtype=np.complex128)
     off = (Qp - Q) // 2
     padded[(slice(off, off + Q),) * n] = psi
-    return centered_idft(padded, tuple(range(n))) * h ** n
+    # in place: a copy of the padded array would raise product's peak memory
+    padded = centered_idft(padded, tuple(range(n)), overwrite=True)
+    padded *= h ** n
+    return padded
+
+
+@lru_cache(maxsize=None)
+def _outer_weight(n: int, order: int) -> np.ndarray:
+    """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only)."""
+    umesh = np.meshgrid(*([_outer_axis()] * n), indexing="ij", sparse=True)
+    wn = (1.0 + sum(u * u for u in umesh)) ** float(-order)
+    wn.flags.writeable = False
+    return wn
 
 
 def _regularized_quadrature(n: int, order: int, g_derivative, fvals):
@@ -214,9 +229,8 @@ def _regularized_quadrature(n: int, order: int, g_derivative, fvals):
 
     gcheck = _transform_inner(psi, n)
 
+    wn = _outer_weight(n, order)
     uax = _outer_axis()
-    umesh = np.meshgrid(*([uax] * n), indexing="ij") if n > 1 else [uax]
-    wn = (1.0 + sum(u * u for u in umesh)) ** float(-order)
     du = uax[1] - uax[0]
     if n == 1:
         return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
@@ -252,6 +266,19 @@ def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
 # Lattice evaluation via the chirp-z transform
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a transform length numpy's FFT runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
               start: float, step: float, count: int) -> np.ndarray:
     """Evaluate sum_m C[m] exp(2 pi i scale (m/2L) y_j), y_j = start + j step.
@@ -260,7 +287,10 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     output point axis of length count.  Bluestein's chirp-z algorithm
     (Rabiner, Schafer and Rader, 1969): with psi = 2 pi scale step / 2L and
     mj = (m^2 + j^2 - (j - m)^2) / 2 the sum is a linear convolution with
-    the chirp exp(-i psi k^2 / 2), done by zero-padded FFTs.
+    the chirp exp(-i psi k^2 / 2), done by FFTs zero-padded to the
+    smallest 5-smooth length >= N + count - 1 (_fast_len).  The product
+    with the chirp's spectrum and the inverse FFT run in place on the
+    padded array, and the result is a view into it.
     """
     N = coeffs.shape[axis]
     m = np.arange(N) - N // 2
@@ -270,11 +300,13 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     shape = [1] * coeffs.ndim
     shape[axis] = -1
     pre = np.exp(2j * np.pi * scale * m * start / (2.0 * L) + 0.5j * psi * m * m)
-    size = 1 << (N + count - 2).bit_length()
+    size = _fast_len(N + count - 1)
     y = np.fft.fft(coeffs * pre.reshape(shape), size, axis=axis)
-    h = np.fft.fft(np.exp(-0.5j * psi * k * k), size).reshape(shape)
-    conv = np.fft.ifft(y * h, axis=axis).take(N - 1 + j, axis=axis)
-    return conv * np.exp(0.5j * psi * j * j).reshape(shape)
+    y *= np.fft.fft(np.exp(-0.5j * psi * k * k), size).reshape(shape)
+    np.fft.ifft(y, axis=axis, out=y)
+    conv = y[(slice(None),) * axis + (slice(N - 1, N - 1 + count),)]
+    conv *= np.exp(0.5j * psi * j * j).reshape(shape)
+    return conv
 
 
 def _lattice_point_values(coeffs: np.ndarray, n: int, L: float, x) -> np.ndarray:

@@ -95,27 +95,34 @@ def _alternating(N: int) -> np.ndarray:
 
 def centered_dft(values: np.ndarray, axes) -> np.ndarray:
     """Per-axis sums G_j = sum_i f_i exp(-2 pi i (i-N/2)(j-N/2)/N)."""
-    out = np.asarray(values, dtype=np.complex128)
+    out = np.array(values, dtype=np.complex128)
     for ax in axes:
         N = out.shape[ax]
         shape = [1] * out.ndim
         shape[ax] = N
         alt = _alternating(N).reshape(shape)
         sign = (-1.0) ** (N // 2) if N % 2 == 0 else np.exp(-0.5j * np.pi * N)
-        out = np.fft.fft(out * alt, axis=ax) * alt * sign
+        out *= alt
+        np.fft.fft(out, axis=ax, out=out)
+        out *= alt * sign
     return out
 
 
-def centered_idft(values: np.ndarray, axes) -> np.ndarray:
-    """Per-axis sums H_i = sum_j G_j exp(+2 pi i (i-N/2)(j-N/2)/N)."""
-    out = np.asarray(values, dtype=np.complex128)
+def centered_idft(values: np.ndarray, axes, overwrite: bool = False) -> np.ndarray:
+    """Per-axis sums H_i = sum_j G_j exp(+2 pi i (i-N/2)(j-N/2)/N).
+
+    overwrite=True transforms a complex128 input in place and returns it.
+    """
+    out = (np.asarray if overwrite else np.array)(values, dtype=np.complex128)
     for ax in axes:
         N = out.shape[ax]
         shape = [1] * out.ndim
         shape[ax] = N
         alt = _alternating(N).reshape(shape)
         sign = (-1.0) ** (N // 2) if N % 2 == 0 else np.exp(0.5j * np.pi * N)
-        out = np.fft.ifft(out * alt, axis=ax) * alt * (sign * N)
+        out *= alt
+        np.fft.ifft(out, axis=ax, out=out)
+        out *= alt * (sign * N)
     return out
 
 

@@ -10,6 +10,7 @@ from deformkit.deformation import (
     _CHUNK_POINTS,
     OscIntegralConfig,
     _czt_axis,
+    _fast_len,
     _lattice_action,
     deformed_product_exact,
     deformed_product_numeric,
@@ -293,7 +294,7 @@ def test_fourier_inversion_on_grid_gaussian():
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("N,count", [(64, 1), (64, 256), (256, 512)])
+@pytest.mark.parametrize("N,count", [(64, 1), (64, 256), (256, 512), (37, 101), (100, 7)])
 def test_czt_axis_matches_direct_sums(N, count, axis):
     # sum_m C[m] exp(2 pi i scale (m/2L) y_j), y_j = start + j step, summed
     # term by term; the start is off the origin so the pre-phase counts.
@@ -307,6 +308,19 @@ def test_czt_axis_matches_direct_sums(N, count, axis):
     got = _czt_axis(coeffs, axis, L, scale, start, step, count)
     assert got.shape == direct.shape
     assert np.abs(got - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fast_len_is_the_smallest_5_smooth_length():
+    smooth = [m for m in range(1, 4097) if _is_5_smooth(m)]
+    for n in range(1, 4097):
+        assert _fast_len(n) == next(m for m in smooth if m >= n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line interface tests: parsing, exit codes, formats, determinism."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -290,6 +291,32 @@ def test_norms_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
     assert capsys.readouterr().err.strip().splitlines() == ["error: norm did not settle"]
 
 
+# A smooth 2-D plane wave whose dense sup norm (3.0719) lies 2.6% above its
+# maximum on the 16-point grid (2.9925), which the theta = 0 operator norm meets.
+GRID_SAMPLED_WAVE = (((-2, -2), 1.3597 + 1.2247j), ((1, -2), -0.2980 - 0.5274j),
+                     ((0, -2), -0.0561 + 0.7469j))
+
+
+@pytest.mark.parametrize("skew,code", [(1.0, 0), (1.05, 1)])
+def test_norms_theta0_check_compares_grid_maximum(tmp_path, capsys, monkeypatch, skew, code):
+    real = verify_cli.differential_norms
+
+    def skewed(op, m):
+        rep = real(op, m)
+        return dataclasses.replace(rep, T=(skew * rep.T[0],) + rep.T[1:])
+
+    monkeypatch.setattr(verify_cli, "differential_norms", skewed)
+    wave_file(tmp_path / "f.json", 2, GRID_SAMPLED_WAVE, L=6.0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 16\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "norms", str(tmp_path / "f.json"),
+                 "--theta-sweep", "0:1:0"]) == code
+    out = capsys.readouterr()
+    row = [float(v) for v in out.out.splitlines()[1].split(",")]
+    assert abs(row[1] - 3.0719) < 1e-4  # the sup_norm column stays the dense sup
+    assert ("check failure: grid maximum" in out.err) == bool(code)
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -512,6 +539,8 @@ def test_runtime_imports_no_scipy():
 def test_product_independent_of_blas_threads(tmp_path):
     # The lattice action multiplies k x k blocks per frequency with einsum,
     # never a BLAS call whose rounding depends on how many threads split it.
+    # The RSYM bytes come from the lattice route; the printed disagreement,
+    # and its full repr from the library, pin the quadrature oracle as well.
     rng = np.random.default_rng(23)
     paths = []
     for width in (1.2, 0.9):
@@ -519,6 +548,10 @@ def test_product_independent_of_blas_threads(tmp_path):
         values = gaussian_values(2, 32, 6.0, width)[..., :1, :1] * mix
         paths.append(str(tmp_path / f"w{width}.rsym"))
         write_symbol_file(GridSymbol(2, 32, 6.0, values), paths[-1])
+    oracle = ("import sys; from deformkit.deformation import deformed_product_numeric as p; "
+              "from deformkit.symbols import DeformationMatrix as D, read_symbol_file as r; "
+              "rep = {}; p(r(sys.argv[1]), r(sys.argv[2]), D.symplectic(0.25, 2), report=rep); "
+              "print(repr(rep['route_disagreement']))")
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"product-{threads}.rsym"
@@ -528,7 +561,12 @@ def test_product_independent_of_blas_threads(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        outputs.append(out.read_bytes())
+        route = [line for line in done.stderr.splitlines() if line.startswith("route disagreement:")]
+        assert len(route) == 1, done.stderr
+        exact = subprocess.run([sys.executable, "-c", oracle, *paths], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert exact.returncode == 0, exact.stderr
+        outputs.append((out.read_bytes(), route[0], exact.stdout))
     assert outputs[0] == outputs[1]
 
 
