@@ -5,9 +5,11 @@ The projective translation-modulation group acts by
     U_{a,b,c} f(x) = exp(ic) exp(ib.x) f(x - a),
 
 with composition law (a,b,c)(a',b',c') = (a+a', b+b', c+c'-a.b').
-Conjugation AdU(a,b) shifts phase-space symbols, its derivatives at the
-identity are the derivations delta, and the sums of their operator
-norms give the differential norm hierarchy T_k and s_m.
+On the grid U is an operator like any other: its translation is the
+lattice operator of the symbol exp(-i a.xi), and the conjugation
+AdU(a,b)(A) = U A U* is a composition.  AdU shifts phase-space symbols,
+its derivatives at the identity are the derivations delta, and the sums
+of their operator norms give the differential norm hierarchy T_k and s_m.
 
 The symbol map S reconstructs a(x, xi) from Op(a) through the rank-one
 pairing with the kernels u and v built from the Green kernels of
@@ -16,31 +18,18 @@ pairing with the kernels u and v built from the Green kernels of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
 
 from .deformation import _czt_axis
 from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
-from .pseudodiff import (
-    DiscretizedOperator,
-    ModuleVector,
-    op_from_phase_terms,
-    operator_norm,
-)
-from .symbols import (
-    PlaneWavePhaseSymbol,
-    _rowdot,
-    centered_dft,
-    centered_idft,
-    derivative,
-    multi_indices,
-)
+from .pseudodiff import DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm
+from .symbols import PlaneWavePhaseSymbol, _rowdot, axis_points, derivative, multi_indices
 
 __all__ = [
-    "HeisenbergElement",
-    "heisenberg_act",
+    "heisenberg_operator",
     "adu_conjugate",
     "shifted_symbol",
     "delta_symbol",
@@ -85,64 +74,32 @@ KERNEL_U_L2 = float(np.sqrt(303.0 / 32.0))
 KERNEL_V_L2 = float(np.sqrt(np.pi / 4.0))
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """Group element (a, b, c): translation a, modulation b, phase c."""
+def heisenberg_operator(geometry, a, b, c: float = 0.0) -> DiscretizedOperator:
+    """U_{a,b,c} g = exp(ic) exp(ib.x) g(. - a) on the grid of geometry (n, N, L, k).
 
-    a: tuple
-    b: tuple
-    c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "c", float(self.c))
-        if len(self.a) != len(self.b):
-            raise ValueError("translation and modulation parts differ in length")
-
-
-def heisenberg_act(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
-    """U_{a,b,c} g = exp(ic) exp(ib.x) g(. - a) on the periodic grid.
-
-    Translations commensurate with the grid are index rolls (exact);
-    other shifts act through the trigonometric series.  Modulation and
-    phase are pointwise, so the action is unitary.  Modulations that
-    are characters of the box (b in (pi/L) Z^n) respect periodicity and
-    make the group law exact; other b use the principal branch on
-    [-L, L) and differ from the continuum action by boundary wrap
-    terms, so they suit vectors with negligible boundary mass.
+    The translation is the lattice operator of the one-term symbol
+    exp(-i a.xi) (m = 0, w = -a, coefficient I_k), exact on the periodic
+    grid for every a; the phase exp(ic) exp(ib.x) is pointwise on the
+    principal branch [-L, L).  Both factors are unitary, so U is, and its
+    adjoint is the lattice adjoint after the conjugate phase.  Modulations
+    that are characters of the box (b in (pi/L) Z^n) respect periodicity
+    and make the group law exact; other b differ from the continuum action
+    by boundary wrap terms, so they suit vectors with negligible boundary
+    mass.  a and b need one entry per axis (ValueError otherwise).
     """
-    n, N, L = g.n, g.N, g.L
-    dx = g.dx
-    values = np.asarray(g.values)
-    shifts = []
-    commensurate = True
-    for ax in range(n):
-        steps = el.a[ax] / dx
-        if abs(steps - round(steps)) > 1e-9:
-            commensurate = False
-            break
-        shifts.append(int(round(steps)))
-    axes = tuple(range(n))
-    if commensurate:
-        out = np.roll(values, shift=tuple(shifts), axis=axes)
-    else:
-        ghat = centered_dft(values, axes)
-        half = N // 2
-        lattice = (np.arange(N) - half) / (2.0 * L)
-        for ax in range(n):
-            ramp = np.exp(-2j * np.pi * lattice * el.a[ax])
-            shape = [1] * ghat.ndim
-            shape[ax] = N
-            ghat = ghat * ramp.reshape(shape)
-        out = centered_idft(ghat, axes) / float(N) ** n
-    x = g.axis
-    for ax in range(n):
-        mod = np.exp(1j * el.b[ax] * x)
-        shape = [1] * out.ndim
-        shape[ax] = N
-        out = out * mod.reshape(shape)
-    return g.with_values(np.exp(1j * el.c) * out)
+    n, N, L, k = geometry
+    a, b = tuple(float(v) for v in a), tuple(float(v) for v in b)
+    if len(a) != n or len(b) != n:
+        raise ValueError(f"translation {a} and modulation {b} need {n} entries each")
+    shift = op_from_phase_terms(
+        PlaneWavePhaseSymbol(n, L, k, (((0,) * n, tuple(-v for v in a), np.eye(k)),)), N)
+    x = np.meshgrid(*([axis_points(N, L)] * n), indexing="ij")
+    phase = np.exp(1j * (float(c) + sum(bj * xj for bj, xj in zip(b, x))))[..., None, None]
+    return DiscretizedOperator(
+        geometry, geometry,
+        lambda values: phase * shift.forward(values),
+        lambda values: shift.adjoint_fn(np.conj(phase) * values),
+    )
 
 
 def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
@@ -152,49 +109,21 @@ def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
                                          + _rowdot(w, np.asarray(b, dtype=float)))))
 
 
-def _act_adjoint(el: HeisenbergElement, g: ModuleVector) -> ModuleVector:
-    """Exact matrix adjoint of heisenberg_act(el, .) applied to g.
-
-    The action factors as phase * modulation * translation; both
-    translation branches are exactly unitary on the grid, so the adjoint
-    is the reversed product of the inverted factors.  For incommensurate
-    shifts combined with modulation this differs from acting with the
-    inverse group element by a band-edge wrap, which the reversed order
-    avoids.
-    """
-    n = len(el.a)
-    zero = (0.0,) * n
-    mod = HeisenbergElement(zero, tuple(-v for v in el.b), -el.c)
-    shift = HeisenbergElement(tuple(-v for v in el.a), zero, 0.0)
-    return heisenberg_act(shift, heisenberg_act(mod, g))
-
-
 def adu_conjugate(op: DiscretizedOperator, a, b) -> DiscretizedOperator:
     """AdU(a,b)(A) = U A U* with U = U_{a,b}; U* = U^{-1} as U is unitary on the grid.
 
-    Both closures are conjugated, so U A* U* is the exact adjoint of
-    U A U*.  When A carries a lattice symbol the shifted symbol
+    The composition chains both closures, so U A* U* is the exact adjoint
+    of U A U*.  When A carries a lattice symbol the shifted symbol
     sigma(. - a, . - b) rides along, so the two routes can be compared.
-    A and U must act on one box (GridMismatchError otherwise).
+    A must act on one box (GridMismatchError otherwise).
     """
     if op.geometry_in != op.geometry_out:
         raise GridMismatchError(
             f"AdU needs an operator on one box, got {op.geometry_in} -> {op.geometry_out}"
         )
-    n, N, L, k = op.geometry_in
-    el = HeisenbergElement(tuple(a), tuple(b), 0.0)
-
-    def conjugate(fn):
-        def conjugated(values):
-            mid = fn(_act_adjoint(el, ModuleVector(n, N, L, values)).values)
-            return heisenberg_act(el, ModuleVector(n, N, L, mid)).values
-
-        return conjugated
-
+    U = heisenberg_operator(op.geometry_in, a, b)
     terms = shifted_symbol(op.terms, a, b) if op.terms is not None else None
-    return DiscretizedOperator(
-        op.geometry_in, op.geometry_out, conjugate(op.forward), conjugate(op.adjoint_fn), terms
-    )
+    return replace(U @ op @ adjoint(U), terms=terms)
 
 
 def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:

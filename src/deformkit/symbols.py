@@ -57,8 +57,10 @@ MAX_DERIV_ORDER = 8
 # Relative threshold for pruning trigonometric series coefficients.
 PRUNE_REL = 1e-13
 
-# Oversampling factor for sup norms of band-limited data.
+# Oversampling factor for sup norms of band-limited data, and the most
+# points the dense sampling may take in all: 2^18, 512 per axis for n = 2.
 SUP_OVERSAMPLE = 8
+SUP_MAX_POINTS_LOG2 = 18
 
 
 def default_grid_size(n: int) -> tuple[int, float]:
@@ -544,9 +546,7 @@ def derivative(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
 def _dense_axis(f: PlaneWaveSymbol) -> np.ndarray:
     """Oversampled commensurate axis for sup evaluation of trig data."""
     base = max(128, SUP_OVERSAMPLE * 2 * max(1, f.max_abs_m))
-    N = 1 << (int(base - 1).bit_length())
-    if f.n == 2:
-        N = min(N, 512)
+    N = min(1 << (int(base - 1).bit_length()), 1 << (SUP_MAX_POINTS_LOG2 // f.n))
     return axis_points(N, f.L)
 
 

@@ -60,6 +60,7 @@ from .pseudodiff import (
     rieffel_operator,
 )
 from .symbols import (
+    MAX_DERIV_ORDER,
     DeformationMatrix,
     GridSymbol,
     ModuleVector,
@@ -96,6 +97,9 @@ DERIVATION_FD_STEP = 1e-3
 # Most theta values one sweep may hold (the default sweep has 11).
 MAX_SWEEP_POINTS = 100_000
 
+# Most grid points per axis a run may ask for: desk scale.
+MAX_GRID_N = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -112,8 +116,8 @@ class RunConfig:
     suites: tuple = ()
 
     def __post_init__(self):
-        if self.N < 4 or self.N & (self.N - 1) != 0:
-            raise ValueError(f"N must be a power of two >= 4, got {self.N}")
+        if self.N < 4 or self.N > MAX_GRID_N or self.N & (self.N - 1) != 0:
+            raise ValueError(f"N must be a power of two in [4, {MAX_GRID_N}], got {self.N}")
         for name in ("L", "theta", "tol"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -121,8 +125,9 @@ class RunConfig:
             raise ValueError(f"L must be positive, got {self.L}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.norm_order < 0:
-            raise ValueError(f"norm_order must be nonnegative, got {self.norm_order}")
+        if not 0 <= self.norm_order <= MAX_DERIV_ORDER:
+            raise ValueError(
+                f"norm_order must be in [0, {MAX_DERIV_ORDER}], got {self.norm_order}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.workers < 1:
@@ -890,7 +895,7 @@ def _build_parser() -> _Parser:
 def _check_writable(path: str) -> None:
     """Raise OSError unless path names a file in a writable directory."""
     target = Path(path)
-    if target.is_dir() or not os.access(target.parent, os.W_OK):
+    if not target.parent.is_dir() or target.is_dir() or not os.access(target.parent, os.W_OK):
         raise OSError(f"cannot write {path}: not a file in a writable directory")
 
 

@@ -15,7 +15,6 @@ from deformkit.heisenberg import (
     SYMBOL_ETA_FLOOR,
     SYMBOL_S_FLOOR,
     SYMBOL_SIGMA_SPAN,
-    HeisenbergElement,
     _fd_d_value,
     _simpson_axis,
     _simpson_weights,
@@ -29,7 +28,7 @@ from deformkit.heisenberg import (
     gamma1,
     gamma2,
     gamma2_prime,
-    heisenberg_act,
+    heisenberg_operator,
     inverse_cv_bound,
     kernel_identity_residual,
     kernel_u,
@@ -79,40 +78,40 @@ def character(j):
 
 def test_action_respects_group_law_for_characters():
     g = narrow_gaussian(freq=0.9)
-    x = HeisenbergElement((0.5,), (character(2),), 0.3)
-    y = HeisenbergElement((-0.75,), (character(-1),), 0.8)
+    x = heisenberg_operator(g.geometry(), (0.5,), (character(2),), 0.3)
+    y = heisenberg_operator(g.geometry(), (-0.75,), (character(-1),), 0.8)
     # the group law (a,b,c)(a',b',c') = (a+a', b+b', c+c'-a.b')
-    xy = HeisenbergElement((0.5 - 0.75,), (character(2) + character(-1),),
-                           0.3 + 0.8 - 0.5 * character(-1))
-    via_product = heisenberg_act(xy, g)
-    step_by_step = heisenberg_act(x, heisenberg_act(y, g))
+    xy = heisenberg_operator(g.geometry(), (0.5 - 0.75,), (character(2) + character(-1),),
+                             0.3 + 0.8 - 0.5 * character(-1))
+    via_product = xy(g)
+    step_by_step = x(y(g))
     assert np.abs(via_product.values - step_by_step.values).max() <= 1e-12
 
 
 def test_action_is_unitary():
     g = narrow_gaussian(freq=0.9)
-    x = HeisenbergElement((0.37,), (character(3),), 1.2)
-    out = heisenberg_act(x, g)
+    out = heisenberg_operator(g.geometry(), (0.37,), (character(3),), 1.2)(g)
     assert_allclose(norm_L2(out), norm_L2(g), rtol=1e-12)
 
 
 def test_central_element_is_scalar_phase():
     g = narrow_gaussian()
-    out = heisenberg_act(HeisenbergElement((0.0,), (0.0,), 0.7), g)
+    out = heisenberg_operator(g.geometry(), (0.0,), (0.0,), 0.7)(g)
     assert np.abs(out.values - np.exp(0.7j) * g.values).max() <= 1e-15
 
 
 def test_commensurate_translation_uses_exact_roll():
     g = narrow_gaussian()
     dx = 2.0 * L / N
-    out = heisenberg_act(HeisenbergElement((3 * dx,), (0.0,), 0.0), g)
+    out = heisenberg_operator(g.geometry(), (3 * dx,), (0.0,), 0.0)(g)
     assert np.abs(out.values - np.roll(g.values, 3, axis=0)).max() <= 1e-15
 
 
 def test_incommensurate_translation_matches_continuum():
     # Spectral shift of a narrow Gaussian agrees with re-evaluation.
     a = 0.3137
-    out = heisenberg_act(HeisenbergElement((a,), (0.0,), 0.0), narrow_gaussian())
+    g = narrow_gaussian()
+    out = heisenberg_operator(g.geometry(), (a,), (0.0,), 0.0)(g)
     assert np.abs(out.values - gaussian_values(1, N, L, 0.5, shift=a)).max() <= 1e-9
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from deformkit.deformation import _CHUNK_POINTS, deformed_product_exact
 from deformkit.errors import GridMismatchError, NoConvergenceError
-from deformkit.heisenberg import adu_conjugate
+from deformkit.heisenberg import adu_conjugate, heisenberg_operator
 from deformkit.pseudodiff import (
     DiscretizedOperator,
     adjoint,
@@ -205,6 +205,7 @@ def test_adjoint_of_multiplication_is_star():
     pytest.param("adu", 2, 1, 16, id="adu-n2-k1"),
     pytest.param("compose", 1, 2, 17, id="compose-n1-k2"),
     pytest.param("compose", 2, 1, 18, id="compose-n2-k1"),
+    pytest.param("heisenberg", 2, 2, 19, id="heisenberg-n2-k2"),
 ])
 def test_closure_adjoint_pairing(kind, n, k, seed):
     # <A f, g> = <f, A* g> for the adjoint closure of every operator constructor
@@ -224,6 +225,9 @@ def test_closure_adjoint_pairing(kind, n, k, seed):
     elif kind == "adu":
         phase = op_from_phase_terms(off_grid_phase_symbol(n, k, True, rng), 16)
         op = adu_conjugate(phase, (0.37,) * n, (0.25,) * n)
+    elif kind == "heisenberg":
+        # a off the grid step 2L/16 = 0.75, b off the box characters (pi/L) Z
+        op = heisenberg_operator((n, 16, L, k), (0.37, -0.61), (0.25, 0.9), 0.6)
     elif kind == "compose":
         op = op_from_phase_terms(off_grid_phase_symbol(n, k, False, rng), 16) @ multiplication()
     else:

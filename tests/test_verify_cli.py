@@ -116,7 +116,8 @@ def test_parse_config_rejects_missing_equals(tmp_path):
     "field,value",
     [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0),
      ("L", float("nan")), ("L", float("inf")), ("theta", float("nan")),
-     ("theta", float("inf")), ("tol", float("nan")), ("seed", -1)],
+     ("theta", float("inf")), ("tol", float("nan")), ("seed", -1),
+     ("N", 2048), ("N", 1099511627776), ("norm_order", 9), ("norm_order", 40)],
 )
 def test_run_config_rejects_invalid_fields(field, value):
     with pytest.raises(ValueError, match=field):
@@ -274,6 +275,15 @@ def test_norms_honors_config_out(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out}\n"
 
 
+def test_norms_far_frequency_caps_sup_sampling(tmp_path, capsys):
+    # the dense sup axis of a 1-D wave stays within its point budget however
+    # far the frequency: one unimodular term, no 128 TiB axis
+    wave_file(tmp_path / "f.json", 1, (((1 << 40,), 1.0),))
+    assert main(["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[1]) == pytest.approx(1.0)
+
+
 def test_norms_missing_file_exits_2(tmp_path):
     code = main(["norms", str(tmp_path / "nope.json")])
     assert code == 2
@@ -419,7 +429,7 @@ def test_config_unknown_key_exits_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory", "parent-is-file"])
 @pytest.mark.parametrize("command", ["product", "norms", "verify"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
     # an --out path that cannot be written is an I/O error with one error
@@ -430,7 +440,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
     for name in ("run_suites", "differential_norms", "deformed_product_numeric"):
         monkeypatch.setattr(verify_cli, name, work)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
-    out = tmp_path / "missing" / "out" if target == "missing-dir" else tmp_path
+    out = {"missing-dir": tmp_path / "missing" / "out", "directory": tmp_path,
+           "parent-is-file": tmp_path / "f.json" / "r.json"}[target]
     argv = {
         "product": ["product", str(tmp_path / "f.json"), str(tmp_path / "f.json")],
         "norms": ["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"],
