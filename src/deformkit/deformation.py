@@ -413,7 +413,8 @@ def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix)
     g keeps its significant set, which keys on the largest entry.
     """
     if J.is_zero:
-        return np.einsum("...ab,...bc->...ac", f.values, g.values)
+        fg = _kfirst_product(_k_first(f.values), _k_first(g.values))
+        return fg.transpose(2, 0, 1).reshape(f.values.shape)
     sf, sg = significant_terms(f), significant_terms(g)
     if len(sf.terms) <= len(sg.terms):
         return _lattice_action(tilde_map(sf, J), f.N)(g.values)
@@ -505,12 +506,24 @@ def tilde_map(f, J: DeformationMatrix) -> PlaneWavePhaseSymbol:
     return PlaneWavePhaseSymbol(f.n, f.L, f.k, _term_array(t["m"], t["c"], w))
 
 
+def _k_first(values: np.ndarray) -> np.ndarray:
+    """(..., k, k) values as one contiguous (k, k, points) array."""
+    k = values.shape[-1]
+    return np.ascontiguousarray(np.reshape(values, (-1, k, k)).transpose(1, 2, 0))
+
+
+def _kfirst_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise k x k products of (k, k, points) arrays: the bits of the k-last
+    einsum "...ab,...bc->...ac", and fast also for k = 2, where that one is slow."""
+    return np.einsum("abp,bcp->acp", a, b)
+
+
 def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
     """The twisted translation sum of a lattice phase symbol on the N-point grid.
 
     Returns values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n,
     ghat = DFT(g), r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift
-    terms form the pointwise field.  The rest group by (w_0, m_1) into one sum
+    terms form the pointwise field, kept k-first.  The rest group by (w_0, m_1) into one sum
     S = sum_g FFT_0(K_g) FFT_0(B_g) of k x k products: B_g = roll(r_0 ghat, m_1) on
     axis 1, and K_g(d, s) adds c_t r_1t(s - m_1) over the group's m_0t = d mod N.
     The axis-0 IFFT of S and the axis-0 IDFT fold to S[(N/2 - j) mod N] (-1)^(j + N/2).
@@ -534,6 +547,8 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
     _, first, group = np.unique(w[:, 0] + 1j * m1, return_index=True, return_inverse=True)
     field = centered_idft(zero_w, tuple(range(n))) if zero.any() or not len(first) else None
     field = np.conj(np.swapaxes(field, -1, -2)) if adjoint and field is not None else field
+    # k-first, its points in the (s, axis-0 point) order of the sum's arrays
+    field = None if field is None else _k_first(np.swapaxes(field.reshape(N, len(s), k, k), 0, 1))
     r1 = lattice[(s - (not adjoint) * m1[:, None]) % N]
     cr1 = c[..., None] * np.exp(2j * np.pi * w1[:, None] * r1)[:, None, None]
     r0 = np.exp(2j * np.pi * w[first, :1] * lattice)  # (groups, N)
@@ -548,10 +563,10 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
             yield slice(g, g + step), np.fft.fft(K)
 
     def apply(values):
-        out = 0.0 if field is None else np.einsum("...ab,...bc->...ac", field, values)
-        if not len(first):
-            return out
         v = np.ascontiguousarray(np.reshape(values, (N, len(s), k, k)).transpose(2, 3, 1, 0))
+        out = 0.0 if field is None else _kfirst_product(field, v.reshape(k, k, -1)).reshape(v.shape)
+        if not len(first):
+            return out.transpose(3, 2, 0, 1).reshape(np.shape(values))
         if not adjoint:
             ghat = centered_dft(v, (3,) + sax)
             S = sum(np.einsum("abgsf,bcgsf->acsf", FK, np.fft.fft(
@@ -562,7 +577,7 @@ def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
             res = centered_idft(sum(np.einsum("gf,acgsf->acsf", np.conj(r0[g]), np.fft.ifft(
                 np.einsum("bagsf,bcgsf->acgsf", np.conj(FK), S[..., roll[g], :]), norm="forward"))
                 for g, FK in kernels()), (3,) + sax)
-        return out + res.transpose(3, 2, 0, 1).reshape(np.shape(values)) / float(N) ** n
+        return (out + res / float(N) ** n).transpose(3, 2, 0, 1).reshape(np.shape(values))
 
     return apply
 

@@ -67,6 +67,7 @@ SYMBOL_DSIGMA = 0.0125
 SYMBOL_ETA_FLOOR = -30.0
 SYMBOL_DETA = 0.125
 FD_STEP = 1e-2
+_ETA_BLOCK_POINTS = 1 << 15  # sigma x eta values per eta block of symbol_map_S
 
 # inverse_cv_bound: the exact kernel norms ||u||_2^2 = 303/32 and
 # ||v||_2^2 = pi/4.
@@ -350,7 +351,11 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     S(Op(a)) = a.  As b is a sum of plane waves, the Simpson-weighted
     pairing scales each term b_t by one number K(omega_t, w_t) =
     sum_s e^{i omega s} sum_eta u(s, eta) sum_sigma e^{i (s + w) sigma}
-    v(sigma, eta); the sigma sum is a chirp-z transform.  One-dimensional
+    v(sigma, eta); the sigma sum is a chirp-z transform.  It streams eta
+    in blocks of _ETA_BLOCK_POINTS sigma x eta values, so no sigma x eta
+    table is held, and keeps one s x eta integrand per distinct w: memory
+    O(|w| |s| |eta|), 3.9 MB per distinct w.  The eta sums run over full
+    rows, so blocking changes no bits.  One-dimensional
     operators only; the operator must carry a lattice symbol
     (UnsupportedOperatorError otherwise).  The D route is cross-checked
     once at the origin against finite differences (ConvergenceError
@@ -368,30 +373,34 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     s_ax = _simpson_axis(SYMBOL_S_FLOOR, 0.0, SYMBOL_DS)
     sig_ax = _simpson_axis(*SYMBOL_SIGMA_SPAN, SYMBOL_DSIGMA)
     eta_ax = _simpson_axis(SYMBOL_ETA_FLOOR, 0.0, SYMBOL_DETA)
-
-    u_vals = np.conj(kernel_u(s_ax[:, None], eta_ax[None, :]))
-    v_vals = kernel_v(sig_ax[:, None], eta_ax[None, :])
-    # v's sup over sigma never decays in eta (sigma chases eta), so the
-    # truncation control lives in u's exponential gamma2(-eta) factor
-    u_peak = float(np.abs(u_vals).max())
-    u_tail = float(np.abs(u_vals[:, 0]).max())
-    if u_peak > 0 and u_tail > 1e-6 * u_peak:
-        raise ConvergenceError("eta truncation leaves kernel tail mass above 1e-6")
-
     # composite Simpson weights; plain sums bias the oscillatory pairing
-    u_w = u_vals * (_simpson_weights(s_ax)[:, None] * _simpson_weights(eta_ax)[None, :])
-    v_w = v_vals * _simpson_weights(sig_ax)[:, None]
+    s_wt, sig_wt, eta_wt = (_simpson_weights(ax) for ax in (s_ax, sig_ax, eta_ax))
     # sigma = sigma_c + m dsigma over the centered index m, so the chirp-z
     # with L = pi and scale dsigma sums e^{i m dsigma y} at y = s + w
     sig_c = sig_ax[len(sig_ax) // 2]
-
-    def pairing(w):
-        y = s_ax + w
-        V = _czt_axis(v_w, 0, np.pi, sig_ax[1] - sig_ax[0], y[0], s_ax[1] - s_ax[0], len(y))
-        return np.sum(u_w * (V * np.exp(1j * y * sig_c)[:, None]), axis=1)
-
     ws, index = np.unique(b.terms["w"][:, 0], return_inverse=True)
-    pairings = np.array([pairing(w) for w in ws]).reshape(len(ws), len(s_ax))[index]
+    # integrand[i] = u_w V_w e^{i y sigma_c} for w = ws[i], filled one eta block at a time
+    integrand = np.empty((len(ws), len(s_ax), len(eta_ax)), dtype=np.complex128)
+    u_peak = u_tail = 0.0
+    width = max(1, _ETA_BLOCK_POINTS // len(sig_ax))
+    for j in range(0, len(eta_ax), width):
+        cols = slice(j, j + width)
+        u = np.conj(kernel_u(s_ax[:, None], eta_ax[None, cols]))
+        # v's sup over sigma never decays in eta (sigma chases eta), so the
+        # truncation control lives in u's exponential gamma2(-eta) factor
+        u_peak = max(u_peak, float(np.abs(u).max()))
+        u_tail = u_tail if j else float(np.abs(u[:, 0]).max())
+        u *= s_wt[:, None] * eta_wt[None, cols]
+        v = kernel_v(sig_ax[:, None], eta_ax[None, cols]) * sig_wt[:, None]
+        for out, w in zip(integrand, ws):
+            y = s_ax + w
+            V = _czt_axis(v, 0, np.pi, sig_ax[1] - sig_ax[0], y[0], s_ax[1] - s_ax[0], len(y))
+            V *= np.exp(1j * y * sig_c)[:, None]
+            np.multiply(V, u, out=out[:, cols])
+    if u_peak > 0 and u_tail > 1e-6 * u_peak:
+        raise ConvergenceError("eta truncation leaves kernel tail mass above 1e-6")
+
+    pairings = np.sum(integrand, axis=2)[index]
     om = b.omega(b.terms["m"])
     multiplier = np.sum(np.exp(1j * om * s_ax) * pairings, axis=1)
 

@@ -34,7 +34,6 @@ from .symbols import (
     _sample_norms,
     centered_dft,
     centered_idft,
-    default_grid_size,
     derivative,
 )
 
@@ -128,12 +127,12 @@ def rieffel_operator(
     exactly when every translation Jp is a multiple of the grid step
     2L/N (commuting a translation past a modulation otherwise picks up
     a wrap factor on the band-edge modes); for other J the identity
-    holds up to the spectral truncation of the factors.
+    holds up to the spectral truncation of the factors.  N defaults to the
+    grid of a grid symbol; a plane-wave symbol needs it (ValueError).
     """
-    if N is None:
-        N = f.N if isinstance(f, GridSymbol) else default_grid_size(f.n)[0]
-    sym = tilde_map(f, J)
-    return op_from_phase_terms(sym, N)
+    if N is None and not isinstance(f, GridSymbol):
+        raise ValueError("a plane-wave symbol needs the grid size N")
+    return op_from_phase_terms(tilde_map(f, J), f.N if N is None else N)
 
 
 def fourier_operator(n: int, N: int, L: float, k: int = 1,

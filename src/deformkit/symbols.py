@@ -33,7 +33,6 @@ __all__ = [
     "ModuleVector",
     "PlaneWavePhaseSymbol",
     "axis_points",
-    "default_grid_size",
     "multi_indices",
     "centered_dft",
     "centered_idft",
@@ -61,15 +60,6 @@ PRUNE_REL = 1e-13
 # points the dense sampling may take in all: 2^18, 512 per axis for n = 2.
 SUP_OVERSAMPLE = 8
 SUP_MAX_POINTS_LOG2 = 18
-
-
-def default_grid_size(n: int) -> tuple[int, float]:
-    """Default (N, L) per dimension: (256, 8.0) for n=1, (64, 6.0) for n=2."""
-    if n == 1:
-        return 256, 8.0
-    if n == 2:
-        return 64, 6.0
-    raise ValueError(f"unsupported dimension {n}")
 
 
 def axis_points(N: int, L: float) -> np.ndarray:
@@ -342,9 +332,7 @@ class PlaneWaveSymbol:
         return _wave_sum(self.terms["c"], 2j * np.pi, (x,),
                          (self.frequency(self.terms["m"]),))
 
-    def to_grid(self, N: int | None = None) -> "GridSymbol":
-        if N is None:
-            N = default_grid_size(self.n)[0]
+    def to_grid(self, N: int) -> "GridSymbol":
         pts = np.stack(np.meshgrid(*[axis_points(N, self.L)] * self.n, indexing="ij"), -1)
         return GridSymbol(self.n, N, self.L, self.evaluate(pts))
 

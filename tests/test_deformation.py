@@ -11,6 +11,8 @@ from deformkit.deformation import (
     OscIntegralConfig,
     _czt_axis,
     _fast_len,
+    _k_first,
+    _kfirst_product,
     _lattice_action,
     deformed_product_exact,
     deformed_product_numeric,
@@ -408,3 +410,17 @@ def test_lattice_action_matches_term_loop(family, n, k, N, seed, adjoint):
     expected = term_loop_action(sym, N, adjoint)(values)
     got = _lattice_action(sym, N, adjoint)(values)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kfirst_product_matches_klast_einsum_bitwise(k):
+    # the zero-shift field and the J = 0 product run k-first and must give
+    # the bits of the k-last einsum
+    rng = np.random.default_rng(40 + k)
+    shape = (32, 32, k, k)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = _kfirst_product(_k_first(a), _k_first(b)).transpose(2, 0, 1).reshape(shape)
+    want = np.einsum("...ab,...bc->...ac", a, b)
+    assert got.tobytes() == want.tobytes()
+

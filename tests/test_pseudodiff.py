@@ -78,6 +78,14 @@ def test_plane_wave_action_translates_argument():
     assert np.abs(out - expected).max() <= 1e-10
 
 
+def test_rieffel_operator_needs_n_for_plane_waves():
+    f = random_plane_wave(np.random.default_rng(6), 2, L, 1, 2, 3)
+    J = DeformationMatrix.symplectic(0.25, 2)
+    with pytest.raises(ValueError, match="grid size N"):
+        rieffel_operator(f, J)
+    assert rieffel_operator(f.to_grid(16), J).geometry_in == (2, 16, L, 1)
+
+
 def test_composition_matches_deformed_product():
     J = DeformationMatrix.symplectic(0.25, 2)
     N = 32

@@ -8,6 +8,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,11 +361,26 @@ def test_verify_reports_are_deterministic(tmp_path):
 
 
 def test_verify_workers_do_not_change_report(tmp_path):
+    # operator norms, the lattice kernel and the symbol map on concurrent threads
+    suites = FAST_SUITES + ",sup-op,norm-hierarchy,symbol-map"
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["verify", "--suites", FAST_SUITES, "--out", str(a)]) == 0
-    assert main(["verify", "--suites", FAST_SUITES, "--workers", "2",
+    assert main(["verify", "--suites", suites, "--out", str(a)]) == 0
+    assert main(["verify", "--suites", suites, "--workers", "2",
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_symbol_map_suite_streams_its_kernel_pairing():
+    # symbol_map_S holds one s x eta integrand per distinct w (3 x 3.9 MB
+    # here) and a few eta blocks, never a sigma x eta table of the kernel v
+    SUITES["symbol-map"](RunConfig())
+    tracemalloc.start()
+    try:
+        SUITES["symbol-map"](RunConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
