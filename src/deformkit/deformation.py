@@ -25,7 +25,7 @@ lattice symbols by exact termwise laws (_compose_terms, _dagger_terms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partialmethod
 from itertools import product as _iproduct
 from math import comb, factorial
 
@@ -40,7 +40,6 @@ from .symbols import (
     _rowdot,
     _term_array,
     _wave_sum,
-    centered_dft,
     centered_idft,
     eval_series,
     series_coefficients,
@@ -62,7 +61,8 @@ __all__ = [
 OSC_R = 12.0
 OSC_Q = 256
 OSC_PAD = 2
-_CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _lattice_action groups
+_CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _LatticePlan groups
+_KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan may keep
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,15 @@ def _fast_len(n: int) -> int:
     return best
 
 
+@lru_cache(maxsize=64)
+def _chirp_spectrum(N: int, count: int, psi: float, size: int) -> np.ndarray:
+    """FFT of _czt_axis's chirp exp(-i psi k^2 / 2), zero-padded to size (cached, read-only)."""
+    k = np.arange(1 - N, count) + N // 2
+    spectrum = np.fft.fft(np.exp(-0.5j * psi * k * k), size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
               start: float, step: float, count: int) -> np.ndarray:
     """Evaluate sum_m C[m] exp(2 pi i scale (m/2L) y_j), y_j = start + j step.
@@ -288,38 +297,23 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     (Rabiner, Schafer and Rader, 1969): with psi = 2 pi scale step / 2L and
     mj = (m^2 + j^2 - (j - m)^2) / 2 the sum is a linear convolution with
     the chirp exp(-i psi k^2 / 2), done by FFTs zero-padded to the
-    smallest 5-smooth length >= N + count - 1 (_fast_len).  The product
-    with the chirp's spectrum and the inverse FFT run in place on the
-    padded array, and the result is a view into it.
+    smallest 5-smooth length >= N + count - 1 (_fast_len).  The FFTs run
+    along the last, contiguous axis of a padded copy; the product with the
+    chirp's spectrum and the inverse FFT run in place on it, and the result
+    is a view into it.
     """
     N = coeffs.shape[axis]
     m = np.arange(N) - N // 2
     j = np.arange(count)
-    k = np.arange(1 - N, count) + N // 2
     psi = 2.0 * np.pi * scale * step / (2.0 * L)
-    shape = [1] * coeffs.ndim
-    shape[axis] = -1
     pre = np.exp(2j * np.pi * scale * m * start / (2.0 * L) + 0.5j * psi * m * m)
     size = _fast_len(N + count - 1)
-    y = np.fft.fft(coeffs * pre.reshape(shape), size, axis=axis)
-    y *= np.fft.fft(np.exp(-0.5j * psi * k * k), size).reshape(shape)
-    np.fft.ifft(y, axis=axis, out=y)
-    conv = y[(slice(None),) * axis + (slice(N - 1, N - 1 + count),)]
-    conv *= np.exp(0.5j * psi * j * j).reshape(shape)
-    return conv
-
-
-def _lattice_point_values(coeffs: np.ndarray, n: int, L: float, x) -> np.ndarray:
-    """Evaluate the series with the given coefficient grid at one point x."""
-    out = coeffs
-    for ax in range(n):
-        out = _czt_axis(out, 0, L, 1.0, float(x[ax]), 1.0, 1)[0]
-    return out
-
-
-def _theta_of(J: DeformationMatrix) -> float:
-    """The scalar theta with J = theta * [[0, 1], [-1, 0]] (n = 2)."""
-    return float(J.entries[0, 1])
+    y = np.fft.fft(np.multiply(np.moveaxis(coeffs, axis, -1), pre, order="C"), size)
+    y *= _chirp_spectrum(N, count, psi, size)
+    np.fft.ifft(y, out=y)
+    conv = y[..., N - 1:N - 1 + count]
+    conv *= np.exp(0.5j * psi * j * j)
+    return np.moveaxis(conv, -1, axis)
 
 
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
@@ -355,10 +349,12 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         return c
 
     if J.is_zero:
-        fvals = _lattice_point_values(fhat, n, L, x)
+        fvals = fhat  # the series at the point x, one axis at a time
+        for ax in range(n):
+            fvals = _czt_axis(fvals, 0, L, 1.0, float(x[ax]), 1.0, 1)[0]
         fvals = np.broadcast_to(fvals, (len(uax),) * n + (k, k))
     else:
-        theta = _theta_of(J)
+        theta = float(J.entries[0, 1])  # J = theta [[0, 1], [-1, 0]] (n = 2)
         # f(x + Ju) = sum c_m exp(2 pi i p.x) exp(2 pi i (J^T p).u) with
         # J^T p = (-theta p_2, theta p_1): axis roles swap under J.
         pre1 = np.exp(2j * np.pi * p_axis * x[0])
@@ -417,12 +413,12 @@ def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix)
         return fg.transpose(2, 0, 1).reshape(f.values.shape)
     sf, sg = significant_terms(f), significant_terms(g)
     if len(sf.terms) <= len(sg.terms):
-        return _lattice_action(tilde_map(sf, J), f.N)(g.values)
+        return _LatticePlan(tilde_map(sf, J), f.N).forward(g.values)
     t = sg.terms.copy()
     t["c"] = np.swapaxes(t["c"], -1, -2)
     g_t = PlaneWaveSymbol(g.n, g.L, g.k, t)
-    action = _lattice_action(tilde_map(g_t, DeformationMatrix(-J.entries)), f.N)
-    return np.swapaxes(action(np.swapaxes(f.values, -1, -2)), -1, -2)
+    plan = _LatticePlan(tilde_map(g_t, DeformationMatrix(-J.entries)), f.N)
+    return np.swapaxes(plan.forward(np.swapaxes(f.values, -1, -2)), -1, -2)
 
 
 def _check_point_indices(N: int, count: int) -> list[int]:
@@ -518,68 +514,107 @@ def _kfirst_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("abp,bcp->acp", a, b)
 
 
-def _lattice_action(sym: PlaneWavePhaseSymbol, N: int, adjoint: bool = False):
+class _LatticePlan:
     """The twisted translation sum of a lattice phase symbol on the N-point grid.
 
-    Returns values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n,
-    ghat = DFT(g), r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift
-    terms form the pointwise field, kept k-first.  The rest group by (w_0, m_1) into one sum
-    S = sum_g FFT_0(K_g) FFT_0(B_g) of k x k products: B_g = roll(r_0 ghat, m_1) on
-    axis 1, and K_g(d, s) adds c_t r_1t(s - m_1) over the group's m_0t = d mod N.
-    The axis-0 IFFT of S and the axis-0 IDFT fold to S[(N/2 - j) mod N] (-1)^(j + N/2).
-    Cost O(G N^n log N) for G groups, in chunks that keep each temporary within
-    max(_CHUNK_POINTS, N^n k^2) values; FFT_0(K_g) is rebuilt per application.
-    adjoint=True is the exact matrix adjoint: the transpose of each step.
+    forward: values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n, ghat = DFT(g),
+    r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift terms form the pointwise
+    field.  The rest group by (w_0, m_1) into one sum S = sum_g FFT_0(K_g) FFT_0(B_g) of k x k
+    products: B_g = roll(r_0 ghat, m_1) on axis 1, and K_g(d, s) adds c_t r_1t(s - m_1) over
+    the group's m_0t = d mod N.  The axis-0 IFFT of S and the axis-0 IDFT fold to
+    S[(N/2 - j) mod N] (-1)^(j + N/2).  adjoint is the exact matrix adjoint, the transpose of
+    each step.  The set-up serves both directions; the transforms' signs and powers of two
+    merge exactly into one sign table, r_0 and a scale.  Cost O(G N^n log N) for G groups, in
+    chunks of at most max(_CHUNK_POINTS, N^n k^2) values.  A direction streams FFT_0(K_g) on
+    its first application and keeps them from the second, k^2 G N^n complex values, unless
+    that exceeds _KEPT_BYTES.
     """
-    n, k, half = sym.n, sym.k, N // 2
-    lattice = (np.arange(N) - half) / (2.0 * sym.L)
-    m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
-    zero = ~w.any(axis=1)
-    zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-    np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
-    m, w, c = m[~zero], w[~zero], c[~zero]
-    # Groups are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, group,
-    # s, axis-0 point), s the point on axis 1 (array axis sax); for n = 1, s is one
-    # point with m_1 = w_1 = 0.  The adjoint moves the roll by m_1 off B_g^H: it
-    # gathers roll(., -m_1) of its input, and its kernels take r_1t at s, not s - m_1.
-    m1, w1, s = m[:, 1:].sum(axis=1), w[:, 1:].sum(axis=1), np.arange(N ** (n - 1))
-    sax, step = tuple(range(2, n + 1)), max(1, _CHUNK_POINTS // (N ** n * k * k))
-    _, first, group = np.unique(w[:, 0] + 1j * m1, return_index=True, return_inverse=True)
-    field = centered_idft(zero_w, tuple(range(n))) if zero.any() or not len(first) else None
-    field = np.conj(np.swapaxes(field, -1, -2)) if adjoint and field is not None else field
-    # k-first, its points in the (s, axis-0 point) order of the sum's arrays
-    field = None if field is None else _k_first(np.swapaxes(field.reshape(N, len(s), k, k), 0, 1))
-    r1 = lattice[(s - (not adjoint) * m1[:, None]) % N]
-    cr1 = c[..., None] * np.exp(2j * np.pi * w1[:, None] * r1)[:, None, None]
-    r0 = np.exp(2j * np.pi * w[first, :1] * lattice)  # (groups, N)
-    roll = (s - (1 - 2 * adjoint) * m1[first, None]) % N
-    fold = (half - np.arange(N)) % N, (-1.0) ** (np.arange(N) + half)
 
-    def kernels():  # (groups of a chunk, FFT_0 of their kernels)
-        for g in range(0, len(first), step):
-            t = (group >= g) & (group < g + step)
-            K = np.zeros((k, k, min(step, len(first) - g), len(s), N), dtype=np.complex128)
-            np.add.at(K, (..., group[t] - g, slice(None), m[t, 0] % N), cr1[t])
-            yield slice(g, g + step), np.fft.fft(K)
+    def __init__(self, sym: PlaneWavePhaseSymbol, N: int):
+        n, k, half = sym.n, sym.k, N // 2
+        lattice = (np.arange(N) - half) / (2.0 * sym.L)
+        m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
+        zero = ~w.any(axis=1)
+        zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
+        np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
+        m, w, self.c = m[~zero], w[~zero], c[~zero]
+        # Groups are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, group,
+        # s, axis-0 point), s the point on axis 1 (array axis 2); for n = 1, s is one
+        # point with m_1 = w_1 = 0.  The adjoint moves the roll by m_1 off B_g^H: it
+        # gathers roll(., -m_1) of its input, and its kernels take r_1t at s, not s - m_1.
+        self.N, self.k, self.axes, self.s = N, k, (3, 2)[:n], np.arange(N ** (n - 1))
+        self.m0, self.m1, S = m[:, 0] % N, m[:, 1:].sum(axis=1), N ** (n - 1)
+        _, first, self.group = np.unique(w[:, 0] + 1j * self.m1, return_index=True,
+                                         return_inverse=True)
+        self.G, self.step = len(first), max(1, _CHUNK_POINTS // (N ** n * k * k))
+        self.r1 = np.exp(2j * np.pi * w[:, 1:].sum(axis=1)[:, None] * lattice[self.s])  # at s
+        self.rolls = [(self.s - sign * self.m1[first, None]) % N for sign in (1, -1)]
+        field = centered_idft(zero_w, tuple(range(n))) if zero.any() or not len(first) else None
+        # k-first, its points in the (s, axis-0 point) order; the adjoint's is made on first use
+        self.fields = [field if field is None else
+                       _k_first(np.swapaxes(field.reshape(N, S, k, k), 0, 1)), None]
+        # the alternating sign table of both sides; flip = (-1)^(S/2 + N/2), S = N^(n-1),
+        # turns it into the centered DFT's post-sign and goes into r_0 and the scale
+        alt, flip = (-1.0) ** np.arange(N), (-1.0) ** (S // 2 + half)
+        self.sign, self.scale = np.outer(alt[:S], alt), alt[:S, None] * flip / float(N) ** n
+        r0, self.fold = np.exp(2j * np.pi * w[first, :1] * lattice), (half - np.arange(N)) % N
+        self.r0 = r0 * flip, np.conj(r0) / float(N) ** n  # (groups, N)
+        self.kept, self.kept_bytes = [None, None], 16 * k * k * self.G * N ** n
 
-    def apply(values):
-        v = np.ascontiguousarray(np.reshape(values, (N, len(s), k, k)).transpose(2, 3, 1, 0))
-        out = 0.0 if field is None else _kfirst_product(field, v.reshape(k, k, -1)).reshape(v.shape)
-        if not len(first):
+    def _spectrum(self, adjoint, g):
+        """(group slice, FFT_0 of the chunk's kernels K_g), conjugated for the adjoint."""
+        t = (self.group >= g) & (self.group < g + self.step)
+        r1 = self.r1[t] if adjoint else np.take_along_axis(
+            self.r1[t], (self.s - self.m1[t, None]) % self.N, axis=1)
+        K = np.zeros((self.k, self.k, min(self.step, self.G - g), len(self.s), self.N), complex)
+        np.add.at(K, (..., self.group[t] - g, slice(None), self.m0[t]),
+                  self.c[t][..., None] * r1[:, None, None])
+        FK = np.fft.fft(K)
+        return slice(g, g + self.step), np.conj(FK) if adjoint else FK
+
+    def _spectra(self, adjoint):
+        chunks = range(0, self.G, self.step)
+        if self.kept[adjoint] is None or self.kept_bytes > _KEPT_BYTES:
+            self.kept[adjoint] = False  # streamed once
+            return (self._spectrum(adjoint, g) for g in chunks)
+        if self.kept[adjoint] is False:  # built whole, so a concurrent caller never sees part
+            self.kept[adjoint] = [self._spectrum(adjoint, g) for g in chunks]
+        return self.kept[adjoint]
+
+    def _apply(self, values, adjoint):
+        N, k, sign, roll, r0 = self.N, self.k, self.sign, self.rolls[adjoint], self.r0[adjoint]
+        x = np.reshape(values, (N, len(self.s), k, k)).transpose(2, 3, 1, 0).copy()
+        if adjoint and self.fields[0] is not None and self.fields[1] is None:
+            self.fields[1] = np.ascontiguousarray(np.conj(self.fields[0].transpose(1, 0, 2)))
+        field = self.fields[adjoint]
+        out = 0.0 if field is None else _kfirst_product(field, x.reshape(k, k, -1)).reshape(x.shape)
+        if not self.G:
             return out.transpose(3, 2, 0, 1).reshape(np.shape(values))
-        if not adjoint:
-            ghat = centered_dft(v, (3,) + sax)
-            S = sum(np.einsum("abgsf,bcgsf->acsf", FK, np.fft.fft(
-                ghat[..., roll[g], :] * r0[g, None])) for g, FK in kernels())
-            res = centered_idft(S[..., fold[0]] * fold[1], sax)
-        else:
-            S = centered_dft(v, sax)[..., fold[0]] * fold[1]
-            res = centered_idft(sum(np.einsum("gf,acgsf->acsf", np.conj(r0[g]), np.fft.ifft(
-                np.einsum("bagsf,bcgsf->acgsf", np.conj(FK), S[..., roll[g], :]), norm="forward"))
-                for g, FK in kernels()), (3,) + sax)
-        return (out + res / float(N) ** n).transpose(3, 2, 0, 1).reshape(np.shape(values))
+        x *= sign[:, :1] if adjoint else sign  # sign[:, :1]: axis 1's alone
+        for ax in self.axes[adjoint:]:  # the adjoint's axis 0 is folded in
+            np.fft.fft(x, axis=ax, out=x)
+        x = x[..., self.fold] if adjoint else x
+        x *= sign
+        acc = 0
+        for g, FK in self._spectra(adjoint):
+            B = x[..., roll[g], :]
+            if adjoint:
+                B = np.einsum("bagsf,bcgsf->acgsf", FK, B)
+                np.fft.ifft(B, norm="forward", out=B)
+                acc = acc + np.einsum("gf,acgsf->acsf", r0[g], B)
+            else:
+                B *= r0[g, None]
+                acc = acc + np.einsum("abgsf,bcgsf->acsf", FK, np.fft.fft(B, out=B))
+        acc = acc if adjoint else acc[..., self.fold]
+        acc *= sign
+        for ax in self.axes[not adjoint:]:  # the forward's axis 0 is folded in
+            np.fft.ifft(acc, axis=ax, norm="forward", out=acc)
+        acc *= sign if adjoint else self.scale
+        acc += out
+        return acc.transpose(3, 2, 0, 1).reshape(np.shape(values))
 
-    return apply
+    forward = partialmethod(_apply, adjoint=False)
+    adjoint = partialmethod(_apply, adjoint=True)
 
 
 def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:

@@ -23,7 +23,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .deformation import _compose_terms, _dagger_terms, _lattice_action, tilde_map
+from .deformation import _LatticePlan, _compose_terms, _dagger_terms, tilde_map
 from .errors import GridMismatchError, NoConvergenceError
 from .symbols import (
     DeformationMatrix,
@@ -107,14 +107,8 @@ def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int) -> DiscretizedOperato
     """
     if not _is_pow2(N):
         raise ValueError(f"points per axis must be a power of two, got {N}")
-    geometry = (sym.n, N, sym.L, sym.k)
-    return DiscretizedOperator(
-        geometry,
-        geometry,
-        _lattice_action(sym, N),
-        _lattice_action(sym, N, adjoint=True),
-        sym,
-    )
+    geometry, plan = (sym.n, N, sym.L, sym.k), _LatticePlan(sym, N)
+    return DiscretizedOperator(geometry, geometry, plan.forward, plan.adjoint, sym)
 
 
 def rieffel_operator(

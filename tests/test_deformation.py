@@ -1,11 +1,15 @@
 """Deformed product: plane-wave law, grid route, phase-space calculus."""
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from deformkit import deformation
 from deformkit.deformation import (
     _CHUNK_POINTS,
     OscIntegralConfig,
@@ -13,7 +17,8 @@ from deformkit.deformation import (
     _fast_len,
     _k_first,
     _kfirst_product,
-    _lattice_action,
+    _LatticePlan,
+    _twisted_lattice_product,
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
@@ -21,6 +26,7 @@ from deformkit.deformation import (
     tilde_map,
 )
 from deformkit.errors import BoxMismatchError, ConvergenceError
+from deformkit.pseudodiff import op_from_phase_terms
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
@@ -408,8 +414,117 @@ def test_lattice_action_matches_term_loop(family, n, k, N, seed, adjoint):
     shape = (N,) * n + (k, k)
     values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     expected = term_loop_action(sym, N, adjoint)(values)
-    got = _lattice_action(sym, N, adjoint)(values)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    plan = _LatticePlan(sym, N)
+    apply = plan.adjoint if adjoint else plan.forward
+    # the first application streams the kernel spectra, the second keeps them and the
+    # third reuses them: the same bits each time, and the input is left as it was
+    before = values.copy()
+    first = apply(values)
+    assert all(apply(values).tobytes() == first.tobytes() for _ in range(2))
+    assert np.array_equal(values, before)
+    assert np.abs(first - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def counted_spectra(monkeypatch):
+    calls = []
+    build = _LatticePlan._spectrum
+
+    def spectrum(plan, adjoint, g):
+        calls.append(adjoint)
+        return build(plan, adjoint, g)
+
+    monkeypatch.setattr(_LatticePlan, "_spectrum", spectrum)
+    return calls
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_plan_keeps_its_kernel_spectra_from_the_second_application(monkeypatch, adjoint):
+    rng = np.random.default_rng(7)
+    plan = _LatticePlan(gaussian_lift(32, 2, rng), 32)
+    chunks = -(-plan.G // plan.step)
+    assert chunks > 1
+    calls = counted_spectra(monkeypatch)
+    values = rng.normal(size=(32, 32, 2, 2)) + 0j
+    built = []
+    for _ in range(4):
+        (plan.adjoint if adjoint else plan.forward)(values)
+        built.append(len(calls))
+    # streamed once, built once more to keep, then reused; the other side untouched
+    assert built == [chunks, 2 * chunks, 2 * chunks, 2 * chunks]
+    assert set(calls) == {adjoint} and plan.kept[not adjoint] is None
+
+
+def test_plan_past_its_budget_streams_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(8)
+    sym = gaussian_lift(32, 2, rng)
+    values = rng.normal(size=(32, 32, 2, 2)) + 1j * rng.normal(size=(32, 32, 2, 2))
+    kept = _LatticePlan(sym, 32)
+    want = [[f(values).tobytes() for _ in range(3)] for f in (kept.forward, kept.adjoint)]
+    # a budget below one chunk: every application builds its kernel spectra anew
+    monkeypatch.setattr(deformation, "_KEPT_BYTES", 16 * 2 * 2 * 32 * 32 - 1)
+    calls = counted_spectra(monkeypatch)
+    streamed = _LatticePlan(sym, 32)
+    got = [[f(values).tobytes() for _ in range(3)] for f in (streamed.forward, streamed.adjoint)]
+    assert got == want
+    assert streamed.kept == [False, False] and len(calls) == 6 * -(-streamed.G // streamed.step)
+
+
+def test_plan_shared_by_threads_gives_the_same_bits():
+    # four threads on two cores apply one fresh plan while it streams, keeps and
+    # reuses its kernel spectra and makes the adjoint's field
+    rng = np.random.default_rng(10)
+    sym = off_grid_symbol(2, 2, rng)
+    values = rng.normal(size=(16, 16, 2, 2)) + 1j * rng.normal(size=(16, 16, 2, 2))
+    serial = _LatticePlan(sym, 16)
+    want = [serial.forward(values).tobytes(), serial.adjoint(values).tobytes()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            plan = _LatticePlan(sym, 16)
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(lambda: [plan.forward(values).tobytes(),
+                                             plan.adjoint(values).tobytes()])
+                        for _ in range(12)]
+                got = [run.result(timeout=60) for run in runs]
+            assert all(g == want for g in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_op_from_phase_terms_groups_its_terms_once(monkeypatch):
+    rng = np.random.default_rng(9)
+    sym = off_grid_symbol(2, 2, rng)
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    op = op_from_phase_terms(sym, 16)
+    values = rng.normal(size=(16, 16, 2, 2)) + 0j
+    op.adjoint_fn(op.forward(values))
+    op.adjoint_fn(op.forward(values))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N, mib", [(128, 7), (256, 15)])
+def test_lattice_product_holds_no_kernel_spectra(N, mib):
+    # product applies its plan once, so its kernel spectra stream: the pairs peak
+    # at 4.9 and 13.7 MiB, and the 39 groups' spectra are 9.75 and 39 MiB
+    f = GridSymbol(2, N, L, gaussian_values(2, N, L, 1.2))
+    g = GridSymbol(2, N, L, gaussian_values(2, N, L, 0.9) * (1 + 0.5j))
+    J = DeformationMatrix.symplectic(0.25, 2)
+    _twisted_lattice_product(f, g, J)
+    tracemalloc.start()
+    try:
+        _twisted_lattice_product(f, g, J)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2 ** 20
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

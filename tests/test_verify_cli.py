@@ -361,8 +361,9 @@ def test_verify_reports_are_deterministic(tmp_path):
 
 
 def test_verify_workers_do_not_change_report(tmp_path):
-    # operator norms, the lattice kernel and the symbol map on concurrent threads
-    suites = FAST_SUITES + ",sup-op,norm-hierarchy,symbol-map"
+    # operator norms, the lattice plans that keep their kernel spectra while they run,
+    # and the symbol map on concurrent threads
+    suites = FAST_SUITES + ",sup-op,norm-hierarchy,symbol-map,interplay,cv"
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--suites", suites, "--out", str(a)]) == 0
     assert main(["verify", "--suites", suites, "--workers", "2",
