@@ -63,6 +63,11 @@ OSC_Q = 256
 OSC_PAD = 2
 _CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _LatticePlan groups
 _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan may keep
+# kernel-spectra bytes per direction for a batch of several symbols (_plan_batches).  On the
+# 15 hierarchy norms of Gaussian grids at theta = 0.25, batching 0.5 MiB members (32 x 32)
+# timed level with solo runs from 2^19 to 2^25 bytes, and batching 2.4 MiB members (64 x 64)
+# lost 11-15% (2^23, 2^25), so members that large run alone; no verify suite is split by it
+_BATCH_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -514,8 +519,36 @@ def _kfirst_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("abp,bcp->acp", a, b)
 
 
+def _shift_groups(sym: PlaneWavePhaseSymbol) -> tuple:
+    """(zero, m_1, first, group): the zero-shift terms' mask and, over the shifted terms,
+    m_1 = sum of m[1:] and their groups keyed by w_0 + i m_1 (np.unique's index and inverse)."""
+    m, w = sym.terms["m"], sym.terms["w"]
+    zero = ~w.any(axis=1)
+    m1 = m[~zero, 1:].sum(axis=1)
+    _, first, group = np.unique(w[~zero, 0] + 1j * m1, return_index=True, return_inverse=True)
+    return zero, m1, first, group
+
+
+def _plan_batches(syms: list, N: int) -> list:
+    """(symbols, their _shift_groups) in consecutive runs whose _LatticePlan keeps its kernel
+    spectra, padded to the run's largest group count, within min(_KEPT_BYTES, _BATCH_BYTES);
+    a symbol past it alone is a run.  Each symbol is grouped once, here."""
+    runs, top, budget = [], 0, min(_KEPT_BYTES, _BATCH_BYTES)
+    for sym in syms:
+        grouping = _shift_groups(sym)
+        groups, unit = len(grouping[2]), 16 * sym.k ** 2 * N ** sym.n  # per group
+        if runs and (len(runs[-1][0]) + 1) * max(top, groups) * unit <= budget:
+            runs[-1][0].append(sym)
+            runs[-1][1].append(grouping)
+            top = max(top, groups)
+        else:
+            runs.append(([sym], [grouping]))
+            top = groups
+    return runs
+
+
 class _LatticePlan:
-    """The twisted translation sum of a lattice phase symbol on the N-point grid.
+    """The twisted translation sums of a batch of lattice phase symbols on the N-point grid.
 
     forward: values -> field g + IDFT(sum_t roll((c_t ghat) r_t, m_t)) / N^n, ghat = DFT(g),
     r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift terms form the pointwise
@@ -525,49 +558,95 @@ class _LatticePlan:
     S[(N/2 - j) mod N] (-1)^(j + N/2).  adjoint is the exact matrix adjoint, the transpose of
     each step.  The set-up serves both directions; the transforms' signs and powers of two
     merge exactly into one sign table, r_0 and a scale.  Cost O(G N^n log N) for G groups, in
-    chunks of at most max(_CHUNK_POINTS, N^n k^2) values.  A direction streams FFT_0(K_g) on
-    its first application and keeps them from the second, k^2 G N^n complex values, unless
-    that exceeds _KEPT_BYTES.
+    chunks of at most max(_CHUNK_POINTS, N^n k^2) values per member.  A direction streams
+    FFT_0(K_g) on its first application and keeps them from the second, kept_bytes in all,
+    unless that exceeds _KEPT_BYTES.
+
+    The symbols share (n, L, k); a single symbol is a batch of one.  Each member applies to
+    its own slice of the values, of shape (members,) + (N,) * n + (k, k) (a batch of one
+    also takes (N,) * n + (k, k)).  A member's groups are padded with zero kernels up to the
+    largest group count G, and every member's sums run in the same order and chunks as its
+    own plan's, so each member's bits are those of its own plan.  groups, when given, are
+    the symbols' _shift_groups.  keep(rows) drops members.
     """
 
-    def __init__(self, sym: PlaneWavePhaseSymbol, N: int):
-        n, k, half = sym.n, sym.k, N // 2
-        lattice = (np.arange(N) - half) / (2.0 * sym.L)
-        m, w, c = sym.terms["m"], sym.terms["w"], sym.terms["c"]
-        zero = ~w.any(axis=1)
-        zero_w = np.zeros((N,) * n + (k, k), dtype=np.complex128)
-        np.add.at(zero_w, tuple(((m[zero] + half) % N).T), c[zero])
-        m, w, self.c = m[~zero], w[~zero], c[~zero]
-        # Groups are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, group,
-        # s, axis-0 point), s the point on axis 1 (array axis 2); for n = 1, s is one
-        # point with m_1 = w_1 = 0.  The adjoint moves the roll by m_1 off B_g^H: it
-        # gathers roll(., -m_1) of its input, and its kernels take r_1t at s, not s - m_1.
-        self.N, self.k, self.axes, self.s = N, k, (3, 2)[:n], np.arange(N ** (n - 1))
-        self.m0, self.m1, S = m[:, 0] % N, m[:, 1:].sum(axis=1), N ** (n - 1)
-        _, first, self.group = np.unique(w[:, 0] + 1j * self.m1, return_index=True,
-                                         return_inverse=True)
-        self.G, self.step = len(first), max(1, _CHUNK_POINTS // (N ** n * k * k))
-        self.r1 = np.exp(2j * np.pi * w[:, 1:].sum(axis=1)[:, None] * lattice[self.s])  # at s
-        self.rolls = [(self.s - sign * self.m1[first, None]) % N for sign in (1, -1)]
-        field = centered_idft(zero_w, tuple(range(n))) if zero.any() or not len(first) else None
-        # k-first, its points in the (s, axis-0 point) order; the adjoint's is made on first use
-        self.fields = [field if field is None else
-                       _k_first(np.swapaxes(field.reshape(N, S, k, k), 0, 1)), None]
+    def __init__(self, syms, N: int, groups=None):
+        syms = [syms] if isinstance(syms, PlaneWavePhaseSymbol) else list(syms)
+        groups = [_shift_groups(sym) for sym in syms] if groups is None else groups
+        n, k, L = syms[0].n, syms[0].k, syms[0].L
+        if any((s.n, s.k) != (n, k) or abs(s.L - L) > 1e-12 * L for s in syms[1:]):
+            raise BoxMismatchError("phase symbols of one plan live on different boxes")
+        half, S, M = N // 2, N ** (n - 1), len(syms)
+        lattice = (np.arange(N) - half) / (2.0 * L)
+        self.N, self.k, self.M, self.axes, self.s = N, k, M, (-1, -2)[:n], np.arange(S)
+        self.step = max(1, _CHUNK_POINTS // (N ** n * k * k))
         # the alternating sign table of both sides; flip = (-1)^(S/2 + N/2), S = N^(n-1),
         # turns it into the centered DFT's post-sign and goes into r_0 and the scale
         alt, flip = (-1.0) ** np.arange(N), (-1.0) ** (S // 2 + half)
         self.sign, self.scale = np.outer(alt[:S], alt), alt[:S, None] * flip / float(N) ** n
-        r0, self.fold = np.exp(2j * np.pi * w[first, :1] * lattice), (half - np.arange(N)) % N
-        self.r0 = r0 * flip, np.conj(r0) / float(N) ** n  # (groups, N)
-        self.kept, self.kept_bytes = [None, None], 16 * k * k * self.G * N ** n
+        self.fold = (half - np.arange(N)) % N
+        terms = np.concatenate([sym.terms for sym in syms])
+        member = np.repeat(np.arange(M), [len(sym.terms) for sym in syms])
+        zero = np.concatenate([grouping[0] for grouping in groups])
+        # The fields are k-first, their points in the (member, s, axis-0 point) order; a
+        # member without one has a zero field when another member has one; the adjoint's
+        # is made on first use.
+        self.fields = [None, None]
+        if zero.any() or not all(len(grouping[2]) for grouping in groups):
+            field = np.zeros((M,) + (N,) * n + (k, k), dtype=np.complex128)
+            np.add.at(field, (member[zero],) + tuple(((terms["m"][zero] + half) % N).T),
+                      terms["c"][zero])
+            centered_idft(field, tuple(range(1, n + 1)), overwrite=True)
+            self.fields[0] = _k_first(np.swapaxes(field.reshape(M, N, S, k, k), 1, 2))
+        # Per term: member, group, m_0 mod N, m_1, c and the axis-1 ramp r_1t at s.  Groups
+        # are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, member, group, s,
+        # axis-0 point), s the point on axis 1; for n = 1, s is one point with m_1 = w_1 = 0.
+        # The adjoint moves the roll by m_1 off B_g^H: it gathers roll(., -m_1) of its
+        # input, and its kernels take r_1t at s, not s - m_1.  The rolls index the values'
+        # merged (member, s) axis, one table per direction.
+        t, self.member = terms[~zero], member[~zero]
+        self.group = np.concatenate([grouping[3] for grouping in groups])
+        self.m0, self.m1, self.c = t["m"][:, 0] % N, t["m"][:, 1:].sum(axis=1), t["c"]
+        self.r1 = np.exp(2j * np.pi * t["w"][:, 1:].sum(axis=1)[:, None] * lattice[self.s])
+        self.G = max(len(grouping[2]) for grouping in groups)
+        r0 = np.zeros((M, self.G, N), dtype=np.complex128)
+        self.rolls = np.zeros((2, M, self.G, S), dtype=np.intp)
+        sign, at = np.array([1, -1])[:, None, None], 0
+        for i, (_, m1, first, group) in enumerate(groups):
+            r0[i, :len(first)] = np.exp(2j * np.pi * t["w"][at + first, :1] * lattice)
+            self.rolls[:, i, :len(first)] = (self.s - sign * m1[first, None]) % N
+            at += len(group)
+        self.rolls += S * np.arange(M)[:, None, None]  # into member i's rows, padding too
+        self.r0 = r0 * flip, np.conj(r0) / float(N) ** n  # (members, groups, N)
+        self.kept = [None, None]
+
+    @property
+    def kept_bytes(self) -> int:
+        """Bytes of one direction's kernel spectra: k^2 G N^n complex values per member."""
+        return 16 * self.k * self.k * self.M * self.G * self.N ** len(self.axes)
+
+    def keep(self, rows) -> None:
+        """Drop the members where the boolean rows is False; the kept spectra stay."""
+        k, t, M = self.k, rows[self.member], int(rows.sum())
+        self.member = (np.cumsum(rows) - 1)[self.member[t]]
+        self.group, self.m0, self.m1, self.c, self.r1 = (
+            a[t] for a in (self.group, self.m0, self.m1, self.c, self.r1))
+        self.fields = [f if f is None else np.ascontiguousarray(
+            f.reshape(k, k, self.M, -1)[:, :, rows]).reshape(k, k, -1) for f in self.fields]
+        self.kept = [[(g, np.ascontiguousarray(FK[:, :, rows])) for g, FK in kept]
+                     if isinstance(kept, list) else kept for kept in self.kept]
+        moved = len(self.s) * (np.flatnonzero(rows) - np.arange(M))  # each kept row's shift
+        self.rolls = self.rolls[:, rows] - moved[:, None, None]
+        self.r0, self.M = tuple(r[rows] for r in self.r0), M
 
     def _spectrum(self, adjoint, g):
         """(group slice, FFT_0 of the chunk's kernels K_g), conjugated for the adjoint."""
         t = (self.group >= g) & (self.group < g + self.step)
         r1 = self.r1[t] if adjoint else np.take_along_axis(
             self.r1[t], (self.s - self.m1[t, None]) % self.N, axis=1)
-        K = np.zeros((self.k, self.k, min(self.step, self.G - g), len(self.s), self.N), complex)
-        np.add.at(K, (..., self.group[t] - g, slice(None), self.m0[t]),
+        K = np.zeros((self.k, self.k, self.M, min(self.step, self.G - g), len(self.s), self.N),
+                     complex)
+        np.add.at(K, (..., self.member[t], self.group[t] - g, slice(None), self.m0[t]),
                   self.c[t][..., None] * r1[:, None, None])
         FK = np.fft.fft(K)
         return slice(g, g + self.step), np.conj(FK) if adjoint else FK
@@ -582,36 +661,40 @@ class _LatticePlan:
         return self.kept[adjoint]
 
     def _apply(self, values, adjoint):
-        N, k, sign, roll, r0 = self.N, self.k, self.sign, self.rolls[adjoint], self.r0[adjoint]
-        x = np.reshape(values, (N, len(self.s), k, k)).transpose(2, 3, 1, 0).copy()
+        N, k, M, S, sign = self.N, self.k, self.M, len(self.s), self.sign
+        roll, r0 = self.rolls[int(adjoint)], self.r0[adjoint]  # int: not a mask
+        x = np.reshape(values, (M, N, S, k, k)).transpose(3, 4, 0, 2, 1)
         if adjoint and self.fields[0] is not None and self.fields[1] is None:
             self.fields[1] = np.ascontiguousarray(np.conj(self.fields[0].transpose(1, 0, 2)))
         field = self.fields[adjoint]
+        if not self.G:  # the field alone: no copy of x outlives the product
+            out = _kfirst_product(field, x.reshape(k, k, -1))
+            return out.reshape(k, k, M, S, N).transpose(2, 4, 3, 0, 1).reshape(np.shape(values))
+        x = x.copy()
         out = 0.0 if field is None else _kfirst_product(field, x.reshape(k, k, -1)).reshape(x.shape)
-        if not self.G:
-            return out.transpose(3, 2, 0, 1).reshape(np.shape(values))
         x *= sign[:, :1] if adjoint else sign  # sign[:, :1]: axis 1's alone
         for ax in self.axes[adjoint:]:  # the adjoint's axis 0 is folded in
             np.fft.fft(x, axis=ax, out=x)
         x = x[..., self.fold] if adjoint else x
         x *= sign
+        x = x.reshape(k, k, M * S, N)
         acc = 0
         for g, FK in self._spectra(adjoint):
-            B = x[..., roll[g], :]
+            B = x[:, :, roll[:, g]]
             if adjoint:
-                B = np.einsum("bagsf,bcgsf->acgsf", FK, B)
+                B = np.einsum("bamgsf,bcmgsf->acmgsf", FK, B)
                 np.fft.ifft(B, norm="forward", out=B)
-                acc = acc + np.einsum("gf,acgsf->acsf", r0[g], B)
+                acc = acc + np.einsum("mgf,acmgsf->acmsf", r0[:, g], B)
             else:
-                B *= r0[g, None]
-                acc = acc + np.einsum("abgsf,bcgsf->acsf", FK, np.fft.fft(B, out=B))
+                B *= r0[:, g, None]
+                acc = acc + np.einsum("abmgsf,bcmgsf->acmsf", FK, np.fft.fft(B, out=B))
         acc = acc if adjoint else acc[..., self.fold]
         acc *= sign
         for ax in self.axes[not adjoint:]:  # the forward's axis 0 is folded in
             np.fft.ifft(acc, axis=ax, norm="forward", out=acc)
         acc *= sign if adjoint else self.scale
         acc += out
-        return acc.transpose(3, 2, 0, 1).reshape(np.shape(values))
+        return acc.transpose(2, 4, 3, 0, 1).reshape(np.shape(values))
 
     forward = partialmethod(_apply, adjoint=False)
     adjoint = partialmethod(_apply, adjoint=True)

@@ -25,7 +25,9 @@ import numpy as np
 
 from .deformation import _czt_axis
 from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
-from .pseudodiff import DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm
+from .pseudodiff import (
+    DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm, phase_norms,
+)
 from .symbols import PlaneWavePhaseSymbol, _rowdot, axis_points, derivative, multi_indices
 
 __all__ = [
@@ -152,25 +154,34 @@ def _require_terms(op: DiscretizedOperator) -> PlaneWavePhaseSymbol:
 
 
 def rho_m(op: DiscretizedOperator, m: int) -> float:
-    """max over |alpha| <= m of the operator norm of Op(d^alpha sigma)."""
+    """max over |alpha| <= m of the operator norm of Op(d^alpha sigma), in one lockstep run."""
     sym = _require_terms(op)
-    N = op.geometry_in[1]
+    syms = [derivative(sym, alpha) if any(alpha) else sym
+            for alpha in multi_indices(2 * sym.n, m)]
     best = 0.0
-    for alpha in multi_indices(2 * sym.n, m):
-        d = derivative(sym, alpha) if any(alpha) else sym
-        best = max(best, operator_norm(op_from_phase_terms(d, N)))
+    for norm in phase_norms(syms, op.geometry_in[1]):
+        best = max(best, norm)
     return best
+
+
+def _hierarchy(op: DiscretizedOperator, orders) -> list:
+    """T_k(A) for each k of orders, from one lockstep run over every delta^alpha A."""
+    sym = _require_terms(op)
+    alphas = [multi_indices(2 * sym.n, k, exact=True) for k in orders]
+    norms = iter(phase_norms([delta_symbol(sym, alpha) for group in alphas for alpha in group],
+                             op.geometry_in[1]))
+    T = []
+    for k, group in zip(orders, alphas):
+        total = 0.0
+        for _ in group:
+            total += next(norms)
+        T.append(total / factorial(k))
+    return T
 
 
 def differential_norm_T(op: DiscretizedOperator, k: int) -> float:
     """T_k(A) = (1/k!) sum over |alpha| = k of the norm of delta^alpha A."""
-    sym = _require_terms(op)
-    N = op.geometry_in[1]
-    total = 0.0
-    for alpha in multi_indices(2 * sym.n, k, exact=True):
-        d = delta_symbol(sym, alpha)
-        total += operator_norm(op_from_phase_terms(d, N))
-    return total / factorial(k)
+    return _hierarchy(op, [k])[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +198,8 @@ class DifferentialNormReport:
 
 
 def differential_norms(op: DiscretizedOperator, m: int) -> DifferentialNormReport:
-    """The hierarchy (T_0, ..., T_m) and the nondecreasing sums s_k."""
-    T = [differential_norm_T(op, k) for k in range(m + 1)]
+    """The hierarchy (T_0, ..., T_m) and the nondecreasing sums s_k, in one lockstep run."""
+    T = _hierarchy(op, range(m + 1))
     s = list(np.cumsum(T))
     return DifferentialNormReport(m, tuple(T), tuple(float(v) for v in s))
 

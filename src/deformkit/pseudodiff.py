@@ -23,7 +23,9 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .deformation import _LatticePlan, _compose_terms, _dagger_terms, tilde_map
+from .deformation import (
+    _LatticePlan, _compose_terms, _dagger_terms, _plan_batches, tilde_map,
+)
 from .errors import GridMismatchError, NoConvergenceError
 from .symbols import (
     DeformationMatrix,
@@ -45,6 +47,7 @@ __all__ = [
     "fourier_operator",
     "adjoint",
     "operator_norm",
+    "phase_norms",
     "cv_functional",
 ]
 
@@ -161,38 +164,113 @@ def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
 
 
 def operator_norm(op: DiscretizedOperator, tol: float = NORM_TOL) -> float:
-    """Spectral norm by the Lanczos recurrence on A*A.
+    """Spectral norm by the Lanczos recurrence on A*A: _lanczos on a batch of one,
+    through the operator's own forward and adjoint closures.
 
-    The symmetric three-term recurrence runs from a seeded random start
-    (NORM_SEED) and keeps only the last two Lanczos vectors and the
-    coefficients alpha_j, beta_j of the tridiagonal T_k.  It stops when
-    the residual beta_k |s_k| of the top Ritz pair of T_k is at most
-    tol * theta_k and returns sqrt(theta_k), which approaches the norm
-    from below.  NoConvergenceError after NORM_MAX_STEPS steps, or at
-    once when an application gives a non-finite alpha or beta.
+    ValueError before any application when tol is not finite and positive;
+    NoConvergenceError after NORM_MAX_STEPS steps, or at once when an
+    application gives a non-finite alpha or beta.
     """
+    _check_tol(tol)
     n, N, L, k = op.geometry_in
+    return _lanczos(lambda V: op.adjoint_fn(op.forward(V[0]))[None], (N,) * n + (k, k), 1,
+                    tol)[0]
+
+
+def phase_norms(symbols, N: int, tol: float = NORM_TOL) -> list:
+    """Operator norms of lattice phase symbols of one box on the N-point grid, in order.
+
+    Bit for bit operator_norm(op_from_phase_terms(sym, N), tol) for each
+    symbol, run as one lockstep Lanczos over one batched _LatticePlan:
+    every step is one batched A*A over the members still running.  The
+    symbols are split into consecutive runs whose kernel spectra fit
+    _KEPT_BYTES and _BATCH_BYTES as a whole; a run is one batch
+    (deformation._plan_batches).  ValueError before any application when
+    tol is not finite and positive.
+    """
+    _check_tol(tol)
+    if not _is_pow2(N):
+        raise ValueError(f"points per axis must be a power of two, got {N}")
+    norms = []
+    for batch, groups in _plan_batches(list(symbols), N):
+        plan, sym = _LatticePlan(batch, N, groups), batch[0]
+        norms += _lanczos(lambda V, plan=plan: plan.adjoint(plan.forward(V)),
+                          (N,) * sym.n + (sym.k, sym.k), len(batch), tol, plan.keep)
+    return norms
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"norm tolerance must be finite and positive, got {tol}")
+
+
+def _lanczos(gram, shape: tuple, count: int, tol: float, keep=None) -> list:
+    """Spectral norms of count operators A_i by lockstep Lanczos recurrences on A_i* A_i.
+
+    gram(V) maps the stacked vectors V, one row per running member, to the
+    rows A_i* A_i V_i; keep(rows) drops from gram the members where the
+    boolean rows is False.  Each member runs the symmetric three-term
+    recurrence from the same seeded random start (NORM_SEED) and keeps only
+    its last two Lanczos vectors and the coefficients alpha_j, beta_j of its
+    tridiagonal T_k.  It stops when the residual beta_k |s_k| of the top Ritz
+    pair of T_k is at most tol * theta_k, with the norm sqrt(theta_k), which
+    approaches it from below, and leaves the batch.  The batch shares only
+    the applications: start, recurrence, Ritz solve and stop are per member,
+    so each member's bits are those of its solo run.  NoConvergenceError
+    after NORM_MAX_STEPS steps, or at once when an application gives a
+    non-finite alpha or beta.
+    """
     rng = np.random.default_rng(NORM_SEED)
-    shape = (N,) * n + (k, k)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v /= _real_dot(v, v) ** 0.5
-    v_prev = np.zeros_like(v)
-    alphas, betas = [], []
-    beta = theta = residual = 0.0
-    for _ in range(NORM_MAX_STEPS):
-        w = op.adjoint_fn(op.forward(v))
-        alpha = _real_dot(v, w)
-        w = w - alpha * v - beta * v_prev
-        beta = _real_dot(w, w) ** 0.5
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise NoConvergenceError(f"non-finite Lanczos step: alpha {alpha}, beta {beta}")
-        alphas.append(alpha)
-        betas.append(beta)
-        theta, s = _top_ritz(alphas, betas, theta, residual) if alphas[1:] else (alpha, 1.0)
-        residual = beta * s
-        if residual <= tol * theta:
-            return math.sqrt(max(theta, 0.0))
-        v_prev, v = v, w / beta
+    V = np.repeat(v[None], count, axis=0)
+    V_prev = np.zeros_like(V)
+    live = list(range(count))  # original index of each row
+    norms = [0.0] * count
+    # per member: alpha_1, the pivot pairs (alpha_j, beta_{j-1}) of _top_ritz, theta and
+    # the residual; per row: the last beta
+    first, pairs = [0.0] * count, [[] for _ in range(count)]
+    beta, theta, residual = [0.0] * count, [0.0] * count, [0.0] * count
+    # per-row coefficients: a column of complex values (as a Python float becomes, so no
+    # mixed-type ufunc loop), or the one row's float, multiplied without a broadcast
+    column = (slice(None),) + (None,) * len(shape)
+
+    def rows_of(values):
+        return values[0] if len(values) == 1 else np.array(values, dtype=complex)[column]
+
+    beta_rows = rows_of(beta)
+    for step in range(NORM_MAX_STEPS):
+        W = gram(V)
+        alpha = _real_dots(V, W)
+        W = W - rows_of(alpha) * V - beta_rows * V_prev
+        dots = _real_dots(W, W)
+        settled = []
+        for j, i in enumerate(live):
+            a, b = alpha[j], dots[j] ** 0.5
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise NoConvergenceError(f"non-finite Lanczos step: alpha {a}, beta {b}")
+            if step:
+                pairs[i].append((a, beta[j]))
+                theta[i], s = _top_ritz(first[i], pairs[i], theta[i], residual[i])
+            else:
+                first[i], theta[i], s = a, a, 1.0
+            beta[j] = b
+            residual[i] = b * s
+            if residual[i] <= tol * theta[i]:
+                norms[i] = math.sqrt(max(theta[i], 0.0))
+                settled.append(j)
+        if settled:
+            if len(settled) == len(live):
+                return norms
+            rows = np.ones(len(live), dtype=bool)
+            rows[settled] = False
+            live = [i for i, r in zip(live, rows) if r]
+            beta = [b for b, r in zip(beta, rows) if r]
+            V, W = V[rows], W[rows]
+            keep(rows)
+        beta_rows = rows_of(beta)
+        W /= beta_rows
+        V_prev, V = V, W
     raise NoConvergenceError(f"Lanczos did not settle within {NORM_MAX_STEPS} steps")
 
 
@@ -202,27 +280,33 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
                            b.reshape(-1).view(np.float64)))
 
 
-def _top_ritz(alphas: list, betas: list, pole: float, r: float) -> tuple:
+def _real_dots(A: np.ndarray, B: np.ndarray) -> list:
+    """Re <A_i, B_i> for each row i: _real_dot row by row, so each is its bits."""
+    return list(map(_real_dot, A, B))
+
+
+def _top_ritz(first: float, pairs: list, pole: float, r: float) -> tuple:
     """Top eigenvalue of the Lanczos matrix T_k and the last entry of its eigenvector.
 
-    T_k has diagonal alphas and off-diagonal betas[:-1]; pole is the top
-    eigenvalue of T_{k-1} and r = betas[-2] |s_{k-1}| its residual.  By
+    T_k has diagonal alpha_1 = first, alpha_2, ..., alpha_k and off-diagonal
+    beta_1, ..., beta_{k-1}, given as the pivot pairs (alpha_j, beta_{j-1}) for
+    j = 2, ..., k, a list that grows by one pair per Lanczos step; pole is the
+    top eigenvalue of T_{k-1} and r = beta_{k-1} |s_{k-1}| its residual.  By
     interlacing and Weyl the root lies in [pole, max(pole, alpha_k) +
     beta_{k-1}], and the top eigenvalue of [[pole, r], [r, alpha_k]] is a
     lower bound to start from.  Above the pole every leading pivot of
-    x - T_k is positive, and the last one, d_k(x), has the root as its
-    only zero and a pole of residue -r^2 at the pole.  Newton runs on
-    (x - pole) d_k(x), which is smooth there; bisection guards the
-    bracket.  |s_k| then comes from the bottom-up pivots, whose products
-    are the eigenvector's entries.  Each pass is O(k).
+    x - T_k is positive, and the last one, d_k(x), has the root as its only
+    zero and a pole of residue -r^2 at the pole.  Newton runs on
+    (x - pole) d_k(x), which is smooth there; bisection guards the bracket.
+    |s_k| then comes from the bottom-up pivots, whose products are the
+    eigenvector's entries.  Each pass is O(k).
     """
-    a_k = alphas[-1]
-    lo, hi = pole, max(pole, a_k) + betas[-2]
+    a_k, beta = pairs[-1]
+    lo, hi = pole, max(pole, a_k) + beta
     x = min(max(0.5 * (pole + a_k) + math.hypot(0.5 * (pole - a_k), r), lo), hi)
-    couplings = list(zip(alphas[1:], betas))
     while True:
-        d, slope = x - alphas[0], 1.0
-        for a, b in couplings:
+        d, slope = x - first, 1.0
+        for a, b in pairs:
             if d <= 0.0:
                 lo = x  # below the top eigenvalue of a leading block
                 break
@@ -247,15 +331,16 @@ def _top_ritz(alphas: list, betas: list, pole: float, r: float) -> tuple:
         if not lo < mid < hi:
             break
         x = mid
-    # bottom-up pivots D_j of x - T_k: eigenvector entry j is entry j + 1
-    # times D_{j+1} / beta_j, from entry k = 1
-    D, entry, total = x - a_k, 1.0, 1.0
-    for a, b in zip(alphas[-2::-1], betas[-2::-1]):
+    # bottom-up pivots D_j of x - T_k: eigenvector entry j is entry j + 1 times
+    # D_{j+1} / beta_j, from entry k = 1; D_j = x - alpha_j - beta_j^2 / D_{j+1}
+    entry, total, carry = 1.0, 1.0, 0.0
+    for a, b in reversed(pairs):
+        D = x - a - carry
         if D <= 0.0:
             return x, 1.0
         entry *= D / b
         total += entry * entry
-        D = x - a - b * b / D
+        carry = b * b / D
     return x, total ** -0.5
 
 

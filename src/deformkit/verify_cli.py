@@ -39,6 +39,7 @@ from .deformation import (
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
+    tilde_map,
 )
 from .errors import ConvergenceError, DeformkitError, NoConvergenceError
 from .heisenberg import (
@@ -57,6 +58,7 @@ from .pseudodiff import (
     fourier_operator,
     op_from_phase_terms,
     operator_norm,
+    phase_norms,
     rieffel_operator,
 )
 from .symbols import (
@@ -240,27 +242,36 @@ def gaussian_values(n: int, N: int, L: float, width: float, k: int = 1,
 
 
 def sup_op_gap(family, tol: float = NORM_TOL) -> float:
-    """Worst |sup f - ||L_f||| / sup f at J = 0 over grid symbols f."""
+    """Worst |sup f - ||L_f||| / sup f at J = 0 over grid symbols f; the norms of the
+    symbols of one grid and box run in one lockstep run."""
+    family, grids, norms = list(family), {}, {}
+    for i, f in enumerate(family):
+        grids.setdefault((f.n, f.N, f.L, f.k), []).append(i)
+    for (n, N, _, _), members in grids.items():
+        lifts = [tilde_map(family[i], DeformationMatrix.zero(n)) for i in members]
+        norms.update(zip(members, phase_norms(lifts, N, tol)))
     worst = 0.0
-    for f in family:
+    for i, f in enumerate(family):
         sup = sup_norm(f)
-        opn = operator_norm(rieffel_operator(f, DeformationMatrix.zero(f.n)), tol=tol)
-        worst = max(worst, abs(sup - opn) / sup)
+        worst = max(worst, abs(sup - norms[i]) / sup)
     return worst
 
 
 def interplay_residual(pairs, J: DeformationMatrix, h: ModuleVector,
                        tol: float = NORM_TOL) -> float:
     """Worst ||L_f L_g h - L_{f x_J g} h|| / (||L_f|| ||L_g|| ||h||) over pairs (f, g)."""
+    pairs = list(pairs)
+    lifts = [tilde_map(s, J) for pair in pairs for s in pair]
+    norms = phase_norms(lifts, h.N, tol)
     hn = norm_L2(h)
     worst = 0.0
-    for f, g in pairs:
-        Lf, Lg, Lfg = (rieffel_operator(s, J, N=h.N)
-                       for s in (f, g, deformed_product_exact(f, g, J)))
+    for (f, g), lf, lg, nf, ng in zip(pairs, lifts[::2], lifts[1::2], norms[::2], norms[1::2]):
+        Lf, Lg = op_from_phase_terms(lf, h.N), op_from_phase_terms(lg, h.N)
+        Lfg = rieffel_operator(deformed_product_exact(f, g, J), J, N=h.N)
         lhs = Lf.forward(Lg.forward(h.values))
         rhs = Lfg.forward(h.values)
         # tightening the norm estimates only shrinks the denominator
-        denom = operator_norm(Lf, tol=tol) * operator_norm(Lg, tol=tol) * hn
+        denom = nf * ng * hn
         err = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * h.weight))
         worst = max(worst, err / denom)
     return worst
@@ -268,11 +279,11 @@ def interplay_residual(pairs, J: DeformationMatrix, h: ModuleVector,
 
 def cv_fit(family, L: float, box_xi: float, N: int) -> float:
     """Largest ||Op(a)|| / cv_functional(a) over the family at N points in x."""
+    family = list(family)
     x_ax, xi_ax = axis_points(N, L), axis_points(64, box_xi)
     best = 0.0
-    for sym in family:
+    for sym, opn in zip(family, phase_norms(family, N)):
         pi = cv_functional(sym, x_ax, xi_ax)
-        opn = operator_norm(op_from_phase_terms(sym, N))
         if pi > 0:
             best = max(best, opn / pi)
     return best

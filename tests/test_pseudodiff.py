@@ -1,10 +1,13 @@
 """Discretized operators: twisted translations, norms, adjoints."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deformkit.deformation import _CHUNK_POINTS, deformed_product_exact
+from deformkit import deformation
+from deformkit.deformation import _CHUNK_POINTS, _LatticePlan, deformed_product_exact
 from deformkit.errors import GridMismatchError, NoConvergenceError
 from deformkit.heisenberg import adu_conjugate, heisenberg_operator
 from deformkit.pseudodiff import (
@@ -14,6 +17,7 @@ from deformkit.pseudodiff import (
     fourier_operator,
     op_from_phase_terms,
     operator_norm,
+    phase_norms,
     rieffel_operator,
 )
 from deformkit.symbols import (
@@ -24,6 +28,7 @@ from deformkit.symbols import (
     PlaneWaveSymbol,
     inner_product,
     norm_L2,
+    sup_norm,
 )
 from deformkit.verify_cli import (
     band_limited_vector,
@@ -293,6 +298,19 @@ def test_undeformed_sup_op_gap_is_rounding():
     assert sup_op_gap(family) <= 1e-10
 
 
+def test_sup_op_gap_over_mixed_grids_takes_each_symbols_own_norm():
+    # symbols on different grids, boxes and k run in separate lockstep runs
+    rng = np.random.default_rng(27183)
+    family = [GridSymbol(n, N, box, band_limited_vector(rng, n, N, box, 2, k).values)
+              for n, N, box, k in ((2, 16, L, 2), (1, 32, 4.0, 1), (2, 8, L, 2),
+                                   (2, 16, 5.0, 2), (1, 32, 4.0, 1))]
+    gaps = []
+    for f in family:
+        sup = sup_norm(f)
+        gaps.append(abs(sup - operator_norm(rieffel_operator(f, DeformationMatrix.zero(f.n)))) / sup)
+    assert sup_op_gap(family) == max(gaps)
+
+
 def test_operator_norm_fails_at_once_on_non_finite_values():
     applications = []
 
@@ -305,6 +323,150 @@ def test_operator_norm_fails_at_once_on_non_finite_values():
     with pytest.raises(NoConvergenceError):
         operator_norm(op)
     assert len(applications) <= 2
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_norm_tolerance_is_refused_before_any_application(monkeypatch, tol):
+    applications = []
+
+    def identity(values):
+        applications.append(values.shape)
+        return values
+
+    geometry = (1, 16, 4.0, 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        operator_norm(DiscretizedOperator(geometry, geometry, identity, identity), tol=tol)
+    monkeypatch.setattr(_LatticePlan, "forward", lambda plan, values: identity(values))
+    sym = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0), ((0,), (0.0,), 0.5)))
+    with pytest.raises(ValueError, match="tolerance"):
+        phase_norms([sym, sym], 16, tol=tol)
+    assert applications == []
+
+
+# ---------------------------------------------------------------------------
+# Lockstep norms
+
+
+def lockstep_family(rng, n, k, kind):
+    """Phase symbols of one box with 1, 2 and 5 terms, then the zero operator.
+
+    kind "fields" has w = 0 only (pointwise fields, no groups), "groups" has
+    w != 0 only, and "mixed" both; the members' group counts differ.
+    """
+    family = []
+    for count in (1, 2, 5):
+        terms = []
+        for t in range(count):
+            m = tuple(int(v) for v in rng.integers(-3, 4, size=n))
+            shifted = kind == "groups" or (kind == "mixed" and t % 2 == 0)
+            w = tuple(rng.uniform(-1.0, 1.0, size=n)) if shifted else (0.0,) * n
+            terms.append((m, w, rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))))
+        family.append(PlaneWavePhaseSymbol(n, 4.0, k, tuple(terms)))
+    return family + [PlaneWavePhaseSymbol(n, 4.0, k, ())]
+
+
+def solo_steps(sym, N):
+    """(norm, Lanczos steps) of the solo run on Op(sym)."""
+    op = op_from_phase_terms(sym, N)
+    steps = []
+
+    def forward(values):
+        steps.append(1)
+        return op.forward(values)
+
+    return operator_norm(dataclasses.replace(op, forward=forward)), len(steps)
+
+
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["fields", "groups", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lockstep_norms_are_the_solo_bits(n, k, kind):
+    rng = np.random.default_rng(100 * n + 10 * k + len(kind))
+    # 2-D fields at N = 64 give the longest rows
+    N = 32 if n == 1 else 64 if kind == "fields" else 8
+    family = lockstep_family(rng, n, k, kind)
+    solo = [solo_steps(sym, N) for sym in family]
+    assert solo[-1] == (0.0, 1)  # the zero operator stops at step 1
+    assert bits(phase_norms(family, N)) == bits([norm for norm, _ in solo])
+
+
+def test_lockstep_makes_one_batched_application_per_step(monkeypatch):
+    rng = np.random.default_rng(31)
+    family = lockstep_family(rng, 1, 2, "mixed")
+    steps = [solo_steps(sym, 32)[1] for sym in family]
+    widths = []
+    real = _LatticePlan.forward
+
+    def forward(plan, values):
+        widths.append(plan.M)
+        return real(plan, values)
+
+    monkeypatch.setattr(_LatticePlan, "forward", forward)
+    phase_norms(family, 32)
+    # settled members leave the batch: one application per step of the longest run
+    assert len(widths) == max(steps) < sum(steps)
+    assert widths == [sum(s > j for s in steps) for j in range(max(steps))]
+
+
+def test_lockstep_groups_each_symbol_once(monkeypatch):
+    rng = np.random.default_rng(35)
+    family = lockstep_family(rng, 2, 1, "mixed")
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    phase_norms(family, 8)
+    # the batcher's grouping is the plan's: one np.unique per symbol
+    assert len(calls) == len(family)
+
+
+def test_non_finite_member_stops_the_lockstep_run_at_once(monkeypatch):
+    rng = np.random.default_rng(32)
+    family = lockstep_family(rng, 1, 1, "mixed")
+    calls = []
+    real = _LatticePlan.forward
+
+    def poisoned(plan, values):
+        calls.append(plan.M)
+        out = real(plan, values)
+        out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(_LatticePlan, "forward", poisoned)
+    with pytest.raises(NoConvergenceError, match="non-finite"):
+        phase_norms(family, 32)
+    assert calls == [len(family)]
+
+
+def test_lockstep_past_the_kept_budget_splits_with_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(33)
+    family = lockstep_family(rng, 2, 2, "groups")[:3] * 2
+    want = phase_norms(family, 8)
+    groups = [len(np.unique(sym.terms["w"][:, 0] + 1j * sym.terms["m"][:, 1])) for sym in family]
+    unit = 16 * 2 * 2 * 8 * 8
+    # room for the two largest members side by side, not for the whole batch
+    budget = 2 * max(groups) * unit
+    monkeypatch.setattr(deformation, "_KEPT_BYTES", budget)
+    plans = {}
+    real = _LatticePlan.forward
+
+    def forward(plan, values):
+        plans.setdefault(plan, plan.kept_bytes)
+        return real(plan, values)
+
+    monkeypatch.setattr(_LatticePlan, "forward", forward)
+    assert bits(phase_norms(family, 8)) == bits(want)
+    # each batch keeps its kernel spectra within the budget, as a whole
+    assert 1 < len(plans) < len(family) and max(plans.values()) <= budget
+    assert all(isinstance(kept, list) for plan in plans for kept in plan.kept)
 
 
 def test_operator_norm_of_unitary_modulation():

@@ -402,7 +402,8 @@ def test_verify_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("norm did not settle")
 
-    monkeypatch.setattr(verify_cli, "operator_norm", fail)
+    # the sup-op suite takes its norms in one lockstep run
+    monkeypatch.setattr(verify_cli, "phase_norms", fail)
     out = tmp_path / "r.json"
     code = main(["verify", "--suites", "sup-op", "--out", str(out)])
     assert code == 1
@@ -418,7 +419,7 @@ def test_package_error_inside_command_exits_2(tmp_path, capsys, monkeypatch, com
         raise UnsupportedOperatorError("operator carries no lattice symbol")
 
     monkeypatch.setattr(verify_cli, "differential_norms", fail)
-    monkeypatch.setattr(verify_cli, "operator_norm", fail)
+    monkeypatch.setattr(verify_cli, "phase_norms", fail)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
     argv = {
         "norms": ["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"],
