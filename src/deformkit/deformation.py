@@ -25,7 +25,7 @@ lattice symbols by exact termwise laws (_compose_terms, _dagger_terms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partialmethod
+from functools import lru_cache, partialmethod, reduce
 from itertools import product as _iproduct
 from math import comb, factorial
 
@@ -38,6 +38,7 @@ from .symbols import (
     PlaneWaveSymbol,
     DeformationMatrix,
     _rowdot,
+    _LatticeFold,
     _term_array,
     _wave_sum,
     centered_idft,
@@ -321,8 +322,23 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     return np.moveaxis(conv, -1, axis)
 
 
+def _inner_period(L: float) -> int | None:
+    """M = 2L/h, the inner mesh's points per period of the box, when it is an integer at
+    most OSC_Q (so the folded route samples the g side); None otherwise."""
+    h = 2.0 * OSC_R / OSC_Q
+    M = round(2.0 * L / h)
+    return M if 0 < M <= OSC_Q and abs(M * h - 2.0 * L) <= 1e-12 * L else None
+
+
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
-    """Quadrature route for grid data via chirp-z lattice evaluation."""
+    """Quadrature route for grid data by lattice evaluation of both factors.
+
+    The derivative fields d^sigma G(x + v) of g sit on the inner mesh
+    v_j = -OSC_R + j h.  When h divides the period 2L (_inner_period), each is
+    one fold of the scaled series and one inverse FFT (_LatticeFold), tiled
+    past a period.  Otherwise, and on the f side, whose step scales with
+    theta, the series is evaluated by chirp-z passes (_czt_axis).
+    """
     order = n // 2 + 1
     k = fhat.shape[-1]
     vax = _inner_axis()
@@ -331,6 +347,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     half = fhat.shape[0] // 2
     m_axis = np.arange(fhat.shape[0]) - half
     p_axis = m_axis / (2.0 * L)
+    M = _inner_period(L)
 
     def czt_pass(c, ax, order):
         """d^order along axis ax of the coefficients, then the chirp-z pass on ax."""
@@ -344,7 +361,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     # asks for sigma_g in sorted order, so one (order, pass) pair is kept
     first_pass = (None, None)
 
-    def g_derivative(sigma_g):
+    def czt_derivative(sigma_g):
         nonlocal first_pass
         if first_pass[0] != sigma_g[0]:
             first_pass = (sigma_g[0], czt_pass(ghat, 0, sigma_g[0]))
@@ -352,6 +369,18 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         for ax in range(1, n):
             c = czt_pass(c, ax, sigma_g[ax])
         return c
+
+    if M is not None:
+        fold = _LatticeFold(np.indices(ghat.shape[:n]).reshape(n, -1).T - half, M)
+        # per axis, the phase of the mesh's first point x - OSC_R
+        ramps = [np.exp(2j * np.pi * p_axis * (float(x[ax]) - OSC_R)) for ax in range(n)]
+
+        def fold_derivative(sigma_g):
+            factor = reduce(np.multiply.outer, [
+                r * (2j * np.pi * p_axis) ** s for r, s in zip(ramps, sigma_g)])
+            return fold((ghat * factor[..., None, None]).reshape(-1, k, k), OSC_Q)
+
+    g_derivative = czt_derivative if M is None else fold_derivative
 
     if J.is_zero:
         fvals = fhat  # the series at the point x, one axis at a time
@@ -405,18 +434,20 @@ def deformed_product_exact(
     return PlaneWaveSymbol(f.n, f.L, f.k, _term_array(tf["m"][i] + tg["m"][j], c))
 
 
-def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix):
+def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix,
+                             fhat=None, ghat=None):
     """Route (b): the alias-folded twisted convolution, L_f applied to g.
 
     The lattice action runs over the factor with fewer significant terms:
     over g it uses (f x_J g)^T = g^T x_{-J} f^T, with pointwise k x k transposes.
-    Each factor's series is computed once; transposing the coefficients of
-    g keeps its significant set, which keys on the largest entry.
+    fhat, ghat are the factors' series_coefficients when the caller has them;
+    transposing the coefficients of g keeps its significant set, which keys on
+    the largest entry.
     """
     if J.is_zero:
         fg = _kfirst_product(_k_first(f.values), _k_first(g.values))
         return fg.transpose(2, 0, 1).reshape(f.values.shape)
-    sf, sg = significant_terms(f), significant_terms(g)
+    sf, sg = significant_terms(f, fhat), significant_terms(g, ghat)
     if len(sf.terms) <= len(sg.terms):
         return _LatticePlan(tilde_map(sf, J), f.N).forward(g.values)
     t = sg.terms.copy()
@@ -427,8 +458,10 @@ def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix)
 
 
 def _check_point_indices(N: int, count: int) -> list[int]:
-    stride = max(1, N // max(count, 1))
-    return [(stride // 2 + j * stride) % N for j in range(count)]
+    """min(count, N) distinct, evenly spread indices of the N-point axis."""
+    count = min(count, N)
+    stride = N // max(count, 1)
+    return [stride // 2 + j * stride for j in range(count)]
 
 
 def deformed_product_numeric(
@@ -455,14 +488,17 @@ def deformed_product_numeric(
     if J.n != f.n:
         raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
     cfg = cfg or OscIntegralConfig()
-    values = _twisted_lattice_product(f, g, J)
+    # each factor's series, once: the lattice route and the oracle share it
+    if cfg.check_points > 0 or not J.is_zero:
+        fhat, ghat = series_coefficients(f), series_coefficients(g)
+    else:
+        fhat = ghat = None
+    values = _twisted_lattice_product(f, g, J, fhat, ghat)
     result = f.with_values(values)
 
     worst = 0.0
     checked = 0
     if cfg.check_points > 0:
-        fhat = series_coefficients(f)
-        ghat = series_coefficients(g)
         scale = max(
             float(np.abs(values).max()),
             float(np.abs(f.values).max()) * float(np.abs(g.values).max()),
@@ -669,7 +705,7 @@ class _LatticePlan:
         field = self.fields[adjoint]
         if not self.G:  # the field alone: no copy of x outlives the product
             out = _kfirst_product(field, x.reshape(k, k, -1))
-            return out.reshape(k, k, M, S, N).transpose(2, 4, 3, 0, 1).reshape(np.shape(values))
+            return self._points_first(out.reshape(k, k, M, S, N), values)
         x = x.copy()
         out = 0.0 if field is None else _kfirst_product(field, x.reshape(k, k, -1)).reshape(x.shape)
         x *= sign[:, :1] if adjoint else sign  # sign[:, :1]: axis 1's alone
@@ -693,8 +729,19 @@ class _LatticePlan:
         for ax in self.axes[not adjoint:]:  # the forward's axis 0 is folded in
             np.fft.ifft(acc, axis=ax, norm="forward", out=acc)
         acc *= sign if adjoint else self.scale
-        acc += out
-        return acc.transpose(2, 4, 3, 0, 1).reshape(np.shape(values))
+        return self._points_first(acc, values, out)
+
+    @staticmethod
+    def _points_first(acc, values, field=None):
+        """(k, k, member, s, axis-0 point) sums, plus field when given, as a C-contiguous
+        array shaped like values: the sum and the transpose are one pass."""
+        axes = (2, 4, 3, 0, 1)
+        if field is None:
+            return np.ascontiguousarray(acc.transpose(axes)).reshape(np.shape(values))
+        result = np.empty(acc.transpose(axes).shape, dtype=np.complex128)
+        np.add(acc.transpose(axes), np.transpose(field, axes) if np.ndim(field) else field,
+               out=result)
+        return result.reshape(np.shape(values))
 
     forward = partialmethod(_apply, adjoint=False)
     adjoint = partialmethod(_apply, adjoint=True)
@@ -750,7 +797,7 @@ def fourier_inversion_check(f, x) -> float:
         fhat[eye_slot] = np.eye(k)
         ghat = series_coefficients(f)
         value = _quadrature_point_lattice(fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv)
-        target = eval_series(significant_terms(f).terms, f.L, xv.reshape(1, n))[0]
+        target = eval_series(significant_terms(f, ghat).terms, f.L, xv.reshape(1, n))[0]
     else:
         raise TypeError(f"cannot check {type(f).__name__}")
     return float(np.abs(value - target).max())

@@ -32,11 +32,12 @@ from .symbols import (
     GridSymbol,
     ModuleVector,
     PlaneWavePhaseSymbol,
+    _LatticeFold,
+    _derivative_factors,
     _is_pow2,
     _sample_norms,
     centered_dft,
     centered_idft,
-    derivative,
 )
 
 __all__ = [
@@ -54,6 +55,8 @@ __all__ = [
 NORM_SEED = 0x5EED
 NORM_TOL = 1e-8
 NORM_MAX_STEPS = 10_000
+# values (samples times k^2) per chunk of xi points in cv_functional
+_CV_CHUNK_VALUES = 1 << 18
 
 
 @dataclass
@@ -242,7 +245,8 @@ def _lanczos(gram, shape: tuple, count: int, tol: float, keep=None) -> list:
     for step in range(NORM_MAX_STEPS):
         W = gram(V)
         alpha = _real_dots(V, W)
-        W = W - rows_of(alpha) * V - beta_rows * V_prev
+        W = W - rows_of(alpha) * V  # a new array: gram's own output is never written
+        W -= beta_rows * V_prev
         dots = _real_dots(W, W)
         settled = []
         for j, i in enumerate(live):
@@ -344,21 +348,49 @@ def _top_ritz(first: float, pairs: list, pole: float, r: float) -> tuple:
     return x, total ** -0.5
 
 
+def _uniform_period(axis, L: float) -> tuple:
+    """(M, x_0) of an axis x_0 + j 2L/M, M a positive integer; ValueError for another axis."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or not len(axis) or not np.isfinite(axis).all():
+        raise ValueError("x axis must be a non-empty, finite 1-D array")
+    if len(axis) == 1:
+        return 1, float(axis[0])
+    step = (axis[-1] - axis[0]) / (len(axis) - 1)
+    M = round(2.0 * L / step) if step > 0 else 0
+    if M < 1 or np.abs(axis[0] + np.arange(len(axis)) * (2.0 * L / M) - axis).max() > 1e-12 * L:
+        raise ValueError(f"x axis must be uniform with a step 2L/M, M a positive integer "
+                         f"(L = {L})")
+    return M, float(axis[0])
+
+
 def cv_functional(sym: PlaneWavePhaseSymbol, x_axis, xi_axis) -> float:
     """max over mixed first derivatives (at most one per axis) of sup norms.
 
     pi(a) = max_{beta, gamma in {0,1}^n} sup |d_x^beta d_xi^gamma a|,
     the quantity controlling the operator norm of Op(a).  Each
     derivative is exact (termwise); the sup is taken over the product
-    grid x_axis^n x xi_axis^n.
+    grid x_axis^n x xi_axis^n.  x_axis must be uniform with a step 2L/M
+    that divides the period, M an integer (ValueError otherwise): at each
+    xi point every derivative is then one fold of its terms, times
+    exp(i w.xi), into the bins m mod M and one inverse FFT over them
+    (_LatticeFold), for the xi points in chunks of _CV_CHUNK_VALUES.
     """
-    n = sym.n
-    x_pts = np.stack(np.meshgrid(*([x_axis] * n), indexing="ij"), axis=-1)
-    xi_pts = np.stack(np.meshgrid(*([xi_axis] * n), indexing="ij"), axis=-1)
-    x_pts = x_pts.reshape(x_pts.shape[:-1] + (1,) * n + (n,))
-    xi_pts = xi_pts.reshape((1,) * n + xi_pts.shape)
+    n, k, t = sym.n, sym.k, sym.terms
+    M, start = _uniform_period(x_axis, sym.L)
+    P = len(x_axis)
+    om, w = sym.omega(t["m"]), t["w"]
+    xi = np.stack(np.meshgrid(*([np.asarray(xi_axis, dtype=float)] * n), indexing="ij"),
+                  axis=-1).reshape(-1, n)
+    # each term at the grid's first point, and each derivative's factor
+    c = np.exp(1j * start * om.sum(axis=1))[:, None, None] * t["c"]
+    factors = [_derivative_factors(sym, alpha) for alpha in _iproduct((0, 1), repeat=2 * n)]
+    fold = _LatticeFold(t["m"], M)
+    chunk = max(1, _CV_CHUNK_VALUES // (max(len(t), P ** n) * k * k))
     best = 0.0
-    for alpha in _iproduct((0, 1), repeat=2 * n):
-        d = derivative(sym, alpha) if any(alpha) else sym
-        best = max(best, float(_sample_norms(d.evaluate(x_pts, xi_pts)).max()))
+    for q in range(0, len(xi), chunk):
+        arg = sum(w[:, ax, None] * xi[None, q:q + chunk, ax] for ax in range(n))
+        waves = np.exp(1j * arg)[..., None, None] * c[:, None]  # (T, chunk, k, k)
+        for factor in factors:
+            samples = fold(factor[:, None, None, None] * waves, P)
+            best = max(best, float(_sample_norms(samples).max()))
     return best

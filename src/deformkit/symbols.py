@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from itertools import product as _iproduct
@@ -295,6 +296,40 @@ def _wave_sum(c: np.ndarray, scale: complex, points, freqs) -> np.ndarray:
     return out
 
 
+class _LatticeFold:
+    """Samples of lattice series on a uniform mesh commensurate with the box, by one fold.
+
+    On the axis y_j = s + j 2L/M, exp(2 pi i (m/2L) y_j) is exp(2 pi i (m/2L) s) times
+    exp(2 pi i m j / M), which depends on m only through m mod M.  For the terms m of
+    shape (T, n), fold(c, count) is sum_t c[t] exp(2 pi i m_t.j / M) at j in {0, ...,
+    count - 1}^n, of shape (count,)*n + tail, for c of shape (T,) + tail that carries any
+    per-term phase or derivative factor.  The terms are summed into the bins m mod M in
+    term order (np.bincount, no BLAS), one inverse FFT runs per bin axis, and past M
+    points the samples repeat: they are tiled periodically.  The bins are found once.
+    """
+
+    def __init__(self, m: np.ndarray, M: int):
+        self.n, self.M, self.bins = m.shape[1], M, 0
+        for ax in range(self.n):  # row-major flat index of m mod M
+            self.bins = self.bins * M + m[:, ax] % M
+
+    def __call__(self, c: np.ndarray, count: int) -> np.ndarray:
+        n, M, tail = self.n, self.M, c.shape[1:]
+        size = math.prod(tail)
+        idx = (self.bins[:, None] * size + np.arange(size)).ravel()
+        c = np.ascontiguousarray(c, dtype=np.complex128).reshape(-1)
+        out = np.empty(M ** n * size, dtype=np.complex128)
+        out.real = np.bincount(idx, c.real, len(out))
+        out.imag = np.bincount(idx, c.imag, len(out))
+        out = out.reshape((M,) * n + tail)
+        for ax in range(n):
+            np.fft.ifft(out, axis=ax, norm="forward", out=out)
+        if count != M:
+            for ax in range(n):
+                out = np.take(out, np.arange(count) % M, axis=ax)
+        return out
+
+
 def _rowdot(a, b) -> np.ndarray:
     """a[t] @ b[t] for each row of broadcastable (T, n) arrays, by the 1-D matmul."""
     a, b = (np.ascontiguousarray(v) for v in np.broadcast_arrays(a, b))
@@ -333,8 +368,17 @@ class PlaneWaveSymbol:
                          (self.frequency(self.terms["m"]),))
 
     def to_grid(self, N: int) -> "GridSymbol":
-        pts = np.stack(np.meshgrid(*[axis_points(N, self.L)] * self.n, indexing="ij"), -1)
-        return GridSymbol(self.n, N, self.L, self.evaluate(pts))
+        return GridSymbol(self.n, N, self.L, self._grid_values(N))
+
+    def _grid_values(self, N: int) -> np.ndarray:
+        """Samples on the grid axis_points(N, L)^n, N even, by one fold (_LatticeFold).
+
+        The grid starts at -L, whose phase exp(-pi i m) per axis is the exact
+        sign (-1)^(sum of m).
+        """
+        m = self.terms["m"]
+        sign = 1.0 - 2.0 * (m.sum(axis=1) % 2)
+        return _LatticeFold(m, N)(sign[:, None, None] * self.terms["c"], N)
 
     @property
     def max_abs_m(self) -> int:
@@ -432,12 +476,13 @@ def series_coefficients(data: _GridData) -> np.ndarray:
     return centered_dft(data.values, axes) / float(data.N) ** data.n
 
 
-def significant_terms(data: _GridData) -> PlaneWaveSymbol:
+def significant_terms(data: _GridData, coeffs=None) -> PlaneWaveSymbol:
     """The series of grid data as a plane-wave symbol, pruned.
 
     Terms whose max entry is below PRUNE_REL times the global max are dropped.
+    coeffs, when given, are the data's series_coefficients.
     """
-    coeffs = series_coefficients(data)
+    coeffs = series_coefficients(data) if coeffs is None else coeffs
     mags = np.abs(coeffs).max(axis=(-2, -1))
     cutoff = PRUNE_REL * float(mags.max()) if mags.size else 0.0
     idx = np.argwhere(mags > cutoff)
@@ -521,29 +566,30 @@ def derivative(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     alpha has length 2n (x axes then xi axes); each unit step multiplies a
     term by i omega_j or i w_j.
     """
+    return sym.scale_terms(_derivative_factors(sym, alpha))
+
+
+def _derivative_factors(sym: PlaneWavePhaseSymbol, alpha) -> np.ndarray:
+    """Per term, the factor prod_j (i omega_j)^alpha_j (i w_j)^alpha_{n+j} of d^alpha."""
     alpha = np.array(_check_order(alpha, 2 * sym.n))
     om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    return sym.scale_terms(np.prod((1j * om) ** alpha[:sym.n], axis=1)
-                           * np.prod((1j * w) ** alpha[sym.n:], axis=1))
+    return np.prod((1j * om) ** alpha[:sym.n], axis=1) * np.prod((1j * w) ** alpha[sym.n:], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Norms
 
 
-def _dense_axis(f: PlaneWaveSymbol) -> np.ndarray:
-    """Oversampled commensurate axis for sup evaluation of trig data."""
+def _dense_points(f: PlaneWaveSymbol) -> int:
+    """Points per axis of the oversampled grid for sup evaluation of trig data."""
     base = max(128, SUP_OVERSAMPLE * 2 * max(1, f.max_abs_m))
-    N = min(1 << (int(base - 1).bit_length()), 1 << (SUP_MAX_POINTS_LOG2 // f.n))
-    return axis_points(N, f.L)
+    return min(1 << (int(base - 1).bit_length()), 1 << (SUP_MAX_POINTS_LOG2 // f.n))
 
 
 def sup_norm(f) -> float:
     """sup_x ||f(x)|| (dense trigonometric sampling for plane-wave data)."""
     if isinstance(f, PlaneWaveSymbol):
-        ax = _dense_axis(f)
-        pts = np.stack(np.meshgrid(*([ax] * f.n), indexing="ij"), axis=-1)
-        return float(_sample_norms(f.evaluate(pts)).max())
+        return float(_sample_norms(f._grid_values(_dense_points(f))).max())
     if isinstance(f, GridSymbol):
         return float(_sample_norms(f.values).max())
     raise TypeError(f"cannot take sup norm of {type(f).__name__}")

@@ -2,10 +2,13 @@
 
 The quadrature route of the phase-space calculus checks the exact
 termwise laws of ``deformation`` (``_dagger_terms``, ``_compose_terms``),
-and sampled operators (pointwise and Fourier multipliers) exercise the
-operator and adjoint machinery beyond lattice symbols.  No command of
+sampled operators (pointwise and Fourier multipliers) exercise the
+operator and adjoint machinery beyond lattice symbols, and the mesh
+evaluation of the pi functional checks its folded route.  No command of
 the package runs any of them.
 """
+
+from itertools import product as _iproduct
 
 import numpy as np
 
@@ -23,8 +26,10 @@ from deformkit.symbols import (
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
     _rowdot,
+    _sample_norms,
     centered_dft,
     centered_idft,
+    derivative,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,3 +190,23 @@ def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
                 f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
             )
     return result
+
+
+# ---------------------------------------------------------------------------
+# The pi functional on the full mesh
+
+
+def cv_functional_mesh(sym: PlaneWavePhaseSymbol, x_axis, xi_axis) -> float:
+    """pi(a) = max_{beta, gamma in {0,1}^n} sup |d_x^beta d_xi^gamma a| over the
+    mesh x_axis^n x xi_axis^n, each derivative (symbols.derivative) evaluated
+    term by term at every mesh point (PlaneWavePhaseSymbol.evaluate); any x axis."""
+    n = sym.n
+    x_pts = np.stack(np.meshgrid(*([x_axis] * n), indexing="ij"), axis=-1)
+    xi_pts = np.stack(np.meshgrid(*([xi_axis] * n), indexing="ij"), axis=-1)
+    x_pts = x_pts.reshape(x_pts.shape[:-1] + (1,) * n + (n,))
+    xi_pts = xi_pts.reshape((1,) * n + xi_pts.shape)
+    best = 0.0
+    for alpha in _iproduct((0, 1), repeat=2 * n):
+        d = derivative(sym, alpha) if any(alpha) else sym
+        best = max(best, float(_sample_norms(d.evaluate(x_pts, xi_pts)).max()))
+    return best

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deformkit import deformation
+from deformkit import deformation, symbols
 from deformkit.deformation import (
     _CHUNK_POINTS,
     OscIntegralConfig,
@@ -18,6 +18,9 @@ from deformkit.deformation import (
     _k_first,
     _kfirst_product,
     _LatticePlan,
+    _check_point_indices,
+    _inner_period,
+    _quadrature_point_lattice,
     _twisted_lattice_product,
     deformed_product_exact,
     deformed_product_numeric,
@@ -34,6 +37,7 @@ from deformkit.symbols import (
     PlaneWaveSymbol,
     centered_dft,
     centered_idft,
+    series_coefficients,
 )
 from deformkit.verify_cli import gaussian_values, random_plane_wave
 from oracles import symbol_compose, symbol_dagger, symbol_star
@@ -162,6 +166,38 @@ def test_numeric_route_reports_disagreement():
     deformed_product_numeric(f, g, J_HALF, report=report)
     assert report["points_checked"] == 5
     assert report["route_disagreement"] <= 10 * report["tolerance"]
+
+
+def test_numeric_route_checks_at_most_n_distinct_points():
+    # five check points on a 4-point axis: each of the four once, and the report says 4;
+    # band-limited factors (|m| <= 1, sums inside the band) keep the routes together
+    assert _check_point_indices(4, 5) == [0, 1, 2, 3]
+    assert _check_point_indices(16, 5) == [1, 4, 7, 10, 13]
+    f = PlaneWaveSymbol(2, L, 1, (((0, 0), 1.0), ((1, 0), 0.5j), ((0, 1), -0.3))).to_grid(4)
+    g = PlaneWaveSymbol(2, L, 1, (((0, 0), 0.8), ((-1, 0), 0.2), ((0, -1), 0.4j))).to_grid(4)
+    report = {}
+    deformed_product_numeric(f, g, J_HALF, report=report)
+    assert report["points_checked"] == 4
+    assert report["route_disagreement"] <= 10 * report["tolerance"]
+
+
+def test_numeric_route_takes_each_series_once(monkeypatch):
+    # the lattice route and the oracle share the two factors' series: two centered DFTs
+    calls = []
+    dft = centered_dft
+
+    def counted(values, axes):
+        calls.append(values.shape)
+        return dft(values, axes)
+
+    monkeypatch.setattr(symbols, "centered_dft", counted)
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 3.0))
+    want = deformed_product_numeric(f, g, J_HALF, OscIntegralConfig(check_points=0))
+    calls.clear()
+    got = deformed_product_numeric(f, g, J_HALF)
+    assert calls == [f.values.shape, g.values.shape]
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_numeric_route_raises_on_tight_tolerance():
@@ -295,6 +331,51 @@ def test_fourier_inversion_on_grid_gaussian():
     g = GridSymbol(1, 64, 6.0, gaussian_values(1, 64, 6.0, 2.0))
     for x in (-1.0, 0.5):
         assert fourier_inversion_check(g, np.array([x])) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The quadrature oracle's two routes for g's derivative fields
+
+
+def oracle_points(f, g, J, monkeypatch, folded):
+    """The oracle's values at the product's check points, by the fold or by chirp-z."""
+    if not folded:
+        monkeypatch.setattr(deformation, "_inner_period", lambda L: None)
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    values = [_quadrature_point_lattice(fhat, ghat, f.n, f.L, J, [f.axis[i]] * f.n)
+              for i in _check_point_indices(f.N, 5)]
+    monkeypatch.undo()
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n, k, theta", [(2, 1, 0.25), (2, 2, 0.5), (1, 2, 0.0)])
+def test_oracle_fold_matches_chirp_z(monkeypatch, n, k, theta):
+    # L = 6: M = 2L/h = 128 inner points per period, tiled twice over the 256
+    assert _inner_period(L) == 128
+    rng = np.random.default_rng(50 + n + k)
+    mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    f = GridSymbol(n, 32, L, gaussian_values(n, 32, L, 1.2)[..., :1, :1] * mix)
+    g = GridSymbol(n, 32, L, gaussian_values(n, 32, L, 0.9, shift=0.4)[..., :1, :1] * mix.T)
+    J = DeformationMatrix.symplectic(theta, 2) if n == 2 else DeformationMatrix.zero(1)
+    folded = oracle_points(f, g, J, monkeypatch, True)
+    chirped = oracle_points(f, g, J, monkeypatch, False)
+    assert np.abs(folded - chirped).max() <= 1e-13 * np.abs(chirped).max()
+
+
+def test_incommensurate_box_takes_chirp_z(monkeypatch):
+    # at L = 5.3 the inner step 24/256 does not divide the period 10.6
+    assert _inner_period(5.3) is None and _inner_period(3.0) == 64
+
+    def refuse(*args):
+        raise AssertionError("the fold ran on an incommensurate box")
+
+    monkeypatch.setattr(deformation, "_LatticeFold", refuse)
+    f = GridSymbol(2, 32, 5.3, gaussian_values(2, 32, 5.3, 1.2))
+    g = GridSymbol(2, 32, 5.3, gaussian_values(2, 32, 5.3, 0.9) * (1 + 0.5j))
+    report = {}
+    deformed_product_numeric(f, g, DeformationMatrix.symplectic(0.25, 2), report=report)
+    assert report["points_checked"] == 5
+    assert report["route_disagreement"] <= 10 * report["tolerance"]
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +606,34 @@ def test_lattice_product_holds_no_kernel_spectra(N, mib):
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2 ** 20
+
+
+@pytest.mark.parametrize("n, k, members", [(1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 3)])
+def test_plan_returns_c_contiguous_values_with_the_same_bits(monkeypatch, n, k, members):
+    # the sums' (k, k, member, s, point) array used to be handed out as a transposed
+    # view, which made every caller copy it; the copy keeps the bits
+    rng = np.random.default_rng(60 + 10 * n + k + members)
+    syms = [off_grid_symbol(n, k, rng) for _ in range(members)]
+    if members == 1:
+        syms += [PlaneWavePhaseSymbol(n, L, k, (((1,) * n, (0.0,) * n, np.eye(k)),))]
+    shape = ((members,) if members > 1 else ()) + (16,) * n + (k, k)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def outputs():
+        plans = [_LatticePlan(syms, 16)] if members > 1 else [_LatticePlan(s, 16) for s in syms]
+        return [apply(values) for plan in plans for apply in (plan.forward, plan.adjoint)]
+
+    def view(acc, values, field=None):  # the former return: acc += field, then a view
+        if field is not None:
+            acc += field
+        return acc.transpose(2, 4, 3, 0, 1).reshape(np.shape(values))
+
+    got = outputs()
+    monkeypatch.setattr(_LatticePlan, "_points_first", staticmethod(view))
+    views = outputs()
+    assert all(out.flags.c_contiguous for out in got)
+    assert not all(view.flags.c_contiguous for view in views)
+    assert [out.tobytes() for out in got] == [np.ascontiguousarray(v).tobytes() for v in views]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

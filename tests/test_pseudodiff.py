@@ -26,6 +26,7 @@ from deformkit.symbols import (
     ModuleVector,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
+    axis_points,
     inner_product,
     norm_L2,
     sup_norm,
@@ -39,6 +40,7 @@ from deformkit.verify_cli import (
     sup_op_gap,
 )
 from oracles import (
+    cv_functional_mesh,
     dual_axis_points,
     grid_points,
     multiplication_operator,
@@ -536,6 +538,37 @@ def test_cv_functional_single_term_closed_form(n, k):
     xi = np.linspace(-3.0, 3.0, 8, endpoint=False)
     expected = np.linalg.norm(c, 2) * largest
     assert_allclose(cv_functional(a, x, xi), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("axis", ["linspace", "axis_points", "tiled"])
+def test_cv_functional_matches_mesh_oracle(n, k, axis):
+    # the folded route against the term-by-term mesh: frequencies past the x grid's
+    # band alias into its bins, and the tiled axis runs over two periods of the box
+    rng = np.random.default_rng(10 * n + k)
+    L1, P = 4.0, 12
+    terms = tuple((tuple(int(v) for v in rng.integers(-15, 16, size=n)),
+                   tuple(rng.uniform(-2.0, 2.0, size=n)),
+                   rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for _ in range(7))
+    a = PlaneWavePhaseSymbol(n, L1, k, terms)
+    x = {"linspace": np.linspace(-L1, L1, P, endpoint=False),
+         "axis_points": axis_points(P, L1),
+         "tiled": -L1 + np.arange(2 * P + 3) * (2 * L1 / P)}[axis]
+    xi = np.linspace(-3.0, 3.0, 7)
+    assert_allclose(cv_functional(a, x, xi), cv_functional_mesh(a, x, xi), rtol=1e-13)
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(np.array([0.0, 0.5, 1.5]), id="uneven"),
+    pytest.param(np.arange(5) * 1.76, id="step-not-dividing-2L"),  # 8 / 1.76 = 4.55
+    pytest.param(np.array([]), id="empty"),
+    pytest.param(np.zeros((2, 2)), id="not-1-D"),
+])
+def test_cv_functional_refuses_an_axis_off_the_box_lattice(x):
+    a = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0),))
+    with pytest.raises(ValueError, match="x axis"):
+        cv_functional(a, x, np.zeros(1))
 
 
 def test_norm_bounded_by_cv_functional_times_constant():

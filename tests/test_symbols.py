@@ -28,6 +28,8 @@ from deformkit.symbols import (
     series_coefficients,
     significant_terms,
     sup_norm,
+    _LatticeFold,
+    _wave_sum,
     write_rsym,
     write_symbol_file,
 )
@@ -103,6 +105,50 @@ def test_plane_wave_to_grid_matches_evaluate():
     f = random_plane_wave(RNG, 2, 6.0, 1, 2, 3)
     g = f.to_grid(16)
     assert_allclose(g.values, f.evaluate(grid_points(g)), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N, M, count", [
+    pytest.param(16, 8, 8, id="M<N"),  # |m| up to N/2 > M/2: the bins alias
+    pytest.param(16, 16, 16, id="M=N"),
+    pytest.param(16, 32, 32, id="M>N"),
+    pytest.param(16, 8, 20, id="tiled"),  # count > M: the samples repeat
+    pytest.param(16, 12, 5, id="M-not-2^j"),
+])
+def test_lattice_fold_matches_wave_sum(n, k, N, M, count):
+    # a dense lattice series {-N/2, ..., N/2 - 1}^n sampled at y_j = s + j 2L/M,
+    # against the term-by-term sum at those points
+    rng = np.random.default_rng(100 * n + 10 * k + M)
+    L, s = 6.0, -1.3
+    m = np.indices((N,) * n).reshape(n, -1).T - N // 2
+    c = rng.normal(size=(len(m), k, k)) + 1j * rng.normal(size=(len(m), k, k))
+    y = s + np.arange(count) * (2.0 * L / M)
+    pts = np.stack(np.meshgrid(*[y] * n, indexing="ij"), axis=-1)
+    want = _wave_sum(c, 2j * np.pi, (pts,), (m / (2.0 * L),))
+    phase = np.exp(2j * np.pi * s * m.sum(axis=1) / (2.0 * L))
+    got = _LatticeFold(m, M)(phase[:, None, None] * c, count)
+    assert got.shape == (count,) * n + (k, k)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lattice_fold_sums_each_bin_in_term_order():
+    # three terms in one bin: (a + b) + c, the order of np.add.at, whatever the values
+    a, b, c = 1e16, 1.0, -1e16
+    m = np.array([[0], [4], [8], [1]])
+    coeffs = np.array([a, b, c, 2.0]).reshape(4, 1, 1) + 0j
+    bins = np.zeros((4, 1, 1), complex)
+    np.add.at(bins, m[:, 0] % 4, coeffs)
+    got = _LatticeFold(m, 4)(coeffs, 4)
+    assert np.array_equal(got, np.fft.ifft(bins, axis=0, norm="forward"))
+    assert got[0, 0, 0] == (a + b) + c + 2.0
+
+
+def test_plane_wave_to_grid_far_frequencies_alias_exactly():
+    # m and m + N fall into one bin; their sum is sampled, with the sign of the
+    # first point -L taken exactly for every m
+    f = PlaneWaveSymbol(1, 4.0, 1, (((3,), 0.5), ((3 + 16,), 0.25j), ((-5 - 32,), -1.0)))
+    assert_allclose(f.to_grid(16).values, f.evaluate(axis_points(16, 4.0)), atol=1e-12)
 
 
 def test_plane_wave_star_squares_to_identity():

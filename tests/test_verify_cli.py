@@ -517,8 +517,8 @@ def test_benchmark_trace_installs(tmp_path):
 
 
 def test_benchmark_trace_counts_lift_and_evaluation(tmp_path):
-    # A traced product of two plane-wave files reaches tilde_map and the
-    # evaluators; the counters the benchmark reports must match the library.
+    # A traced product of two plane-wave files reaches tilde_map; the counters
+    # the benchmark reports must match the library.
     f = wave_file(tmp_path / "a.json", 2, (((1, 0), 1.0), ((0, 1), 0.5j), ((-1, 2), 0.25)))
     g = wave_file(tmp_path / "b.json", 2, (((0, 1), 2.0), ((1, -1), -0.5)))
     trace = tmp_path / "trace.json"
@@ -532,9 +532,9 @@ def test_benchmark_trace_counts_lift_and_evaluation(tmp_path):
     counters = json.loads(trace.read_text(encoding="utf-8"))["counters"]
     cfg = RunConfig()
     product = deformed_product_exact(f, g, DeformationMatrix.symplectic(cfg.theta, 2))
-    # to_grid evaluates f, g and the exact product on the N x N grid
-    evaluated = len(f.terms) + len(g.terms) + len(product.terms)
-    assert counters["symbols.evaluate.term_points"] == evaluated * cfg.N ** 2
+    # to_grid samples f, g and the exact product on the N x N grid by one fold
+    # each (symbols._LatticeFold), not by the term-by-term evaluators it counts
+    assert len(product.terms) and counters.get("symbols.evaluate.term_points", 0) == 0
     # the lattice product lifts the factor with fewer significant terms
     lifted = min(len(significant_terms(s.to_grid(cfg.N)).terms) for s in (f, g))
     assert counters["deformation.tilde_map.terms"] == lifted == len(g.terms)
@@ -597,6 +597,31 @@ def test_product_independent_of_blas_threads(tmp_path):
         assert exact.returncode == 0, exact.stderr
         outputs.append((out.read_bytes(), route[0], exact.stdout))
     assert outputs[0] == outputs[1]
+
+
+def test_norms_independent_of_blas_threads(tmp_path):
+    # The pi functional folds its terms with np.bincount and samples them by FFTs,
+    # and the plane-wave sup samples the same way: no BLAS call whose rounding
+    # depends on how many threads split it.  A grid file lifts to many terms.
+    rng = np.random.default_rng(29)
+    grid = GridSymbol(2, 16, 6.0, gaussian_values(2, 16, 6.0, 1.2) * complex(rng.normal(), 1.0))
+    write_symbol_file(grid, str(tmp_path / "grid.rsym"))
+    wave_file(tmp_path / "wave.json", 2, GRID_SAMPLED_WAVE)
+    config = tmp_path / "run.cfg"
+    config.write_text("N = 16\n", encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), OPENBLAS_NUM_THREADS=threads)
+        for name in ("grid.rsym", "wave.json"):
+            out = tmp_path / f"{name}-{threads}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", "deformkit.verify_cli", "--config", str(config), "norms",
+                 str(tmp_path / name), "--theta-sweep", "0:0.25:0.25", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+    assert outputs[:2] == outputs[2:]
 
 
 def test_report_independent_of_blas_threads(tmp_path):
