@@ -18,8 +18,8 @@ regularized oscillatory integral
 
 absolutely convergent once N, M > n/2, and serves as the independent
 oracle at sampled points.  The same machinery backs the Fourier
-inversion check.  The phase-space composition and involution act on
-lattice symbols by exact termwise laws (_compose_terms, _dagger_terms).
+inversion check.  The phase-space composition acts on lattice symbols
+by its exact termwise law (_compose_terms).
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan ma
 # timed level with solo runs from 2^19 to 2^25 bytes, and batching 2.4 MiB members (64 x 64)
 # lost 11-15% (2^23, 2^25), so members that large run alone; no verify suite is split by it
 _BATCH_BYTES = 1 << 21
+# Most term pairs times k^2 one exact product may form: it holds about ten arrays of that
+# many complex values at once (a 626 MB peak for two 2048-term waves, k = 1)
+MAX_PRODUCT_VALUES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -420,13 +423,20 @@ def _check_boxes(f, g):
 def deformed_product_exact(
     f: PlaneWaveSymbol, g: PlaneWaveSymbol, J: DeformationMatrix
 ) -> PlaneWaveSymbol:
-    """Deformed product of plane-wave symbols by the exact phase law."""
+    """Deformed product of plane-wave symbols by the exact phase law.
+
+    ValueError, before any pair is formed, when the term pairs times k^2
+    exceed MAX_PRODUCT_VALUES.
+    """
     if not isinstance(f, PlaneWaveSymbol) or not isinstance(g, PlaneWaveSymbol):
         raise TypeError("exact route needs plane-wave symbols")
     _check_boxes(f, g)
     if J.n != f.n:
         raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
     tf, tg = f.terms, g.terms
+    if len(tf) * len(tg) * f.k ** 2 > MAX_PRODUCT_VALUES:
+        raise ValueError(f"exact product of {len(tf)} x {len(tg)} terms of {f.k} x {f.k} "
+                         f"coefficients exceeds {MAX_PRODUCT_VALUES} values")
     i, j = np.divmod(np.arange(len(tf) * len(tg)), len(tg))  # every pair, j inner
     pJ = np.matmul(f.frequency(tf["m"])[:, None, :], J.entries)[:, 0, :]
     phase = np.exp(-2j * np.pi * _rowdot(pJ[i], g.frequency(tg["m"])[j]))
@@ -745,18 +755,6 @@ class _LatticePlan:
 
     forward = partialmethod(_apply, adjoint=False)
     adjoint = partialmethod(_apply, adjoint=True)
-
-
-def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
-    """The involution, Op(dagger(a)) = Op(a)*, by its exact termwise law.
-
-    c e^{i(omega.x + w.xi)} maps to conj(c)^T e^{i omega.w} e^{-i(omega.x + w.xi)}.
-    """
-    t = a.terms.copy()
-    phase = np.exp(1j * _rowdot(a.omega(t["m"]), t["w"]))
-    t["m"], t["w"] = -t["m"], -t["w"]
-    t["c"] = phase[:, None, None] * np.conj(np.swapaxes(t["c"], -1, -2))
-    return PlaneWavePhaseSymbol(a.n, a.L, a.k, t)
 
 
 def _compose_terms(

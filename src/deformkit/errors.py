@@ -46,4 +46,4 @@ class NoConvergenceError(DeformkitError):
 
 
 class UnsupportedOperatorError(DeformkitError):
-    """The operator does not carry the structure the operation requires."""
+    """The operation is not implemented for this dimension (the symbol map for n > 1)."""

@@ -10,6 +10,8 @@ lattice operator of the symbol exp(-i a.xi), and the conjugation
 AdU(a,b)(A) = U A U* is a composition.  AdU shifts phase-space symbols,
 its derivatives at the identity are the derivations delta, and the sums
 of their operator norms give the differential norm hierarchy T_k and s_m.
+An operator keeps no symbol, so the hierarchy, rho_m, the symbol map and
+its kernel bound take the lattice symbol a of A = Op(a) and the grid size.
 
 The symbol map S reconstructs a(x, xi) from Op(a) through the rank-one
 pairing with the kernels u and v built from the Green kernels of
@@ -18,7 +20,7 @@ pairing with the kernels u and v built from the Green kernels of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -28,12 +30,11 @@ from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorErro
 from .pseudodiff import (
     DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm, phase_norms,
 )
-from .symbols import PlaneWavePhaseSymbol, _rowdot, axis_points, derivative, multi_indices
+from .symbols import PlaneWavePhaseSymbol, axis_points, derivative, multi_indices
 
 __all__ = [
     "heisenberg_operator",
     "adu_conjugate",
-    "shifted_symbol",
     "delta_symbol",
     "rho_m",
     "differential_norm_T",
@@ -105,19 +106,11 @@ def heisenberg_operator(geometry, a, b, c: float = 0.0) -> DiscretizedOperator:
     )
 
 
-def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
-    """sigma(. - a, . - b): each term picks up exp(-i(omega.a + w.b))."""
-    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    return sym.scale_terms(np.exp(-1j * (_rowdot(om, np.asarray(a, dtype=float))
-                                         + _rowdot(w, np.asarray(b, dtype=float)))))
-
-
 def adu_conjugate(op: DiscretizedOperator, a, b) -> DiscretizedOperator:
     """AdU(a,b)(A) = U A U* with U = U_{a,b}; U* = U^{-1} as U is unitary on the grid.
 
     The composition chains both closures, so U A* U* is the exact adjoint
-    of U A U*.  When A carries a lattice symbol the shifted symbol
-    sigma(. - a, . - b) rides along, so the two routes can be compared.
+    of U A U*.  For A = Op(sigma) it is Op(sigma(. - a, . - b)).
     A must act on one box (GridMismatchError otherwise).
     """
     if op.geometry_in != op.geometry_out:
@@ -125,8 +118,7 @@ def adu_conjugate(op: DiscretizedOperator, a, b) -> DiscretizedOperator:
             f"AdU needs an operator on one box, got {op.geometry_in} -> {op.geometry_out}"
         )
     U = heisenberg_operator(op.geometry_in, a, b)
-    terms = shifted_symbol(op.terms, a, b) if op.terms is not None else None
-    return replace(U @ op @ adjoint(U), terms=terms)
+    return U @ op @ adjoint(U)
 
 
 def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
@@ -147,29 +139,22 @@ def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     return sym.scale_terms(factor)
 
 
-def _require_terms(op: DiscretizedOperator) -> PlaneWavePhaseSymbol:
-    if op.terms is None:
-        raise UnsupportedOperatorError("operator carries no lattice symbol")
-    return op.terms
-
-
-def rho_m(op: DiscretizedOperator, m: int) -> float:
-    """max over |alpha| <= m of the operator norm of Op(d^alpha sigma), in one lockstep run."""
-    sym = _require_terms(op)
+def rho_m(sym: PlaneWavePhaseSymbol, N: int, m: int) -> float:
+    """max over |alpha| <= m of the norm of Op(d^alpha sym) on the N-point grid,
+    in one lockstep run."""
     syms = [derivative(sym, alpha) if any(alpha) else sym
             for alpha in multi_indices(2 * sym.n, m)]
     best = 0.0
-    for norm in phase_norms(syms, op.geometry_in[1]):
+    for norm in phase_norms(syms, N):
         best = max(best, norm)
     return best
 
 
-def _hierarchy(op: DiscretizedOperator, orders) -> list:
-    """T_k(A) for each k of orders, from one lockstep run over every delta^alpha A."""
-    sym = _require_terms(op)
+def _hierarchy(sym: PlaneWavePhaseSymbol, N: int, orders) -> list:
+    """T_k(Op(sym)) for each k of orders, from one lockstep run over every delta^alpha."""
     alphas = [multi_indices(2 * sym.n, k, exact=True) for k in orders]
     norms = iter(phase_norms([delta_symbol(sym, alpha) for group in alphas for alpha in group],
-                             op.geometry_in[1]))
+                             N))
     T = []
     for k, group in zip(orders, alphas):
         total = 0.0
@@ -179,9 +164,10 @@ def _hierarchy(op: DiscretizedOperator, orders) -> list:
     return T
 
 
-def differential_norm_T(op: DiscretizedOperator, k: int) -> float:
-    """T_k(A) = (1/k!) sum over |alpha| = k of the norm of delta^alpha A."""
-    return _hierarchy(op, [k])[0]
+def differential_norm_T(sym: PlaneWavePhaseSymbol, N: int, k: int) -> float:
+    """T_k(A) = (1/k!) sum over |alpha| = k of the norm of delta^alpha A, A = Op(sym)
+    on the N-point grid."""
+    return _hierarchy(sym, N, [k])[0]
 
 
 @dataclass(frozen=True)
@@ -197,9 +183,10 @@ class DifferentialNormReport:
         return self.T[0]
 
 
-def differential_norms(op: DiscretizedOperator, m: int) -> DifferentialNormReport:
-    """The hierarchy (T_0, ..., T_m) and the nondecreasing sums s_k, in one lockstep run."""
-    T = _hierarchy(op, range(m + 1))
+def differential_norms(sym: PlaneWavePhaseSymbol, N: int, m: int) -> DifferentialNormReport:
+    """The hierarchy (T_0, ..., T_m) of Op(sym) on the N-point grid and the
+    nondecreasing sums s_k, in one lockstep run."""
+    T = _hierarchy(sym, N, range(m + 1))
     s = list(np.cumsum(T))
     return DifferentialNormReport(m, tuple(T), tuple(float(v) for v in s))
 
@@ -353,8 +340,8 @@ def _fd_d_value(sym: PlaneWavePhaseSymbol, x0: float, xi0: float) -> np.ndarray:
     return (4.0 * d_at(FD_STEP / 2.0) - d_at(FD_STEP)) / 3.0
 
 
-def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
-    """Reconstruct the symbol of a lattice operator at phase-space points.
+def symbol_map_S(sym: PlaneWavePhaseSymbol, x_points, xi_points) -> np.ndarray:
+    """S(Op(sym)) at phase-space points: the symbol reconstructed from its operator.
 
     S(A)(x, xi) = sqrt(2 pi) < u . 1, {(Op(b_{x,xi}) F^{-1}) (x) I} v . 1 >
     with b = D a and b_{x,xi} = b(. + x, . + xi); the pairing collapses
@@ -366,13 +353,11 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
     in blocks of _ETA_BLOCK_POINTS sigma x eta values, so no sigma x eta
     table is held, and keeps one s x eta integrand per distinct w: memory
     O(|w| |s| |eta|), 3.9 MB per distinct w.  The eta sums run over full
-    rows, so blocking changes no bits.  One-dimensional
-    operators only; the operator must carry a lattice symbol
+    rows, so blocking changes no bits.  One-dimensional symbols only
     (UnsupportedOperatorError otherwise).  The D route is cross-checked
     once at the origin against finite differences (ConvergenceError
     beyond 1e-3 relative).
     """
-    sym = _require_terms(op)
     if sym.n != 1:
         raise UnsupportedOperatorError("symbol map is implemented for n = 1")
     b = d_apply(sym)
@@ -421,18 +406,15 @@ def symbol_map_S(op: DiscretizedOperator, x_points, xi_points) -> np.ndarray:
         x_points[:, None, None], xi_points[None, :, None])
 
 
-def inverse_cv_bound(op: DiscretizedOperator, sup_value: float) -> tuple:
-    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)||).
+def inverse_cv_bound(sym: PlaneWavePhaseSymbol, N: int, sup_value: float) -> tuple:
+    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)||), a = sym,
+    Op on the N-point grid.
 
     The symbol map's Cauchy-Schwarz estimate bounds the sup of a symbol
     by the operator norm of Op(D a); the kernel norms are exact.
     """
-    sym = _require_terms(op)
     if sym.n != 1:
         raise UnsupportedOperatorError("kernel bound is implemented for n = 1")
-    N = op.geometry_in[1]
-    b = d_apply(sym)
-    op_b = op_from_phase_terms(b, N)
-    norm_b = operator_norm(op_b)
+    norm_b = operator_norm(op_from_phase_terms(d_apply(sym), N))
     bound = float(np.sqrt(2.0 * np.pi) * KERNEL_U_L2 * KERNEL_V_L2 * norm_b)
     return float(sup_value), bound

@@ -10,9 +10,10 @@ operator built from phase-space lattice terms
 acts exactly on the periodic grid: in the coefficient domain each term
 is an index shift by m_t (omega_t = pi m_t / L) together with the phase
 ramp exp(2 pi i p . w_t), so modulation and translation are both exact.
-Every operator carries its exact adjoint closure.  The adjoint of a
-lattice operator is the operator of the dagger symbol, and compositions
-stay inside the lattice class.
+An operator is its action: a forward closure and its exact adjoint
+closure, which adjoints swap and compositions chain.  It keeps no
+symbol; the symbol calculus (derivation norms, the symbol map) takes the
+lattice symbol itself.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .deformation import (
-    _LatticePlan, _compose_terms, _dagger_terms, _plan_batches, tilde_map,
-)
+from .deformation import _LatticePlan, _plan_batches, tilde_map
 from .errors import GridMismatchError, NoConvergenceError
 from .symbols import (
     DeformationMatrix,
@@ -64,16 +63,13 @@ class DiscretizedOperator:
     """Linear operator between discretized modules, with its exact adjoint.
 
     forward maps value arrays of geometry_in to geometry_out and adjoint_fn
-    is its exact matrix adjoint, from geometry_out back to geometry_in.  A
-    lattice phase-term operator also carries its terms, the symbolic form
-    that adjoints dagger and compositions multiply.
+    is its exact matrix adjoint, from geometry_out back to geometry_in.
     """
 
     geometry_in: tuple
     geometry_out: tuple
     forward: object
     adjoint_fn: object
-    terms: PlaneWavePhaseSymbol | None = None
 
     def __call__(self, g: ModuleVector) -> ModuleVector:
         if g.geometry() != self.geometry_in:
@@ -86,14 +82,9 @@ class DiscretizedOperator:
     def compose(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
         if other.geometry_out != self.geometry_in:
             raise GridMismatchError("operator domains do not chain")
-        terms = None
-        if self.terms is not None and other.terms is not None:
-            # continuum law; matches fwd exactly when every translation
-            # in self.terms is a multiple of the grid step
-            terms = _compose_terms(self.terms, other.terms)
         return DiscretizedOperator(
             other.geometry_in, self.geometry_out, _chain(other.forward, self.forward),
-            _chain(self.adjoint_fn, other.adjoint_fn), terms,
+            _chain(self.adjoint_fn, other.adjoint_fn),
         )
 
     def __matmul__(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
@@ -114,7 +105,7 @@ def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int) -> DiscretizedOperato
     if not _is_pow2(N):
         raise ValueError(f"points per axis must be a power of two, got {N}")
     geometry, plan = (sym.n, N, sym.L, sym.k), _LatticePlan(sym, N)
-    return DiscretizedOperator(geometry, geometry, plan.forward, plan.adjoint, sym)
+    return DiscretizedOperator(geometry, geometry, plan.forward, plan.adjoint)
 
 
 def rieffel_operator(
@@ -156,14 +147,9 @@ def fourier_operator(n: int, N: int, L: float, k: int = 1,
 
 
 def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
-    """Adjoint with respect to the weighted L2 inner product.
-
-    Swaps the forward action and its exact adjoint; lattice-term
-    operators carry the dagger symbol along as the adjoint's symbolic
-    representation.
-    """
-    terms = _dagger_terms(op.terms) if op.terms is not None else None
-    return DiscretizedOperator(op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward, terms)
+    """Adjoint with respect to the weighted L2 inner product: the forward
+    action and its exact adjoint swapped."""
+    return DiscretizedOperator(op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward)
 
 
 def operator_norm(op: DiscretizedOperator, tol: float = NORM_TOL) -> float:

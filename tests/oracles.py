@@ -1,11 +1,13 @@
 """Oracles and builders that only the tests use.
 
 The quadrature route of the phase-space calculus checks the exact
-termwise laws of ``deformation`` (``_dagger_terms``, ``_compose_terms``),
-sampled operators (pointwise and Fourier multipliers) exercise the
-operator and adjoint machinery beyond lattice symbols, and the mesh
-evaluation of the pi functional checks its folded route.  No command of
-the package runs any of them.
+termwise laws of the involution (``_dagger_terms``, here) and of the
+composition (``deformation._compose_terms``), the shifted symbol checks
+the conjugation ``heisenberg.adu_conjugate``, sampled operators
+(pointwise and Fourier multipliers) exercise the operator and adjoint
+machinery beyond lattice symbols, and the mesh evaluation of the pi
+functional checks its folded route.  No command of the package runs any
+of them.
 """
 
 from itertools import product as _iproduct
@@ -15,7 +17,6 @@ import numpy as np
 from deformkit.deformation import (
     OscIntegralConfig,
     _compose_terms,
-    _dagger_terms,
     oscillatory_pair_integral,
 )
 from deformkit.errors import ConvergenceError
@@ -58,6 +59,14 @@ def symbol_star(f):
     if isinstance(f, GridSymbol):
         return f.with_values(np.conj(np.swapaxes(f.values, -1, -2)))
     raise TypeError(f"cannot star {type(f).__name__}")
+
+
+def shifted_symbol(sym: PlaneWavePhaseSymbol, a, b) -> PlaneWavePhaseSymbol:
+    """sigma(. - a, . - b), the symbol of AdU(a, b) Op(sigma): each term picks up
+    exp(-i(omega.a + w.b))."""
+    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
+    return sym.scale_terms(np.exp(-1j * (_rowdot(om, np.asarray(a, dtype=float))
+                                         + _rowdot(w, np.asarray(b, dtype=float)))))
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,18 @@ def _kernel_value_oracle(omega, w) -> complex:
         pair = oscillatory_pair_integral([[w_ax / (2.0 * np.pi)]], one, [[-om_ax]], one)
         val *= complex(pair[0, 0])
     return val
+
+
+def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
+    """The involution, Op(dagger(a)) = Op(a)*, by its exact termwise law.
+
+    c e^{i(omega.x + w.xi)} maps to conj(c)^T e^{i omega.w} e^{-i(omega.x + w.xi)}.
+    """
+    t = a.terms.copy()
+    phase = np.exp(1j * _rowdot(a.omega(t["m"]), t["w"]))
+    t["m"], t["w"] = -t["m"], -t["w"]
+    t["c"] = phase[:, None, None] * np.conj(np.swapaxes(t["c"], -1, -2))
+    return PlaneWavePhaseSymbol(a.n, a.L, a.k, t)
 
 
 def symbol_dagger(a: PlaneWavePhaseSymbol, cfg: OscIntegralConfig | None = None):

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from deformkit import deformation
-from deformkit.deformation import _CHUNK_POINTS, _LatticePlan, deformed_product_exact
+from deformkit.deformation import _CHUNK_POINTS, _LatticePlan, deformed_product_exact, tilde_map
 from deformkit.errors import GridMismatchError, NoConvergenceError
 from deformkit.heisenberg import adu_conjugate, heisenberg_operator
 from deformkit.pseudodiff import (
@@ -187,8 +187,9 @@ def test_adjoint_pairing(family, n, k, zero_shift, seed):
     elif family == "gaussian":
         # 32 term groups, one per m_1: the lattice action runs them in two chunks
         f = GridSymbol(2, N, L, gaussian_values(2, N, L, 1.2))
-        op = rieffel_operator(f, DeformationMatrix.symplectic(0.3, 2))
-        assert len(np.unique(op.terms.terms["m"][:, 1])) > _CHUNK_POINTS // N ** 2
+        sym = tilde_map(f, DeformationMatrix.symplectic(0.3, 2))
+        op = op_from_phase_terms(sym, N)
+        assert len(np.unique(sym.terms["m"][:, 1])) > _CHUNK_POINTS // N ** 2
     else:
         op = op_from_phase_terms(off_grid_phase_symbol(n, k, zero_shift, rng), 16)
     f = band_limited_vector(rng, n, N, L, 2, k)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deformkit import verify_cli
+from deformkit import deformation, pseudodiff, verify_cli
 from deformkit.deformation import deformed_product_exact
 from deformkit.errors import ConvergenceError, NoConvergenceError, UnsupportedOperatorError
 from deformkit.symbols import (
@@ -171,6 +171,19 @@ def test_product_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_product_too_many_term_pairs_exits_2(tmp_path, capsys):
+    # 2049 x 2049 pairs pass MAX_PRODUCT_VALUES = 2^22: refused before any pair
+    # is formed, with one error line and no output file
+    wave_file(tmp_path / "f.json", 1, (((m,), 1.0) for m in range(-1024, 1025)))
+    out = tmp_path / "ff.json"
+    code = main(["product", str(tmp_path / "f.json"), str(tmp_path / "f.json"),
+                 "--out", str(out)])
+    assert code == 2
+    errors = capsys.readouterr().err.strip().splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert not out.exists()
+
+
 def _plane_wave_text(n, L, coeff=(1.0, 0.0)):
     term = {"m": [1] * n, "coeff": [[list(coeff)]]}
     return json.dumps({"n": n, "L": L, "terms": [term]})
@@ -290,6 +303,38 @@ def test_norms_missing_file_exits_2(tmp_path):
     assert code == 2
 
 
+def test_norms_malformed_sweep_exits_3_before_reading(tmp_path):
+    # the sweep is a usage error, found in main before the missing file is opened
+    with pytest.raises(SystemExit) as exc:
+        main(["norms", str(tmp_path / "missing.json"), "--theta-sweep", "1:0:2"])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("symbol", ["wave", "grid"])
+def test_norms_builds_lattice_plans_only_for_norms(tmp_path, monkeypatch, symbol):
+    # norms hands the lift of f to the norm hierarchy: no operator whose lattice
+    # set-up is never applied, so every _LatticePlan comes from phase_norms
+    callers = []
+
+    class Recorded(deformation._LatticePlan):
+        def __init__(self, *args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            super().__init__(*args, **kwargs)
+
+    for module in (deformation, pseudodiff):
+        monkeypatch.setattr(module, "_LatticePlan", Recorded)
+    if symbol == "wave":
+        wave_file(tmp_path / "f", 2, GRID_SAMPLED_WAVE)
+    else:
+        write_symbol_file(GridSymbol(2, 16, 6.0, gaussian_values(2, 16, 6.0, 1.2)),
+                          str(tmp_path / "f"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 16\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "norms", str(tmp_path / "f"),
+                 "--theta-sweep", "0:0.25:0.25", "--out", str(tmp_path / "n.csv")]) == 0
+    assert callers and set(callers) == {"phase_norms"}
+
+
 @pytest.mark.parametrize("error", [NoConvergenceError, ConvergenceError])
 def test_norms_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
@@ -312,8 +357,8 @@ GRID_SAMPLED_WAVE = (((-2, -2), 1.3597 + 1.2247j), ((1, -2), -0.2980 - 0.5274j),
 def test_norms_theta0_check_compares_grid_maximum(tmp_path, capsys, monkeypatch, skew, code):
     real = verify_cli.differential_norms
 
-    def skewed(op, m):
-        rep = real(op, m)
+    def skewed(sym, N, m):
+        rep = real(sym, N, m)
         return dataclasses.replace(rep, T=(skew * rep.T[0],) + rep.T[1:])
 
     monkeypatch.setattr(verify_cli, "differential_norms", skewed)
