@@ -8,8 +8,9 @@ with composition law (a,b,c)(a',b',c') = (a+a', b+b', c+c'-a.b').
 On the grid U is an operator like any other: its translation is the
 lattice operator of the symbol exp(-i a.xi), and the conjugation
 AdU(a,b)(A) = U A U* is a composition.  AdU shifts phase-space symbols,
-its derivatives at the identity are the derivations delta, and the sums
-of their operator norms give the differential norm hierarchy T_k and s_m.
+its derivatives at the identity are the derivations delta^alpha, on a
+lattice symbol the signed derivatives (-1)^|alpha| d^alpha, and the sums
+and maxima of their operator norms give the hierarchy T_k, s_m and rho_m.
 An operator keeps no symbol, so the hierarchy, rho_m, the symbol map and
 its kernel bound take the lattice symbol a of A = Op(a) and the grid size.
 
@@ -30,7 +31,10 @@ from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorErro
 from .pseudodiff import (
     DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm, phase_norms,
 )
-from .symbols import PlaneWavePhaseSymbol, axis_points, derivative, multi_indices
+from .symbols import (
+    PlaneWavePhaseSymbol, _axis_product, _check_order, _derivative_factors, _frequencies,
+    axis_points, multi_indices,
+)
 
 __all__ = [
     "heisenberg_operator",
@@ -125,43 +129,32 @@ def delta_symbol(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     """Derivation delta^alpha: d^alpha/d(a,b)^alpha of AdU(a,b) at 0.
 
     alpha has length 2n (translation axes then modulation axes); each
-    unit step multiplies a term by -i omega_j or -i w_j.  Norms agree
-    with plain symbol derivatives; the sign bookkeeping differs.
+    unit step multiplies a term by -i omega_j or -i w_j, so delta^alpha is
+    the signed symbol derivative (-1)^|alpha| d^alpha, with its index checks.
     """
-    alpha = tuple(int(v) for v in alpha)
-    if len(alpha) != 2 * sym.n:
-        raise ValueError(f"delta index {alpha} needs length {2 * sym.n}")
-    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    factor = np.ones(len(om), dtype=np.complex128)
-    for j in range(sym.n):
-        factor = factor * (-1j * om[:, j]) ** alpha[j]
-        factor = factor * (-1j * w[:, j]) ** alpha[sym.n + j]
-    return sym.scale_terms(factor)
+    alpha = _check_order(alpha, 2 * sym.n)
+    return sym.scale_terms((-1) ** sum(alpha) * _derivative_factors(sym, alpha))
+
+
+def _derivation_norms(sym: PlaneWavePhaseSymbol, N: int, orders) -> list:
+    """For each k of orders, the norms of Op(delta^alpha sym) on the N-point grid over
+    |alpha| = k, in one lockstep run over every alpha."""
+    alphas = [multi_indices(2 * sym.n, k, exact=True) for k in orders]
+    norms = iter(phase_norms([delta_symbol(sym, a) for group in alphas for a in group], N))
+    return [[next(norms) for _ in group] for group in alphas]
 
 
 def rho_m(sym: PlaneWavePhaseSymbol, N: int, m: int) -> float:
-    """max over |alpha| <= m of the norm of Op(d^alpha sym) on the N-point grid,
-    in one lockstep run."""
-    syms = [derivative(sym, alpha) if any(alpha) else sym
-            for alpha in multi_indices(2 * sym.n, m)]
-    best = 0.0
-    for norm in phase_norms(syms, N):
-        best = max(best, norm)
-    return best
+    """max over |alpha| <= m of the norm of Op(d^alpha sym) on the N-point grid, which is
+    that of Op(delta^alpha sym), in one lockstep run."""
+    return max(max(group) for group in _derivation_norms(sym, N, range(m + 1)))
 
 
 def _hierarchy(sym: PlaneWavePhaseSymbol, N: int, orders) -> list:
-    """T_k(Op(sym)) for each k of orders, from one lockstep run over every delta^alpha."""
-    alphas = [multi_indices(2 * sym.n, k, exact=True) for k in orders]
-    norms = iter(phase_norms([delta_symbol(sym, alpha) for group in alphas for alpha in group],
-                             N))
-    T = []
-    for k, group in zip(orders, alphas):
-        total = 0.0
-        for _ in group:
-            total += next(norms)
-        T.append(total / factorial(k))
-    return T
+    """T_k(Op(sym)) for each k of orders: the norms of order k added in order (np.cumsum,
+    not a pairwise sum), over k!."""
+    return [float(np.cumsum(group)[-1]) / factorial(k)
+            for k, group in zip(orders, _derivation_norms(sym, N, orders))]
 
 
 def differential_norm_T(sym: PlaneWavePhaseSymbol, N: int, k: int) -> float:
@@ -233,12 +226,9 @@ def gamma2_prime(t):
 
 
 def d_apply(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
-    """D = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 on lattice terms (exact)."""
-    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    factor = np.ones(len(om), dtype=np.complex128)
-    for j in range(sym.n):
-        factor = factor * ((1.0 + 1j * om[:, j]) ** 2 * (1.0 + 1j * w[:, j]) ** 2)
-    return sym.scale_terms(factor)
+    """D = prod_j (1 + d_{x_j})^2 (1 + d_{xi_j})^2 on lattice terms (exact): each term
+    times (1 + i nu)^2 over its frequencies nu."""
+    return sym.scale_terms(_axis_product(sym, (1.0 + 1j * _frequencies(sym)) ** 2))
 
 
 def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
@@ -259,20 +249,13 @@ def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
 
 
 def d_inverse(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
-    """Inverse of D by the gamma2 x gamma2 convolution, termwise.
-
-    Each axis contributes the quadrature factor int gamma2(s)
-    exp(-i nu s) ds at the term frequency nu, computed once per distinct
-    frequency.
-    """
-    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    nus, index = np.unique(np.concatenate([om, w], axis=1), return_inverse=True)
+    """Inverse of D by the gamma2 x gamma2 convolution, termwise: each term times, over
+    its frequencies nu, the quadrature factor int gamma2(s) exp(-i nu s) ds, computed
+    once per distinct nu."""
+    freqs = _frequencies(sym)
+    nus, index = np.unique(freqs, return_inverse=True)
     per_nu = np.array([d_inverse_factor(float(nu)) for nu in nus], dtype=np.complex128)
-    axis_factor = per_nu[index.reshape(len(om), 2 * sym.n)]
-    factor = np.ones(len(om), dtype=np.complex128)
-    for j in range(sym.n):
-        factor = factor * (axis_factor[:, j] * axis_factor[:, sym.n + j])
-    return sym.scale_terms(factor)
+    return sym.scale_terms(_axis_product(sym, per_nu[index.reshape(freqs.shape)]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +389,13 @@ def symbol_map_S(sym: PlaneWavePhaseSymbol, x_points, xi_points) -> np.ndarray:
         x_points[:, None, None], xi_points[None, :, None])
 
 
-def inverse_cv_bound(sym: PlaneWavePhaseSymbol, N: int, sup_value: float) -> tuple:
-    """The pair (sup |a|, sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)||), a = sym,
-    Op on the N-point grid.
+def inverse_cv_bound(sym: PlaneWavePhaseSymbol, N: int) -> float:
+    """sqrt(2 pi) ||u||_2 ||v||_2 ||Op(D a)||, a = sym, Op on the N-point grid.
 
-    The symbol map's Cauchy-Schwarz estimate bounds the sup of a symbol
-    by the operator norm of Op(D a); the kernel norms are exact.
+    The symbol map's Cauchy-Schwarz estimate bounds sup |a| by this
+    multiple of the operator norm of Op(D a); the kernel norms are exact.
     """
     if sym.n != 1:
         raise UnsupportedOperatorError("kernel bound is implemented for n = 1")
     norm_b = operator_norm(op_from_phase_terms(d_apply(sym), N))
-    bound = float(np.sqrt(2.0 * np.pi) * KERNEL_U_L2 * KERNEL_V_L2 * norm_b)
-    return float(sup_value), bound
+    return float(np.sqrt(2.0 * np.pi) * KERNEL_U_L2 * KERNEL_V_L2 * norm_b)

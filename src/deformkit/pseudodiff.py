@@ -126,9 +126,9 @@ def rieffel_operator(
     return op_from_phase_terms(tilde_map(f, J), f.N if N is None else N)
 
 
-def fourier_operator(n: int, N: int, L: float, k: int = 1,
-                     inverse: bool = False) -> DiscretizedOperator:
-    """The unitary Fourier transform between the box and its dual box."""
+def fourier_operator(n: int, N: int, L: float, k: int = 1) -> DiscretizedOperator:
+    """The unitary Fourier transform from the box to its dual box; its adjoint
+    is the inverse transform."""
     axes = tuple(range(n))
     L_dual = np.pi * N / (2.0 * L)
     dx = 2.0 * L / N
@@ -140,10 +140,7 @@ def fourier_operator(n: int, N: int, L: float, k: int = 1,
     def idft(values):
         return centered_idft(values, axes) * ((2.0 * np.pi) ** (-n / 2.0) * dxi ** n)
 
-    box, dual = (n, N, L, k), (n, N, L_dual, k)
-    if inverse:
-        return DiscretizedOperator(dual, box, idft, dft)
-    return DiscretizedOperator(box, dual, dft, idft)
+    return DiscretizedOperator((n, N, L, k), (n, N, L_dual, k), dft, idft)
 
 
 def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:

@@ -548,15 +548,13 @@ class PlaneWavePhaseSymbol:
 
 
 def _check_order(alpha, ndims: int) -> tuple:
-    alpha = tuple(int(v) for v in alpha)
+    alpha = tuple(_integral(v, "derivative index entry") for v in alpha)
     if len(alpha) != ndims:
         raise ValueError(f"derivative index {alpha} has wrong length (need {ndims})")
     if any(v < 0 for v in alpha):
         raise ValueError(f"derivative index {alpha} has negative entries")
     if sum(alpha) > MAX_DERIV_ORDER:
-        raise OrderTooHighError(
-            f"derivative order {sum(alpha)} exceeds {MAX_DERIV_ORDER}"
-        )
+        raise OrderTooHighError(f"derivative order {sum(alpha)} exceeds {MAX_DERIV_ORDER}")
     return alpha
 
 
@@ -569,11 +567,21 @@ def derivative(sym: PlaneWavePhaseSymbol, alpha) -> PlaneWavePhaseSymbol:
     return sym.scale_terms(_derivative_factors(sym, alpha))
 
 
+def _frequencies(sym: PlaneWavePhaseSymbol) -> np.ndarray:
+    """The (T, 2n) table of the term frequencies: omega on the x axes, then w."""
+    return np.concatenate([sym.omega(sym.terms["m"]), sym.terms["w"]], axis=1)
+
+
+def _axis_product(sym: PlaneWavePhaseSymbol, table: np.ndarray) -> np.ndarray:
+    """Per term, the product of a (T, 2n) factor table's x columns times that of its xi
+    columns: the one association of every termwise law (d^alpha, delta^alpha, D, D^-1)."""
+    return np.prod(table[:, :sym.n], axis=1) * np.prod(table[:, sym.n:], axis=1)
+
+
 def _derivative_factors(sym: PlaneWavePhaseSymbol, alpha) -> np.ndarray:
     """Per term, the factor prod_j (i omega_j)^alpha_j (i w_j)^alpha_{n+j} of d^alpha."""
     alpha = np.array(_check_order(alpha, 2 * sym.n))
-    om, w = sym.omega(sym.terms["m"]), sym.terms["w"]
-    return np.prod((1j * om) ** alpha[:sym.n], axis=1) * np.prod((1j * w) ** alpha[sym.n:], axis=1)
+    return _axis_product(sym, (1j * _frequencies(sym)) ** alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from deformkit.deformation import (
     fourier_inversion_check,
 )
 from deformkit.heisenberg import d_apply, d_inverse
-from deformkit.pseudodiff import fourier_operator
+from deformkit.pseudodiff import adjoint, fourier_operator
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
@@ -47,6 +47,7 @@ from deformkit.verify_cli import (
     random_plane_wave,
     sup_op_gap,
     symbol_map_error,
+    t0_gap,
 )
 from conftest import record_criterion
 
@@ -61,6 +62,7 @@ ROUNDTRIP_TOL = 1e-6
 KERNEL_TOL = 1e-6
 SYMBOL_MAP_TOL = 5e-2
 NORM_AXIOM_SLACK = 1e-6
+T0_GAP_TOL = 1e-12
 UNITIZATION_TOL = 1e-10
 INVERSION_TOL = 1e-6
 PLANCHEREL_TOL = 1e-10
@@ -301,20 +303,22 @@ def test_differential_norm_axioms():
     # grid-commensurate translations compose exactly on the grid; a pair
     # is two single plane waves, so every norm below is an exact value
     w_choices = (2.0 * L / N) * np.arange(-3, 4)
-    pairs = ((random_phase_symbol(rng, L, 2, 1, w_choices),
+    pairs = [(random_phase_symbol(rng, L, 2, 1, w_choices),
               random_phase_symbol(rng, L, 2, 1, w_choices))
-             for _ in range(20))
-    worst_t0, leibniz, submult = norm_axiom_slacks(pairs, N)
+             for _ in range(20)]
+    # one-term symbols, so T_0 has the grid maximum of |a(x, 0)| as reference
+    worst_t0 = t0_gap([a for a, _ in pairs], N)
+    leibniz, submult = norm_axiom_slacks(pairs, N)
     # Leibniz for T_1 and T_2, submultiplicativity of s_2
     worst_slack = max(*leibniz, submult[2])
-    ok = worst_t0 == 0.0 and worst_slack <= NORM_AXIOM_SLACK
+    ok = worst_t0 <= T0_GAP_TOL and worst_slack <= NORM_AXIOM_SLACK
     record_criterion(
         "differential norm axioms",
         ok,
-        f"T_0 gap {worst_t0:.1e}, worst Leibniz/submultiplicative slack "
+        f"T_0 gap {worst_t0:.1e} <= {T0_GAP_TOL:g}, worst Leibniz/submultiplicative slack "
         f"{worst_slack:.2e} <= {NORM_AXIOM_SLACK:g}",
     )
-    assert worst_t0 == 0.0
+    assert worst_t0 <= T0_GAP_TOL
     assert worst_slack <= NORM_AXIOM_SLACK
 
 
@@ -412,7 +416,7 @@ def test_plancherel_pairing():
     worst = 0.0
     for n, N, count in ((1, 64, 25), (2, 16, 25)):
         F = fourier_operator(n, N, 4.0)
-        Finv = fourier_operator(n, N, 4.0, inverse=True)
+        Finv = adjoint(F)
         # the transform lands on the dual box, so v lives there
         L_dual = F.geometry_out[2]
         for _ in range(count):

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
-from deformkit.errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
+from deformkit.errors import (
+    ConvergenceError, GridMismatchError, OrderTooHighError, UnsupportedOperatorError,
+)
 from deformkit.heisenberg import (
     KERNEL_U_L2,
     KERNEL_V_L2,
@@ -36,13 +38,18 @@ from deformkit.heisenberg import (
     rho_m,
     symbol_map_S,
 )
-from deformkit.pseudodiff import adjoint, fourier_operator, op_from_phase_terms, operator_norm
-from deformkit.symbols import ModuleVector, PlaneWavePhaseSymbol, norm_L2
+from deformkit.pseudodiff import (
+    adjoint, fourier_operator, op_from_phase_terms, operator_norm, phase_norms,
+)
+from deformkit.symbols import (
+    ModuleVector, PlaneWavePhaseSymbol, derivative, multi_indices, norm_L2,
+)
 from deformkit.verify_cli import (
     band_limited_vector,
     gaussian_values,
     norm_axiom_slacks,
     symbol_map_error,
+    t0_gap,
 )
 from oracles import shifted_symbol
 
@@ -187,8 +194,13 @@ def test_delta_symbol_multipliers():
 
 
 def test_delta_symbol_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        delta_symbol(SYM3, (1,))
+    # and every other index that derivative refuses: negative, past
+    # MAX_DERIV_ORDER, fractional, not a number
+    for alpha, error in (((1,), ValueError), ((-1, 0), ValueError),
+                         ((9, 0), OrderTooHighError), ((1.5, 0), ValueError),
+                         (("x", 0), ValueError)):
+        with pytest.raises(error):
+            delta_symbol(SYM3, alpha)
 
 
 def test_delta_matches_finite_difference():
@@ -239,13 +251,28 @@ def test_rho_m_is_max_over_orders():
     r2 = rho_m(SYM3, N, 2)
     assert r2 >= r0 - 1e-12
     assert_allclose(r0, operator_norm(op), rtol=1e-9)
+    # delta^alpha = (-1)^|alpha| d^alpha, and a sign changes no bit of a norm
+    sym2 = PlaneWavePhaseSymbol(2, L, 1, (((1, 0), (0.25, -0.5), 0.7),
+                                          ((0, 2), (0.0, 0.375), 0.4j)))
+    for sym, grid in ((SYM3, N), (sym2, 16)):
+        alphas = multi_indices(2 * sym.n, 2)
+        assert rho_m(sym, grid, 2) == max(
+            phase_norms([derivative(sym, alpha) for alpha in alphas], grid))
+
+
+def test_t0_gap_needs_a_grid_reference():
+    # a multiplier's operator norm is its grid maximum; SYM3 sums shifted terms
+    mult = PlaneWavePhaseSymbol(1, L, 1, (((1,), (0.0,), 0.7), ((2,), (0.0,), 0.4j)))
+    assert t0_gap([mult], N) <= 1e-12
+    with pytest.raises(ValueError):
+        t0_gap([SYM3], N)
 
 
 def test_submultiplicative_on_products():
     # translations are grid multiples, so Op of the composed symbol is exactly A @ B
     a = PlaneWavePhaseSymbol(1, L, 1, (((1,), (0.375,), 0.7), ((0,), (-0.25,), 0.3j)))
     b = PlaneWavePhaseSymbol(1, L, 1, (((-1,), (0.125,), 0.5), ((2,), (0.0,), 0.2)))
-    _, _, submult = norm_axiom_slacks([(a, b)], N)
+    _, submult = norm_axiom_slacks([(a, b)], N)
     assert max(submult) <= 1e-6
 
 
@@ -454,6 +481,4 @@ def test_inverse_bound_dominates_sup():
     xs = np.linspace(-L, L, 513)[:, None, None]
     xis = np.linspace(-6.0, 6.0, 257)[None, :, None]
     sup_val = float(np.abs(SYM3.evaluate(xs, xis)).max())
-    left, right = inverse_cv_bound(SYM3, N, sup_val)
-    assert left == sup_val
-    assert left <= right
+    assert sup_val <= inverse_cv_bound(SYM3, N)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from deformkit.pseudodiff import fourier_operator
+from deformkit.errors import OrderTooHighError
+from deformkit.pseudodiff import adjoint, fourier_operator
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
@@ -278,7 +279,7 @@ def test_fourier_unitary_on_grid():
     g = ModuleVector(1, 64, 4.0, gaussian_values(1, 64, 4.0, 1.0))
     F = fourier_operator(1, 64, 4.0)
     assert_allclose(norm_L2(F(g)), norm_L2(g), rtol=1e-12)
-    back = fourier_operator(1, 64, 4.0, inverse=True)(F(g))
+    back = adjoint(F)(F(g))
     assert np.abs(back.values - g.values).max() <= 1e-10
 
 
@@ -308,6 +309,19 @@ def test_phase_symbol_derivative_multiplies_frequencies():
     d = derivative(f, (1, 1))
     omega = np.pi * 2 / 4.0
     assert_allclose(d.terms[0][2], [[1j * omega * 1j * 0.7]], atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha, error", [
+    pytest.param((1,), ValueError, id="short"),
+    pytest.param((-1, 0), ValueError, id="negative"),
+    pytest.param((9, 0), OrderTooHighError, id="past-max-order"),
+    pytest.param((1.5, 0), ValueError, id="fractional"),
+    pytest.param(("x", 0), ValueError, id="not-a-number"),
+])
+def test_phase_symbol_derivative_rejects_bad_index(alpha, error):
+    f = PlaneWavePhaseSymbol(1, 4.0, 1, (((2,), (0.7,), 1.0),))
+    with pytest.raises(error):
+        derivative(f, alpha)
 
 
 @pytest.mark.parametrize("n, L, k, m, w", [
