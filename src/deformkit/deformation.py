@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partialmethod, reduce
-from itertools import product as _iproduct
+from itertools import groupby, product as _iproduct
 from math import comb, factorial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +63,7 @@ __all__ = [
 OSC_R = 12.0
 OSC_Q = 256
 OSC_PAD = 2
+_OUTER_ROWS = 64  # outer-mesh rows per block of the quadrature's pairing (_gcheck_rows)
 _CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _LatticePlan groups
 _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan may keep
 # kernel-spectra bytes per direction for a batch of several symbols (_plan_batches).  On the
@@ -81,11 +83,18 @@ class OscIntegralConfig:
     The regularization order is floor(n/2) + 1 in dimension n, above n/2
     for absolute convergence.  tol is the route-agreement tolerance and
     check_points the number of sample points at which the quadrature
-    oracle verifies the lattice route (0 disables the check).
+    oracle verifies the lattice route (0 disables the check).  ValueError
+    unless tol is finite and positive and check_points an integer >= 0.
     """
 
     tol: float = 1e-6
     check_points: int = 5
+
+    def __post_init__(self):
+        if not (isinstance(self.tol, Real) and np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not (isinstance(self.check_points, Integral) and self.check_points >= 0):
+            raise ValueError(f"check_points must be an integer >= 0, got {self.check_points!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +181,11 @@ def _weight_groups(n: int, order: int) -> tuple:
             out += term
         return out
 
-    derivatives = {sw: derivative(sw) for sw in terms}
     groups: dict[tuple, np.ndarray] = {}
-    for sigma_w, sigma_g, coef in pairs:
-        term = coef * derivatives[sigma_w]
-        groups[sigma_g] = groups[sigma_g] + term if sigma_g in groups else term
+    for sigma_w, run in groupby(pairs, key=lambda pair: pair[0]):  # one d^sigma_w at a time
+        d_w = derivative(sigma_w)
+        for _, sigma_g, coef in run:
+            groups[sigma_g] = groups[sigma_g] + coef * d_w if sigma_g in groups else coef * d_w
     for w in groups.values():
         w.flags.writeable = False
     return tuple(sorted(groups.items()))
@@ -198,20 +207,6 @@ def _outer_axis() -> np.ndarray:
     return (np.arange(Qp) - Qp // 2) * du
 
 
-def _transform_inner(psi: np.ndarray, n: int) -> np.ndarray:
-    """FT with kernel exp(+2 pi i u.v) from the inner grid to the outer grid."""
-    Q, Qp = OSC_Q, OSC_PAD * OSC_Q
-    h = 2.0 * OSC_R / OSC_Q
-    shape = (Qp,) * n + psi.shape[n:]
-    padded = np.zeros(shape, dtype=np.complex128)
-    off = (Qp - Q) // 2
-    padded[(slice(off, off + Q),) * n] = psi
-    # in place: a copy of the padded array would raise product's peak memory
-    padded = centered_idft(padded, tuple(range(n)), overwrite=True)
-    padded *= h ** n
-    return padded
-
-
 @lru_cache(maxsize=None)
 def _outer_weight(n: int, order: int) -> np.ndarray:
     """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only)."""
@@ -221,29 +216,50 @@ def _outer_weight(n: int, order: int) -> np.ndarray:
     return wn
 
 
-def _regularized_quadrature(n: int, order: int, g_derivative, fvals):
-    """int W_N(u) F_M(u) Gcheck(u) du from the caller's two evaluators.
-
-    g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh and fvals
-    holds F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on the outer mesh, both
-    with trailing k x k axes; order is the regularization order N = M.
-    """
-    k = fvals.shape[-1]
+def _gcheck_rows(n: int, order: int, g_derivative, k: int):
+    """(rows, block) over blocks of _OUTER_ROWS outer rows of Gcheck, the FT with kernel
+    exp(+2 pi i u.v) of Psi from the inner grid to the outer.  Psi, zero-padded along axis 0
+    alone, takes the axis-0 pass once (its other Qp - Q columns stay zero and are never
+    transformed); each block, padded along axis 1, takes the axis-1 pass."""
+    Q, Qp, h = OSC_Q, OSC_PAD * OSC_Q, 2.0 * OSC_R / OSC_Q
+    off = (Qp - Q) // 2
     # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one
     # derivative of G at a time, in sorted order, so they come grouped by
     # their first order
-    psi = np.zeros((OSC_Q,) * n + (k, k), dtype=np.complex128)
+    psi = np.zeros((Q,) * n + (k, k), dtype=np.complex128)
     for sigma_g, weight in _weight_groups(n, order):
         psi += weight[..., None, None] * g_derivative(sigma_g)
+    cols = np.zeros((Qp,) + psi.shape[1:], dtype=np.complex128)
+    cols[off:off + Q] = psi
+    del psi  # padded: the blocks never hold it
+    centered_idft(cols, (0,), overwrite=True)
+    for start in range(0, Qp, _OUTER_ROWS):
+        rows = slice(start, start + _OUTER_ROWS)
+        block = cols[rows]
+        if n == 2:
+            block = np.zeros((len(block), Qp) + cols.shape[2:], dtype=np.complex128)
+            block[:, off:off + Q] = cols[rows]
+            centered_idft(block, (1,), overwrite=True)
+        block *= h ** n
+        yield rows, block
 
-    gcheck = _transform_inner(psi, n)
 
+def _regularized_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
+    """int W_N(u) F_M(u) Gcheck(u) du from the caller's two evaluators, paired over the
+    outer mesh in blocks of rows (_gcheck_rows).
+
+    g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh and f_rows(rows) gives
+    F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on those rows (a slice of axis 0) of the outer
+    mesh, both with trailing k x k axes; order is the regularization order N = M.
+    """
     wn = _outer_weight(n, order)
     uax = _outer_axis()
     du = uax[1] - uax[0]
-    if n == 1:
-        return np.einsum("q,qab,qbc->ac", wn, fvals, gcheck) * du
-    return np.einsum("qr,qrab,qrbc->ac", wn, fvals, gcheck) * du ** 2
+    pairing = "q,qab,qbc->ac" if n == 1 else "qr,qrab,qrbc->ac"
+    total = np.zeros((k, k), dtype=np.complex128)
+    for rows, block in _gcheck_rows(n, order, g_derivative, k):
+        total += np.einsum(pairing, wn[rows], f_rows(rows), block)
+    return total * du ** n
 
 
 def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
@@ -261,14 +277,16 @@ def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
     order = n // 2 + 1
     vmesh = np.stack(np.meshgrid(*([_inner_axis()] * n), indexing="ij"), axis=-1)
     umesh = np.stack(np.meshgrid(*([_outer_axis()] * n), indexing="ij"), axis=-1)
+    fc = fc * ((1.0 + np.sum(fq ** 2, axis=1)) ** order)[:, None, None]
 
     def g_derivative(sigma_g):
         mult = np.prod((2j * np.pi * gq) ** np.asarray(sigma_g), axis=1)
         return _wave_sum(gc * mult[:, None, None], 2j * np.pi, (vmesh,), (gq,))
 
-    fmult = (1.0 + np.sum(fq ** 2, axis=1)) ** order
-    fvals = _wave_sum(fc * fmult[:, None, None], 2j * np.pi, (umesh,), (fq,))
-    return _regularized_quadrature(n, order, g_derivative, fvals)
+    def f_rows(rows):
+        return _wave_sum(fc, 2j * np.pi, (umesh[rows],), (fq,))
+
+    return _regularized_quadrature(n, order, g_derivative, f_rows, fc.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +404,12 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     g_derivative = czt_derivative if M is None else fold_derivative
 
     if J.is_zero:
-        fvals = fhat  # the series at the point x, one axis at a time
+        fx = fhat  # the series at the point x, one axis at a time
         for ax in range(n):
-            fvals = _czt_axis(fvals, 0, L, 1.0, float(x[ax]), 1.0, 1)[0]
-        fvals = np.broadcast_to(fvals, (len(uax),) * n + (k, k))
+            fx = _czt_axis(fx, 0, L, 1.0, float(x[ax]), 1.0, 1)[0]
+
+        def f_rows(rows):
+            return np.broadcast_to(fx, (len(uax[rows]),) + (len(uax),) * (n - 1) + (k, k))
     else:
         theta = float(J.entries[0, 1])  # J = theta [[0, 1], [-1, 0]] (n = 2)
         # f(x + Ju) = sum c_m exp(2 pi i p.x) exp(2 pi i (J^T p).u) with
@@ -403,9 +423,12 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         c = fhat * (pre1[:, None] * pre2[None, :] * mult)[..., None, None]
         c = np.swapaxes(c, 0, 1)
         du = uax[1] - uax[0]
-        c = _czt_axis(c, 0, L, -theta, float(uax[0]), du, len(uax))
-        fvals = _czt_axis(c, 1, L, theta, float(uax[0]), du, len(uax))
-    return _regularized_quadrature(n, order, g_derivative, fvals)
+        # the first pass, copied out of _czt_axis's padded buffer (1.5 times its size at N = 256)
+        c = np.ascontiguousarray(_czt_axis(c, 0, L, -theta, float(uax[0]), du, len(uax)))
+
+        def f_rows(rows):  # the axis-1 pass, one block of rows at a time
+            return _czt_axis(c[rows], 1, L, theta, float(uax[0]), du, len(uax))
+    return _regularized_quadrature(n, order, g_derivative, f_rows, k)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +542,8 @@ def deformed_product_numeric(
             x = [float(f.axis[i])] * f.n
             oracle = _quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x)
             disagree = float(np.abs(oracle - values[idx]).max()) / scale
+            if not np.isfinite(disagree):
+                raise ConvergenceError(f"product routes disagree at check point {x}: {disagree}")
             worst = max(worst, disagree)
             checked += 1
         if worst > 10.0 * cfg.tol:

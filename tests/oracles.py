@@ -6,8 +6,9 @@ composition (``deformation._compose_terms``), the shifted symbol checks
 the conjugation ``heisenberg.adu_conjugate``, sampled operators
 (pointwise and Fourier multipliers) exercise the operator and adjoint
 machinery beyond lattice symbols, and the mesh evaluation of the pi
-functional checks its folded route.  No command of the package runs any
-of them.
+functional checks its folded route, and the whole-mesh form of the
+regularized quadrature checks its streamed pairing.  No command of the
+package runs any of them.
 """
 
 from itertools import product as _iproduct
@@ -15,8 +16,14 @@ from itertools import product as _iproduct
 import numpy as np
 
 from deformkit.deformation import (
+    OSC_PAD,
+    OSC_Q,
+    OSC_R,
     OscIntegralConfig,
     _compose_terms,
+    _outer_axis,
+    _outer_weight,
+    _weight_groups,
     oscillatory_pair_integral,
 )
 from deformkit.errors import ConvergenceError
@@ -211,6 +218,35 @@ def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
                 f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
             )
     return result
+
+
+# ---------------------------------------------------------------------------
+# The regularized quadrature with the outer mesh held whole
+
+
+def whole_mesh_gcheck(n: int, order: int, g_derivative, k: int) -> np.ndarray:
+    """Gcheck on the whole outer mesh: Psi, formed as deformation._gcheck_rows forms it,
+    zero-padded along every axis, one centered IDFT over all of them, times h^n."""
+    Q, Qp = OSC_Q, OSC_PAD * OSC_Q
+    psi = np.zeros((Q,) * n + (k, k), dtype=np.complex128)
+    for sigma_g, weight in _weight_groups(n, order):
+        psi += weight[..., None, None] * g_derivative(sigma_g)
+    off = (Qp - Q) // 2
+    padded = np.zeros((Qp,) * n + (k, k), dtype=np.complex128)
+    padded[(slice(off, off + Q),) * n] = psi
+    centered_idft(padded, tuple(range(n)), overwrite=True)
+    padded *= (2.0 * OSC_R / OSC_Q) ** n
+    return padded
+
+
+def whole_mesh_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
+    """deformation._regularized_quadrature's integral, with the same arguments, as one
+    pairing einsum over the whole outer mesh: F_M is f_rows(slice(None))."""
+    gcheck = whole_mesh_gcheck(n, order, g_derivative, k)
+    du = _outer_axis()[1] - _outer_axis()[0]
+    pairing = "q,qab,qbc->ac" if n == 1 else "qr,qrab,qrbc->ac"
+    fvals = f_rows(slice(None))
+    return np.einsum(pairing, _outer_weight(n, order), fvals, gcheck) * du ** n
 
 
 # ---------------------------------------------------------------------------

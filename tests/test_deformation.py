@@ -12,9 +12,12 @@ from numpy.testing import assert_allclose
 from deformkit import deformation, symbols
 from deformkit.deformation import (
     _CHUNK_POINTS,
+    OSC_PAD,
+    OSC_Q,
     OscIntegralConfig,
     _czt_axis,
     _fast_len,
+    _gcheck_rows,
     _k_first,
     _kfirst_product,
     _LatticePlan,
@@ -22,6 +25,7 @@ from deformkit.deformation import (
     _inner_period,
     _quadrature_point_lattice,
     _twisted_lattice_product,
+    _weight_groups,
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
@@ -40,7 +44,13 @@ from deformkit.symbols import (
     series_coefficients,
 )
 from deformkit.verify_cli import gaussian_values, random_plane_wave
-from oracles import symbol_compose, symbol_dagger, symbol_star
+from oracles import (
+    symbol_compose,
+    symbol_dagger,
+    symbol_star,
+    whole_mesh_gcheck,
+    whole_mesh_quadrature,
+)
 
 RNG = np.random.default_rng(16180)
 L = 6.0
@@ -206,6 +216,28 @@ def test_numeric_route_raises_on_tight_tolerance():
     g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 3.0))
     with pytest.raises(ConvergenceError):
         deformed_product_numeric(f, g, J_HALF, OscIntegralConfig(tol=1e-16))
+
+
+def test_numeric_route_raises_on_a_nan_oracle(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN oracle value must not read as agreement
+    def nan_oracle(fhat, ghat, n, L, J, x):
+        return np.full(fhat.shape[-2:], np.nan + 0j)
+
+    monkeypatch.setattr(deformation, "_quadrature_point_lattice", nan_oracle)
+    f = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 2.0))
+    g = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 3.0))
+    with pytest.raises(ConvergenceError, match="check point"):
+        deformed_product_numeric(f, g, J_HALF)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"tol": 0.0},
+    {"check_points": -2}, {"check_points": 2.5}, {"check_points": "5"},
+])
+def test_osc_config_rejects_bad_input(kwargs):
+    # a NaN tol could never fail the check, a negative count turned the oracle off
+    with pytest.raises(ValueError):
+        OscIntegralConfig(**kwargs)
 
 
 def test_numeric_route_rejects_resolution_mismatch():
@@ -376,6 +408,88 @@ def test_incommensurate_box_takes_chirp_z(monkeypatch):
     deformed_product_numeric(f, g, DeformationMatrix.symplectic(0.25, 2), report=report)
     assert report["points_checked"] == 5
     assert report["route_disagreement"] <= 10 * report["tolerance"]
+
+
+# ---------------------------------------------------------------------------
+# The quadrature's pairing, streamed over blocks of outer rows
+
+
+def assert_streamed_matches_whole(monkeypatch, run, n, k):
+    """run() with the streamed pairing agrees with run() on the whole-mesh reference.
+
+    Within 1e-14 of the largest value, but 1e-12 at n = k = 2: there the reference's one
+    einsum adds 2 x 512^2 products into each entry in turn, and against an extended-precision
+    sum its own error reached 3.1e-13 of the largest value, the streamed pairing's 8e-15.
+    """
+    streamed = run()
+    monkeypatch.setattr(deformation, "_regularized_quadrature", whole_mesh_quadrature)
+    whole = run()
+    monkeypatch.undo()
+    tol = 1e-12 if n == k == 2 else 1e-14
+    assert np.abs(streamed - whole).max() <= tol * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("box", [6.0, 5.3])  # the fold route and the chirp-z route
+@pytest.mark.parametrize("n, k, theta", [
+    (1, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0), (2, 1, 0.25), (2, 2, 0.0), (2, 2, 0.25)])
+def test_streamed_oracle_point_matches_whole_mesh(monkeypatch, box, n, k, theta):
+    rng = np.random.default_rng(70 + n + k)
+    mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    f = GridSymbol(n, 32, box, gaussian_values(n, 32, box, 1.2)[..., :1, :1] * mix)
+    g = GridSymbol(n, 32, box, gaussian_values(n, 32, box, 0.9, shift=0.4)[..., :1, :1] * mix.T)
+    J = DeformationMatrix.symplectic(theta, 2) if n == 2 else DeformationMatrix.zero(1)
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    x = [f.axis[17]] * n  # near the centre, where the product is of order one
+    assert_streamed_matches_whole(
+        monkeypatch, lambda: _quadrature_point_lattice(fhat, ghat, n, box, J, x), n, k)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_streamed_pair_integral_matches_whole_mesh(monkeypatch, n, k):
+    rng = np.random.default_rng(80 + n + k)
+    fq, gq = rng.uniform(-0.5, 0.5, size=(2, 3, n))
+    fc, gc = rng.normal(size=(2, 3, k, k)) + 1j * rng.normal(size=(2, 3, k, k))
+    assert_streamed_matches_whole(
+        monkeypatch, lambda: oscillatory_pair_integral(fq, fc, gq, gc), n, k)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_gcheck_blocks_are_the_whole_mesh_rows(n, k):
+    rng = np.random.default_rng(90 + n + k)
+    shape, order = (OSC_Q,) * n + (k, k), n // 2 + 1
+    fields = {sigma_g: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+              for sigma_g, _ in _weight_groups(n, order)}  # a random field per order
+    g_derivative = fields.__getitem__
+    whole = whole_mesh_gcheck(n, order, g_derivative, k)
+    covered = 0
+    for rows, block in _gcheck_rows(n, order, g_derivative, k):
+        assert block.tobytes() == whole[rows].tobytes()
+        covered += len(block)
+    assert covered == OSC_PAD * OSC_Q
+
+
+def test_oracle_point_never_holds_the_outer_mesh_whole(monkeypatch):
+    # one warm oracle point at N = 64, theta = 0.25: about 4 MiB streamed, 10 MiB whole
+    f = GridSymbol(2, 64, L, gaussian_values(2, 64, L, 1.2))
+    g = GridSymbol(2, 64, L, gaussian_values(2, 64, L, 0.9) * (1 + 0.5j))
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    J = DeformationMatrix.symplectic(0.25, 2)
+    x = [f.axis[32]] * 2
+
+    def warm_peak():
+        _quadrature_point_lattice(fhat, ghat, 2, L, J, x)  # fills the caches
+        tracemalloc.start()
+        try:
+            _quadrature_point_lattice(fhat, ghat, 2, L, J, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = warm_peak()
+    monkeypatch.setattr(deformation, "_regularized_quadrature", whole_mesh_quadrature)
+    whole = warm_peak()
+    assert streamed <= 0.6 * whole
+
 
 
 # ---------------------------------------------------------------------------
