@@ -69,6 +69,23 @@ SYM3_K2 = PlaneWavePhaseSymbol(
      ((2,), (0.3,), [[0.2j, 0.0], [0.3, -0.1 + 0.2j]])),
 )
 
+# six distinct shifts w, two of them (0.37, -0.61) off the s grid of symbol_map_S
+SYM6W = PlaneWavePhaseSymbol(
+    1, L, 1,
+    (((1,), (0.6,), 0.8 + 0.1j), ((-1,), (-0.6,), 0.5), ((2,), (0.3,), 0.2j),
+     ((0,), (0.37,), -0.4 + 0.3j), ((1,), (-0.61,), 0.6j), ((-2,), (0.0,), 0.3)),
+)
+
+SYM6W_K2 = PlaneWavePhaseSymbol(
+    1, L, 2,
+    (((1,), (0.6,), [[0.3 - 0.4j, 0.2], [0.0, 0.5j]]),
+     ((-1,), (-0.6,), [[0.5, -0.3j], [0.1, 0.4]]),
+     ((2,), (0.3,), [[0.2j, 0.0], [0.3, -0.1 + 0.2j]]),
+     ((0,), (0.37,), [[-0.4, 0.1j], [0.2 + 0.2j, 0.3]]),
+     ((1,), (-0.61,), [[0.0, 0.6], [-0.3j, 0.2 - 0.1j]]),
+     ((-2,), (0.0,), [[0.3, 0.0], [0.1j, -0.2]])),
+)
+
 
 def narrow_gaussian(freq=0.0):
     return ModuleVector(1, N, L, gaussian_values(1, N, L, 0.5, freq=freq))
@@ -461,10 +478,12 @@ def test_fd_d_value_matches_d_apply(sym):
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("sym", [SYM3, SYM3_K2], ids=["k1", "k2"])
+@pytest.mark.parametrize("sym", [SYM3, SYM3_K2, SYM6W, SYM6W_K2],
+                         ids=["k1", "k2", "k1-six-w", "k2-six-w"])
 def test_symbol_map_matches_dense_pairing(sym):
     # symbol_map_S sums the same discrete pairing termwise, with the sigma
-    # sum as a chirp-z transform; the mesh sum is its independent oracle.
+    # sum as a chirp-z transform and the eta sum added block by block into
+    # one row per distinct w; the mesh sum is its independent oracle.
     x0, xi0 = 0.7, -0.4
     got = symbol_map_S(sym, x0, xi0)[0, 0]
     want = dense_symbol_map(sym, x0, xi0)

@@ -18,9 +18,11 @@ from numpy.testing import assert_allclose
 from deformkit import deformation, pseudodiff, verify_cli
 from deformkit.deformation import deformed_product_exact
 from deformkit.errors import ConvergenceError, NoConvergenceError, UnsupportedOperatorError
+from deformkit.heisenberg import symbol_map_S
 from deformkit.symbols import (
     DeformationMatrix,
     GridSymbol,
+    PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
     read_symbol_file,
     significant_terms,
@@ -416,17 +418,32 @@ def test_verify_workers_do_not_change_report(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_symbol_map_suite_streams_its_kernel_pairing():
-    # symbol_map_S holds one s x eta integrand per distinct w (3 x 3.9 MB
-    # here) and a few eta blocks, never a sigma x eta table of the kernel v
-    SUITES["symbol-map"](RunConfig())
+def _warm_traced_peak(run) -> int:
+    """Peak traced bytes of the second of two calls of run (the first warms caches)."""
+    run()
     tracemalloc.start()
     try:
-        SUITES["symbol-map"](RunConfig())
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2 ** 20
+
+
+def test_symbol_map_suite_streams_its_kernel_pairing():
+    # symbol_map_S adds each eta block into one s row per distinct w, so it
+    # holds one eta block at a time: no sigma x eta or s x eta table
+    assert _warm_traced_peak(lambda: SUITES["symbol-map"](RunConfig())) <= 4 * 2 ** 20
+
+
+def test_symbol_map_memory_does_not_grow_with_shifts():
+    # the pairing keeps one s row per distinct w, so nine w cost about what three do
+    sym = PlaneWavePhaseSymbol(1, 4.0, 1, tuple(
+        ((j % 3 - 1,), (float(w),), 0.5 + 0.1j * j)
+        for j, w in enumerate(np.linspace(-0.8, 0.8, 9))))
+    assert len(np.unique(sym.terms["w"])) == 9
+    peak = _warm_traced_peak(
+        lambda: symbol_map_S(sym, np.array([0.0, 1.0]), np.array([0.0, 0.5])))
+    assert peak <= 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
