@@ -39,6 +39,7 @@ from .symbols import (
     PlaneWaveSymbol,
     DeformationMatrix,
     _rowdot,
+    _same_box,
     _LatticeFold,
     _term_array,
     _wave_sum,
@@ -436,7 +437,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
 
 
 def _check_boxes(f, g):
-    if f.n != g.n or abs(f.L - g.L) > 1e-12 * max(f.L, g.L) or f.k != g.k:
+    if not _same_box(f, g):
         raise BoxMismatchError(
             f"symbols live on different boxes: "
             f"(n={f.n}, L={f.L}, k={f.k}) vs (n={g.n}, L={g.L}, k={g.k})"
@@ -645,7 +646,7 @@ class _LatticePlan:
         syms = [syms] if isinstance(syms, PlaneWavePhaseSymbol) else list(syms)
         groups = [_shift_groups(sym) for sym in syms] if groups is None else groups
         n, k, L = syms[0].n, syms[0].k, syms[0].L
-        if any((s.n, s.k) != (n, k) or abs(s.L - L) > 1e-12 * L for s in syms[1:]):
+        if not all(_same_box(s, syms[0]) for s in syms[1:]):
             raise BoxMismatchError("phase symbols of one plan live on different boxes")
         half, S, M = N // 2, N ** (n - 1), len(syms)
         lattice = (np.arange(N) - half) / (2.0 * L)
@@ -789,7 +790,7 @@ def _compose_terms(
 
     Frequencies add and the coefficient picks up exp(i w_a . omega_b).
     """
-    if (a.n, a.k) != (b.n, b.k) or abs(a.L - b.L) > 1e-12 * a.L:
+    if not _same_box(a, b):
         raise BoxMismatchError("phase symbols live on different boxes")
     ta, tb = a.terms, b.terms
     i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))  # every pair, j inner

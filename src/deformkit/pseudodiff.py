@@ -331,43 +331,27 @@ def _top_ritz(first: float, pairs: list, pole: float, r: float) -> tuple:
     return x, total ** -0.5
 
 
-def _uniform_period(axis, L: float) -> tuple:
-    """(M, x_0) of an axis x_0 + j 2L/M, M a positive integer; ValueError for another axis."""
-    axis = np.asarray(axis, dtype=float)
-    if axis.ndim != 1 or not len(axis) or not np.isfinite(axis).all():
-        raise ValueError("x axis must be a non-empty, finite 1-D array")
-    if len(axis) == 1:
-        return 1, float(axis[0])
-    step = (axis[-1] - axis[0]) / (len(axis) - 1)
-    M = round(2.0 * L / step) if step > 0 else 0
-    if M < 1 or np.abs(axis[0] + np.arange(len(axis)) * (2.0 * L / M) - axis).max() > 1e-12 * L:
-        raise ValueError(f"x axis must be uniform with a step 2L/M, M a positive integer "
-                         f"(L = {L})")
-    return M, float(axis[0])
-
-
-def cv_functional(sym: PlaneWavePhaseSymbol, x_axis, xi_axis) -> float:
+def cv_functional(sym: PlaneWavePhaseSymbol, points: int, xi_axis) -> float:
     """max over mixed first derivatives (at most one per axis) of sup norms.
 
-    pi(a) = max_{beta, gamma in {0,1}^n} sup |d_x^beta d_xi^gamma a|,
-    the quantity controlling the operator norm of Op(a).  Each
-    derivative is exact (termwise); the sup is taken over the product
-    grid x_axis^n x xi_axis^n.  x_axis must be uniform with a step 2L/M
-    that divides the period, M an integer (ValueError otherwise): at each
-    xi point every derivative is then one fold of its terms, times
-    exp(i w.xi), into the bins m mod M and one inverse FFT over them
-    (_LatticeFold), for the xi points in chunks of _CV_CHUNK_VALUES.
+    pi(a) = max_{beta, gamma in {0,1}^n} sup |d_x^beta d_xi^gamma a|, the quantity
+    controlling the operator norm of Op(a).  Each derivative is exact (termwise); the sup
+    is taken over the product grid x^n x xi_axis^n, x_j = -L + j 2L/points on the symbol's
+    own box (axis_points(points, L) for even points; ValueError unless points is a
+    positive integer).  At each xi point every derivative is one fold of its terms, times
+    exp(i w.xi), into the bins m mod points and one inverse FFT over them (_LatticeFold),
+    for the xi points in chunks of _CV_CHUNK_VALUES.
     """
-    n, k, t = sym.n, sym.k, sym.terms
-    M, start = _uniform_period(x_axis, sym.L)
-    P = len(x_axis)
+    if not isinstance(points, (int, np.integer)) or points < 1:
+        raise ValueError(f"x points per axis must be a positive integer, got {points!r}")
+    n, k, t, P, start = sym.n, sym.k, sym.terms, points, -sym.L
     om, w = sym.omega(t["m"]), t["w"]
     xi = np.stack(np.meshgrid(*([np.asarray(xi_axis, dtype=float)] * n), indexing="ij"),
                   axis=-1).reshape(-1, n)
     # each term at the grid's first point, and each derivative's factor
     c = np.exp(1j * start * om.sum(axis=1))[:, None, None] * t["c"]
     factors = [_derivative_factors(sym, alpha) for alpha in _iproduct((0, 1), repeat=2 * n)]
-    fold = _LatticeFold(t["m"], M)
+    fold = _LatticeFold(t["m"], P)
     chunk = max(1, _CV_CHUNK_VALUES // (max(len(t), P ** n) * k * k))
     best = 0.0
     for q in range(0, len(xi), chunk):

@@ -82,40 +82,34 @@ def _is_pow2(N: int) -> bool:
     return N >= 2 and (N & (N - 1)) == 0
 
 
-def _alternating(N: int) -> np.ndarray:
-    return (-1.0) ** np.arange(N)
+def _same_box(a, b) -> bool:
+    """Same n and k, and the half-widths L equal within 1e-12 of the larger."""
+    return (a.n, a.k) == (b.n, b.k) and abs(a.L - b.L) <= 1e-12 * max(a.L, b.L)
 
 
 def centered_dft(values: np.ndarray, axes) -> np.ndarray:
     """Per-axis sums G_j = sum_i f_i exp(-2 pi i (i-N/2)(j-N/2)/N)."""
-    out = np.array(values, dtype=np.complex128)
-    for ax in axes:
-        N = out.shape[ax]
-        shape = [1] * out.ndim
-        shape[ax] = N
-        alt = _alternating(N).reshape(shape)
-        sign = (-1.0) ** (N // 2) if N % 2 == 0 else np.exp(-0.5j * np.pi * N)
-        out *= alt
-        np.fft.fft(out, axis=ax, out=out)
-        out *= alt * sign
-    return out
+    return _centered(np.array(values, dtype=np.complex128), axes, -1)
 
 
 def centered_idft(values: np.ndarray, axes, overwrite: bool = False) -> np.ndarray:
-    """Per-axis sums H_i = sum_j G_j exp(+2 pi i (i-N/2)(j-N/2)/N).
-
-    overwrite=True transforms a complex128 input in place and returns it.
-    """
+    """Per-axis sums H_i = sum_j G_j exp(+2 pi i (i-N/2)(j-N/2)/N); overwrite=True
+    transforms a complex128 input in place and returns it."""
     out = (np.asarray if overwrite else np.array)(values, dtype=np.complex128)
+    return _centered(out, axes, 1)
+
+
+def _centered(out: np.ndarray, axes, sign: int) -> np.ndarray:
+    """centered_dft (sign -1) or centered_idft (sign +1) of a complex128 array, in place."""
     for ax in axes:
         N = out.shape[ax]
         shape = [1] * out.ndim
         shape[ax] = N
-        alt = _alternating(N).reshape(shape)
-        sign = (-1.0) ** (N // 2) if N % 2 == 0 else np.exp(0.5j * np.pi * N)
+        alt = ((-1.0) ** np.arange(N)).reshape(shape)
+        post = (-1.0) ** (N // 2) if N % 2 == 0 else np.exp(sign * 0.5j * np.pi * N)
         out *= alt
-        np.fft.ifft(out, axis=ax, out=out)
-        out *= alt * (sign * N)
+        (np.fft.fft if sign < 0 else np.fft.ifft)(out, axis=ax, out=out)
+        out *= alt * (post if sign < 0 else post * N)
     return out
 
 
@@ -605,7 +599,7 @@ def sup_norm(f) -> float:
 
 def inner_product(f, g) -> MatrixElement:
     """Module inner product <f, g> = sum_i f_i^H g_i dx^n."""
-    if (f.n, f.N, f.k) != (g.n, g.N, g.k) or abs(f.L - g.L) > 1e-12 * max(f.L, g.L):
+    if f.N != g.N or not _same_box(f, g):
         raise GridMismatchError(
             f"module vectors have different geometry: {f.geometry()} vs {g.geometry()}"
         )

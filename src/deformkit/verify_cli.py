@@ -279,13 +279,13 @@ def interplay_residual(pairs, J: DeformationMatrix, h: ModuleVector,
     return worst
 
 
-def cv_fit(family, L: float, box_xi: float, N: int) -> float:
+def cv_fit(family, box_xi: float, N: int) -> float:
     """Largest ||Op(a)|| / cv_functional(a) over the family at N points in x."""
     family = list(family)
-    x_ax, xi_ax = axis_points(N, L), axis_points(64, box_xi)
+    xi_ax = axis_points(64, box_xi)
     best = 0.0
     for sym, opn in zip(family, phase_norms(family, N)):
-        pi = cv_functional(sym, x_ax, xi_ax)
+        pi = cv_functional(sym, N, xi_ax)
         if pi > 0:
             best = max(best, opn / pi)
     return best
@@ -499,8 +499,8 @@ def _suite_cv(cfg: RunConfig) -> list:
     L, box_xi = 4.0, 4.0
     w_lattice = [j * np.pi / box_xi for j in range(-3, 4)]
     family = [random_phase_symbol(rng, L, 2, 3, w_lattice) for _ in range(8)]
-    c_small = cv_fit(family, L, box_xi, 64)
-    c_large = cv_fit(family, L, box_xi, 128)
+    c_small = cv_fit(family, box_xi, 64)
+    c_large = cv_fit(family, box_xi, 128)
     return [
         _record(
             "cv-ratio-finite",
@@ -816,7 +816,6 @@ def cmd_norms(cfg: RunConfig, f_path: str, thetas) -> int:
     grid_max = sup if isinstance(f, GridSymbol) else sup_norm(f.to_grid(N))
     # pi's sample grid: pts points per axis over [-L, L)^n x [-Xi, Xi)^n
     pts = 256 if n == 1 else 32
-    x_ax = np.linspace(-f.L, f.L, pts, endpoint=False)
     status = EXIT_PASS
     for theta in thetas:
         sym = tilde_map(f, _deformation(n, theta))
@@ -824,7 +823,7 @@ def cmd_norms(cfg: RunConfig, f_path: str, thetas) -> int:
         opn = rep.op_norm
         w_max = float(np.abs(sym.terms["w"]).max(initial=0.0))
         box_xi = max(2.0 * np.pi, 2.0 * w_max)
-        pi = cv_functional(sym, x_ax, np.linspace(-box_xi, box_xi, pts, endpoint=False))
+        pi = cv_functional(sym, pts, np.linspace(-box_xi, box_xi, pts, endpoint=False))
         ratio = opn / pi if pi > 0 else 0.0
         row = [f"{theta:g}", f"{sup:.12g}", f"{opn:.12g}"]
         row += [f"{v:.12g}" for v in rep.T]

@@ -202,8 +202,8 @@ def test_bounded_operator_constant_is_stable():
                 for _ in range(3)
             )
         family.append(PlaneWavePhaseSymbol(1, L, 1, terms))
-    c_small = cv_fit(family, L, box_xi, 64)
-    c_large = cv_fit(family, L, box_xi, 128)
+    c_small = cv_fit(family, box_xi, 64)
+    c_large = cv_fit(family, box_xi, 128)
     drift = abs(c_small - c_large) / c_small
     ok = np.isfinite(c_small) and c_small > 0 and drift <= CV_STABILITY_TOL
     record_criterion(

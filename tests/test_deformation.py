@@ -32,7 +32,7 @@ from deformkit.deformation import (
     oscillatory_pair_integral,
     tilde_map,
 )
-from deformkit.errors import BoxMismatchError, ConvergenceError
+from deformkit.errors import BoxMismatchError, ConvergenceError, GridMismatchError
 from deformkit.pseudodiff import op_from_phase_terms
 from deformkit.symbols import (
     DeformationMatrix,
@@ -141,6 +141,39 @@ def test_exact_route_rejects_box_mismatch():
     g = random_plane_wave(RNG, 2, 2 * L, 1, 2, 2)
     with pytest.raises(BoxMismatchError):
         deformed_product_exact(f, g, J_HALF)
+
+
+@pytest.mark.parametrize("scale, k, same", [
+    pytest.param(1.0 + 5e-13, 1, True, id="L-above-within"),
+    pytest.param(1.0 - 5e-13, 1, True, id="L-below-within"),
+    pytest.param(1.0 + 1e-11, 1, False, id="L-off"),
+    pytest.param(1.0, 2, False, id="k-off"),
+])
+def test_every_box_check_shares_one_predicate(scale, k, same):
+    # symbols._same_box at each site: L within 1e-12 of the larger, n and k equal
+    rng = np.random.default_rng(5)
+
+    def phase(L1, k1):
+        return PlaneWavePhaseSymbol(1, L1, k1, (((1,), (0.5,), np.eye(k1)),))
+
+    def vector(L1, k1):
+        return symbols.ModuleVector(1, 8, L1, np.ones((8, k1, k1), dtype=complex))
+
+    checks = [
+        (BoxMismatchError, lambda a, b: _LatticePlan([phase(*a), phase(*b)], 8)),
+        (BoxMismatchError, lambda a, b: deformation._compose_terms(phase(*a), phase(*b))),
+        (BoxMismatchError, lambda a, b: deformed_product_exact(
+            random_plane_wave(rng, 2, a[0], a[1], 2, 2),
+            random_plane_wave(rng, 2, b[0], b[1], 2, 2), J_HALF)),
+        (GridMismatchError, lambda a, b: symbols.inner_product(vector(*a), vector(*b))),
+    ]
+    for error, check in checks:
+        for a, b in [((L, 1), (L * scale, k)), ((L * scale, k), (L, 1))]:
+            if same:
+                check(a, b)
+            else:
+                with pytest.raises(error):
+                    check(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -514,10 +514,9 @@ def test_cv_functional_includes_derivatives():
     # For exp(i omega x) with omega > 1 the x-derivative dominates.
     L1, box_xi = 4.0, 2.0
     a = PlaneWavePhaseSymbol(1, L1, 1, (((2,), (0.0,), 1.0),))
-    x = np.linspace(-L1, L1, 64, endpoint=False)
     xi = np.linspace(-box_xi, box_xi, 8, endpoint=False)
     omega = np.pi * 2 / L1
-    assert_allclose(cv_functional(a, x, xi), omega, rtol=1e-6)
+    assert_allclose(cv_functional(a, 64, xi), omega, rtol=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -535,48 +534,48 @@ def test_cv_functional_single_term_closed_form(n, k):
     freqs = np.abs(np.concatenate([omega, w]))
     largest = max(np.prod(freqs ** np.asarray(alpha))
                   for alpha in np.ndindex(*((2,) * (2 * n))))
-    x = np.linspace(-L1, L1, 8, endpoint=False)
     xi = np.linspace(-3.0, 3.0, 8, endpoint=False)
     expected = np.linalg.norm(c, 2) * largest
-    assert_allclose(cv_functional(a, x, xi), expected, rtol=1e-12)
+    assert_allclose(cv_functional(a, 8, xi), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("axis", ["linspace", "axis_points", "tiled"])
-def test_cv_functional_matches_mesh_oracle(n, k, axis):
-    # the folded route against the term-by-term mesh: frequencies past the x grid's
-    # band alias into its bins, and the tiled axis runs over two periods of the box
+@pytest.mark.parametrize("L1", [4.0, 5.3])
+def test_cv_functional_matches_mesh_oracle(n, k, L1):
+    # the folded route against the term-by-term mesh on the box grid: frequencies past
+    # the grid's band alias into its bins; P = 12 is not a power of two, and L = 5.3
+    # is not dyadic
     rng = np.random.default_rng(10 * n + k)
-    L1, P = 4.0, 12
+    P = 12
     terms = tuple((tuple(int(v) for v in rng.integers(-15, 16, size=n)),
                    tuple(rng.uniform(-2.0, 2.0, size=n)),
                    rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) for _ in range(7))
     a = PlaneWavePhaseSymbol(n, L1, k, terms)
-    x = {"linspace": np.linspace(-L1, L1, P, endpoint=False),
-         "axis_points": axis_points(P, L1),
-         "tiled": -L1 + np.arange(2 * P + 3) * (2 * L1 / P)}[axis]
     xi = np.linspace(-3.0, 3.0, 7)
-    assert_allclose(cv_functional(a, x, xi), cv_functional_mesh(a, x, xi), rtol=1e-13)
+    assert_allclose(cv_functional(a, P, xi), cv_functional_mesh(a, axis_points(P, L1), xi),
+                    rtol=1e-13)
 
 
-@pytest.mark.parametrize("x", [
-    pytest.param(np.array([0.0, 0.5, 1.5]), id="uneven"),
-    pytest.param(np.arange(5) * 1.76, id="step-not-dividing-2L"),  # 8 / 1.76 = 4.55
-    pytest.param(np.array([]), id="empty"),
-    pytest.param(np.zeros((2, 2)), id="not-1-D"),
+@pytest.mark.parametrize("points", [
+    pytest.param(0, id="zero"),
+    pytest.param(-3, id="negative"),
+    pytest.param(2.5, id="fractional"),
+    pytest.param(np.arange(4.0), id="array"),
 ])
-def test_cv_functional_refuses_an_axis_off_the_box_lattice(x):
+def test_cv_functional_refuses_a_point_count_off_the_positive_integers(points, monkeypatch):
+    # refused before any work: the term frequencies are never formed
     a = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0),))
-    with pytest.raises(ValueError, match="x axis"):
-        cv_functional(a, x, np.zeros(1))
+    monkeypatch.setattr(PlaneWavePhaseSymbol, "omega", None)
+    with pytest.raises(ValueError, match="positive integer"):
+        cv_functional(a, points, np.zeros(1))
 
 
 def test_norm_bounded_by_cv_functional_times_constant():
     # ||Op(a)|| stays within a grid-independent multiple of pi(a).
     w_choices = np.arange(-3, 4) * np.pi / 4.0
     family = [random_phase_symbol(RNG, 4.0, 2, 3, w_choices) for _ in range(5)]
-    assert cv_fit(family, 4.0, 4.0, 64) <= 10.0
+    assert cv_fit(family, 4.0, 64) <= 10.0
 
 
 @pytest.mark.parametrize("N", [9, 12, 15])
