@@ -64,7 +64,7 @@ __all__ = [
 OSC_R = 12.0
 OSC_Q = 256
 OSC_PAD = 2
-_OUTER_ROWS = 64  # outer-mesh rows per block of the quadrature's pairing (_gcheck_rows)
+_OUTER_ROWS = 64  # rows per block of the oracle's passes to the outer mesh (Gcheck, the f side)
 _CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _LatticePlan groups
 _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan may keep
 # kernel-spectra bytes per direction for a batch of several symbols (_plan_batches).  On the
@@ -159,14 +159,17 @@ def _reg_pairs(n: int, order: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _weight_groups(n: int, order: int) -> tuple:
-    """_reg_pairs(n, order) grouped by sigma_g (cached, read-only).
+    """_reg_pairs(n, order) grouped by sigma_g (cached, read-only), on the half mesh.
 
     Returns ((sigma_g, W), ...) in sorted sigma_g order with W the sum of
     coef * d^{sigma_w} (1+|v|^2)^{-order} over the pairs of that sigma_g,
-    on the inner mesh.  Each distinct d^{sigma_w} is evaluated once, from a
-    shared table of (1+|v|^2)^{-q}.
+    at the inner mesh's indices 0..Q/2 per axis, where v <= 0.  Each
+    distinct d^{sigma_w} is evaluated once, from a shared table of
+    (1+|v|^2)^{-q}.  The weight is even and sigma_w = sigma_g mod 2 per
+    axis, so W(..., -v_i, ...) = (-1)^{sigma_g,i} W: _unfold_weight gives the
+    whole mesh's W bit for bit.
     """
-    mesh = np.meshgrid(*([_inner_axis()] * n), indexing="ij", sparse=True)
+    mesh = np.meshgrid(*([_inner_axis()[:OSC_Q // 2 + 1]] * n), indexing="ij", sparse=True)
     r2 = sum(v * v for v in mesh)
     pairs = _reg_pairs(n, order)
     terms = {sw: _weight_derivative(n, order, sw) for sw, _, _ in pairs}
@@ -190,6 +193,21 @@ def _weight_groups(n: int, order: int) -> tuple:
     for w in groups.values():
         w.flags.writeable = False
     return tuple(sorted(groups.items()))
+
+
+def _unfold_weight(half: np.ndarray, sigma_g: tuple, out: np.ndarray) -> np.ndarray:
+    """A _weight_groups W on the whole inner mesh, written into out (Q^n).  Axis by axis,
+    index Q - i > Q/2 takes (-1)^sigma times index i; a zero keeps its sign, as the
+    evaluation gives the same zero at v and -v."""
+    n, h = half.ndim, OSC_Q // 2
+    out[(slice(h + 1),) * n] = half
+    for ax, s in enumerate(sigma_g):  # axes before ax are whole, those after it half
+        head, tail = (slice(None),) * ax, (slice(h + 1),) * (n - ax - 1)
+        mirror = out[head + (slice(h + 1, None),) + tail]
+        mirror[...] = out[head + (slice(h - 1, 0, -1),) + tail]
+        if s % 2:
+            np.negative(mirror, out=mirror, where=mirror != 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +244,15 @@ def _gcheck_rows(n: int, order: int, g_derivative, k: int):
     off = (Qp - Q) // 2
     # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one
     # derivative of G at a time, in sorted order, so they come grouped by
-    # their first order
+    # their first order, each weighted in place
     psi = np.zeros((Q,) * n + (k, k), dtype=np.complex128)
-    for sigma_g, weight in _weight_groups(n, order):
-        psi += weight[..., None, None] * g_derivative(sigma_g)
+    weight = np.empty((Q,) * n)
+    for sigma_g, half in _weight_groups(n, order):
+        term = g_derivative(sigma_g)
+        term *= _unfold_weight(half, sigma_g, weight)[..., None, None]
+        psi += term
+        del term  # before the next derivative is made
+    del weight
     cols = np.zeros((Qp,) + psi.shape[1:], dtype=np.complex128)
     cols[off:off + Q] = psi
     del psi  # padded: the blocks never hold it
@@ -249,9 +272,10 @@ def _regularized_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
     """int W_N(u) F_M(u) Gcheck(u) du from the caller's two evaluators, paired over the
     outer mesh in blocks of rows (_gcheck_rows).
 
-    g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh and f_rows(rows) gives
-    F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on those rows (a slice of axis 0) of the outer
-    mesh, both with trailing k x k axes; order is the regularization order N = M.
+    g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh, as a fresh array that is
+    weighted in place, and f_rows(rows) gives F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on those
+    rows (a slice of axis 0) of the outer mesh, both with trailing k x k axes; order is the
+    regularization order N = M.
     """
     wn = _outer_weight(n, order)
     uax = _outer_axis()
@@ -390,7 +414,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         c = first_pass[1]
         for ax in range(1, n):
             c = czt_pass(c, ax, sigma_g[ax])
-        return c
+        return c if n > 1 else c.copy()  # the kept pass stays unweighted
 
     if M is not None:
         fold = _LatticeFold(np.indices(ghat.shape[:n]).reshape(n, -1).T - half, M)
@@ -400,7 +424,9 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         def fold_derivative(sigma_g):
             factor = reduce(np.multiply.outer, [
                 r * (2j * np.pi * p_axis) ** s for r, s in zip(ramps, sigma_g)])
-            return fold((ghat * factor[..., None, None]).reshape(-1, k, k), OSC_Q)
+            c = ghat * factor[..., None, None]
+            del factor  # before the fold
+            return fold(c.reshape(-1, k, k), OSC_Q)
 
     g_derivative = czt_derivative if M is None else fold_derivative
 
@@ -417,18 +443,20 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         # J^T p = (-theta p_2, theta p_1): axis roles swap under J.
         pre1 = np.exp(2j * np.pi * p_axis * x[0])
         pre2 = np.exp(2j * np.pi * p_axis * x[1])
-        mult = (
-            1.0
-            + theta ** 2 * (p_axis[:, None] ** 2 + p_axis[None, :] ** 2)
-        ) ** order
-        c = fhat * (pre1[:, None] * pre2[None, :] * mult)[..., None, None]
-        c = np.swapaxes(c, 0, 1)
+        c = np.swapaxes(fhat * (pre1[:, None] * pre2[None, :] * (
+            1.0 + theta ** 2 * (p_axis[:, None] ** 2 + p_axis[None, :] ** 2)
+        ) ** order)[..., None, None], 0, 1)
         du = uax[1] - uax[0]
-        # the first pass, copied out of _czt_axis's padded buffer (1.5 times its size at N = 256)
-        c = np.ascontiguousarray(_czt_axis(c, 0, L, -theta, float(uax[0]), du, len(uax)))
+        # the first pass, _OUTER_ROWS columns at a time, each copied out of _czt_axis's
+        # padded buffer: padded for all N columns, it was 1.5 times the pass at N = 256
+        first = np.empty((len(uax),) + c.shape[1:], dtype=np.complex128)
+        for start in range(0, c.shape[1], _OUTER_ROWS):
+            cols = slice(start, start + _OUTER_ROWS)
+            first[:, cols] = _czt_axis(c[:, cols], 0, L, -theta, float(uax[0]), du, len(uax))
+        del c
 
         def f_rows(rows):  # the axis-1 pass, one block of rows at a time
-            return _czt_axis(c[rows], 1, L, theta, float(uax[0]), du, len(uax))
+            return _czt_axis(first[rows], 1, L, theta, float(uax[0]), du, len(uax))
     return _regularized_quadrature(n, order, g_derivative, f_rows, k)
 
 
@@ -527,8 +555,8 @@ def deformed_product_numeric(
         fhat, ghat = series_coefficients(f), series_coefficients(g)
     else:
         fhat = ghat = None
-    values = _twisted_lattice_product(f, g, J, fhat, ghat)
-    result = f.with_values(values)
+    result = f.with_values(_twisted_lattice_product(f, g, J, fhat, ghat))
+    values = result.values  # the one copy the check points read
 
     worst = 0.0
     checked = 0
@@ -626,7 +654,9 @@ class _LatticePlan:
     r_t = exp(2 pi i p.w_t), p = (index - N/2) / 2L; the zero-shift terms form the pointwise
     field.  The rest group by (w_0, m_1) into one sum S = sum_g FFT_0(K_g) FFT_0(B_g) of k x k
     products: B_g = roll(r_0 ghat, m_1) on axis 1, and K_g(d, s) adds c_t r_1t(s - m_1) over
-    the group's m_0t = d mod N.  The axis-0 IFFT of S and the axis-0 IDFT fold to
+    the group's m_0t = d mod N.  The ramps r_1 are one row of N^(n-1) values per distinct
+    axis-1 shift w_1, which each term indexes (the 1136 shifted terms of a 256 x 256
+    Gaussian's tilde_map at theta = 0.25 share 39).  The axis-0 IFFT of S and the axis-0 IDFT fold to
     S[(N/2 - j) mod N] (-1)^(j + N/2).  adjoint is the exact matrix adjoint, the transpose of
     each step.  The set-up serves both directions; the transforms' signs and powers of two
     merge exactly into one sign table, r_0 and a scale.  Cost O(G N^n log N) for G groups, in
@@ -670,7 +700,8 @@ class _LatticePlan:
                       terms["c"][zero])
             centered_idft(field, tuple(range(1, n + 1)), overwrite=True)
             self.fields[0] = _k_first(np.swapaxes(field.reshape(M, N, S, k, k), 1, 2))
-        # Per term: member, group, m_0 mod N, m_1, c and the axis-1 ramp r_1t at s.  Groups
+        # Per term: member, group, m_0 mod N, m_1, c and the row of its axis-1 ramp r_1t at
+        # s: one row per distinct shift w_1, keyed by the float's bits.  Groups
         # are keyed by w_0 + i m_1.  The sum's arrays have the axes (k, k, member, group, s,
         # axis-0 point), s the point on axis 1; for n = 1, s is one point with m_1 = w_1 = 0.
         # The adjoint moves the roll by m_1 off B_g^H: it gathers roll(., -m_1) of its
@@ -679,7 +710,11 @@ class _LatticePlan:
         t, self.member = terms[~zero], member[~zero]
         self.group = np.concatenate([grouping[3] for grouping in groups])
         self.m0, self.m1, self.c = t["m"][:, 0] % N, t["m"][:, 1:].sum(axis=1), t["c"]
-        self.r1 = np.exp(2j * np.pi * t["w"][:, 1:].sum(axis=1)[:, None] * lattice[self.s])
+        shifts = {}
+        self.row = np.array([shifts.setdefault(bits, len(shifts)) for bits in
+                             t["w"][:, 1:].sum(axis=1).view(np.int64).tolist()], dtype=np.intp)
+        w1 = np.array(list(shifts), dtype=np.int64).view(np.float64)
+        self.r1 = np.exp(2j * np.pi * w1[:, None] * lattice[self.s])
         self.G = max(len(grouping[2]) for grouping in groups)
         r0 = np.zeros((M, self.G, N), dtype=np.complex128)
         self.rolls = np.zeros((2, M, self.G, S), dtype=np.intp)
@@ -701,8 +736,8 @@ class _LatticePlan:
         """Drop the members where the boolean rows is False; the kept spectra stay."""
         k, t, M = self.k, rows[self.member], int(rows.sum())
         self.member = (np.cumsum(rows) - 1)[self.member[t]]
-        self.group, self.m0, self.m1, self.c, self.r1 = (
-            a[t] for a in (self.group, self.m0, self.m1, self.c, self.r1))
+        self.group, self.m0, self.m1, self.c, self.row = (
+            a[t] for a in (self.group, self.m0, self.m1, self.c, self.row))
         self.fields = [f if f is None else np.ascontiguousarray(
             f.reshape(k, k, self.M, -1)[:, :, rows]).reshape(k, k, -1) for f in self.fields]
         self.kept = [[(g, np.ascontiguousarray(FK[:, :, rows])) for g, FK in kept]
@@ -714,8 +749,7 @@ class _LatticePlan:
     def _spectrum(self, adjoint, g):
         """(group slice, FFT_0 of the chunk's kernels K_g), conjugated for the adjoint."""
         t = (self.group >= g) & (self.group < g + self.step)
-        r1 = self.r1[t] if adjoint else np.take_along_axis(
-            self.r1[t], (self.s - self.m1[t, None]) % self.N, axis=1)
+        r1 = self.r1[self.row[t, None], self.s if adjoint else (self.s - self.m1[t, None]) % self.N]
         K = np.zeros((self.k, self.k, self.M, min(self.step, self.G - g), len(self.s), self.N),
                      complex)
         np.add.at(K, (..., self.member[t], self.group[t] - g, slice(None), self.m0[t]),

@@ -310,7 +310,7 @@ class _LatticeFold:
     def __call__(self, c: np.ndarray, count: int) -> np.ndarray:
         n, M, tail = self.n, self.M, c.shape[1:]
         size = math.prod(tail)
-        idx = (self.bins[:, None] * size + np.arange(size)).ravel()
+        idx = self.bins if size == 1 else (self.bins[:, None] * size + np.arange(size)).ravel()
         c = np.ascontiguousarray(c, dtype=np.complex128).reshape(-1)
         out = np.empty(M ** n * size, dtype=np.complex128)
         out.real = np.bincount(idx, c.real, len(out))

@@ -7,11 +7,13 @@ the conjugation ``heisenberg.adu_conjugate``, sampled operators
 (pointwise and Fourier multipliers) exercise the operator and adjoint
 machinery beyond lattice symbols, and the mesh evaluation of the pi
 functional checks its folded route, and the whole-mesh form of the
-regularized quadrature checks its streamed pairing.  No command of the
+regularized quadrature, with its weights evaluated on the whole inner mesh,
+checks its streamed pairing and the half-mesh weights.  No command of the
 package runs any of them.
 """
 
-from itertools import product as _iproduct
+from functools import lru_cache
+from itertools import groupby, product as _iproduct
 
 import numpy as np
 
@@ -21,9 +23,11 @@ from deformkit.deformation import (
     OSC_R,
     OscIntegralConfig,
     _compose_terms,
+    _inner_axis,
     _outer_axis,
     _outer_weight,
-    _weight_groups,
+    _reg_pairs,
+    _weight_derivative,
     oscillatory_pair_integral,
 )
 from deformkit.errors import ConvergenceError
@@ -224,12 +228,43 @@ def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
 # The regularized quadrature with the outer mesh held whole
 
 
+@lru_cache(maxsize=None)
+def whole_mesh_weight_groups(n: int, order: int) -> tuple:
+    """((sigma_g, W), ...) as deformation._weight_groups gives them, each W evaluated on the
+    whole inner mesh rather than unfolded from its half (cached, read-only)."""
+    mesh = np.meshgrid(*([_inner_axis()] * n), indexing="ij", sparse=True)
+    r2 = sum(v * v for v in mesh)
+    pairs = _reg_pairs(n, order)
+    terms = {sw: _weight_derivative(n, order, sw) for sw, _, _ in pairs}
+    decay = {q: (1.0 + r2) ** float(-q) for q in {q for t in terms.values() for _, q, _ in t}}
+
+    def derivative(sigma_w):  # d^sigma_w (1+|v|^2)^{-order}
+        out = np.zeros_like(r2)
+        for mono, q, c in terms[sigma_w]:
+            term = c * decay[q]
+            for ax, power in enumerate(mono):
+                if power:
+                    term = term * mesh[ax] ** power
+            out += term
+        return out
+
+    groups: dict[tuple, np.ndarray] = {}
+    for sigma_w, run in groupby(pairs, key=lambda pair: pair[0]):
+        d_w = derivative(sigma_w)
+        for _, sigma_g, coef in run:
+            groups[sigma_g] = groups[sigma_g] + coef * d_w if sigma_g in groups else coef * d_w
+    for w in groups.values():
+        w.flags.writeable = False
+    return tuple(sorted(groups.items()))
+
+
 def whole_mesh_gcheck(n: int, order: int, g_derivative, k: int) -> np.ndarray:
-    """Gcheck on the whole outer mesh: Psi, formed as deformation._gcheck_rows forms it,
-    zero-padded along every axis, one centered IDFT over all of them, times h^n."""
+    """Gcheck on the whole outer mesh: Psi, summed in deformation._gcheck_rows's order from
+    the whole-mesh weights, zero-padded along every axis, one centered IDFT over all of
+    them, times h^n.  The arrays g_derivative returns are left as they are."""
     Q, Qp = OSC_Q, OSC_PAD * OSC_Q
     psi = np.zeros((Q,) * n + (k, k), dtype=np.complex128)
-    for sigma_g, weight in _weight_groups(n, order):
+    for sigma_g, weight in whole_mesh_weight_groups(n, order):
         psi += weight[..., None, None] * g_derivative(sigma_g)
     off = (Qp - Q) // 2
     padded = np.zeros((Qp,) * n + (k, k), dtype=np.complex128)

@@ -25,6 +25,7 @@ from deformkit.deformation import (
     _inner_period,
     _quadrature_point_lattice,
     _twisted_lattice_product,
+    _unfold_weight,
     _weight_groups,
     deformed_product_exact,
     deformed_product_numeric,
@@ -42,6 +43,7 @@ from deformkit.symbols import (
     centered_dft,
     centered_idft,
     series_coefficients,
+    significant_terms,
 )
 from deformkit.verify_cli import gaussian_values, random_plane_wave
 from oracles import (
@@ -50,6 +52,7 @@ from oracles import (
     symbol_star,
     whole_mesh_gcheck,
     whole_mesh_quadrature,
+    whole_mesh_weight_groups,
 )
 
 RNG = np.random.default_rng(16180)
@@ -492,13 +495,50 @@ def test_gcheck_blocks_are_the_whole_mesh_rows(n, k):
     shape, order = (OSC_Q,) * n + (k, k), n // 2 + 1
     fields = {sigma_g: rng.normal(size=shape) + 1j * rng.normal(size=shape)
               for sigma_g, _ in _weight_groups(n, order)}  # a random field per order
-    g_derivative = fields.__getitem__
+
+    def g_derivative(sigma_g):  # a fresh array, which _gcheck_rows weights in place
+        return fields[sigma_g].copy()
+
     whole = whole_mesh_gcheck(n, order, g_derivative, k)
     covered = 0
     for rows, block in _gcheck_rows(n, order, g_derivative, k):
         assert block.tobytes() == whole[rows].tobytes()
         covered += len(block)
     assert covered == OSC_PAD * OSC_Q
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_half_mesh_weights_unfold_to_the_whole_mesh_bitwise(n):
+    # W(..., -v_i, ...) = (-1)^sigma_i W holds exactly, and a zero keeps its sign: the
+    # (1, 1) weight vanishes on both axes of the mesh, where v_0 or v_1 is 0
+    order = n // 2 + 1
+    half, whole = _weight_groups(n, order), whole_mesh_weight_groups(n, order)
+    assert [sigma_g for sigma_g, _ in half] == [sigma_g for sigma_g, _ in whole]
+    assert all(w.shape == (OSC_Q // 2 + 1,) * n for _, w in half)
+    out = np.empty((OSC_Q,) * n)
+    for (sigma_g, w), (_, want) in zip(half, whole):
+        assert _unfold_weight(w, sigma_g, out).tobytes() == want.tobytes(), sigma_g
+
+
+def test_first_oracle_point_builds_small_weight_tables():
+    # the first point of a product builds the cached weights: W on the half mesh, 13 tables
+    # of 129^2 values, and W_N on the outer mesh.  One N = 256, theta = 0.25 point peaks at
+    # 10.2 MiB; with the 13 weights on the whole mesh it peaked at 17.6 MiB
+    f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
+    g = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 0.9) * (1 + 0.5j))
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    J = DeformationMatrix.symplectic(0.25, 2)
+    x = [f.axis[128]] * 2
+    _quadrature_point_lattice(fhat, ghat, 2, L, J, x)  # the chirp spectra, the FFT plans
+    deformation._weight_groups.cache_clear()
+    deformation._outer_weight.cache_clear()
+    tracemalloc.start()
+    try:
+        _quadrature_point_lattice(fhat, ghat, 2, L, J, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 def test_oracle_point_never_holds_the_outer_mesh_whole(monkeypatch):
@@ -738,10 +778,11 @@ def test_op_from_phase_terms_groups_its_terms_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("N, mib", [(128, 7), (256, 15)])
+@pytest.mark.parametrize("N, mib", [(128, 4), (256, 11)])
 def test_lattice_product_holds_no_kernel_spectra(N, mib):
     # product applies its plan once, so its kernel spectra stream: the pairs peak
-    # at 4.9 and 13.7 MiB, and the 39 groups' spectra are 9.75 and 39 MiB
+    # at 2.7 and 9.5 MiB, and the 39 groups' spectra are 9.75 and 39 MiB.  With an
+    # axis-1 ramp row per term, not per shift, they peaked at 5.4 and 13.7 MiB
     f = GridSymbol(2, N, L, gaussian_values(2, N, L, 1.2))
     g = GridSymbol(2, N, L, gaussian_values(2, N, L, 0.9) * (1 + 0.5j))
     J = DeformationMatrix.symplectic(0.25, 2)
@@ -753,6 +794,19 @@ def test_lattice_product_holds_no_kernel_spectra(N, mib):
     finally:
         tracemalloc.stop()
     assert peak <= mib * 2 ** 20
+
+
+def test_lattice_plan_holds_one_ramp_row_per_shift():
+    # the 1136 shifted terms of the 256 x 256 Gaussian at theta = 0.25 share 39 axis-1
+    # shifts w_1; each term's row is its own ramp exp(2 pi i p w_1) bit for bit
+    f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
+    sym = tilde_map(significant_terms(f), DeformationMatrix.symplectic(0.25, 2))
+    plan = _LatticePlan(sym, 256)
+    w1 = sym.terms["w"][sym.terms["w"].any(axis=1), 1]
+    assert plan.r1.shape == (len(np.unique(w1)), 256) == (39, 256)
+    assert len(plan.row) == len(w1) == 1136
+    lattice = (np.arange(256) - 128) / (2.0 * L)
+    assert plan.r1[plan.row].tobytes() == np.exp(2j * np.pi * w1[:, None] * lattice).tobytes()
 
 
 @pytest.mark.parametrize("n, k, members", [(1, 2, 1), (2, 1, 1), (2, 2, 1), (2, 2, 3)])
