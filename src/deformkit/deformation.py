@@ -17,9 +17,9 @@ regularized oscillatory integral
     Gcheck = FT[ (1 - Lap_v / 4 pi^2)^N [ (1+|v|^2)^{-M} g(x + v) ] ],
 
 absolutely convergent once N, M > n/2, and serves as the independent
-oracle at sampled points.  The same machinery backs the Fourier
-inversion check.  The phase-space composition acts on lattice symbols
-by its exact termwise law (_compose_terms).
+oracle at sampled points; the Fourier inversion check runs it too, on
+the same meshes (_INNER, _OUTER).  The phase-space composition acts on
+lattice symbols by its exact termwise law (_compose_terms).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .symbols import (
     _same_box,
     _LatticeFold,
     _term_array,
-    _wave_sum,
     centered_idft,
     eval_series,
     series_coefficients,
@@ -55,7 +54,6 @@ __all__ = [
     "deformed_product_numeric",
     "tilde_map",
     "fourier_inversion_check",
-    "oscillatory_pair_integral",
 ]
 
 
@@ -64,6 +62,14 @@ __all__ = [
 OSC_R = 12.0
 OSC_Q = 256
 OSC_PAD = 2
+# The inner mesh -R + j h, Q points per axis, and the outer mesh it transforms to, PAD Q
+# points per axis at step 1 / (PAD Q h) (read-only)
+_H = 2.0 * OSC_R / OSC_Q
+_INNER = (np.arange(OSC_Q) - OSC_Q // 2) * _H
+_OUTER = (np.arange(OSC_PAD * OSC_Q) - OSC_PAD * OSC_Q // 2) * (1.0 / (OSC_PAD * OSC_Q * _H))
+_DU = _OUTER[1] - _OUTER[0]
+_FOLD = np.minimum(np.arange(len(_OUTER)), len(_OUTER) - np.arange(len(_OUTER)))
+_INNER.flags.writeable = _OUTER.flags.writeable = _FOLD.flags.writeable = False
 _OUTER_ROWS = 64  # rows per block of the oracle's passes to the outer mesh (Gcheck, the f side)
 _CHUNK_POINTS = 1 << 14  # values (points times k^2) per chunk of _LatticePlan groups
 _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan may keep
@@ -169,7 +175,7 @@ def _weight_groups(n: int, order: int) -> tuple:
     axis, so W(..., -v_i, ...) = (-1)^{sigma_g,i} W: _unfold_weight gives the
     whole mesh's W bit for bit.
     """
-    mesh = np.meshgrid(*([_inner_axis()[:OSC_Q // 2 + 1]] * n), indexing="ij", sparse=True)
+    mesh = np.meshgrid(*([_INNER[:OSC_Q // 2 + 1]] * n), indexing="ij", sparse=True)
     r2 = sum(v * v for v in mesh)
     pairs = _reg_pairs(n, order)
     terms = {sw: _weight_derivative(n, order, sw) for sw, _, _ in pairs}
@@ -211,25 +217,15 @@ def _unfold_weight(half: np.ndarray, sigma_g: tuple, out: np.ndarray) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Quadrature grids
-
-
-def _inner_axis() -> np.ndarray:
-    h = 2.0 * OSC_R / OSC_Q
-    return (np.arange(OSC_Q) - OSC_Q // 2) * h
-
-
-def _outer_axis() -> np.ndarray:
-    Qp = OSC_PAD * OSC_Q
-    h = 2.0 * OSC_R / OSC_Q
-    du = 1.0 / (Qp * h)
-    return (np.arange(Qp) - Qp // 2) * du
+# The regularized quadrature
 
 
 @lru_cache(maxsize=None)
 def _outer_weight(n: int, order: int) -> np.ndarray:
-    """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only)."""
-    umesh = np.meshgrid(*([_outer_axis()] * n), indexing="ij", sparse=True)
+    """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only), on its rows
+    0..PAD Q/2, where u_0 <= 0: W_N is even, so row i is row _FOLD[i] = min(i, PAD Q - i)."""
+    half = _OUTER[:len(_OUTER) // 2 + 1]
+    umesh = np.meshgrid(half, *[_OUTER] * (n - 1), indexing="ij", sparse=True)
     wn = (1.0 + sum(u * u for u in umesh)) ** float(-order)
     wn.flags.writeable = False
     return wn
@@ -240,7 +236,7 @@ def _gcheck_rows(n: int, order: int, g_derivative, k: int):
     exp(+2 pi i u.v) of Psi from the inner grid to the outer.  Psi, zero-padded along axis 0
     alone, takes the axis-0 pass once (its other Qp - Q columns stay zero and are never
     transformed); each block, padded along axis 1, takes the axis-1 pass."""
-    Q, Qp, h = OSC_Q, OSC_PAD * OSC_Q, 2.0 * OSC_R / OSC_Q
+    Q, Qp = OSC_Q, OSC_PAD * OSC_Q
     off = (Qp - Q) // 2
     # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one
     # derivative of G at a time, in sorted order, so they come grouped by
@@ -264,7 +260,7 @@ def _gcheck_rows(n: int, order: int, g_derivative, k: int):
             block = np.zeros((len(block), Qp) + cols.shape[2:], dtype=np.complex128)
             block[:, off:off + Q] = cols[rows]
             centered_idft(block, (1,), overwrite=True)
-        block *= h ** n
+        block *= _H ** n
         yield rows, block
 
 
@@ -278,40 +274,11 @@ def _regularized_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
     regularization order N = M.
     """
     wn = _outer_weight(n, order)
-    uax = _outer_axis()
-    du = uax[1] - uax[0]
     pairing = "q,qab,qbc->ac" if n == 1 else "qr,qrab,qrbc->ac"
     total = np.zeros((k, k), dtype=np.complex128)
     for rows, block in _gcheck_rows(n, order, g_derivative, k):
-        total += np.einsum(pairing, wn[rows], f_rows(rows), block)
-    return total * du ** n
-
-
-def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
-    """Regularized evaluation of int int F(u) G(v) exp(2 pi i u.v) dv du.
-
-    F(u) = sum_t fc[t] exp(2 pi i fq[t].u), G(v) = sum_t gc[t]
-    exp(2 pi i gq[t].v) with real cycle frequencies fq, gq of shape
-    (T, n) and k x k coefficients fc, gc of shape (T, k, k); the result
-    keeps F on the left.  Dense term evaluation; meant for moderate term
-    counts.
-    """
-    fq, gq = np.asarray(fq, dtype=float), np.asarray(gq, dtype=float)
-    fc, gc = np.asarray(fc, dtype=np.complex128), np.asarray(gc, dtype=np.complex128)
-    n = fq.shape[1]
-    order = n // 2 + 1
-    vmesh = np.stack(np.meshgrid(*([_inner_axis()] * n), indexing="ij"), axis=-1)
-    umesh = np.stack(np.meshgrid(*([_outer_axis()] * n), indexing="ij"), axis=-1)
-    fc = fc * ((1.0 + np.sum(fq ** 2, axis=1)) ** order)[:, None, None]
-
-    def g_derivative(sigma_g):
-        mult = np.prod((2j * np.pi * gq) ** np.asarray(sigma_g), axis=1)
-        return _wave_sum(gc * mult[:, None, None], 2j * np.pi, (vmesh,), (gq,))
-
-    def f_rows(rows):
-        return _wave_sum(fc, 2j * np.pi, (umesh[rows],), (fq,))
-
-    return _regularized_quadrature(n, order, g_derivative, f_rows, fc.shape[-1])
+        total += np.einsum(pairing, wn[_FOLD[rows]], f_rows(rows), block)
+    return total * _DU ** n
 
 
 # ---------------------------------------------------------------------------
@@ -371,25 +338,21 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
 def _inner_period(L: float) -> int | None:
     """M = 2L/h, the inner mesh's points per period of the box, when it is an integer at
     most OSC_Q (so the folded route samples the g side); None otherwise."""
-    h = 2.0 * OSC_R / OSC_Q
-    M = round(2.0 * L / h)
-    return M if 0 < M <= OSC_Q and abs(M * h - 2.0 * L) <= 1e-12 * L else None
+    M = round(2.0 * L / _H)
+    return M if 0 < M <= OSC_Q and abs(M * _H - 2.0 * L) <= 1e-12 * L else None
 
 
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     """Quadrature route for grid data by lattice evaluation of both factors.
 
     The derivative fields d^sigma G(x + v) of g sit on the inner mesh
-    v_j = -OSC_R + j h.  When h divides the period 2L (_inner_period), each is
+    v_j = -OSC_R + j _H (_INNER).  When _H divides the period 2L (_inner_period), each is
     one fold of the scaled series and one inverse FFT (_LatticeFold), tiled
     past a period.  Otherwise, and on the f side, whose step scales with
     theta, the series is evaluated by chirp-z passes (_czt_axis).
     """
     order = n // 2 + 1
     k = fhat.shape[-1]
-    vax = _inner_axis()
-    uax = _outer_axis()
-    h = vax[1] - vax[0]
     half = fhat.shape[0] // 2
     m_axis = np.arange(fhat.shape[0]) - half
     p_axis = m_axis / (2.0 * L)
@@ -401,7 +364,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
             shape = [1] * c.ndim
             shape[ax] = c.shape[ax]
             c = c * ((2j * np.pi * p_axis) ** order).reshape(shape)
-        return _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, h, OSC_Q)
+        return _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, _H, OSC_Q)
 
     # the axis-0 pass depends on sigma_g[0] alone, and _regularized_quadrature
     # asks for sigma_g in sorted order, so one (order, pass) pair is kept
@@ -436,7 +399,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
             fx = _czt_axis(fx, 0, L, 1.0, float(x[ax]), 1.0, 1)[0]
 
         def f_rows(rows):
-            return np.broadcast_to(fx, (len(uax[rows]),) + (len(uax),) * (n - 1) + (k, k))
+            return np.broadcast_to(fx, (len(_OUTER[rows]),) + (len(_OUTER),) * (n - 1) + (k, k))
     else:
         theta = float(J.entries[0, 1])  # J = theta [[0, 1], [-1, 0]] (n = 2)
         # f(x + Ju) = sum c_m exp(2 pi i p.x) exp(2 pi i (J^T p).u) with
@@ -446,17 +409,17 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         c = np.swapaxes(fhat * (pre1[:, None] * pre2[None, :] * (
             1.0 + theta ** 2 * (p_axis[:, None] ** 2 + p_axis[None, :] ** 2)
         ) ** order)[..., None, None], 0, 1)
-        du = uax[1] - uax[0]
         # the first pass, _OUTER_ROWS columns at a time, each copied out of _czt_axis's
         # padded buffer: padded for all N columns, it was 1.5 times the pass at N = 256
-        first = np.empty((len(uax),) + c.shape[1:], dtype=np.complex128)
+        first = np.empty((len(_OUTER),) + c.shape[1:], dtype=np.complex128)
         for start in range(0, c.shape[1], _OUTER_ROWS):
             cols = slice(start, start + _OUTER_ROWS)
-            first[:, cols] = _czt_axis(c[:, cols], 0, L, -theta, float(uax[0]), du, len(uax))
+            first[:, cols] = _czt_axis(c[:, cols], 0, L, -theta, float(_OUTER[0]), _DU,
+                                       len(_OUTER))
         del c
 
         def f_rows(rows):  # the axis-1 pass, one block of rows at a time
-            return _czt_axis(first[rows], 1, L, theta, float(uax[0]), du, len(uax))
+            return _czt_axis(first[rows], 1, L, theta, float(_OUTER[0]), _DU, len(_OUTER))
     return _regularized_quadrature(n, order, g_derivative, f_rows, k)
 
 
@@ -835,27 +798,20 @@ def _compose_terms(
 
 
 def fourier_inversion_check(f, x) -> float:
-    """Residual of int int exp(2 pi i u.v) f(x+v) dv du against f(x).
+    """Residual of int int exp(2 pi i u.v) f(x+v) dv du, by the regularized quadrature
+    at J = 0 (constant left factor), against the series' value at x: zero for exact inversion.
 
-    The double integral is evaluated by the regularized quadrature
-    (constant left factor); exact inversion means a zero residual.
+    A plane wave goes onto the smallest power-of-two grid that holds each m in [-N/2, N/2).
     """
     if isinstance(f, PlaneWaveSymbol):
-        n, k = f.n, f.k
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        p = f.frequency(f.terms["m"])
-        gc = f.terms["c"] * np.exp(2j * np.pi * _rowdot(p, xv))[:, None, None]
-        value = oscillatory_pair_integral(np.zeros((1, n)), np.eye(k)[None], p, gc)
-        target = f.evaluate(xv if n > 1 else xv[0])
-    elif isinstance(f, GridSymbol):
-        n, k = f.n, f.k
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        fhat = np.zeros((f.N,) * n + (k, k), dtype=np.complex128)
-        eye_slot = (f.N // 2,) * n
-        fhat[eye_slot] = np.eye(k)
-        ghat = series_coefficients(f)
-        value = _quadrature_point_lattice(fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv)
-        target = eval_series(significant_terms(f, ghat).terms, f.L, xv.reshape(1, n))[0]
-    else:
+        f = f.to_grid(1 << (2 * f.max_abs_m + 1).bit_length())
+    elif not isinstance(f, GridSymbol):
         raise TypeError(f"cannot check {type(f).__name__}")
+    n, k = f.n, f.k
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    fhat = np.zeros((f.N,) * n + (k, k), dtype=np.complex128)
+    fhat[(f.N // 2,) * n] = np.eye(k)
+    ghat = series_coefficients(f)
+    value = _quadrature_point_lattice(fhat, ghat, n, f.L, DeformationMatrix.zero(n), xv)
+    target = eval_series(significant_terms(f, ghat).terms, f.L, xv.reshape(1, n))[0]
     return float(np.abs(value - target).max())

@@ -583,9 +583,13 @@ def _derivative_factors(sym: PlaneWavePhaseSymbol, alpha) -> np.ndarray:
 
 
 def _dense_points(f: PlaneWaveSymbol) -> int:
-    """Points per axis of the oversampled grid for sup evaluation of trig data."""
-    base = max(128, SUP_OVERSAMPLE * 2 * max(1, f.max_abs_m))
-    return min(1 << (int(base - 1).bit_length()), 1 << (SUP_MAX_POINTS_LOG2 // f.n))
+    """Points per axis of the oversampled grid for sup evaluation of trig data: ValueError
+    past the cap, where a period of the highest frequency gets fewer than 2 SUP_OVERSAMPLE."""
+    base = SUP_OVERSAMPLE * 2 * max(1, f.max_abs_m)
+    points = min(1 << (int(max(128, base) - 1).bit_length()), 1 << (SUP_MAX_POINTS_LOG2 // f.n))
+    if points < base:
+        raise ValueError(f"sup_norm of |m| = {f.max_abs_m} needs over {points} points per axis")
+    return points
 
 
 def sup_norm(f) -> float:

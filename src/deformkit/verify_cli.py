@@ -769,6 +769,18 @@ def _emit(text: str, target: str) -> None:
         sys.stdout.write(text)
 
 
+def _on_grid(f, N: int) -> GridSymbol:
+    """f on the N-point grid, which holds the frequencies [-N/2, N/2) per axis: a plane wave
+    with a frequency outside it would alias there, ValueError naming m and N."""
+    if isinstance(f, GridSymbol):
+        return f
+    outside = [m for m in f.terms["m"].tolist() if not all(-N // 2 <= v < N // 2 for v in m)]
+    if outside:
+        raise ValueError(f"plane-wave frequency m = {tuple(outside[0])} lies outside "
+                         f"[-{N // 2}, {N // 2}) of the N = {N} grid and would alias")
+    return f.to_grid(N)
+
+
 def cmd_product(cfg: RunConfig, f_path: str, g_path: str) -> int:
     """Write the deformed product of two symbol files to cfg.out."""
     f = read_symbol_file(f_path)
@@ -784,10 +796,8 @@ def cmd_product(cfg: RunConfig, f_path: str, g_path: str) -> int:
         )
         disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)
     else:
-        if isinstance(f, PlaneWaveSymbol):
-            f = f.to_grid(g.N)
-        if isinstance(g, PlaneWaveSymbol):
-            g = g.to_grid(f.N)
+        N = g.N if isinstance(f, PlaneWaveSymbol) else f.N
+        f, g = _on_grid(f, N), _on_grid(g, N)
         report: dict = {}
         product = deformed_product_numeric(
             f, g, J, OscIntegralConfig(tol=cfg.tol), report=report
@@ -810,10 +820,10 @@ def cmd_norms(cfg: RunConfig, f_path: str, thetas) -> int:
     rows = [",".join(header)]
     n = f.n
     N = f.N if isinstance(f, GridSymbol) else cfg.N
-    sup = sup_norm(f)
     # at theta = 0 the operator multiplies by f on the N-point grid, so its
     # norm is the grid maximum of |f|, which a dense sup_norm can exceed
-    grid_max = sup if isinstance(f, GridSymbol) else sup_norm(f.to_grid(N))
+    grid_max = sup_norm(_on_grid(f, N))
+    sup = grid_max if isinstance(f, GridSymbol) else sup_norm(f)
     # pi's sample grid: pts points per axis over [-L, L)^n x [-Xi, Xi)^n
     pts = 256 if n == 1 else 32
     status = EXIT_PASS

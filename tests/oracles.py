@@ -1,14 +1,16 @@
 """Oracles and builders that only the tests use.
 
-The quadrature route of the phase-space calculus checks the exact
-termwise laws of the involution (``_dagger_terms``, here) and of the
+The pair integral ``oscillatory_pair_integral`` sums both factors term by
+term at any real frequencies and pairs them by the package's regularized
+quadrature.  Through it, the quadrature route of the phase-space calculus
+checks the exact termwise laws of the involution (``_dagger_terms``, here) and of the
 composition (``deformation._compose_terms``), the shifted symbol checks
 the conjugation ``heisenberg.adu_conjugate``, sampled operators
 (pointwise and Fourier multipliers) exercise the operator and adjoint
 machinery beyond lattice symbols, and the mesh evaluation of the pi
 functional checks its folded route, and the whole-mesh form of the
-regularized quadrature, with its weights evaluated on the whole inner mesh,
-checks its streamed pairing and the half-mesh weights.  No command of the
+regularized quadrature, with its weights evaluated on the whole inner and
+outer meshes, checks its streamed pairing and the half-mesh weights.  No command of the
 package runs any of them.
 """
 
@@ -17,18 +19,18 @@ from itertools import groupby, product as _iproduct
 
 import numpy as np
 
+from deformkit import deformation
 from deformkit.deformation import (
+    _DU,
+    _H,
+    _INNER,
+    _OUTER,
     OSC_PAD,
     OSC_Q,
-    OSC_R,
     OscIntegralConfig,
     _compose_terms,
-    _inner_axis,
-    _outer_axis,
-    _outer_weight,
     _reg_pairs,
     _weight_derivative,
-    oscillatory_pair_integral,
 )
 from deformkit.errors import ConvergenceError
 from deformkit.pseudodiff import DiscretizedOperator
@@ -39,6 +41,7 @@ from deformkit.symbols import (
     PlaneWaveSymbol,
     _rowdot,
     _sample_norms,
+    _wave_sum,
     centered_dft,
     centered_idft,
     derivative,
@@ -131,6 +134,34 @@ def multiplication_operator(psi: GridSymbol) -> DiscretizedOperator:
 
 # ---------------------------------------------------------------------------
 # Quadrature route of the phase-space calculus
+
+
+def oscillatory_pair_integral(fq, fc, gq, gc) -> np.ndarray:
+    """Regularized evaluation of int int F(u) G(v) exp(2 pi i u.v) dv du.
+
+    F(u) = sum_t fc[t] exp(2 pi i fq[t].u), G(v) = sum_t gc[t]
+    exp(2 pi i gq[t].v) with real cycle frequencies fq, gq of shape
+    (T, n) and k x k coefficients fc, gc of shape (T, k, k); the result
+    keeps F on the left.  Both factors are summed term by term on the
+    quadrature's meshes (any real frequencies, moderate term counts) and
+    paired by deformation._regularized_quadrature, looked up at each call.
+    """
+    fq, gq = np.asarray(fq, dtype=float), np.asarray(gq, dtype=float)
+    fc, gc = np.asarray(fc, dtype=np.complex128), np.asarray(gc, dtype=np.complex128)
+    n = fq.shape[1]
+    order = n // 2 + 1
+    vmesh = np.stack(np.meshgrid(*([_INNER] * n), indexing="ij"), axis=-1)
+    umesh = np.stack(np.meshgrid(*([_OUTER] * n), indexing="ij"), axis=-1)
+    fc = fc * ((1.0 + np.sum(fq ** 2, axis=1)) ** order)[:, None, None]
+
+    def g_derivative(sigma_g):
+        mult = np.prod((2j * np.pi * gq) ** np.asarray(sigma_g), axis=1)
+        return _wave_sum(gc * mult[:, None, None], 2j * np.pi, (vmesh,), (gq,))
+
+    def f_rows(rows):
+        return _wave_sum(fc, 2j * np.pi, (umesh[rows],), (fq,))
+
+    return deformation._regularized_quadrature(n, order, g_derivative, f_rows, fc.shape[-1])
 
 
 def _kernel_value_oracle(omega, w) -> complex:
@@ -232,7 +263,7 @@ def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
 def whole_mesh_weight_groups(n: int, order: int) -> tuple:
     """((sigma_g, W), ...) as deformation._weight_groups gives them, each W evaluated on the
     whole inner mesh rather than unfolded from its half (cached, read-only)."""
-    mesh = np.meshgrid(*([_inner_axis()] * n), indexing="ij", sparse=True)
+    mesh = np.meshgrid(*([_INNER] * n), indexing="ij", sparse=True)
     r2 = sum(v * v for v in mesh)
     pairs = _reg_pairs(n, order)
     terms = {sw: _weight_derivative(n, order, sw) for sw, _, _ in pairs}
@@ -258,6 +289,13 @@ def whole_mesh_weight_groups(n: int, order: int) -> tuple:
     return tuple(sorted(groups.items()))
 
 
+def whole_mesh_outer_weight(n: int, order: int) -> np.ndarray:
+    """W_N(u) = (1+|u|^2)^{-order} evaluated on the whole outer mesh, which
+    deformation._outer_weight holds on its rows 0..PAD Q/2."""
+    umesh = np.meshgrid(*([_OUTER] * n), indexing="ij", sparse=True)
+    return (1.0 + sum(u * u for u in umesh)) ** float(-order)
+
+
 def whole_mesh_gcheck(n: int, order: int, g_derivative, k: int) -> np.ndarray:
     """Gcheck on the whole outer mesh: Psi, summed in deformation._gcheck_rows's order from
     the whole-mesh weights, zero-padded along every axis, one centered IDFT over all of
@@ -270,7 +308,7 @@ def whole_mesh_gcheck(n: int, order: int, g_derivative, k: int) -> np.ndarray:
     padded = np.zeros((Qp,) * n + (k, k), dtype=np.complex128)
     padded[(slice(off, off + Q),) * n] = psi
     centered_idft(padded, tuple(range(n)), overwrite=True)
-    padded *= (2.0 * OSC_R / OSC_Q) ** n
+    padded *= _H ** n
     return padded
 
 
@@ -278,10 +316,9 @@ def whole_mesh_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
     """deformation._regularized_quadrature's integral, with the same arguments, as one
     pairing einsum over the whole outer mesh: F_M is f_rows(slice(None))."""
     gcheck = whole_mesh_gcheck(n, order, g_derivative, k)
-    du = _outer_axis()[1] - _outer_axis()[0]
     pairing = "q,qab,qbc->ac" if n == 1 else "qr,qrab,qrbc->ac"
     fvals = f_rows(slice(None))
-    return np.einsum(pairing, _outer_weight(n, order), fvals, gcheck) * du ** n
+    return np.einsum(pairing, whole_mesh_outer_weight(n, order), fvals, gcheck) * _DU ** n
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from deformkit.deformation import (
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
-    oscillatory_pair_integral,
     tilde_map,
 )
 from deformkit.errors import BoxMismatchError, ConvergenceError, GridMismatchError
@@ -47,10 +46,12 @@ from deformkit.symbols import (
 )
 from deformkit.verify_cli import gaussian_values, random_plane_wave
 from oracles import (
+    oscillatory_pair_integral,
     symbol_compose,
     symbol_dagger,
     symbol_star,
     whole_mesh_gcheck,
+    whole_mesh_outer_weight,
     whole_mesh_quadrature,
     whole_mesh_weight_groups,
 )
@@ -395,6 +396,21 @@ def test_fourier_inversion_on_constant_is_sharper():
         assert fourier_inversion_check(f, np.array([x])) <= 1e-8
 
 
+@pytest.mark.parametrize("box", [6.0, 5.3])  # the fold route and the chirp-z route
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_fourier_inversion_of_plane_wave_is_its_grid_check(n, k, box):
+    # one quadrature path: a plane wave is checked on the smallest power-of-two grid
+    # that holds each frequency in [-N/2, N/2), bit for bit
+    f = random_plane_wave(np.random.default_rng(30 + 2 * n + k), n, box, k, 3, 3)
+    N = 1 << (2 * f.max_abs_m + 1).bit_length()
+    assert f.max_abs_m < N // 2 <= 2 * f.max_abs_m + 1
+    for x in (-1.0, 0.7):
+        xv = np.full(n, x)
+        residual = fourier_inversion_check(f, xv)
+        assert residual == fourier_inversion_check(f.to_grid(N), xv)
+        assert residual <= 1e-6
+
+
 def test_fourier_inversion_on_grid_gaussian():
     g = GridSymbol(1, 64, 6.0, gaussian_values(1, 64, 6.0, 2.0))
     for x in (-1.0, 0.5):
@@ -518,12 +534,17 @@ def test_half_mesh_weights_unfold_to_the_whole_mesh_bitwise(n):
     out = np.empty((OSC_Q,) * n)
     for (sigma_g, w), (_, want) in zip(half, whole):
         assert _unfold_weight(w, sigma_g, out).tobytes() == want.tobytes(), sigma_g
+    # W_N, even in u, is held on the outer rows 0..Q (u_0 <= 0) and read through _FOLD
+    wn = deformation._outer_weight(n, order)
+    assert wn.shape == (OSC_Q + 1,) + (OSC_PAD * OSC_Q,) * (n - 1)
+    assert wn[deformation._FOLD].tobytes() == whole_mesh_outer_weight(n, order).tobytes()
 
 
 def test_first_oracle_point_builds_small_weight_tables():
     # the first point of a product builds the cached weights: W on the half mesh, 13 tables
-    # of 129^2 values, and W_N on the outer mesh.  One N = 256, theta = 0.25 point peaks at
-    # 10.2 MiB; with the 13 weights on the whole mesh it peaked at 17.6 MiB
+    # of 129^2 values, and W_N on the outer rows 0..256.  One N = 256, theta = 0.25 point
+    # peaks at 9.2 MiB (10.2 with W_N on the whole outer mesh); with the 13 weights on the
+    # whole mesh it peaked at 17.6 MiB
     f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
     g = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 0.9) * (1 + 0.5j))
     fhat, ghat = series_coefficients(f), series_coefficients(g)

@@ -257,6 +257,22 @@ def test_sup_norm_of_single_wave_is_coefficient_norm():
     assert_allclose(sup_norm(f), np.linalg.norm(c, 2), rtol=1e-9)
 
 
+def test_sup_norm_refuses_frequencies_past_its_sampling_cap():
+    # capped at 512 points per axis for n = 2, the dense grid of |m| = 300 takes about 1.7
+    # points per period: this wave, 2 in sup, sampled to 0.0 there
+    f = PlaneWaveSymbol(2, 6.0, 1, (((300, 0), 1.0), ((-212, 0), -1.0)))
+    with pytest.raises(ValueError, match="300"):
+        sup_norm(f)
+    # |m| = 32 still has 2 SUP_OVERSAMPLE = 16 points per period on the 512-point axis
+    g = PlaneWaveSymbol(2, 6.0, 1, (((32, 0), 1.0), ((0, -32), 1.0)))
+    assert sup_norm(g) == pytest.approx(2.0, rel=1e-12)
+    with pytest.raises(ValueError):
+        sup_norm(PlaneWaveSymbol(2, 6.0, 1, (((0, -33), 1.0),)))
+    assert sup_norm(PlaneWaveSymbol(1, 6.0, 1, (((1 << 14,), 1.0),))) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        sup_norm(PlaneWaveSymbol(1, 6.0, 1, ((((1 << 14) + 1,), 1.0),)))
+
+
 def test_sup_norm_rejects_unknown_type():
     with pytest.raises(TypeError):
         sup_norm(3.0)

@@ -24,8 +24,10 @@ from deformkit.symbols import (
     GridSymbol,
     PlaneWavePhaseSymbol,
     PlaneWaveSymbol,
+    eval_series,
     read_symbol_file,
     significant_terms,
+    sup_norm,
     write_symbol_file,
 )
 from deformkit.verify_cli import (
@@ -166,6 +168,33 @@ def test_product_grid_inputs_write_grid_output(tmp_path):
     assert np.abs(got.values).max() > 0.0
 
 
+@pytest.mark.parametrize("wave_first", [True, False])
+@pytest.mark.parametrize("m, code", [((16, 0), 2), ((3, -17), 2), ((15, 0), 0), ((-16, 2), 0)])
+def test_product_mixed_refuses_plane_wave_the_grid_aliases(tmp_path, capsys, m, code,
+                                                           wave_first):
+    # the plane wave goes onto the grid file's N = 32 grid, which holds [-16, 16) per
+    # axis; m = 16 sampled there is m = -16, and the product was 0.53 off
+    wave = wave_file(tmp_path / "w.json", 2, ((m, 1.0),))
+    grid = GridSymbol(2, 32, 6.0, gaussian_values(2, 32, 6.0, 1.2) * (1 + 0.5j))
+    write_symbol_file(grid, str(tmp_path / "g.rsym"))
+    files = [str(tmp_path / "w.json"), str(tmp_path / "g.rsym")]
+    out = tmp_path / "fg.rsym"
+    assert main(["product", *(files if wave_first else files[::-1]),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"m = {m}" in err and "N = 32" in err
+        return
+    # e_p x_J g (x) = e_p(x) g(x + Jp) and g x_J e_p (x) = g(x - Jp) e_p(x), J = 0.25 J_1
+    Jp = DeformationMatrix.symplectic(0.25, 2).entries @ wave.frequency(m)
+    x = np.stack(np.meshgrid(grid.axis, grid.axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    shifted = x + Jp if wave_first else x - Jp
+    want = wave.evaluate(x)[:, 0, 0] * eval_series(significant_terms(grid).terms, 6.0,
+                                                  shifted)[:, 0, 0]
+    got = read_symbol_file(str(out)).values.reshape(-1)
+    assert np.abs(got - want).max() <= 1e-7
+
+
 def test_product_missing_file_exits_2(tmp_path):
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),))
     code = main(["product", str(tmp_path / "f.json"), str(tmp_path / "nope.json"),
@@ -292,12 +321,28 @@ def test_norms_honors_config_out(tmp_path, capsys):
 
 
 def test_norms_far_frequency_caps_sup_sampling(tmp_path, capsys):
-    # the dense sup axis of a 1-D wave stays within its point budget however
-    # far the frequency: one unimodular term, no 128 TiB axis
-    wave_file(tmp_path / "f.json", 1, (((1 << 40,), 1.0),))
-    assert main(["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert float(row[1]) == pytest.approx(1.0)
+    # a frequency far past the dense sup axis's point budget is refused, not sampled on a
+    # 128 TiB axis nor undersampled: by norms, whose N = 32 grid would alias it, and by
+    # sup_norm itself
+    f = wave_file(tmp_path / "f.json", 1, (((1 << 40,), 1.0),))
+    assert main(["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"]) == 2
+    assert f"m = ({1 << 40},)" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=str(1 << 40)):
+        sup_norm(f)
+
+
+@pytest.mark.parametrize("m, code", [((8, 0), 2), ((-9, 3), 2), ((7, -8), 0)])
+def test_norms_refuses_plane_wave_the_grid_aliases(tmp_path, capsys, m, code):
+    # norms runs a plane wave on the N-point grid, which holds the frequencies
+    # [-N/2, N/2) per axis: m = 8 there is m = -8 on the N = 16 grid
+    wave_file(tmp_path / "f.json", 2, ((m, 1.0), ((1, 0), 0.5)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N = 16\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "norms", str(tmp_path / "f.json"),
+                 "--theta-sweep", "0:1:0", "--out", str(tmp_path / "n.csv")]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert f"m = {m}" in err and "N = 16" in err
 
 
 def test_norms_missing_file_exits_2(tmp_path):
