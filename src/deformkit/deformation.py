@@ -18,8 +18,12 @@ regularized oscillatory integral
 
 absolutely convergent once N, M > n/2, and serves as the independent
 oracle at sampled points; the Fourier inversion check runs it too, on
-the same meshes (_INNER, _OUTER).  The phase-space composition acts on
-lattice symbols by its exact termwise law (_compose_terms).
+the same meshes (_INNER, _OUTER).  The integral is unchanged under
+v -> s v, u -> u/s: the oracle takes s = 2L/(M h) with M points of the
+inner mesh per period (_inner_period), so every derivative field of
+g(x + s v) is one fold, and f(x + Ju/s) is summed by chirp-z passes.  The
+phase-space composition acts on lattice symbols by its exact termwise
+law (_compose_terms).
 """
 
 from __future__ import annotations
@@ -335,63 +339,38 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
     return np.moveaxis(conv, -1, axis)
 
 
-def _inner_period(L: float) -> int | None:
-    """M = 2L/h, the inner mesh's points per period of the box, when it is an integer at
-    most OSC_Q (so the folded route samples the g side); None otherwise."""
-    M = round(2.0 * L / _H)
-    return M if 0 < M <= OSC_Q and abs(M * _H - 2.0 * L) <= 1e-12 * L else None
+def _inner_period(L: float) -> int:
+    """M, the inner mesh's points per period of the box: the 5-smooth number nearest above
+    2L/h = L Q/R (_fast_len), so the oracle's scale s = 2L/(M h) puts a period in M steps."""
+    return _fast_len(max(1, round(L * OSC_Q / OSC_R)))
 
 
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     """Quadrature route for grid data by lattice evaluation of both factors.
 
-    The derivative fields d^sigma G(x + v) of g sit on the inner mesh
-    v_j = -OSC_R + j _H (_INNER).  When _H divides the period 2L (_inner_period), each is
-    one fold of the scaled series and one inverse FFT (_LatticeFold), tiled
-    past a period.  Otherwise, and on the f side, whose step scales with
-    theta, the series is evaluated by chirp-z passes (_czt_axis).
+    The integral is unchanged under v -> s v, u -> u/s, and s = 2L/(M _H) (_inner_period)
+    puts a whole period in M steps of the inner mesh v_j = -OSC_R + j _H (_INNER).  So each
+    derivative field d^sigma [g(x + s v)] is one fold of the scaled series, its factor
+    (2 pi i s p)^sigma and the phase of the first point x - s OSC_R, and one inverse FFT
+    (_LatticeFold), tiled past a period.  The f side, f(x + Ju/s), whose step scales with
+    theta/s, is evaluated by chirp-z passes (_czt_axis).
     """
     order = n // 2 + 1
     k = fhat.shape[-1]
-    half = fhat.shape[0] // 2
-    m_axis = np.arange(fhat.shape[0]) - half
+    m_axis = np.arange(fhat.shape[0]) - fhat.shape[0] // 2
     p_axis = m_axis / (2.0 * L)
     M = _inner_period(L)
+    s = 2.0 * L / (M * _H)  # 1.0 exactly at L = 6
+    fold = _LatticeFold.lattice(m_axis, n, M)
+    # per axis, the phase of the mesh's first point x - s OSC_R, and d/dv of g(x + s v)
+    ramps = [np.exp(2j * np.pi * p_axis * (float(x[ax]) - s * OSC_R)) for ax in range(n)]
+    dv = 2j * np.pi * s * p_axis
 
-    def czt_pass(c, ax, order):
-        """d^order along axis ax of the coefficients, then the chirp-z pass on ax."""
-        if order:
-            shape = [1] * c.ndim
-            shape[ax] = c.shape[ax]
-            c = c * ((2j * np.pi * p_axis) ** order).reshape(shape)
-        return _czt_axis(c, ax, L, 1.0, float(x[ax]) - OSC_R, _H, OSC_Q)
-
-    # the axis-0 pass depends on sigma_g[0] alone, and _regularized_quadrature
-    # asks for sigma_g in sorted order, so one (order, pass) pair is kept
-    first_pass = (None, None)
-
-    def czt_derivative(sigma_g):
-        nonlocal first_pass
-        if first_pass[0] != sigma_g[0]:
-            first_pass = (sigma_g[0], czt_pass(ghat, 0, sigma_g[0]))
-        c = first_pass[1]
-        for ax in range(1, n):
-            c = czt_pass(c, ax, sigma_g[ax])
-        return c if n > 1 else c.copy()  # the kept pass stays unweighted
-
-    if M is not None:
-        fold = _LatticeFold(np.indices(ghat.shape[:n]).reshape(n, -1).T - half, M)
-        # per axis, the phase of the mesh's first point x - OSC_R
-        ramps = [np.exp(2j * np.pi * p_axis * (float(x[ax]) - OSC_R)) for ax in range(n)]
-
-        def fold_derivative(sigma_g):
-            factor = reduce(np.multiply.outer, [
-                r * (2j * np.pi * p_axis) ** s for r, s in zip(ramps, sigma_g)])
-            c = ghat * factor[..., None, None]
-            del factor  # before the fold
-            return fold(c.reshape(-1, k, k), OSC_Q)
-
-    g_derivative = czt_derivative if M is None else fold_derivative
+    def g_derivative(sigma_g):
+        factor = reduce(np.multiply.outer, [r * dv ** e for r, e in zip(ramps, sigma_g)])
+        c = ghat * factor[..., None, None]
+        del factor  # before the fold
+        return fold(c.reshape(-1, k, k), OSC_Q)
 
     if J.is_zero:
         fx = fhat  # the series at the point x, one axis at a time
@@ -401,9 +380,10 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         def f_rows(rows):
             return np.broadcast_to(fx, (len(_OUTER[rows]),) + (len(_OUTER),) * (n - 1) + (k, k))
     else:
-        theta = float(J.entries[0, 1])  # J = theta [[0, 1], [-1, 0]] (n = 2)
-        # f(x + Ju) = sum c_m exp(2 pi i p.x) exp(2 pi i (J^T p).u) with
-        # J^T p = (-theta p_2, theta p_1): axis roles swap under J.
+        # J = theta [[0, 1], [-1, 0]] (n = 2), and f(x + Ju/s) is f(x + J'u), theta' = theta/s
+        theta = float(J.entries[0, 1]) / s
+        # f(x + J'u) = sum c_m exp(2 pi i p.x) exp(2 pi i (J'^T p).u) with
+        # J'^T p = (-theta' p_2, theta' p_1): axis roles swap under J'.
         pre1 = np.exp(2j * np.pi * p_axis * x[0])
         pre2 = np.exp(2j * np.pi * p_axis * x[1])
         c = np.swapaxes(fhat * (pre1[:, None] * pre2[None, :] * (

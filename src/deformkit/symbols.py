@@ -307,6 +307,17 @@ class _LatticeFold:
         for ax in range(self.n):  # row-major flat index of m mod M
             self.bins = self.bins * M + m[:, ax] % M
 
+    @classmethod
+    def lattice(cls, m_axis: np.ndarray, n: int, M: int) -> "_LatticeFold":
+        """The fold of the whole lattice m_axis^n, its terms in row-major order: the same
+        bins, one np.add.outer of the per-axis bins m_axis mod M, with no (T, n) table."""
+        fold, axis_bins = cls.__new__(cls), m_axis % M
+        fold.n, fold.M, fold.bins = n, M, axis_bins
+        for _ in range(n - 1):
+            fold.bins = np.add.outer(fold.bins * M, axis_bins)
+        fold.bins = fold.bins.ravel()
+        return fold
+
     def __call__(self, c: np.ndarray, count: int) -> np.ndarray:
         n, M, tail = self.n, self.M, c.shape[1:]
         size = math.prod(tail)

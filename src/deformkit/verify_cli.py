@@ -791,7 +791,7 @@ def cmd_product(cfg: RunConfig, f_path: str, g_path: str) -> int:
     if isinstance(f, PlaneWaveSymbol) and isinstance(g, PlaneWaveSymbol):
         product = deformed_product_exact(f, g, J)
         fg = deformed_product_numeric(
-            f.to_grid(cfg.N), g.to_grid(cfg.N), J,
+            _on_grid(f, cfg.N), _on_grid(g, cfg.N), J,
             OscIntegralConfig(tol=cfg.tol, check_points=0),
         )
         disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)

@@ -396,7 +396,7 @@ def test_fourier_inversion_on_constant_is_sharper():
         assert fourier_inversion_check(f, np.array([x])) <= 1e-8
 
 
-@pytest.mark.parametrize("box", [6.0, 5.3])  # the fold route and the chirp-z route
+@pytest.mark.parametrize("box", [6.0, 5.3])  # the oracle's scale s = 1 and s < 1
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_fourier_inversion_of_plane_wave_is_its_grid_check(n, k, box):
     # one quadrature path: a plane wave is checked on the smallest power-of-two grid
@@ -418,48 +418,49 @@ def test_fourier_inversion_on_grid_gaussian():
 
 
 # ---------------------------------------------------------------------------
-# The quadrature oracle's two routes for g's derivative fields
+# The quadrature oracle's one route for g's derivative fields
 
 
-def oracle_points(f, g, J, monkeypatch, folded):
-    """The oracle's values at the product's check points, by the fold or by chirp-z."""
-    if not folded:
-        monkeypatch.setattr(deformation, "_inner_period", lambda L: None)
-    fhat, ghat = series_coefficients(f), series_coefficients(g)
-    values = [_quadrature_point_lattice(fhat, ghat, f.n, f.L, J, [f.axis[i]] * f.n)
-              for i in _check_point_indices(f.N, 5)]
-    monkeypatch.undo()
-    return np.array(values)
+def test_inner_period_puts_a_whole_period_in_m_steps():
+    # L = 6: M = 2L/h = 128 inner points per period, tiled twice over the 256, and s = 1
+    assert _inner_period(6.0) == 128
+    assert 2.0 * 6.0 / (_inner_period(6.0) * deformation._H) == 1.0
+    for box in (1e-3, 0.3, 3.0, 4.0, 5.3, 5.5, 9.7, 20.0, 40.0):
+        M = _inner_period(box)
+        assert isinstance(M, int) and M == _fast_len(M) >= box * OSC_Q / deformation.OSC_R - 0.5
 
 
-@pytest.mark.parametrize("n, k, theta", [(2, 1, 0.25), (2, 2, 0.5), (1, 2, 0.0)])
-def test_oracle_fold_matches_chirp_z(monkeypatch, n, k, theta):
-    # L = 6: M = 2L/h = 128 inner points per period, tiled twice over the 256
-    assert _inner_period(L) == 128
-    rng = np.random.default_rng(50 + n + k)
-    mix = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    f = GridSymbol(n, 32, L, gaussian_values(n, 32, L, 1.2)[..., :1, :1] * mix)
-    g = GridSymbol(n, 32, L, gaussian_values(n, 32, L, 0.9, shift=0.4)[..., :1, :1] * mix.T)
-    J = DeformationMatrix.symplectic(theta, 2) if n == 2 else DeformationMatrix.zero(1)
-    folded = oracle_points(f, g, J, monkeypatch, True)
-    chirped = oracle_points(f, g, J, monkeypatch, False)
-    assert np.abs(folded - chirped).max() <= 1e-13 * np.abs(chirped).max()
+@pytest.mark.parametrize("theta", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("box", [4.0, 5.3, 6.0, 9.7, 20.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_oracle_matches_phase_law_of_plane_waves(box, k, theta):
+    # the scaled fold samples g at every box: s = 1 at L = 6, s < 1 elsewhere, M > Q at 20
+    rng = np.random.default_rng(60 + k)
+    f, g = (random_plane_wave(rng, 2, box, k, 3, 4) for _ in range(2))
+    J = DeformationMatrix.symplectic(theta, 2)
+    fhat, ghat = series_coefficients(f.to_grid(16)), series_coefficients(g.to_grid(16))
+    exact = deformed_product_exact(f, g, J)
+    for x in ([0.0, 0.0], [-1.3, 2.1], [box - 0.4, 0.7]):
+        value = _quadrature_point_lattice(fhat, ghat, 2, box, J, x)
+        assert np.abs(value - exact.evaluate(np.array(x))).max() <= 1e-8
 
 
-def test_incommensurate_box_takes_chirp_z(monkeypatch):
-    # at L = 5.3 the inner step 24/256 does not divide the period 10.6
-    assert _inner_period(5.3) is None and _inner_period(3.0) == 64
+def test_oracle_runs_no_chirp_z_pass_on_the_inner_mesh(monkeypatch):
+    # at L = 5.3 (M = 120, s = 0.942) and J = 0, the only chirp-z passes are the n
+    # one-point passes of f(x): g's fields are folds
+    counts = []
 
-    def refuse(*args):
-        raise AssertionError("the fold ran on an incommensurate box")
+    def counting(coeffs, axis, L, scale, start, step, count):
+        counts.append(count)
+        return czt_axis(coeffs, axis, L, scale, start, step, count)
 
-    monkeypatch.setattr(deformation, "_LatticeFold", refuse)
+    czt_axis = deformation._czt_axis
+    monkeypatch.setattr(deformation, "_czt_axis", counting)
     f = GridSymbol(2, 32, 5.3, gaussian_values(2, 32, 5.3, 1.2))
     g = GridSymbol(2, 32, 5.3, gaussian_values(2, 32, 5.3, 0.9) * (1 + 0.5j))
-    report = {}
-    deformed_product_numeric(f, g, DeformationMatrix.symplectic(0.25, 2), report=report)
-    assert report["points_checked"] == 5
-    assert report["route_disagreement"] <= 10 * report["tolerance"]
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    _quadrature_point_lattice(fhat, ghat, 2, 5.3, DeformationMatrix.zero(2), [f.axis[17]] * 2)
+    assert counts == [1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def assert_streamed_matches_whole(monkeypatch, run, n, k):
     assert np.abs(streamed - whole).max() <= tol * np.abs(whole).max()
 
 
-@pytest.mark.parametrize("box", [6.0, 5.3])  # the fold route and the chirp-z route
+@pytest.mark.parametrize("box", [6.0, 5.3])  # the oracle's scale s = 1 and s < 1
 @pytest.mark.parametrize("n, k, theta", [
     (1, 1, 0.0), (1, 2, 0.0), (2, 1, 0.0), (2, 1, 0.25), (2, 2, 0.0), (2, 2, 0.25)])
 def test_streamed_oracle_point_matches_whole_mesh(monkeypatch, box, n, k, theta):

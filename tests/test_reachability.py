@@ -1,7 +1,7 @@
 """Every function in src/ is run by a command or kept on purpose.
 
 A fresh interpreter runs ``product`` (a plane-wave pair, a grid pair and a
-mixed pair on a box where the product oracle takes its chirp-z route),
+mixed pair on a box where the product oracle's scale s is not 1),
 ``norms`` (a plane wave and a grid file), ``verify`` over every suite and
 ``info`` with a config file under ``sys.setprofile``, and records the code
 objects it enters.  Every ``def`` in ``src/deformkit`` must be among them
@@ -86,7 +86,7 @@ def test_every_def_is_reached_or_kept(tmp_path):
     wave = PlaneWaveSymbol(2, 6.0, 1, (((1, 0), 0.5), ((0, 2), -0.25j), ((-1, 1), 0.3)))
     write_symbol_file(wave, str(tmp_path / "f.json"))
     write_symbol_file(PlaneWaveSymbol(2, 6.0, 1, (((0, 1), 1.0),)), str(tmp_path / "g.json"))
-    # at L = 5.5 the oracle's mesh step does not divide the period 2L
+    # at L = 5.5 the oracle scales v by s = 11 / (120 h) < 1 to fit a period in M = 120 steps
     write_symbol_file(PlaneWaveSymbol(2, 5.5, 1, (((1, 1), 0.7),)), str(tmp_path / "h.json"))
     for name, width, L in (("a", 1.2, 6.0), ("b", 0.9, 6.0), ("c", 1.0, 5.5)):
         values = gaussian_values(2, 16, L, width) * complex(rng.normal(), 1.0)

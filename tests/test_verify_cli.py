@@ -155,6 +155,35 @@ def test_product_plane_wave_matches_exact_law(tmp_path):
     assert_allclose(got.terms["c"], expected.terms["c"], atol=1e-12)
 
 
+@pytest.mark.parametrize("m, code", [((16, 0), 2), ((0, -17), 2), ((15, 0), 0), ((-16, 0), 0)])
+def test_product_plane_waves_refuse_a_factor_the_grid_aliases(tmp_path, capsys, m, code):
+    # the route cross-check samples both factors on the N = 32 grid, which holds [-16, 16)
+    # per axis; m = 16 sampled there is m = -16, and the check read 0.35 and exited 0
+    wave_file(tmp_path / "f.json", 2, ((m, 1.0),))
+    wave_file(tmp_path / "g.json", 2, (((0, 1), 1.0),))
+    out = tmp_path / "fg.json"
+    assert main(["product", str(tmp_path / "f.json"), str(tmp_path / "g.json"),
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"m = {m}" in err and "N = 32" in err and not out.exists()
+        return
+    assert float(err.split("route disagreement:")[1].split()[0]) <= 1e-12
+
+
+def test_product_plane_waves_check_an_aliased_product_on_both_sides(tmp_path, capsys):
+    # m = 20 of the product lies outside the grid, but both routes alias it to -12 alike,
+    # and the file holds the exact product
+    wave_file(tmp_path / "f.json", 2, (((10, 0), 1.0),))
+    out = tmp_path / "ff.json"
+    assert main(["product", str(tmp_path / "f.json"), str(tmp_path / "f.json"),
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert float(err.split("route disagreement:")[1].split()[0]) <= 1e-12
+    got = read_symbol_file(str(out))
+    assert got.terms["m"].tolist() == [[20, 0]]
+
+
 def test_product_grid_inputs_write_grid_output(tmp_path):
     vals = gaussian_values(1, 32, 6.0, 1.0)
     write_symbol_file(GridSymbol(1, 32, 6.0, vals), str(tmp_path / "a.rsym"))
