@@ -341,8 +341,9 @@ def _czt_axis(coeffs: np.ndarray, axis: int, L: float, scale: float,
 
 def _inner_period(L: float) -> int:
     """M, the inner mesh's points per period of the box: the 5-smooth number nearest above
-    2L/h = L Q/R (_fast_len), so the oracle's scale s = 2L/(M h) puts a period in M steps."""
-    return _fast_len(max(1, round(L * OSC_Q / OSC_R)))
+    2L/h = L Q/R (_fast_len), so the oracle's scale s = 2L/(M h) puts a period in M steps.
+    M is capped at _fast_len(Q) = Q: past L = R, s > 1 and a point's bins stop growing."""
+    return min(_fast_len(max(1, round(L * OSC_Q / OSC_R))), _fast_len(OSC_Q))
 
 
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:

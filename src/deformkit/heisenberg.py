@@ -335,7 +335,7 @@ def symbol_map_S(sym: PlaneWavePhaseSymbol, x_points, xi_points) -> np.ndarray:
     v(sigma, eta); the sigma sum is a chirp-z transform.  It streams eta
     in blocks of _ETA_BLOCK_POINTS sigma x eta values and adds each block's
     eta sum into one s row per distinct w, so no table spans the eta axis:
-    memory O(|w| |s|) plus one eta block, about 2.6 MiB traced on the
+    memory O(|w| |s|) plus one eta block, about 2.0 MiB traced on the
     symbol-map suite.  One-dimensional symbols only
     (UnsupportedOperatorError otherwise).  The D route is cross-checked
     once at the origin against finite differences (ConvergenceError
@@ -377,6 +377,8 @@ def symbol_map_S(sym: PlaneWavePhaseSymbol, x_points, xi_points) -> np.ndarray:
             V *= np.exp(1j * y * sig_c)[:, None]
             V *= u
             row += V.sum(axis=1)
+            del V  # before the next pass's padded buffer
+        del u, v  # before the next block's kernels
     if u_peak > 0 and u_tail > 1e-6 * u_peak:
         raise ConvergenceError("eta truncation leaves kernel tail mass above 1e-6")
 

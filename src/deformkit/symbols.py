@@ -459,6 +459,11 @@ def _sample_norms(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(values, ord=2, axis=(-2, -1))
 
 
+def _relative_gap(a, ref) -> float:
+    """Sup distance max |a - ref| relative to max |ref|."""
+    return float(np.abs(a - ref).max()) / max(float(np.abs(ref).max()), 1e-300)
+
+
 class GridSymbol(_GridData):
     """Matrix-valued samples of a symbol on the box grid [-L, L)^n."""
 

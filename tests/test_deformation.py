@@ -44,7 +44,7 @@ from deformkit.symbols import (
     series_coefficients,
     significant_terms,
 )
-from deformkit.verify_cli import gaussian_values, random_plane_wave
+from deformkit.suites import gaussian_values, random_plane_wave
 from oracles import (
     oscillatory_pair_integral,
     symbol_compose,
@@ -425,16 +425,24 @@ def test_inner_period_puts_a_whole_period_in_m_steps():
     # L = 6: M = 2L/h = 128 inner points per period, tiled twice over the 256, and s = 1
     assert _inner_period(6.0) == 128
     assert 2.0 * 6.0 / (_inner_period(6.0) * deformation._H) == 1.0
-    for box in (1e-3, 0.3, 3.0, 4.0, 5.3, 5.5, 9.7, 20.0, 40.0):
+    # up to L = R, M is the 5-smooth length at least L Q/R - 1/2, so s <= 1; past it M is
+    # capped at Q, and s = 2L/(Q h) = L/R > 1 keeps a whole period in M steps
+    for box in (1e-3, 0.3, 3.0, 4.0, 5.3, 5.5, 9.7, 12.0):
         M = _inner_period(box)
         assert isinstance(M, int) and M == _fast_len(M) >= box * OSC_Q / deformation.OSC_R - 0.5
+        assert M <= OSC_Q
+    for box in (12.5, 20.0, 40.0, 200.0):
+        M = _inner_period(box)
+        assert isinstance(M, int) and M == OSC_Q
+        assert 2.0 * box / (M * deformation._H) == pytest.approx(box / deformation.OSC_R)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.25, 1.0])
-@pytest.mark.parametrize("box", [4.0, 5.3, 6.0, 9.7, 20.0])
+@pytest.mark.parametrize("box", [4.0, 5.3, 6.0, 9.7, 20.0, 40.0, 100.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_oracle_matches_phase_law_of_plane_waves(box, k, theta):
-    # the scaled fold samples g at every box: s = 1 at L = 6, s < 1 elsewhere, M > Q at 20
+    # the scaled fold samples g at every box: s = 1 at L = 6, s < 1 below it, and past
+    # L = R = 12 the capped M = Q gives s = L/R > 1
     rng = np.random.default_rng(60 + k)
     f, g = (random_plane_wave(rng, 2, box, k, 3, 4) for _ in range(2))
     J = DeformationMatrix.symplectic(theta, 2)

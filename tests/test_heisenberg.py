@@ -44,7 +44,7 @@ from deformkit.pseudodiff import (
 from deformkit.symbols import (
     ModuleVector, PlaneWavePhaseSymbol, derivative, multi_indices, norm_L2,
 )
-from deformkit.verify_cli import (
+from deformkit.suites import (
     band_limited_vector,
     gaussian_values,
     norm_axiom_slacks,

@@ -31,7 +31,7 @@ from deformkit.symbols import (
     norm_L2,
     sup_norm,
 )
-from deformkit.verify_cli import (
+from deformkit.suites import (
     band_limited_vector,
     cv_fit,
     gaussian_values,
@@ -106,6 +106,16 @@ def test_composition_matches_deformed_product():
     rhs = Lfg.forward(h.values)
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("theta, self_adjoint", [(9.0, True), (0.25, False)])
+def test_real_symbol_is_self_adjoint_only_on_a_commensurate_grid(theta, self_adjoint):
+    # a real Gaussian G has G* = G, and L_G = L_G^* when theta N / (4 L^2) is an
+    # integer: 1 at N = 16, L = 6, theta = 9; at theta = 0.25 the gap is 7.5% of ||L_G||
+    G = GridSymbol(2, 16, L, gaussian_values(2, 16, L, 1.2))
+    dense = dense_matrix(rieffel_operator(G, DeformationMatrix.symplectic(theta, 2)))
+    defect = np.linalg.norm(dense - dense.conj().T, 2)
+    assert (defect <= 1e-12 * np.linalg.norm(dense, 2)) == self_adjoint
 
 
 def test_operator_is_linear():

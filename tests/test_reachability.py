@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from deformkit.symbols import GridSymbol, PlaneWaveSymbol, write_symbol_file
-from deformkit.verify_cli import gaussian_values
+from deformkit.suites import gaussian_values
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "deformkit"

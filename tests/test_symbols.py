@@ -34,7 +34,7 @@ from deformkit.symbols import (
     write_rsym,
     write_symbol_file,
 )
-from deformkit.verify_cli import gaussian_values, random_plane_wave
+from deformkit.suites import gaussian_values, random_plane_wave
 from oracles import dual_axis_points, grid_points, symbol_star
 
 RNG = np.random.default_rng(27182)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from deformkit import deformation, pseudodiff, verify_cli
+from deformkit import deformation, heisenberg, pseudodiff, suites, verify_cli
 from deformkit.deformation import deformed_product_exact
 from deformkit.errors import ConvergenceError, NoConvergenceError, UnsupportedOperatorError
 from deformkit.heisenberg import symbol_map_S
@@ -30,14 +30,8 @@ from deformkit.symbols import (
     sup_norm,
     write_symbol_file,
 )
-from deformkit.verify_cli import (
-    SUITES,
-    RunConfig,
-    gaussian_values,
-    main,
-    parse_config,
-    parse_theta_sweep,
-)
+from deformkit.suites import SUITES, gaussian_values
+from deformkit.verify_cli import RunConfig, main, parse_config, parse_theta_sweep
 
 FAST_SUITES = "plancherel,unitization"
 REPO = Path(__file__).resolve().parents[1]
@@ -416,7 +410,7 @@ def test_norms_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("norm did not settle")
 
-    monkeypatch.setattr(verify_cli, "differential_norms", fail)
+    monkeypatch.setattr(heisenberg, "differential_norms", fail)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
     code = main(["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"])
     assert code == 1
@@ -431,13 +425,13 @@ GRID_SAMPLED_WAVE = (((-2, -2), 1.3597 + 1.2247j), ((1, -2), -0.2980 - 0.5274j),
 
 @pytest.mark.parametrize("skew,code", [(1.0, 0), (1.05, 1)])
 def test_norms_theta0_check_compares_grid_maximum(tmp_path, capsys, monkeypatch, skew, code):
-    real = verify_cli.differential_norms
+    real = heisenberg.differential_norms
 
     def skewed(sym, N, m):
         rep = real(sym, N, m)
         return dataclasses.replace(rep, T=(skew * rep.T[0],) + rep.T[1:])
 
-    monkeypatch.setattr(verify_cli, "differential_norms", skewed)
+    monkeypatch.setattr(heisenberg, "differential_norms", skewed)
     wave_file(tmp_path / "f.json", 2, GRID_SAMPLED_WAVE, L=6.0)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N = 16\n", encoding="utf-8")
@@ -492,6 +486,29 @@ def test_verify_workers_do_not_change_report(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _scaled_product(f, g, J):
+    """The exact product with every coefficient scaled by 1 + 1e-3."""
+    t = deformed_product_exact(f, g, J).terms.copy()
+    t["c"] = t["c"] * (1 + 1e-3)
+    return PlaneWaveSymbol(f.n, f.L, f.k, t)
+
+
+@pytest.mark.parametrize("defect", [None, "minus-J", "scaled"])
+def test_interplay_record_fails_on_a_seeded_defect(monkeypatch, defect):
+    # L_{f x_J g} built from the product at -J, or from the product scaled by
+    # 1 + 1e-3, must push the record past its 1e-4 bound
+    mutants = {
+        "minus-J": lambda f, g, J: deformed_product_exact(f, g, DeformationMatrix(-J.entries)),
+        "scaled": _scaled_product,
+    }
+    if defect is not None:
+        monkeypatch.setattr(suites, "deformed_product_exact", mutants[defect])
+    [record] = SUITES["interplay"](RunConfig())
+    assert record["bound"] == 1e-4
+    assert record["passed"] is (defect is None)
+    assert (record["measured"] > record["bound"]) is (defect is not None)
+
+
 def _warm_traced_peak(run) -> int:
     """Peak traced bytes of the second of two calls of run (the first warms caches)."""
     run()
@@ -539,7 +556,7 @@ def test_verify_unsettled_norm_exits_1(tmp_path, capsys, monkeypatch, error):
         raise error("norm did not settle")
 
     # the sup-op suite takes its norms in one lockstep run
-    monkeypatch.setattr(verify_cli, "phase_norms", fail)
+    monkeypatch.setattr(suites, "phase_norms", fail)
     out = tmp_path / "r.json"
     code = main(["verify", "--suites", "sup-op", "--out", str(out)])
     assert code == 1
@@ -554,8 +571,8 @@ def test_package_error_inside_command_exits_2(tmp_path, capsys, monkeypatch, com
     def fail(*args, **kwargs):
         raise UnsupportedOperatorError("operator carries no lattice symbol")
 
-    monkeypatch.setattr(verify_cli, "differential_norms", fail)
-    monkeypatch.setattr(verify_cli, "phase_norms", fail)
+    monkeypatch.setattr(heisenberg, "differential_norms", fail)
+    monkeypatch.setattr(suites, "phase_norms", fail)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
     argv = {
         "norms": ["norms", str(tmp_path / "f.json"), "--theta-sweep", "0:1:0"],
@@ -591,8 +608,9 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
     def work(*args, **kwargs):
         raise AssertionError("the command worked before it checked its output")
 
-    for name in ("run_suites", "differential_norms", "deformed_product_numeric"):
-        monkeypatch.setattr(verify_cli, name, work)
+    for module, name in ((suites, "run_suites"), (heisenberg, "differential_norms"),
+                         (verify_cli, "deformed_product_numeric")):
+        monkeypatch.setattr(module, name, work)
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),), L=4.0)
     out = {"missing-dir": tmp_path / "missing" / "out", "directory": tmp_path,
            "parent-is-file": tmp_path / "f.json" / "r.json"}[target]
@@ -690,9 +708,43 @@ def test_all_names_resolve(module):
     exec(f"from {module} import *", {})
 
 
+def test_product_and_norms_import_only_their_layers(tmp_path):
+    # product loads no norm layer and no suite; norms loads no suite
+    for name, width in (("f", 1.2), ("g", 0.9)):
+        write_symbol_file(GridSymbol(2, 16, 6.0, gaussian_values(2, 16, 6.0, width)),
+                          str(tmp_path / f"{name}.rsym"))
+    wave_file(tmp_path / "w.json", 2, (((1, 0), 1.0), ((0, -1), 0.5j)))
+    config = tmp_path / "run.cfg"
+    config.write_text("N = 16\n", encoding="utf-8")
+    code = ("import json, sys; from deformkit.verify_cli import main; "
+            "status = main(json.loads(sys.argv[1])); "
+            "loaded = sorted(m for m in sys.modules if m.startswith('deformkit')); "
+            "open(sys.argv[2], 'w').write(json.dumps([status, loaded]))")
+    runs = {
+        "product": ["product", str(tmp_path / "f.rsym"), str(tmp_path / "g.rsym"),
+                    "--out", str(tmp_path / "fg.rsym")],
+        "norms": ["--config", str(config), "norms", str(tmp_path / "w.json"),
+                  "--theta-sweep", "0:0.25:0.25", "--out", str(tmp_path / "w.csv")],
+    }
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    loaded = {}
+    for command, argv in runs.items():
+        result = tmp_path / f"{command}-modules.json"
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argv), str(result)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        status, loaded[command] = json.loads(result.read_text(encoding="utf-8"))
+        assert status == 0
+    assert {"deformkit.deformation", "deformkit.symbols"} <= set(loaded["product"])
+    assert not {"deformkit.heisenberg", "deformkit.pseudodiff",
+                "deformkit.suites"} & set(loaded["product"])
+    assert {"deformkit.heisenberg", "deformkit.pseudodiff"} <= set(loaded["norms"])
+    assert "deformkit.suites" not in loaded["norms"]
+
+
 def test_runtime_imports_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone.
-    code = ("import sys, deformkit, deformkit.verify_cli; "
+    code = ("import sys, deformkit, deformkit.verify_cli, deformkit.suites; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
