@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partialmethod, reduce
 from itertools import groupby, product as _iproduct
-from math import comb, factorial
+from math import comb, factorial, prod
 from numbers import Integral, Real
 
 import numpy as np
@@ -484,7 +484,9 @@ def deformed_product_numeric(
     product at cfg.check_points sample points and ConvergenceError is
     raised when the routes disagree beyond 10x cfg.tol.  The measured
     disagreement is written to report["route_disagreement"] when a dict
-    is passed.
+    is passed.  The check points run first and keep only their k x k
+    values, so the two routes' working sets never meet: a product's peak
+    is its two series plus one check point.
     """
     if not isinstance(f, GridSymbol) or not isinstance(g, GridSymbol):
         raise TypeError("numeric route needs grid symbols")
@@ -499,22 +501,21 @@ def deformed_product_numeric(
         fhat, ghat = series_coefficients(f), series_coefficients(g)
     else:
         fhat = ghat = None
+    points = [(i, [float(f.axis[i])] * f.n) for i in _check_point_indices(f.N, cfg.check_points)]
+    oracles = [_quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x) for _, x in points]
     result = f.with_values(_twisted_lattice_product(f, g, J, fhat, ghat))
     values = result.values  # the one copy the check points read
 
     worst = 0.0
     checked = 0
-    if cfg.check_points > 0:
+    if points:
         scale = max(
             float(np.abs(values).max()),
             float(np.abs(f.values).max()) * float(np.abs(g.values).max()),
             1e-300,
         )
-        for i in _check_point_indices(f.N, cfg.check_points):
-            idx = (i,) * f.n
-            x = [float(f.axis[i])] * f.n
-            oracle = _quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x)
-            disagree = float(np.abs(oracle - values[idx]).max()) / scale
+        for (i, x), oracle in zip(points, oracles):
+            disagree = float(np.abs(oracle - values[(i,) * f.n]).max()) / scale
             if not np.isfinite(disagree):
                 raise ConvergenceError(f"product routes disagree at check point {x}: {disagree}")
             worst = max(worst, disagree)
@@ -563,6 +564,12 @@ def _kfirst_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("abp,bcp->acp", a, b)
 
 
+def _leading(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """buffer itself when it has the given shape, else its leading values as a C-contiguous
+    array of that shape (a chunk smaller than the buffer's)."""
+    return buffer if buffer.shape == shape else buffer.reshape(-1)[:prod(shape)].reshape(shape)
+
+
 def _shift_groups(sym: PlaneWavePhaseSymbol) -> tuple:
     """(zero, m_1, first, group): the zero-shift terms' mask and, over the shifted terms,
     m_1 = sum of m[1:] and their groups keyed by w_0 + i m_1 (np.unique's index and inverse)."""
@@ -603,10 +610,14 @@ class _LatticePlan:
     Gaussian's tilde_map at theta = 0.25 share 39).  The axis-0 IFFT of S and the axis-0 IDFT fold to
     S[(N/2 - j) mod N] (-1)^(j + N/2).  adjoint is the exact matrix adjoint, the transpose of
     each step.  The set-up serves both directions; the transforms' signs and powers of two
-    merge exactly into one sign table, r_0 and a scale.  Cost O(G N^n log N) for G groups, in
-    chunks of at most max(_CHUNK_POINTS, N^n k^2) values per member.  A direction streams
-    FFT_0(K_g) on its first application and keeps them from the second, kept_bytes in all,
-    unless that exceeds _KEPT_BYTES.
+    merge exactly into one sign table, r_0 and a scale.  Cost O(G N^n log N) for G groups.
+    The sum runs in chunks of at most max(_CHUNK_POINTS, N k^2) values per member: several
+    groups when one group's N^n k^2 values fit, else a run of axis-1 rows of one group, so a
+    256 x 256 scalar grid holds a quarter of a group at a time.  Each (row, point) adds the
+    same groups in the same order either way.  A direction streams FFT_0(K_g) on its first
+    application and keeps them from the second, kept_bytes in all, unless that exceeds
+    _KEPT_BYTES.  An application's working set is its input, a copy, the sum and one
+    chunk's buffers, made once per call; the zero-shift field's product is formed last.
 
     The symbols share (n, L, k); a single symbol is a batch of one.  Each member applies to
     its own slice of the values, of shape (members,) + (N,) * n + (k, k) (a batch of one
@@ -625,7 +636,6 @@ class _LatticePlan:
         half, S, M = N // 2, N ** (n - 1), len(syms)
         lattice = (np.arange(N) - half) / (2.0 * L)
         self.N, self.k, self.M, self.axes, self.s = N, k, M, (-1, -2)[:n], np.arange(S)
-        self.step = max(1, _CHUNK_POINTS // (N ** n * k * k))
         # the alternating sign table of both sides; flip = (-1)^(S/2 + N/2), S = N^(n-1),
         # turns it into the centered DFT's post-sign and goes into r_0 and the scale
         alt, flip = (-1.0) ** np.arange(N), (-1.0) ** (S // 2 + half)
@@ -670,6 +680,13 @@ class _LatticePlan:
         self.rolls += S * np.arange(M)[:, None, None]  # into member i's rows, padding too
         self.r0 = r0 * flip, np.conj(r0) / float(N) ** n  # (members, groups, N)
         self.kept = [None, None]
+        # the chunks, (group slice, axis-1 row slice) with the rows inner: at most cap values
+        # per member, as step groups of all S rows, or when one group does not fit, as runs
+        # of rows of one group; the first chunk is the largest
+        cap = max(_CHUNK_POINTS, N * k * k)
+        step, run = max(1, cap // (N ** n * k * k)), min(S, cap // (N * k * k))
+        self.chunks = [(slice(g, min(g + step, self.G)), slice(r, min(r + run, S)))
+                       for g in range(0, self.G, step) for r in range(0, S, run)]
 
     @property
     def kept_bytes(self) -> int:
@@ -684,66 +701,84 @@ class _LatticePlan:
             a[t] for a in (self.group, self.m0, self.m1, self.c, self.row))
         self.fields = [f if f is None else np.ascontiguousarray(
             f.reshape(k, k, self.M, -1)[:, :, rows]).reshape(k, k, -1) for f in self.fields]
-        self.kept = [[(g, np.ascontiguousarray(FK[:, :, rows])) for g, FK in kept]
+        self.kept = [[(g, span, np.ascontiguousarray(FK[:, :, rows])) for g, span, FK in kept]
                      if isinstance(kept, list) else kept for kept in self.kept]
         moved = len(self.s) * (np.flatnonzero(rows) - np.arange(M))  # each kept row's shift
         self.rolls = self.rolls[:, rows] - moved[:, None, None]
         self.r0, self.M = tuple(r[rows] for r in self.r0), M
 
-    def _spectrum(self, adjoint, g):
-        """(group slice, FFT_0 of the chunk's kernels K_g), conjugated for the adjoint."""
-        t = (self.group >= g) & (self.group < g + self.step)
-        r1 = self.r1[self.row[t, None], self.s if adjoint else (self.s - self.m1[t, None]) % self.N]
-        K = np.zeros((self.k, self.k, self.M, min(self.step, self.G - g), len(self.s), self.N),
-                     complex)
-        np.add.at(K, (..., self.member[t], self.group[t] - g, slice(None), self.m0[t]),
+    def _spectrum(self, adjoint, g, rows):
+        """(group slice, row slice, FFT_0 of the chunk's kernels K_g at the axis-1 points
+        rows), conjugated for the adjoint."""
+        t = (self.group >= g.start) & (self.group < g.stop)
+        s = self.s[rows]
+        r1 = self.r1[self.row[t, None], s if adjoint else (s - self.m1[t, None]) % self.N]
+        K = np.zeros((self.k, self.k, self.M, g.stop - g.start, len(s), self.N), complex)
+        np.add.at(K, (..., self.member[t], self.group[t] - g.start, slice(None), self.m0[t]),
                   self.c[t][..., None] * r1[:, None, None])
-        FK = np.fft.fft(K)
-        return slice(g, g + self.step), np.conj(FK) if adjoint else FK
+        FK = np.fft.fft(K, out=K)
+        return g, rows, np.conj(FK, out=FK) if adjoint else FK
 
     def _spectra(self, adjoint):
-        chunks = range(0, self.G, self.step)
         if self.kept[adjoint] is None or self.kept_bytes > _KEPT_BYTES:
             self.kept[adjoint] = False  # streamed once
-            return (self._spectrum(adjoint, g) for g in chunks)
+            return (self._spectrum(adjoint, g, rows) for g, rows in self.chunks)
         if self.kept[adjoint] is False:  # built whole, so a concurrent caller never sees part
-            self.kept[adjoint] = [self._spectrum(adjoint, g) for g in chunks]
+            self.kept[adjoint] = [self._spectrum(adjoint, g, rows) for g, rows in self.chunks]
         return self.kept[adjoint]
 
     def _apply(self, values, adjoint):
         N, k, M, S, sign = self.N, self.k, self.M, len(self.s), self.sign
-        roll, r0 = self.rolls[int(adjoint)], self.r0[adjoint]  # int: not a mask
-        x = np.reshape(values, (M, N, S, k, k)).transpose(3, 4, 0, 2, 1)
+        view = np.reshape(values, (M, N, S, k, k)).transpose(3, 4, 0, 2, 1)
         if adjoint and self.fields[0] is not None and self.fields[1] is None:
             self.fields[1] = np.ascontiguousarray(np.conj(self.fields[0].transpose(1, 0, 2)))
         field = self.fields[adjoint]
         if not self.G:  # the field alone: no copy of x outlives the product
-            out = _kfirst_product(field, x.reshape(k, k, -1))
+            out = _kfirst_product(field, view.reshape(k, k, -1))
             return self._points_first(out.reshape(k, k, M, S, N), values)
-        x = x.copy()
-        out = 0.0 if field is None else _kfirst_product(field, x.reshape(k, k, -1)).reshape(x.shape)
+        x = view.copy()
         x *= sign[:, :1] if adjoint else sign  # sign[:, :1]: axis 1's alone
         for ax in self.axes[adjoint:]:  # the adjoint's axis 0 is folded in
             np.fft.fft(x, axis=ax, out=x)
         x = x[..., self.fold] if adjoint else x
         x *= sign
         x = x.reshape(k, k, M * S, N)
-        acc = 0
-        for g, FK in self._spectra(adjoint):
-            B = x[:, :, roll[:, g]]
-            if adjoint:
-                B = np.einsum("bamgsf,bcmgsf->acmgsf", FK, B)
-                np.fft.ifft(B, norm="forward", out=B)
-                acc = acc + np.einsum("mgf,acmgsf->acmsf", r0[:, g], B)
-            else:
-                B *= r0[:, g, None]
-                acc = acc + np.einsum("abmgsf,bcmgsf->acmsf", FK, np.fft.fft(B, out=B))
+        acc = self._sum(x, adjoint)
+        del x  # spent: the zero-shift field's product, formed last, takes its place
         acc = acc if adjoint else acc[..., self.fold]
         acc *= sign
         for ax in self.axes[not adjoint:]:  # the forward's axis 0 is folded in
             np.fft.ifft(acc, axis=ax, norm="forward", out=acc)
         acc *= sign if adjoint else self.scale
-        return self._points_first(acc, values, out)
+        if field is None:
+            return self._points_first(acc, values, 0.0)
+        out = _kfirst_product(field, view.reshape(k, k, -1))
+        return self._points_first(acc, values, out.reshape(acc.shape))
+
+    def _sum(self, x, adjoint):
+        """The sum over the chunks, (k, k, member, s, axis-0 point), of the transformed
+        (k, k, member s, axis-0 point) x: per chunk, B is gathered, transformed and paired
+        into the sum's rows, in buffers shaped as the first and largest chunk's."""
+        g, rows = self.chunks[0]
+        k, M, rs = self.k, self.M, rows.stop - rows.start
+        gathered = np.empty((k, k, M, g.stop - g.start, rs, self.N), dtype=np.complex128)
+        summed = np.empty((k, k, M, rs, self.N), dtype=np.complex128)
+        paired = np.empty_like(gathered) if adjoint else None
+        roll, r0 = self.rolls[int(adjoint)], self.r0[adjoint]  # int: not a mask
+        acc = np.zeros((k, k, M, len(self.s), self.N), dtype=np.complex128)
+        for g, rows, FK in self._spectra(adjoint):
+            B = _leading(gathered, FK.shape)
+            chunk_sum = _leading(summed, FK.shape[:3] + FK.shape[4:])
+            np.take(x, roll[:, g, rows], axis=2, out=B, mode="clip")  # in range; unbuffered
+            if adjoint:
+                P = np.einsum("bamgsf,bcmgsf->acmgsf", FK, B, out=_leading(paired, FK.shape))
+                np.fft.ifft(P, norm="forward", out=P)
+                np.einsum("mgf,acmgsf->acmsf", r0[:, g], P, out=chunk_sum)
+            else:
+                B *= r0[:, g, None]
+                np.einsum("abmgsf,bcmgsf->acmsf", FK, np.fft.fft(B, out=B), out=chunk_sum)
+            acc[..., rows, :] += chunk_sum
+        return acc
 
     @staticmethod
     def _points_first(acc, values, field=None):

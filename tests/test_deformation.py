@@ -267,6 +267,44 @@ def test_numeric_route_raises_on_a_nan_oracle(monkeypatch):
         deformed_product_numeric(f, g, J_HALF)
 
 
+def modulated_pair(N):
+    """Gaussians of widths 2.0 and 3.0 (1.2 and 0.9 from N = 256 on) times the plane waves
+    e_(2, 0) and e_(0, 2): unlike a radial pair, the pair is not symmetric under swapping
+    the axes, which maps J to -J and fixes the diagonal the check points lie on."""
+    wave = np.exp(2j * np.pi * 2 * symbols.axis_points(N, L) / (2 * L))
+    widths = (2.0, 3.0) if N < 256 else (1.2, 0.9)
+    return [GridSymbol(2, N, L, gaussian_values(2, N, L, w) * e[..., None, None] * c)
+            for w, e, c in zip(widths, (wave[:, None], wave), (1.0, 1 + 0.5j))]
+
+
+@pytest.mark.parametrize("N", [16, 256], ids=["group-chunks", "row-chunks"])
+@pytest.mark.parametrize("defect", [None, "minus-J", "scaled"])
+def test_route_check_fails_on_a_seeded_lattice_defect(monkeypatch, N, defect):
+    # The lattice route run at -J or at J (1 + 1e-3) against the oracle at J, theta = 0.25.
+    # The routes read, unmutated, -J and scaled: 3.3e-11, 5.3e-2 and 2.5e-5 at N = 16, and
+    # 3.2e-11, 8.6e-2 and 4.8e-5 at N = 256, linear in the scale defect, so the smallest
+    # one that trips the 10 x tol = 1e-5 gate is 3.9e-4 at N = 16 and 2.1e-4 at N = 256.
+    # A radial Gaussian pair reads the same under -J as unmutated (3.6e-14 at N = 256).
+    assert 16 ** 2 <= _CHUNK_POINTS < 256 ** 2  # one group fits at N = 16, not at 256
+    reads = {16: {"minus-J": 5.34e-2, "scaled": 2.54e-5},
+             256: {"minus-J": 8.65e-2, "scaled": 4.78e-5}}[N]
+    mutants = {"minus-J": lambda J: DeformationMatrix(-J.entries),
+               "scaled": lambda J: DeformationMatrix(J.entries * (1 + 1e-3))}
+    f, g = modulated_pair(N)
+    J = DeformationMatrix.symplectic(0.25, 2)
+    if defect is None:
+        report = {}
+        deformed_product_numeric(f, g, J, report=report)
+        assert report["route_disagreement"] <= 1e-10
+        return
+    real = deformation._twisted_lattice_product
+    monkeypatch.setattr(deformation, "_twisted_lattice_product",
+                        lambda f, g, J, fhat, ghat: real(f, g, mutants[defect](J), fhat, ghat))
+    with pytest.raises(ConvergenceError, match="product routes disagree: ") as err:
+        deformed_product_numeric(f, g, J)
+    assert float(str(err.value).split()[3]) == pytest.approx(reads[defect], rel=0.01)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1.0}, {"tol": 0.0},
     {"check_points": -2}, {"check_points": 2.5}, {"check_points": "5"},
@@ -571,6 +609,34 @@ def test_first_oracle_point_builds_small_weight_tables():
     assert peak <= 12 * 2 ** 20
 
 
+def test_grid_product_peaks_at_one_check_point():
+    # the check points run first and keep k x k values, then the lattice route runs: the
+    # product's peak is the two series (2 MiB) and the first point's own, which builds the
+    # weights (9.2 MiB).  With the lattice route first, its working set stacked on the
+    # weights and the series: 12.2 MiB
+    f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
+    g = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 0.9) * (1 + 0.5j))
+    J = DeformationMatrix.symplectic(0.25, 2)
+    deformed_product_numeric(f, g, J)  # the chirp spectra, the FFT plans
+    fhat, ghat = series_coefficients(f), series_coefficients(g)
+    x = [float(f.axis[_check_point_indices(256, 5)[0]])] * 2
+
+    def traced_peak(run):
+        deformation._weight_groups.cache_clear()
+        deformation._outer_weight.cache_clear()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    point = traced_peak(lambda: _quadrature_point_lattice(fhat, ghat, 2, L, J, x))
+    del fhat, ghat
+    product = traced_peak(lambda: deformed_product_numeric(f, g, J))
+    assert product <= 2 * 2 ** 20 + point + 2 ** 18
+
+
 def test_oracle_point_never_holds_the_outer_mesh_whole(monkeypatch):
     # one warm oracle point at N = 64, theta = 0.25: about 4 MiB streamed, 10 MiB whole
     f = GridSymbol(2, 64, L, gaussian_values(2, 64, L, 1.2))
@@ -723,13 +789,87 @@ def test_lattice_action_matches_term_loop(family, n, k, N, seed, adjoint):
     assert np.abs(first - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def chunk_rows(monkeypatch, n, k, N):
+    """Patch _CHUNK_POINTS below one group's N^n k^2 values: plans made now sum in runs of
+    three axis-1 rows of one group (n = 2), or of one group's one row (n = 1)."""
+    monkeypatch.setattr(deformation, "_CHUNK_POINTS", 3 * N * k * k if n == 2 else N * k * k - 1)
+
+
+def row_chunks(plan, n):
+    """The chunks chunk_rows gives: each group, in runs of three rows (all S = 1 for n = 1)."""
+    S, run = len(plan.s), 3 if n == 2 else 1
+    return [(slice(g, g + 1), slice(r, min(r + run, S)))
+            for g in range(plan.G) for r in range(0, S, run)]
+
+
+@pytest.mark.parametrize("family, n, k, N, seed", [
+    pytest.param("gaussian", 2, 1, 32, 1, id="gaussian-n2-k1"),
+    pytest.param("gaussian", 2, 2, 32, 2, id="gaussian-n2-k2"),
+    pytest.param("off-grid", 1, 1, 16, 3, id="off-grid-n1-k1"),
+    pytest.param("off-grid", 1, 2, 16, 4, id="off-grid-n1-k2"),
+    pytest.param("off-grid", 2, 1, 16, 5, id="off-grid-n2-k1"),
+    pytest.param("off-grid", 2, 2, 16, 6, id="off-grid-n2-k2"),
+])
+def test_row_chunks_reproduce_the_group_path(monkeypatch, family, n, k, N, seed):
+    # a chunk of axis-1 rows adds each (row, point) the same groups in the same order as
+    # the group path with one group per chunk, so the bits are its bits, in both
+    # directions, streamed, kept and reused.  The unpatched plan sums several groups per
+    # chunk in one einsum, another association, and differs from both in the last bits
+    rng = np.random.default_rng(seed)
+    sym = gaussian_lift(N, k, rng) if family == "gaussian" else off_grid_symbol(n, k, rng)
+    shape = (N,) * n + (k, k)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def outputs(plan):
+        return [apply(values).tobytes() for _ in range(3) for apply in (plan.forward, plan.adjoint)]
+
+    with monkeypatch.context() as patch:  # the group path, one group per chunk
+        patch.setattr(deformation, "_CHUNK_POINTS", N ** n * k * k)
+        want = outputs(_LatticePlan(sym, N))
+    chunk_rows(monkeypatch, n, k, N)
+    plan = _LatticePlan(sym, N)
+    assert plan.chunks == row_chunks(plan, n)
+    got = outputs(plan)
+    assert got == want and all(isinstance(kept, list) for kept in plan.kept)
+    for adjoint in (False, True):
+        expected = term_loop_action(sym, N, adjoint)(values)
+        out = np.frombuffer(got[adjoint], dtype=np.complex128).reshape(shape)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 1), (2, 2)])
+def test_row_chunked_batch_keeps_the_group_bits_when_a_member_leaves(monkeypatch, n, k):
+    # the phase_norms path: a batch of three, applied three times each way, then keep()
+    # drops the middle member and the kept spectra serve the other two
+    rng = np.random.default_rng(70 + 10 * n + k)
+    syms = [off_grid_symbol(n, k, rng) for _ in range(3)]
+    shape = (3,) + (16,) * n + (k, k)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows = np.array([True, False, True])
+
+    def outputs(plan):
+        got = [apply(values).tobytes() for _ in range(3) for apply in (plan.forward, plan.adjoint)]
+        plan.keep(rows)
+        return got + [apply(values[rows]).tobytes() for _ in range(2)
+                      for apply in (plan.forward, plan.adjoint)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "_CHUNK_POINTS", 16 ** n * k * k)
+        want = outputs(_LatticePlan(syms, 16))
+    chunk_rows(monkeypatch, n, k, 16)
+    plan = _LatticePlan(syms, 16)
+    assert plan.chunks == row_chunks(plan, n)
+    assert outputs(plan) == want
+    assert all(isinstance(kept, list) for kept in plan.kept)
+
+
 def counted_spectra(monkeypatch):
     calls = []
     build = _LatticePlan._spectrum
 
-    def spectrum(plan, adjoint, g):
+    def spectrum(plan, adjoint, g, rows):
         calls.append(adjoint)
-        return build(plan, adjoint, g)
+        return build(plan, adjoint, g, rows)
 
     monkeypatch.setattr(_LatticePlan, "_spectrum", spectrum)
     return calls
@@ -739,7 +879,7 @@ def counted_spectra(monkeypatch):
 def test_plan_keeps_its_kernel_spectra_from_the_second_application(monkeypatch, adjoint):
     rng = np.random.default_rng(7)
     plan = _LatticePlan(gaussian_lift(32, 2, rng), 32)
-    chunks = -(-plan.G // plan.step)
+    chunks = len(plan.chunks)
     assert chunks > 1
     calls = counted_spectra(monkeypatch)
     values = rng.normal(size=(32, 32, 2, 2)) + 0j
@@ -764,30 +904,35 @@ def test_plan_past_its_budget_streams_the_same_bits(monkeypatch):
     streamed = _LatticePlan(sym, 32)
     got = [[f(values).tobytes() for _ in range(3)] for f in (streamed.forward, streamed.adjoint)]
     assert got == want
-    assert streamed.kept == [False, False] and len(calls) == 6 * -(-streamed.G // streamed.step)
+    assert streamed.kept == [False, False] and len(calls) == 6 * len(streamed.chunks)
 
 
-def test_plan_shared_by_threads_gives_the_same_bits():
+def test_plan_shared_by_threads_gives_the_same_bits(monkeypatch):
     # four threads on two cores apply one fresh plan while it streams, keeps and
-    # reuses its kernel spectra and makes the adjoint's field
+    # reuses its kernel spectra and makes the adjoint's field; each call has its own
+    # buffers.  The plans sum in groups, then (chunk_rows) in runs of axis-1 rows
     rng = np.random.default_rng(10)
     sym = off_grid_symbol(2, 2, rng)
     values = rng.normal(size=(16, 16, 2, 2)) + 1j * rng.normal(size=(16, 16, 2, 2))
-    serial = _LatticePlan(sym, 16)
-    want = [serial.forward(values).tobytes(), serial.adjoint(values).tobytes()]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            plan = _LatticePlan(sym, 16)
-            with ThreadPoolExecutor(4) as pool:
-                runs = [pool.submit(lambda: [plan.forward(values).tobytes(),
-                                             plan.adjoint(values).tobytes()])
-                        for _ in range(12)]
-                got = [run.result(timeout=60) for run in runs]
-            assert all(g == want for g in got)
-    finally:
-        sys.setswitchinterval(interval)
+    for rows in (False, True):
+        if rows:
+            chunk_rows(monkeypatch, 2, 2, 16)
+        serial = _LatticePlan(sym, 16)
+        want = [serial.forward(values).tobytes(), serial.adjoint(values).tobytes()]
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                plan = _LatticePlan(sym, 16)
+                with ThreadPoolExecutor(4) as pool:
+                    runs = [pool.submit(lambda: [plan.forward(values).tobytes(),
+                                                 plan.adjoint(values).tobytes()])
+                            for _ in range(12)]
+                    got = [run.result(timeout=60) for run in runs]
+                assert all(g == want for g in got)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plan.chunks) > plan.G if rows else len(plan.chunks) == 1
 
 
 def test_op_from_phase_terms_groups_its_terms_once(monkeypatch):
@@ -808,11 +953,13 @@ def test_op_from_phase_terms_groups_its_terms_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("N, mib", [(128, 4), (256, 11)])
+@pytest.mark.parametrize("N, mib", [(128, 4), (256, 6)])
 def test_lattice_product_holds_no_kernel_spectra(N, mib):
-    # product applies its plan once, so its kernel spectra stream: the pairs peak
-    # at 2.7 and 9.5 MiB, and the 39 groups' spectra are 9.75 and 39 MiB.  With an
-    # axis-1 ramp row per term, not per shift, they peaked at 5.4 and 13.7 MiB
+    # product applies its plan once, so its kernel spectra stream, and at N = 256 a chunk
+    # is 64 axis-1 rows of one group: the pairs peak at 2.6 and 5.4 MiB, and the 39 groups'
+    # spectra are 9.75 and 39 MiB.  With whole-group chunks and the zero-shift field's
+    # product held through the sum, N = 256 peaked at 9.5 MiB, and with an axis-1 ramp row
+    # per term, not per shift, at 13.7 MiB
     f = GridSymbol(2, N, L, gaussian_values(2, N, L, 1.2))
     g = GridSymbol(2, N, L, gaussian_values(2, N, L, 0.9) * (1 + 0.5j))
     J = DeformationMatrix.symplectic(0.25, 2)

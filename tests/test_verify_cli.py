@@ -509,6 +509,20 @@ def test_interplay_record_fails_on_a_seeded_defect(monkeypatch, defect):
     assert (record["measured"] > record["bound"]) is (defect is not None)
 
 
+def test_plane_wave_product_records_fail_when_the_lattice_route_flips_j(monkeypatch):
+    # the grid route run at -J reads 0.164 at theta = 0.25 and 0.449 at theta = 1 against
+    # the exact phase law (bound 1e-6; 5.8e-16 and 4.5e-16 unmutated).  At theta = 0, -J is
+    # J, so that record checks the pointwise product and cannot see the sign
+    real = deformation._twisted_lattice_product
+    monkeypatch.setattr(deformation, "_twisted_lattice_product",
+                        lambda f, g, J, fhat, ghat: real(f, g, DeformationMatrix(-J.entries),
+                                                         fhat, ghat))
+    records = {r["claim_id"]: r for r in SUITES["product-oracle"](RunConfig())}
+    assert [r["passed"] for r in records.values()] == [True, False, False, True]
+    assert records["plane-wave-product-theta-0.25"]["measured"] > 0.1
+    assert records["plane-wave-product-theta-1"]["measured"] > 0.1
+
+
 def _warm_traced_peak(run) -> int:
     """Peak traced bytes of the second of two calls of run (the first warms caches)."""
     run()
