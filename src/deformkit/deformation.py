@@ -45,6 +45,7 @@ from .symbols import (
     _rowdot,
     _same_box,
     _LatticeFold,
+    _is_pow2,
     _term_array,
     centered_idft,
     eval_series,
@@ -82,8 +83,9 @@ _KEPT_BYTES = 1 << 25  # kernel-spectra bytes one direction of a _LatticePlan ma
 # timed level with solo runs from 2^19 to 2^25 bytes, and batching 2.4 MiB members (64 x 64)
 # lost 11-15% (2^23, 2^25), so members that large run alone; no verify suite is split by it
 _BATCH_BYTES = 1 << 21
-# Most term pairs times k^2 one exact product may form: it holds about ten arrays of that
-# many complex values at once (a 626 MB peak for two 2048-term waves, k = 1)
+# Most term pairs times k^2 one exact product or composition may form (_term_pairs): it
+# holds about ten arrays of that many complex values at once (a 626 MB peak for two
+# 2048-term waves, k = 1)
 MAX_PRODUCT_VALUES = 1 << 22
 
 
@@ -408,12 +410,21 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
 # Deformed products
 
 
-def _check_boxes(f, g):
+def _check_boxes(f, g, J: DeformationMatrix):
     if not _same_box(f, g):
-        raise BoxMismatchError(
-            f"symbols live on different boxes: "
-            f"(n={f.n}, L={f.L}, k={f.k}) vs (n={g.n}, L={g.L}, k={g.k})"
-        )
+        raise BoxMismatchError(f"symbols live on different boxes: (n={f.n}, L={f.L}, "
+                               f"k={f.k}) vs (n={g.n}, L={g.L}, k={g.k})")
+    if J.n != f.n:
+        raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
+
+
+def _term_pairs(what: str, ta, tb, k: int) -> tuple:
+    """The indices (i, j) of every pair of terms of ta and tb, j inner; ValueError, before
+    any pair is formed, when the pairs times k^2 exceed MAX_PRODUCT_VALUES."""
+    if len(ta) * len(tb) * k ** 2 > MAX_PRODUCT_VALUES:
+        raise ValueError(f"{what} of {len(ta)} x {len(tb)} terms of {k} x {k} "
+                         f"coefficients exceeds {MAX_PRODUCT_VALUES} values")
+    return np.divmod(np.arange(len(ta) * len(tb)), len(tb))
 
 
 def deformed_product_exact(
@@ -426,14 +437,9 @@ def deformed_product_exact(
     """
     if not isinstance(f, PlaneWaveSymbol) or not isinstance(g, PlaneWaveSymbol):
         raise TypeError("exact route needs plane-wave symbols")
-    _check_boxes(f, g)
-    if J.n != f.n:
-        raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
+    _check_boxes(f, g, J)
     tf, tg = f.terms, g.terms
-    if len(tf) * len(tg) * f.k ** 2 > MAX_PRODUCT_VALUES:
-        raise ValueError(f"exact product of {len(tf)} x {len(tg)} terms of {f.k} x {f.k} "
-                         f"coefficients exceeds {MAX_PRODUCT_VALUES} values")
-    i, j = np.divmod(np.arange(len(tf) * len(tg)), len(tg))  # every pair, j inner
+    i, j = _term_pairs("exact product", tf, tg, f.k)
     pJ = np.matmul(f.frequency(tf["m"])[:, None, :], J.entries)[:, 0, :]
     phase = np.exp(-2j * np.pi * _rowdot(pJ[i], g.frequency(tg["m"])[j]))
     c = phase[:, None, None] * np.matmul(tf["c"][i], tg["c"][j])
@@ -463,11 +469,15 @@ def _twisted_lattice_product(f: GridSymbol, g: GridSymbol, J: DeformationMatrix,
     return np.swapaxes(plan.forward(np.swapaxes(f.values, -1, -2)), -1, -2)
 
 
-def _check_point_indices(N: int, count: int) -> list[int]:
-    """min(count, N) distinct, evenly spread indices of the N-point axis."""
+def _check_points(N: int, count: int, n: int) -> list[tuple]:
+    """Grid indices of min(count, N) distinct central points: evenly spread i on axis 0 and,
+    for n = 2, j = N/2 + (i - N/2) // 2 - N/16, off x_1 = +-x_2 (the default five from N = 16
+    on).  The axis swap maps J to -J and fixes x_1 = x_2, where a swap-symmetric pair's
+    product cannot tell J from -J."""
     count = min(count, N)
     stride = N // max(count, 1)
-    return [stride // 2 + j * stride for j in range(count)]
+    return [(i, N // 2 + (i - N // 2) // 2 - N // 16)[:n]
+            for i in range(stride // 2, stride // 2 + count * stride, stride)]
 
 
 def deformed_product_numeric(
@@ -490,18 +500,17 @@ def deformed_product_numeric(
     """
     if not isinstance(f, GridSymbol) or not isinstance(g, GridSymbol):
         raise TypeError("numeric route needs grid symbols")
-    _check_boxes(f, g)
+    _check_boxes(f, g, J)
     if f.N != g.N:
         raise BoxMismatchError("grids have different resolutions")
-    if J.n != f.n:
-        raise BoxMismatchError(f"J has dimension {J.n}, symbols have {f.n}")
     cfg = cfg or OscIntegralConfig()
     # each factor's series, once: the lattice route and the oracle share it
     if cfg.check_points > 0 or not J.is_zero:
         fhat, ghat = series_coefficients(f), series_coefficients(g)
     else:
         fhat = ghat = None
-    points = [(i, [float(f.axis[i])] * f.n) for i in _check_point_indices(f.N, cfg.check_points)]
+    points = [(at, [float(f.axis[i]) for i in at])
+              for at in _check_points(f.N, cfg.check_points, f.n)]
     oracles = [_quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x) for _, x in points]
     result = f.with_values(_twisted_lattice_product(f, g, J, fhat, ghat))
     values = result.values  # the one copy the check points read
@@ -514,8 +523,8 @@ def deformed_product_numeric(
             float(np.abs(f.values).max()) * float(np.abs(g.values).max()),
             1e-300,
         )
-        for (i, x), oracle in zip(points, oracles):
-            disagree = float(np.abs(oracle - values[(i,) * f.n]).max()) / scale
+        for (at, x), oracle in zip(points, oracles):
+            disagree = float(np.abs(oracle - values[at]).max()) / scale
             if not np.isfinite(disagree):
                 raise ConvergenceError(f"product routes disagree at check point {x}: {disagree}")
             worst = max(worst, disagree)
@@ -619,6 +628,7 @@ class _LatticePlan:
     _KEPT_BYTES.  An application's working set is its input, a copy, the sum and one
     chunk's buffers, made once per call; the zero-shift field's product is formed last.
 
+    N must be a power of two, for that fold (ValueError before any set-up).
     The symbols share (n, L, k); a single symbol is a batch of one.  Each member applies to
     its own slice of the values, of shape (members,) + (N,) * n + (k, k) (a batch of one
     also takes (N,) * n + (k, k)).  A member's groups are padded with zero kernels up to the
@@ -628,6 +638,8 @@ class _LatticePlan:
     """
 
     def __init__(self, syms, N: int, groups=None):
+        if not _is_pow2(N):
+            raise ValueError(f"points per axis must be a power of two, got {N}")
         syms = [syms] if isinstance(syms, PlaneWavePhaseSymbol) else list(syms)
         groups = [_shift_groups(sym) for sym in syms] if groups is None else groups
         n, k, L = syms[0].n, syms[0].k, syms[0].L
@@ -801,12 +813,12 @@ def _compose_terms(
 ) -> PlaneWavePhaseSymbol:
     """The composition, Op(compose(a, b)) = Op(a) Op(b), by its exact termwise law.
 
-    Frequencies add and the coefficient picks up exp(i w_a . omega_b).
+    Frequencies add and the coefficient picks up exp(i w_a . omega_b); bounded by _term_pairs.
     """
     if not _same_box(a, b):
         raise BoxMismatchError("phase symbols live on different boxes")
     ta, tb = a.terms, b.terms
-    i, j = np.divmod(np.arange(len(ta) * len(tb)), len(tb))  # every pair, j inner
+    i, j = _term_pairs("composition", ta, tb, a.k)
     phase = np.exp(1j * _rowdot(ta["w"][i], b.omega(tb["m"])[j]))
     c = phase[:, None, None] * np.matmul(ta["c"][i], tb["c"][j])
     return PlaneWavePhaseSymbol(a.n, a.L, a.k, _term_array(

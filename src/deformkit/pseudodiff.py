@@ -33,7 +33,6 @@ from .symbols import (
     PlaneWavePhaseSymbol,
     _LatticeFold,
     _derivative_factors,
-    _is_pow2,
     _sample_norms,
     centered_dft,
     centered_idft,
@@ -100,10 +99,8 @@ def op_from_phase_terms(sym: PlaneWavePhaseSymbol, N: int) -> DiscretizedOperato
     """Operator of a phase-space lattice symbol, exact on the periodic grid.
 
     N must be a power of two, as for grid symbols: the lattice kernel folds
-    its axis-0 transforms for such grids (ValueError otherwise).
+    its axis-0 transforms for such grids (_LatticePlan raises ValueError otherwise).
     """
-    if not _is_pow2(N):
-        raise ValueError(f"points per axis must be a power of two, got {N}")
     geometry, plan = (sym.n, N, sym.L, sym.k), _LatticePlan(sym, N)
     return DiscretizedOperator(geometry, geometry, plan.forward, plan.adjoint)
 
@@ -155,48 +152,36 @@ def adjoint(op: DiscretizedOperator) -> DiscretizedOperator:
     return DiscretizedOperator(op.geometry_out, op.geometry_in, op.adjoint_fn, op.forward)
 
 
-def operator_norm(op: DiscretizedOperator, tol: float = NORM_TOL) -> float:
+def operator_norm(op: DiscretizedOperator) -> float:
     """Spectral norm by the Lanczos recurrence on A*A: _lanczos on a batch of one,
     through the operator's own forward and adjoint closures.
 
-    ValueError before any application when tol is not finite and positive;
     NoConvergenceError after NORM_MAX_STEPS steps, or at once when an
     application gives a non-finite alpha or beta.
     """
-    _check_tol(tol)
     n, N, L, k = op.geometry_in
-    return _lanczos(lambda V: op.adjoint_fn(op.forward(V[0]))[None], (N,) * n + (k, k), 1,
-                    tol)[0]
+    return _lanczos(lambda V: op.adjoint_fn(op.forward(V[0]))[None], (N,) * n + (k, k), 1)[0]
 
 
-def phase_norms(symbols, N: int, tol: float = NORM_TOL) -> list:
+def phase_norms(symbols, N: int) -> list:
     """Operator norms of lattice phase symbols of one box on the N-point grid, in order.
 
-    Bit for bit operator_norm(op_from_phase_terms(sym, N), tol) for each
+    Bit for bit operator_norm(op_from_phase_terms(sym, N)) for each
     symbol, run as one lockstep Lanczos over one batched _LatticePlan:
     every step is one batched A*A over the members still running.  The
     symbols are split into consecutive runs whose kernel spectra fit
     _KEPT_BYTES and _BATCH_BYTES as a whole; a run is one batch
-    (deformation._plan_batches).  ValueError before any application when
-    tol is not finite and positive.
+    (deformation._plan_batches).
     """
-    _check_tol(tol)
-    if not _is_pow2(N):
-        raise ValueError(f"points per axis must be a power of two, got {N}")
     norms = []
     for batch, groups in _plan_batches(list(symbols), N):
         plan, sym = _LatticePlan(batch, N, groups), batch[0]
         norms += _lanczos(lambda V, plan=plan: plan.adjoint(plan.forward(V)),
-                          (N,) * sym.n + (sym.k, sym.k), len(batch), tol, plan.keep)
+                          (N,) * sym.n + (sym.k, sym.k), len(batch), plan.keep)
     return norms
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"norm tolerance must be finite and positive, got {tol}")
-
-
-def _lanczos(gram, shape: tuple, count: int, tol: float, keep=None) -> list:
+def _lanczos(gram, shape: tuple, count: int, keep=None) -> list:
     """Spectral norms of count operators A_i by lockstep Lanczos recurrences on A_i* A_i.
 
     gram(V) maps the stacked vectors V, one row per running member, to the
@@ -205,14 +190,14 @@ def _lanczos(gram, shape: tuple, count: int, tol: float, keep=None) -> list:
     recurrence from the same seeded random start (NORM_SEED) and keeps only
     its last two Lanczos vectors and the coefficients alpha_j, beta_j of its
     tridiagonal T_k.  It stops when the residual beta_k |s_k| of the top Ritz
-    pair of T_k is at most tol * theta_k, with the norm sqrt(theta_k), which
-    approaches it from below, and leaves the batch.  The batch shares only
-    the applications: start, recurrence, Ritz solve and stop are per member,
-    so each member's bits are those of its solo run.  NoConvergenceError
-    after NORM_MAX_STEPS steps, or at once when an application gives a
-    non-finite alpha or beta.
+    pair of T_k is at most NORM_TOL * theta_k (NORM_TOL read once per call),
+    with the norm sqrt(theta_k), which approaches it from below, and leaves
+    the batch.  The batch shares only the applications: start, recurrence,
+    Ritz solve and stop are per member, so each member's bits are those of
+    its solo run.  NoConvergenceError after NORM_MAX_STEPS steps, or at once
+    when an application gives a non-finite alpha or beta.
     """
-    rng = np.random.default_rng(NORM_SEED)
+    tol, rng = NORM_TOL, np.random.default_rng(NORM_SEED)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v /= _real_dot(v, v) ** 0.5
     V = np.repeat(v[None], count, axis=0)

@@ -46,7 +46,6 @@ from .heisenberg import (
     symbol_map_S,
 )
 from .pseudodiff import (
-    NORM_TOL,
     cv_functional,
     fourier_operator,
     op_from_phase_terms,
@@ -145,7 +144,7 @@ def gaussian_values(n: int, N: int, L: float, width: float, k: int = 1,
     return out
 
 
-def sup_op_gap(family, tol: float = NORM_TOL) -> float:
+def sup_op_gap(family) -> float:
     """Worst |sup f - ||L_f||| / sup f at J = 0 over grid symbols f; the norms of the
     symbols of one grid and box run in one lockstep run."""
     family, grids, norms = list(family), {}, {}
@@ -153,7 +152,7 @@ def sup_op_gap(family, tol: float = NORM_TOL) -> float:
         grids.setdefault((f.n, f.N, f.L, f.k), []).append(i)
     for (n, N, _, _), members in grids.items():
         lifts = [tilde_map(family[i], DeformationMatrix.zero(n)) for i in members]
-        norms.update(zip(members, phase_norms(lifts, N, tol)))
+        norms.update(zip(members, phase_norms(lifts, N)))
     worst = 0.0
     for i, f in enumerate(family):
         sup = sup_norm(f)

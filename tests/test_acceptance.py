@@ -111,7 +111,7 @@ def test_undeformed_sup_and_operator_norms_coincide():
     rng = np.random.default_rng(42611)
     family = (GridSymbol(2, 64, 6.0, band_limited_vector(rng, 2, 64, 6.0, 2, 2).values)
               for _ in range(20))
-    worst = sup_op_gap(family, tol=1e-6)
+    worst = sup_op_gap(family)
     record_criterion(
         "undeformed sup/op degeneracy",
         worst <= DEGENERACY_TOL,

@@ -21,7 +21,7 @@ from deformkit.deformation import (
     _k_first,
     _kfirst_product,
     _LatticePlan,
-    _check_point_indices,
+    _check_points,
     _inner_period,
     _quadrature_point_lattice,
     _twisted_lattice_product,
@@ -147,6 +147,38 @@ def test_exact_route_rejects_box_mismatch():
         deformed_product_exact(f, g, J_HALF)
 
 
+def test_products_refuse_a_J_of_another_dimension():
+    # both products check J with the boxes, before any series or pair is formed
+    f = wave((1, 0))
+    J = DeformationMatrix.zero(1)
+    for run in (lambda: deformed_product_exact(f, f, J),
+                lambda: deformed_product_numeric(f.to_grid(8), f.to_grid(8), J)):
+        with pytest.raises(BoxMismatchError, match="J has dimension 1, symbols have 2"):
+            run()
+
+
+def test_composition_refuses_too_many_term_pairs(monkeypatch):
+    # 2 x 3 term pairs of 2 x 2 coefficients are 24 values: past a bound of 23 both termwise
+    # laws refuse before any pair is formed, so no phase is ever taken
+    def formed(*args):
+        raise AssertionError("a term pair was formed")
+
+    monkeypatch.setattr(deformation, "MAX_PRODUCT_VALUES", 23)
+    monkeypatch.setattr(deformation, "_rowdot", formed)
+    a = PlaneWavePhaseSymbol(1, L, 2, tuple(((m,), (0.5 * m,), np.eye(2)) for m in (0, 1)))
+    b = PlaneWavePhaseSymbol(1, L, 2, tuple(((m,), (0.0,), np.eye(2)) for m in (0, 1, 2)))
+    with pytest.raises(ValueError, match="composition of 2 x 3 terms of 2 x 2 coefficients "
+                                         "exceeds 23 values"):
+        deformation._compose_terms(a, b)
+    f = PlaneWaveSymbol(1, L, 2, tuple(((m,), np.eye(2)) for m in (0, 1)))
+    g = PlaneWaveSymbol(1, L, 2, tuple(((m,), np.eye(2)) for m in (0, 1, 2)))
+    with pytest.raises(ValueError, match="exact product of 2 x 3 terms"):
+        deformed_product_exact(f, g, DeformationMatrix.zero(1))
+    monkeypatch.setattr(deformation, "MAX_PRODUCT_VALUES", 24)
+    with pytest.raises(AssertionError, match="formed"):
+        deformation._compose_terms(a, b)
+
+
 @pytest.mark.parametrize("scale, k, same", [
     pytest.param(1.0 + 5e-13, 1, True, id="L-above-within"),
     pytest.param(1.0 - 5e-13, 1, True, id="L-below-within"),
@@ -216,10 +248,12 @@ def test_numeric_route_reports_disagreement():
 
 
 def test_numeric_route_checks_at_most_n_distinct_points():
-    # five check points on a 4-point axis: each of the four once, and the report says 4;
-    # band-limited factors (|m| <= 1, sums inside the band) keep the routes together
-    assert _check_point_indices(4, 5) == [0, 1, 2, 3]
-    assert _check_point_indices(16, 5) == [1, 4, 7, 10, 13]
+    # five check points on a 4-point axis: each of the four axis-0 rows once, and the
+    # report says 4; band-limited factors (|m| <= 1, sums inside the band) keep the
+    # routes together
+    assert _check_points(4, 5, 1) == [(0,), (1,), (2,), (3,)]
+    assert _check_points(4, 5, 2) == [(0, 1), (1, 1), (2, 2), (3, 2)]
+    assert _check_points(16, 5, 2) == [(1, 3), (4, 5), (7, 6), (10, 8), (13, 9)]
     f = PlaneWaveSymbol(2, L, 1, (((0, 0), 1.0), ((1, 0), 0.5j), ((0, 1), -0.3))).to_grid(4)
     g = PlaneWaveSymbol(2, L, 1, (((0, 0), 0.8), ((-1, 0), 0.2), ((0, -1), 0.4j))).to_grid(4)
     report = {}
@@ -270,7 +304,7 @@ def test_numeric_route_raises_on_a_nan_oracle(monkeypatch):
 def modulated_pair(N):
     """Gaussians of widths 2.0 and 3.0 (1.2 and 0.9 from N = 256 on) times the plane waves
     e_(2, 0) and e_(0, 2): unlike a radial pair, the pair is not symmetric under swapping
-    the axes, which maps J to -J and fixes the diagonal the check points lie on."""
+    the axes, which maps J to -J, so its product tells J from -J also on x_1 = x_2."""
     wave = np.exp(2j * np.pi * 2 * symbols.axis_points(N, L) / (2 * L))
     widths = (2.0, 3.0) if N < 256 else (1.2, 0.9)
     return [GridSymbol(2, N, L, gaussian_values(2, N, L, w) * e[..., None, None] * c)
@@ -281,13 +315,13 @@ def modulated_pair(N):
 @pytest.mark.parametrize("defect", [None, "minus-J", "scaled"])
 def test_route_check_fails_on_a_seeded_lattice_defect(monkeypatch, N, defect):
     # The lattice route run at -J or at J (1 + 1e-3) against the oracle at J, theta = 0.25.
-    # The routes read, unmutated, -J and scaled: 3.3e-11, 5.3e-2 and 2.5e-5 at N = 16, and
-    # 3.2e-11, 8.6e-2 and 4.8e-5 at N = 256, linear in the scale defect, so the smallest
-    # one that trips the 10 x tol = 1e-5 gate is 3.9e-4 at N = 16 and 2.1e-4 at N = 256.
-    # A radial Gaussian pair reads the same under -J as unmutated (3.6e-14 at N = 256).
+    # The routes read, unmutated, -J and scaled: 2.8e-11, 2.4e-2 and 1.3e-5 at N = 16, and
+    # 2.1e-11, 5.1e-2 and 2.3e-5 at N = 256, linear in the scale defect, so the smallest
+    # one that trips the 10 x tol = 1e-5 gate is 7.8e-4 at N = 16 and 4.3e-4 at N = 256.
+    # A radial Gaussian pair reads the same under -J as unmutated (2.1e-11 at N = 256).
     assert 16 ** 2 <= _CHUNK_POINTS < 256 ** 2  # one group fits at N = 16, not at 256
-    reads = {16: {"minus-J": 5.34e-2, "scaled": 2.54e-5},
-             256: {"minus-J": 8.65e-2, "scaled": 4.78e-5}}[N]
+    reads = {16: {"minus-J": 2.373e-2, "scaled": 1.275e-5},
+             256: {"minus-J": 5.093e-2, "scaled": 2.305e-5}}[N]
     mutants = {"minus-J": lambda J: DeformationMatrix(-J.entries),
                "scaled": lambda J: DeformationMatrix(J.entries * (1 + 1e-3))}
     f, g = modulated_pair(N)
@@ -303,6 +337,56 @@ def test_route_check_fails_on_a_seeded_lattice_defect(monkeypatch, N, defect):
     with pytest.raises(ConvergenceError, match="product routes disagree: ") as err:
         deformed_product_numeric(f, g, J)
     assert float(str(err.value).split()[3]) == pytest.approx(reads[defect], rel=0.01)
+
+
+def swap_symmetric_pair(kind, N):
+    """f, g unchanged under swapping the axes, which maps J to -J: so on x_1 = x_2 the
+    product at -J is the product at J.  "waves": e^(-|x|^2 / 1.2 + i (x_1 + x_2)) and
+    e^(-|x|^2 / 0.9 + 0.5 i (x_1 + x_2)); "quartic": e^(-(x_1^4 + x_2^4) / 3) and
+    e^(-|x|^2 / 2 - (x_1 x_2)^2 / 4)."""
+    x1, x2 = np.meshgrid(symbols.axis_points(N, L), symbols.axis_points(N, L), indexing="ij")
+    r2 = x1 ** 2 + x2 ** 2
+    if kind == "waves":
+        values = (-r2 / 1.2 + 1j * (x1 + x2), -r2 / 0.9 + 0.5j * (x1 + x2))
+    else:
+        values = (-(x1 ** 4 + x2 ** 4) / 3, -r2 / 2 - (x1 * x2) ** 2 / 4)
+    return [GridSymbol(2, N, L, np.exp(v)[..., None, None] + 0j) for v in values]
+
+
+def test_check_points_leave_both_diagonals():
+    for N in (16, 32, 64, 128, 256, 512, 1024):
+        assert all(abs(i - N // 2) != abs(j - N // 2) for i, j in _check_points(N, 5, 2))
+
+
+@pytest.mark.parametrize("N", [16, 256], ids=["group-chunks", "row-chunks"])
+@pytest.mark.parametrize("kind", ["waves", "quartic"])
+def test_route_check_sees_the_sign_of_J_on_a_swap_symmetric_pair(monkeypatch, kind, N):
+    # The lattice route at -J against the oracle at J, theta = 0.25.  Off the diagonals the
+    # check reads 2.2e-3 and 2.4e-2 (waves), 1.5e-2 and 2.1e-3 (quartic) at N = 16 and 256;
+    # unmutated, 1.5e-11 or less, and 6.9e-10 for the quartic pair at N = 256.  On the
+    # diagonal x_1 = x_2, where the check points lay before, the mutant reads as the
+    # unmutated route does.
+    reads = {("waves", 16): 2.158e-3, ("waves", 256): 2.381e-2,
+             ("quartic", 16): 1.494e-2, ("quartic", 256): 2.097e-3}[kind, N]
+    f, g = swap_symmetric_pair(kind, N)
+    J = DeformationMatrix.symplectic(0.25, 2)
+    report = {}
+    deformed_product_numeric(f, g, J, report=report)
+    assert report["route_disagreement"] <= 1e-9
+    real = deformation._twisted_lattice_product
+    monkeypatch.setattr(deformation, "_twisted_lattice_product",
+                        lambda f, g, J, fhat, ghat: real(f, g, DeformationMatrix(-J.entries),
+                                                         fhat, ghat))
+    with pytest.raises(ConvergenceError, match="product routes disagree: ") as err:
+        deformed_product_numeric(f, g, J)
+    assert float(str(err.value).split()[3]) == pytest.approx(reads, rel=0.01)
+    diagonal = [(i, i) for i, _ in _check_points(N, 5, 2)]
+    monkeypatch.setattr(deformation, "_check_points", lambda N, count, n: diagonal)
+    mutated, unmutated = {}, {}
+    deformed_product_numeric(f, g, J, report=mutated)
+    monkeypatch.setattr(deformation, "_twisted_lattice_product", real)
+    deformed_product_numeric(f, g, J, report=unmutated)
+    assert abs(mutated["route_disagreement"] - unmutated["route_disagreement"]) <= 1e-15
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -619,7 +703,7 @@ def test_grid_product_peaks_at_one_check_point():
     J = DeformationMatrix.symplectic(0.25, 2)
     deformed_product_numeric(f, g, J)  # the chirp spectra, the FFT plans
     fhat, ghat = series_coefficients(f), series_coefficients(g)
-    x = [float(f.axis[_check_point_indices(256, 5)[0]])] * 2
+    x = [float(f.axis[i]) for i in _check_points(256, 5, 2)[0]]
 
     def traced_peak(run):
         deformation._weight_groups.cache_clear()

@@ -509,6 +509,28 @@ def test_interplay_record_fails_on_a_seeded_defect(monkeypatch, defect):
     assert (record["measured"] > record["bound"]) is (defect is not None)
 
 
+@pytest.mark.parametrize("tol, t0, sup_op", [(1e-4, 4.41e-8, 3.16e-8),
+                                              (1e-3, 1.66e-4, 2.83e-6)])
+def test_a_loose_norm_stop_fails_t0_but_not_sup_op(monkeypatch, tol, t0, sup_op):
+    # Lanczos stopped at NORM_TOL = 1e-4 or 1e-3 instead of 1e-8: the Lanczos-free
+    # reference of t0-equals-operator-norm sees the early stop (bound 1e-9; 4.4e-16 at
+    # 1e-8), while the sup/op agreement stays inside its 0.02 bound (3.4e-16 at 1e-8), so
+    # that record cannot see the stop rule.  Both norm entry points read NORM_TOL per call.
+    sym = PlaneWavePhaseSymbol(1, 4.0, 1, (((1,), (0.5,), 1.0), ((0,), (0.0,), 0.5),
+                                            ((-2,), (1.25,), 0.3j)))
+    exact = pseudodiff.operator_norm(pseudodiff.op_from_phase_terms(sym, 16))
+    monkeypatch.setattr(pseudodiff, "NORM_TOL", tol)
+    records = {r["claim_id"]: r for name in ("norm-hierarchy", "sup-op")
+               for r in SUITES[name](RunConfig())}
+    t0_record = records["t0-equals-operator-norm"]
+    sup_op_record = records["sup-equals-op-norm-at-theta-zero"]
+    assert not t0_record["passed"] and t0_record["measured"] == pytest.approx(t0, rel=0.01)
+    assert sup_op_record["passed"] and sup_op_record["measured"] == pytest.approx(sup_op,
+                                                                                  rel=0.01)
+    loose = pseudodiff.operator_norm(pseudodiff.op_from_phase_terms(sym, 16))
+    assert loose != exact and pseudodiff.phase_norms([sym], 16) == [loose]
+
+
 def test_plane_wave_product_records_fail_when_the_lattice_route_flips_j(monkeypatch):
     # the grid route run at -J reads 0.164 at theta = 0.25 and 0.449 at theta = 1 against
     # the exact phase law (bound 1e-6; 5.8e-16 and 4.5e-16 unmutated).  At theta = 0, -J is
