@@ -28,11 +28,9 @@ law (_compose_terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partialmethod, reduce
 from itertools import groupby, product as _iproduct
 from math import comb, factorial, prod
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -54,7 +52,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "OscIntegralConfig",
     "deformed_product_exact",
     "deformed_product_numeric",
     "tilde_map",
@@ -87,27 +84,10 @@ _BATCH_BYTES = 1 << 21
 # holds about ten arrays of that many complex values at once (a 626 MB peak for two
 # 2048-term waves, k = 1)
 MAX_PRODUCT_VALUES = 1 << 22
-
-
-@dataclass(frozen=True)
-class OscIntegralConfig:
-    """Parameters of the regularized oscillatory quadrature.
-
-    The regularization order is floor(n/2) + 1 in dimension n, above n/2
-    for absolute convergence.  tol is the route-agreement tolerance and
-    check_points the number of sample points at which the quadrature
-    oracle verifies the lattice route (0 disables the check).  ValueError
-    unless tol is finite and positive and check_points an integer >= 0.
-    """
-
-    tol: float = 1e-6
-    check_points: int = 5
-
-    def __post_init__(self):
-        if not (isinstance(self.tol, Real) and np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if not (isinstance(self.check_points, Integral) and self.check_points >= 0):
-            raise ValueError(f"check_points must be an integer >= 0, got {self.check_points!r}")
+# The grid product's route check (deformed_product_numeric, read per call): the most
+# relative disagreement of the two routes, and the quadrature points that measure it
+ROUTE_TOL = 1e-5
+CHECK_POINTS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -484,33 +464,32 @@ def deformed_product_numeric(
     f: GridSymbol,
     g: GridSymbol,
     J: DeformationMatrix,
-    cfg: OscIntegralConfig | None = None,
+    lattice_only: bool = False,
     report: dict | None = None,
 ) -> GridSymbol:
     """Deformed product of grid symbols.
 
     The twisted lattice convolution produces the grid (exact on the
-    periodic model); the regularized quadrature route re-evaluates the
-    product at cfg.check_points sample points and ConvergenceError is
-    raised when the routes disagree beyond 10x cfg.tol.  The measured
-    disagreement is written to report["route_disagreement"] when a dict
-    is passed.  The check points run first and keep only their k x k
-    values, so the two routes' working sets never meet: a product's peak
-    is its two series plus one check point.
+    periodic model); unless lattice_only, the regularized quadrature route
+    re-evaluates the product at CHECK_POINTS sample points and
+    ConvergenceError is raised when the routes disagree beyond ROUTE_TOL.
+    The measured disagreement is written to report["route_disagreement"]
+    when a dict is passed.  The check points run first and keep only their
+    k x k values, so the two routes' working sets never meet: a product's
+    peak is its two series plus one check point.
     """
     if not isinstance(f, GridSymbol) or not isinstance(g, GridSymbol):
         raise TypeError("numeric route needs grid symbols")
     _check_boxes(f, g, J)
     if f.N != g.N:
         raise BoxMismatchError("grids have different resolutions")
-    cfg = cfg or OscIntegralConfig()
+    count = 0 if lattice_only else CHECK_POINTS
     # each factor's series, once: the lattice route and the oracle share it
-    if cfg.check_points > 0 or not J.is_zero:
+    if count > 0 or not J.is_zero:
         fhat, ghat = series_coefficients(f), series_coefficients(g)
     else:
         fhat = ghat = None
-    points = [(at, [float(f.axis[i]) for i in at])
-              for at in _check_points(f.N, cfg.check_points, f.n)]
+    points = [(at, [float(f.axis[i]) for i in at]) for at in _check_points(f.N, count, f.n)]
     oracles = [_quadrature_point_lattice(fhat, ghat, f.n, f.L, J, x) for _, x in points]
     result = f.with_values(_twisted_lattice_product(f, g, J, fhat, ghat))
     values = result.values  # the one copy the check points read
@@ -529,14 +508,13 @@ def deformed_product_numeric(
                 raise ConvergenceError(f"product routes disagree at check point {x}: {disagree}")
             worst = max(worst, disagree)
             checked += 1
-        if worst > 10.0 * cfg.tol:
+        if worst > ROUTE_TOL:
             raise ConvergenceError(
-                f"product routes disagree: {worst:.3e} > 10 x tol {cfg.tol:.1e}"
+                f"product routes disagree: {worst:.3e} > ROUTE_TOL {ROUTE_TOL:.1e}"
             )
     if report is not None:
         report["route_disagreement"] = worst
         report["points_checked"] = checked
-        report["tolerance"] = cfg.tol
     return result
 
 

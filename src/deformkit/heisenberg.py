@@ -167,7 +167,6 @@ def differential_norm_T(sym: PlaneWavePhaseSymbol, N: int, k: int) -> float:
 class DifferentialNormReport:
     """T_k values and their partial sums s_m = sum_{k <= m} T_k."""
 
-    order: int
     T: tuple
     s: tuple
 
@@ -181,7 +180,7 @@ def differential_norms(sym: PlaneWavePhaseSymbol, N: int, m: int) -> Differentia
     nondecreasing sums s_k, in one lockstep run."""
     T = _hierarchy(sym, N, range(m + 1))
     s = list(np.cumsum(T))
-    return DifferentialNormReport(m, tuple(T), tuple(float(v) for v in s))
+    return DifferentialNormReport(tuple(T), tuple(float(v) for v in s))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +230,14 @@ def d_apply(sym: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     return sym.scale_terms(_axis_product(sym, (1.0 + 1j * _frequencies(sym)) ** 2))
 
 
-def d_inverse_factor(nu: float, T: float = D_INVERSE_T) -> complex:
-    """int_0^T gamma2(s) exp(-i nu s) ds by Simpson quadrature.
+def d_inverse_factor(nu: float) -> complex:
+    """int_0^T gamma2(s) exp(-i nu s) ds by Simpson quadrature, T = D_INVERSE_T read per call.
 
     The analytic value is (1 + i nu)^{-2}; the quadrature keeps the
     inverse route independent.  ConvergenceError when the dropped tail
     (1 + T) exp(-T) exceeds 1e-10.
     """
+    T = D_INVERSE_T
     tail = (1.0 + T) * np.exp(-T)
     if tail > 1e-10:
         raise ConvergenceError(

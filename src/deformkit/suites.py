@@ -28,7 +28,6 @@ from .coeff_algebra import (
     unitized_spectrum,
 )
 from .deformation import (
-    OscIntegralConfig,
     _compose_terms,
     deformed_product_exact,
     deformed_product_numeric,
@@ -296,9 +295,7 @@ def _suite_product_oracle(cfg: RunConfig) -> list:
             f = random_plane_wave(rng, 2, L, 1, 3, 4)
             g = random_plane_wave(rng, 2, L, 1, 3, 4)
             exact = deformed_product_exact(f, g, J).to_grid(N)
-            numeric = deformed_product_numeric(
-                f.to_grid(N), g.to_grid(N), J, OscIntegralConfig(check_points=0)
-            )
+            numeric = deformed_product_numeric(f.to_grid(N), g.to_grid(N), J, True)
             worst = max(worst, _relative_gap(numeric.values, exact.values))
         records.append(_record(
             f"plane-wave-product-theta-{theta:g}",
@@ -358,10 +355,9 @@ def _suite_associativity(cfg: RunConfig) -> list:
         worst, 1e-12,
     )]
     N = 32
-    osc = OscIntegralConfig(check_points=0)
     f, g, h = (GridSymbol(2, N, L, gaussian_values(2, N, L, w)) for w in (2.0, 3.0, 1.5))
-    left = deformed_product_numeric(deformed_product_numeric(f, g, J, osc), h, J, osc)
-    right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, osc), J, osc)
+    left = deformed_product_numeric(deformed_product_numeric(f, g, J, True), h, J, True)
+    right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, True), J, True)
     records.append(_record(
         "associativity-numeric",
         "the grid deformed product is associative on decaying symbols",

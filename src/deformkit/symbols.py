@@ -398,8 +398,8 @@ class PlaneWaveSymbol:
 class _GridData:
     """Grid-sampled k x k data on the box [-L, L)^n, n in {1, 2}.
 
-    N must be a power of two; values of shape (N,)*n are scalar data and
-    become (N,)*n + (1, 1); non-finite values are rejected.
+    N must be a power of two and k in 1..MAX_DIM; values of shape (N,)*n are
+    scalar data and become (N,)*n + (1, 1); non-finite values are rejected.
     """
 
     n: int
@@ -421,6 +421,8 @@ class _GridData:
             or arr.shape[-1] != arr.shape[-2]
         ):
             raise ValueError(f"values shape {arr.shape} does not match grid")
+        if not 1 <= arr.shape[-1] <= MAX_DIM:
+            raise ValueError(f"fiber size must be in 1..{MAX_DIM}, got {arr.shape[-1]}")
         if not np.isfinite(arr).all():
             raise ValueError("grid values have non-finite entries")
         arr = arr.copy()
@@ -698,7 +700,7 @@ def read_rsym(path) -> GridSymbol:
         raise ValueError(f"{path}: unsupported version {version} at byte offset 4")
     if n not in (1, 2):
         raise ValueError(f"{path}: bad dimension {n} at byte offset 8")
-    if not (1 <= k <= 8):
+    if not 1 <= k <= MAX_DIM:
         raise ValueError(f"{path}: bad fiber size {k} at byte offset 9")
     if not _is_pow2(N):
         raise ValueError(f"{path}: bad grid size {N} at byte offset 11")

@@ -25,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .deformation import (
-    OscIntegralConfig,
-    deformed_product_exact,
-    deformed_product_numeric,
-    tilde_map,
-)
+from .deformation import deformed_product_exact, deformed_product_numeric, tilde_map
 from .errors import ConvergenceError, DeformkitError, NoConvergenceError
 from .symbols import (
     MAX_DERIV_ORDER,
@@ -67,7 +62,6 @@ class RunConfig:
     N: int = 32
     L: float = 6.0
     theta: float = 0.25
-    tol: float = 1e-6
     norm_order: int = 2
     seed: int = 20260815
     workers: int = 1
@@ -77,13 +71,11 @@ class RunConfig:
     def __post_init__(self):
         if self.N < 4 or self.N > MAX_GRID_N or self.N & (self.N - 1) != 0:
             raise ValueError(f"N must be a power of two in [4, {MAX_GRID_N}], got {self.N}")
-        for name in ("L", "theta", "tol"):
+        for name in ("L", "theta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
         if not 0 <= self.norm_order <= MAX_DERIV_ORDER:
             raise ValueError(
                 f"norm_order must be in [0, {MAX_DERIV_ORDER}], got {self.norm_order}")
@@ -186,18 +178,13 @@ def cmd_product(cfg: RunConfig, f_path: str, g_path: str) -> int:
     J = _deformation(f.n, cfg.theta)
     if isinstance(f, PlaneWaveSymbol) and isinstance(g, PlaneWaveSymbol):
         product = deformed_product_exact(f, g, J)
-        fg = deformed_product_numeric(
-            _on_grid(f, cfg.N), _on_grid(g, cfg.N), J,
-            OscIntegralConfig(tol=cfg.tol, check_points=0),
-        )
+        fg = deformed_product_numeric(_on_grid(f, cfg.N), _on_grid(g, cfg.N), J, True)
         disagreement = _relative_gap(fg.values, product.to_grid(cfg.N).values)
     else:
         N = g.N if isinstance(f, PlaneWaveSymbol) else f.N
         f, g = _on_grid(f, N), _on_grid(g, N)
         report: dict = {}
-        product = deformed_product_numeric(
-            f, g, J, OscIntegralConfig(tol=cfg.tol), report=report
-        )
+        product = deformed_product_numeric(f, g, J, report=report)
         disagreement = report.get("route_disagreement", float("nan"))
     write_symbol_file(product, cfg.out)
     print(f"route disagreement: {disagreement:.3e}", file=sys.stderr)
@@ -274,7 +261,6 @@ def cmd_info(cfg: RunConfig) -> int:
     print(f"deformkit {__version__}")
     print(f"geometry: N = {cfg.N}, L = {cfg.L:g}")
     print(f"deformation: theta = {cfg.theta:g}")
-    print(f"tolerance: {cfg.tol:g}")
     print(f"norm order: {cfg.norm_order}")
     print(f"seed: {cfg.seed}")
     print("formats: RSYM1 binary grids, plane-wave JSON")

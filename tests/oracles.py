@@ -27,7 +27,6 @@ from deformkit.deformation import (
     _OUTER,
     OSC_PAD,
     OSC_Q,
-    OscIntegralConfig,
     _compose_terms,
     _reg_pairs,
     _weight_derivative,
@@ -192,44 +191,39 @@ def _dagger_terms(a: PlaneWavePhaseSymbol) -> PlaneWavePhaseSymbol:
     return PlaneWavePhaseSymbol(a.n, a.L, a.k, t)
 
 
-def symbol_dagger(a: PlaneWavePhaseSymbol, cfg: OscIntegralConfig | None = None):
+def symbol_dagger(a: PlaneWavePhaseSymbol, check: bool = True):
     """Involution of a lattice phase-space symbol: Op(dagger(a)) = Op(a)*.
 
     The exact termwise law of _dagger_terms, with the defining
-    twisted-kernel integral re-evaluated per distinct frequency by the
-    quadrature oracle; ConvergenceError beyond 10x cfg.tol.
+    twisted-kernel integral re-evaluated, when check, at the first
+    deformation.CHECK_POINTS frequencies by the quadrature oracle;
+    ConvergenceError beyond deformation.ROUTE_TOL.
     """
-    cfg = cfg or OscIntegralConfig()
     result = _dagger_terms(a)
-    if cfg.check_points > 0 and len(a.terms):
+    if check and len(a.terms):
         worst = 0.0
-        for m, w, _ in a.terms[: cfg.check_points]:
+        for m, w, _ in a.terms[: deformation.CHECK_POINTS]:
             omega = a.omega(m)
             exact = np.exp(1j * float(omega @ np.asarray(w)))
             oracle = _kernel_value_oracle(omega, w)
             worst = max(worst, abs(oracle - exact))
-        if worst > 10.0 * cfg.tol:
-            raise ConvergenceError(
-                f"involution kernel quadrature off by {worst:.3e} (tol {cfg.tol:.1e})"
-            )
+        if worst > deformation.ROUTE_TOL:
+            raise ConvergenceError(f"involution kernel quadrature off by {worst:.3e}")
     return result
 
 
-def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
-                   cfg: OscIntegralConfig | None = None):
+def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol, check: bool = True):
     """Composition of lattice phase-space symbols: Op(compose(a, b)) = Op(a) Op(b).
 
     The exact termwise law of _compose_terms, with the defining integral
     (2pi)^{-n} int int e^{-iz.eta} a(x, xi-eta) b(x-z, xi) dz deta
-    re-evaluated at sample phase points by the quadrature oracle;
-    ConvergenceError beyond 10x cfg.tol.
+    re-evaluated, when check, at four phase points by the quadrature
+    oracle; ConvergenceError beyond deformation.ROUTE_TOL.
     """
-    cfg = cfg or OscIntegralConfig()
     result = _compose_terms(a, b)
-    if cfg.check_points > 0 and len(a.terms) and len(b.terms):
+    if check and len(a.terms) and len(b.terms):
         n = a.n
-        count = max(2, min(cfg.check_points, 4))
-        xs, xis = np.linspace(-a.L / 2.0, a.L / 2.0, count), np.linspace(-1.0, 1.0, count)
+        xs, xis = np.linspace(-a.L / 2.0, a.L / 2.0, 4), np.linspace(-1.0, 1.0, 4)
         worst = 0.0
         scale = max(float(np.abs(result.evaluate(np.zeros(n), np.zeros(n))).max()), 1.0)
         sa, sb = a.terms, b.terms
@@ -248,10 +242,8 @@ def symbol_compose(a: PlaneWavePhaseSymbol, b: PlaneWavePhaseSymbol,
                                                om_b, at(sb, om_b, xv, xiv))
             exact = result.evaluate(xv, xiv)
             worst = max(worst, float(np.abs(oracle - exact).max()) / scale)
-        if worst > 10.0 * cfg.tol:
-            raise ConvergenceError(
-                f"composition routes disagree: {worst:.3e} (tol {cfg.tol:.1e})"
-            )
+        if worst > deformation.ROUTE_TOL:
+            raise ConvergenceError(f"composition routes disagree: {worst:.3e}")
     return result
 
 

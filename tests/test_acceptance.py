@@ -18,7 +18,6 @@ from deformkit.coeff_algebra import (
     unitized_spectrum,
 )
 from deformkit.deformation import (
-    OscIntegralConfig,
     deformed_product_exact,
     deformed_product_numeric,
     fourier_inversion_check,
@@ -77,7 +76,6 @@ def _random_vector(rng, n, N, L):
 def test_plane_wave_products_match_phase_law():
     start = time.monotonic()
     N, L = 16, 6.0
-    cfg = OscIntegralConfig(check_points=0)
     freqs = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     waves = {
         (i, j): PlaneWaveSymbol(2, L, 1, (((i, j), 1.0),)).to_grid(N).values
@@ -90,7 +88,7 @@ def test_plane_wave_products_match_phase_law():
         for p in freqs:
             fp = factors[p]
             for q in freqs:
-                prod = deformed_product_numeric(fp, factors[q], J, cfg)
+                prod = deformed_product_numeric(fp, factors[q], J, True)
                 phase = np.exp(
                     -2j * np.pi * theta * (p[0] * q[1] - p[1] * q[0]) / (4.0 * L * L)
                 )
@@ -139,14 +137,13 @@ def test_product_is_associative():
                     worst_exact = max(worst_exact, float(np.abs(c - ra[m]).max()))
 
     rng = np.random.default_rng(36604)
-    cfg = OscIntegralConfig(check_points=0)
     worst_numeric = 0.0
     for _ in range(10):
         f = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0))))
         g = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0)), shift=0.5))
         h = GridSymbol(2, 32, L, gaussian_values(2, 32, L, float(rng.uniform(1.0, 3.0)), shift=-0.5))
-        left = deformed_product_numeric(deformed_product_numeric(f, g, J, cfg), h, J, cfg)
-        right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, cfg), J, cfg)
+        left = deformed_product_numeric(deformed_product_numeric(f, g, J, True), h, J, True)
+        right = deformed_product_numeric(f, deformed_product_numeric(g, h, J, True), J, True)
         worst_numeric = max(worst_numeric, float(np.abs(left.values - right.values).max()))
 
     ok = worst_exact <= EXACT_PHASE_TOL and worst_numeric <= NUMERIC_ASSOC_TOL

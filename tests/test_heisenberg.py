@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 
+from deformkit import heisenberg
 from deformkit.errors import (
     ConvergenceError, GridMismatchError, OrderTooHighError, UnsupportedOperatorError,
 )
@@ -255,7 +256,6 @@ def test_t0_is_operator_norm():
 
 def test_differential_norms_cumulative():
     rep = differential_norms(SYM3, N, 2)
-    assert rep.order == 2
     assert len(rep.T) == 3 and len(rep.s) == 3
     assert_allclose(rep.s[2], rep.T[0] + rep.T[1] + rep.T[2], rtol=1e-12)
     assert rep.s[0] <= rep.s[1] <= rep.s[2]
@@ -342,9 +342,11 @@ def test_d_inverse_factor_against_closed_form(nu):
     assert abs(d_inverse_factor(nu) - 1.0 / (1.0 + 1j * nu) ** 2) <= 1e-9
 
 
-def test_d_inverse_factor_rejects_short_tail():
-    with pytest.raises(ConvergenceError):
-        d_inverse_factor(0.5, T=5.0)
+def test_d_inverse_factor_rejects_short_tail(monkeypatch):
+    # the truncation point is read per call
+    monkeypatch.setattr(heisenberg, "D_INVERSE_T", 5.0)
+    with pytest.raises(ConvergenceError, match="T=5.0"):
+        d_inverse_factor(0.5)
 
 
 def test_d_roundtrip():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from deformkit.coeff_algebra import MAX_DIM
 from deformkit.errors import OrderTooHighError
 from deformkit.pseudodiff import adjoint, fourier_operator
 from deformkit.symbols import (
@@ -190,6 +191,14 @@ def test_grid_symbol_scalar_values_promote_to_matrix():
 def test_grid_symbol_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         GridSymbol(1, 12, 4.0, np.ones(12))
+
+
+@pytest.mark.parametrize("k", [0, MAX_DIM + 1])
+@pytest.mark.parametrize("cls", [GridSymbol, ModuleVector])
+def test_grid_data_rejects_a_bad_fiber_size(cls, k):
+    # as PlaneWaveSymbol and read_rsym do: k = 0 built an empty grid, k = 9 one past MAX_DIM
+    with pytest.raises(ValueError, match=rf"fiber size must be in 1\.\.{MAX_DIM}, got {k}"):
+        cls(1, 4, 1.0, np.zeros((4, k, k)))
 
 
 def test_axis_points_centered():
@@ -515,6 +524,17 @@ def test_read_truncated_rsym_names_byte_offset(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="byte offset"):
+        read_symbol_file(path)
+
+
+@pytest.mark.parametrize("k", [0, MAX_DIM + 1])
+def test_read_bad_fiber_size_names_offset_nine(tmp_path, k):
+    path = tmp_path / "f.rsym"
+    write_symbol_file(GridSymbol(1, 4, 1.0, np.ones(4)), path)
+    data = bytearray(path.read_bytes())
+    data[9:11] = k.to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"bad fiber size {k} at byte offset 9"):
         read_symbol_file(path)
 
 

@@ -76,7 +76,6 @@ def test_parse_config_reads_typed_keys(tmp_path):
         "L = 4.0\n"
         "theta = 0.5\n"
         "seed = 7\n"
-        "tol = 1e-8\n"
         "norm_order = 3\n"
         "workers = 2\n"
         "out = report.json\n"
@@ -88,7 +87,6 @@ def test_parse_config_reads_typed_keys(tmp_path):
     assert cfg.L == 4.0
     assert cfg.theta == 0.5
     assert cfg.seed == 7
-    assert cfg.tol == 1e-8 and isinstance(cfg.tol, float)
     assert cfg.norm_order == 3 and isinstance(cfg.norm_order, int)
     assert cfg.workers == 2 and isinstance(cfg.workers, int)
     assert cfg.out == "report.json"
@@ -113,9 +111,9 @@ def test_parse_config_rejects_missing_equals(tmp_path):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("N", 48), ("N", 0), ("L", -1.0), ("tol", 0.0), ("norm_order", -1), ("workers", 0),
+    [("N", 48), ("N", 0), ("L", -1.0), ("norm_order", -1), ("workers", 0),
      ("L", float("nan")), ("L", float("inf")), ("theta", float("nan")),
-     ("theta", float("inf")), ("tol", float("nan")), ("seed", -1),
+     ("theta", float("inf")), ("seed", -1),
      ("N", 2048), ("N", 1099511627776), ("norm_order", 9), ("norm_order", 40)],
 )
 def test_run_config_rejects_invalid_fields(field, value):
@@ -636,6 +634,14 @@ def test_config_unknown_key_exits_2(tmp_path):
     assert code == 2
 
 
+def test_config_key_tol_is_unknown(tmp_path, capsys):
+    # the route check's gate is deformation.ROUTE_TOL, which no config key sets
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("tol = 1e-6\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "info"]) == 2
+    assert "unknown config key 'tol'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory", "parent-is-file"])
 @pytest.mark.parametrize("command", ["product", "norms", "verify"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command, target):
@@ -728,6 +734,24 @@ def test_benchmark_trace_counts_lift_and_evaluation(tmp_path):
     # the lattice product lifts the factor with fewer significant terms
     lifted = min(len(significant_terms(s.to_grid(cfg.N)).terms) for s in (f, g))
     assert counters["deformation.tilde_map.terms"] == lifted == len(g.terms)
+
+
+def test_benchmark_trace_runs_the_route_check(tmp_path):
+    # The tracer's wrapper passes the 4th argument of deformed_product_numeric by position,
+    # None when the caller leaves it out: a traced grid product must still run its oracle.
+    for name, width in (("a", 1.2), ("b", 0.9)):
+        write_symbol_file(GridSymbol(2, 16, 6.0, gaussian_values(2, 16, 6.0, width)),
+                          str(tmp_path / f"{name}.rsym"))
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "cli", str(trace), "product",
+         str(tmp_path / "a.rsym"), str(tmp_path / "b.rsym"), "--out", str(tmp_path / "ab.rsym")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    maxima = json.loads(trace.read_text(encoding="utf-8"))["maxima"]
+    assert 0.0 < maxima["deformation.product_numeric.route_disagreement"] < deformation.ROUTE_TOL
 
 
 MODULES = ["deformkit"] + sorted(
