@@ -114,11 +114,15 @@ def test_parse_config_rejects_missing_equals(tmp_path):
     [("N", 48), ("N", 0), ("L", -1.0), ("norm_order", -1), ("workers", 0),
      ("L", float("nan")), ("L", float("inf")), ("theta", float("nan")),
      ("theta", float("inf")), ("seed", -1),
-     ("N", 2048), ("N", 1099511627776), ("norm_order", 9), ("norm_order", 40)],
+     ("N", 2048), ("N", 1099511627776), ("norm_order", 9), ("norm_order", 40),
+     ("tol", 0.0), ("tol", float("nan"))],
 )
-def test_run_config_rejects_invalid_fields(field, value):
+def test_run_config_rejects_invalid_fields(tmp_path, field, value):
+    # tol is no config key: the route check's gate is deformation.ROUTE_TOL
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field} = {value}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=field):
-        RunConfig(**{field: value})
+        parse_config(str(path))
 
 
 def test_negative_seed_config_exits_2(tmp_path, capsys):
