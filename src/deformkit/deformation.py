@@ -42,8 +42,8 @@ from .symbols import (
     DeformationMatrix,
     _rowdot,
     _same_box,
-    _LatticeFold,
     _is_pow2,
+    _lattice_fold,
     _term_array,
     centered_idft,
     eval_series,
@@ -115,6 +115,7 @@ def _diff_weight_terms(terms, axis: int):
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+@lru_cache(maxsize=None)
 def _weight_derivative(n: int, order: int, sigma: tuple) -> tuple:
     terms = {((0,) * n, order): 1.0}
     for axis, count in enumerate(sigma):
@@ -123,11 +124,12 @@ def _weight_derivative(n: int, order: int, sigma: tuple) -> tuple:
     return tuple((mono, q, c) for (mono, q), c in sorted(terms.items()))
 
 
+@lru_cache(maxsize=None)
 def _reg_pairs(n: int, order: int) -> tuple:
     """Leibniz expansion of (1 - Lap/4pi^2)^order applied to w(v)*G(v).
 
     Returns ((sigma_w, sigma_g, coef), ...) with
-    (1-Lap/4pi^2)^order [wG] = sum coef * d^{sigma_w} w * d^{sigma_g} G.
+    (1-Lap/4pi^2)^order [wG] = sum coef * d^{sigma_w} w * d^{sigma_g} G (cached).
     """
     acc: dict[tuple, float] = {}
     for j in range(order + 1):
@@ -149,9 +151,8 @@ def _reg_pairs(n: int, order: int) -> tuple:
     return tuple((sw, sg, c) for (sw, sg), c in sorted(acc.items()))
 
 
-@lru_cache(maxsize=None)
 def _weight_groups(n: int, order: int) -> tuple:
-    """_reg_pairs(n, order) grouped by sigma_g (cached, read-only), on the half mesh.
+    """_reg_pairs(n, order) grouped by sigma_g, on the half mesh.
 
     Returns ((sigma_g, W), ...) in sorted sigma_g order with W the sum of
     coef * d^{sigma_w} (1+|v|^2)^{-order} over the pairs of that sigma_g,
@@ -159,7 +160,7 @@ def _weight_groups(n: int, order: int) -> tuple:
     distinct d^{sigma_w} is evaluated once, from a shared table of
     (1+|v|^2)^{-q}.  The weight is even and sigma_w = sigma_g mod 2 per
     axis, so W(..., -v_i, ...) = (-1)^{sigma_g,i} W: _unfold_weight gives the
-    whole mesh's W bit for bit.
+    whole mesh's W bit for bit.  Made per point, so that only its Psi sum holds them.
     """
     mesh = np.meshgrid(*([_INNER[:OSC_Q // 2 + 1]] * n), indexing="ij", sparse=True)
     r2 = sum(v * v for v in mesh)
@@ -173,7 +174,7 @@ def _weight_groups(n: int, order: int) -> tuple:
             term = c * decay[q]
             for ax, power in enumerate(mono):
                 if power:
-                    term = term * mesh[ax] ** power
+                    term *= mesh[ax] ** power
             out += term
         return out
 
@@ -182,8 +183,6 @@ def _weight_groups(n: int, order: int) -> tuple:
         d_w = derivative(sigma_w)
         for _, sigma_g, coef in run:
             groups[sigma_g] = groups[sigma_g] + coef * d_w if sigma_g in groups else coef * d_w
-    for w in groups.values():
-        w.flags.writeable = False
     return tuple(sorted(groups.items()))
 
 
@@ -208,10 +207,10 @@ def _unfold_weight(half: np.ndarray, sigma_g: tuple, out: np.ndarray) -> np.ndar
 
 @lru_cache(maxsize=None)
 def _outer_weight(n: int, order: int) -> np.ndarray:
-    """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only), on its rows
-    0..PAD Q/2, where u_0 <= 0: W_N is even, so row i is row _FOLD[i] = min(i, PAD Q - i)."""
-    half = _OUTER[:len(_OUTER) // 2 + 1]
-    umesh = np.meshgrid(half, *[_OUTER] * (n - 1), indexing="ij", sparse=True)
+    """W_N(u) = (1+|u|^2)^{-order} on the outer mesh (cached, read-only), on its indices
+    0..PAD Q/2 per axis, where u <= 0: W_N is even in each u_i, so index i is index
+    _FOLD[i] = min(i, PAD Q - i) on every axis, bit for bit."""
+    umesh = np.meshgrid(*[_OUTER[:len(_OUTER) // 2 + 1]] * n, indexing="ij", sparse=True)
     wn = (1.0 + sum(u * u for u in umesh)) ** float(-order)
     wn.flags.writeable = False
     return wn
@@ -219,25 +218,22 @@ def _outer_weight(n: int, order: int) -> np.ndarray:
 
 def _gcheck_rows(n: int, order: int, g_derivative, k: int):
     """(rows, block) over blocks of _OUTER_ROWS outer rows of Gcheck, the FT with kernel
-    exp(+2 pi i u.v) of Psi from the inner grid to the outer.  Psi, zero-padded along axis 0
-    alone, takes the axis-0 pass once (its other Qp - Q columns stay zero and are never
-    transformed); each block, padded along axis 1, takes the axis-1 pass."""
+    exp(+2 pi i u.v) of Psi from the inner grid to the outer.  Psi is summed into cols,
+    zero-padded along axis 0 alone, and takes the axis-0 pass once (its other Qp - Q
+    columns stay zero and are never transformed); each block, padded along axis 1, takes
+    the axis-1 pass.  The weights are gone before the first block."""
     Q, Qp = OSC_Q, OSC_PAD * OSC_Q
     off = (Qp - Q) // 2
-    # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one
-    # derivative of G at a time, in sorted order, so they come grouped by
-    # their first order, each weighted in place
-    psi = np.zeros((Q,) * n + (k, k), dtype=np.complex128)
+    cols = np.zeros((Qp,) + (Q,) * (n - 1) + (k, k), dtype=np.complex128)
+    # Psi(v) = (1 - Lap/4pi^2)^order [ (1+|v|^2)^{-order} g(x+v) ]: one derivative of G
+    # at a time, in sorted order, so they come grouped by their first order
     weight = np.empty((Q,) * n)
     for sigma_g, half in _weight_groups(n, order):
         term = g_derivative(sigma_g)
         term *= _unfold_weight(half, sigma_g, weight)[..., None, None]
-        psi += term
+        cols[off:off + Q] += term
         del term  # before the next derivative is made
-    del weight
-    cols = np.zeros((Qp,) + psi.shape[1:], dtype=np.complex128)
-    cols[off:off + Q] = psi
-    del psi  # padded: the blocks never hold it
+    del weight, half
     centered_idft(cols, (0,), overwrite=True)
     for start in range(0, Qp, _OUTER_ROWS):
         rows = slice(start, start + _OUTER_ROWS)
@@ -257,13 +253,14 @@ def _regularized_quadrature(n: int, order: int, g_derivative, f_rows, k: int):
     g_derivative(sigma) gives d^sigma G(x + v) on the inner mesh, as a fresh array that is
     weighted in place, and f_rows(rows) gives F_M = (1 - Lap_u/4pi^2)^M [f(x + Ju)] on those
     rows (a slice of axis 0) of the outer mesh, both with trailing k x k axes; order is the
-    regularization order N = M.
+    regularization order N = M.  f_rows is first called after the Psi sum, whose weights
+    are gone by then.  Each block gathers its rows and columns of W_N (_outer_weight).
     """
-    wn = _outer_weight(n, order)
     pairing = "q,qab,qbc->ac" if n == 1 else "qr,qrab,qrbc->ac"
     total = np.zeros((k, k), dtype=np.complex128)
     for rows, block in _gcheck_rows(n, order, g_derivative, k):
-        total += np.einsum(pairing, wn[_FOLD[rows]], f_rows(rows), block)
+        wn = _outer_weight(n, order)[_FOLD[rows]]
+        total += np.einsum(pairing, wn if n == 1 else wn[:, _FOLD], f_rows(rows), block)
     return total * _DU ** n
 
 
@@ -328,6 +325,24 @@ def _inner_period(L: float) -> int:
     return min(_fast_len(max(1, round(L * OSC_Q / OSC_R))), _fast_len(OSC_Q))
 
 
+def _f_first_pass(fhat, p_axis, L, theta, order, x) -> np.ndarray:
+    """The f side's first chirp-z pass to the outer mesh, (PAD Q, N, k, k), made, passed and
+    copied out of _czt_axis's padded buffer one _OUTER_ROWS chunk of columns at a time."""
+    # f(x + J'u) = sum c_m exp(2 pi i p.x) exp(2 pi i (J'^T p).u) with
+    # J'^T p = (-theta' p_2, theta' p_1): axis roles swap under J'.
+    pre1 = np.exp(2j * np.pi * p_axis * x[0])
+    pre2 = np.exp(2j * np.pi * p_axis * x[1])
+    first = np.empty((len(_OUTER),) + fhat.shape[1:], dtype=np.complex128)
+    for start in range(0, fhat.shape[0], _OUTER_ROWS):
+        cols = slice(start, start + _OUTER_ROWS)
+        c = fhat[cols] * (pre1[cols, None] * pre2[None, :] * (
+            1.0 + theta ** 2 * (p_axis[cols, None] ** 2 + p_axis[None, :] ** 2)
+        ) ** order)[..., None, None]
+        first[:, cols] = _czt_axis(np.swapaxes(c, 0, 1), 0, L, -theta, float(_OUTER[0]), _DU,
+                                   len(_OUTER))
+    return first
+
+
 def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     """Quadrature route for grid data by lattice evaluation of both factors.
 
@@ -335,16 +350,15 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     puts a whole period in M steps of the inner mesh v_j = -OSC_R + j _H (_INNER).  So each
     derivative field d^sigma [g(x + s v)] is one fold of the scaled series, its factor
     (2 pi i s p)^sigma and the phase of the first point x - s OSC_R, and one inverse FFT
-    (_LatticeFold), tiled past a period.  The f side, f(x + Ju/s), whose step scales with
-    theta/s, is evaluated by chirp-z passes (_czt_axis).
+    (_lattice_fold), tiled past a period.  The f side, f(x + Ju/s), whose step scales with
+    theta/s, is evaluated by chirp-z passes (_czt_axis), the first one on the first f_rows
+    call, after the Psi sum: a point holds the g side's weights or that pass, never both.
     """
     order = n // 2 + 1
     k = fhat.shape[-1]
-    m_axis = np.arange(fhat.shape[0]) - fhat.shape[0] // 2
-    p_axis = m_axis / (2.0 * L)
+    p_axis = (np.arange(fhat.shape[0]) - fhat.shape[0] // 2) / (2.0 * L)
     M = _inner_period(L)
     s = 2.0 * L / (M * _H)  # 1.0 exactly at L = 6
-    fold = _LatticeFold.lattice(m_axis, n, M)
     # per axis, the phase of the mesh's first point x - s OSC_R, and d/dv of g(x + s v)
     ramps = [np.exp(2j * np.pi * p_axis * (float(x[ax]) - s * OSC_R)) for ax in range(n)]
     dv = 2j * np.pi * s * p_axis
@@ -353,7 +367,7 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
         factor = reduce(np.multiply.outer, [r * dv ** e for r, e in zip(ramps, sigma_g)])
         c = ghat * factor[..., None, None]
         del factor  # before the fold
-        return fold(c.reshape(-1, k, k), OSC_Q)
+        return _lattice_fold(c, n, M, OSC_Q)
 
     if J.is_zero:
         fx = fhat  # the series at the point x, one axis at a time
@@ -365,24 +379,15 @@ def _quadrature_point_lattice(fhat, ghat, n, L, J, x) -> np.ndarray:
     else:
         # J = theta [[0, 1], [-1, 0]] (n = 2), and f(x + Ju/s) is f(x + J'u), theta' = theta/s
         theta = float(J.entries[0, 1]) / s
-        # f(x + J'u) = sum c_m exp(2 pi i p.x) exp(2 pi i (J'^T p).u) with
-        # J'^T p = (-theta' p_2, theta' p_1): axis roles swap under J'.
-        pre1 = np.exp(2j * np.pi * p_axis * x[0])
-        pre2 = np.exp(2j * np.pi * p_axis * x[1])
-        c = np.swapaxes(fhat * (pre1[:, None] * pre2[None, :] * (
-            1.0 + theta ** 2 * (p_axis[:, None] ** 2 + p_axis[None, :] ** 2)
-        ) ** order)[..., None, None], 0, 1)
-        # the first pass, _OUTER_ROWS columns at a time, each copied out of _czt_axis's
-        # padded buffer: padded for all N columns, it was 1.5 times the pass at N = 256
-        first = np.empty((len(_OUTER),) + c.shape[1:], dtype=np.complex128)
-        for start in range(0, c.shape[1], _OUTER_ROWS):
-            cols = slice(start, start + _OUTER_ROWS)
-            first[:, cols] = _czt_axis(c[:, cols], 0, L, -theta, float(_OUTER[0]), _DU,
-                                       len(_OUTER))
-        del c
+        with np.errstate(over="ignore"):  # the f side's weight, largest at the corner p_0
+            if not np.isfinite((1.0 + np.float64(theta) ** 2 * (2 * p_axis[0] ** 2)) ** order):
+                raise ValueError(f"theta = {J.entries[0, 1]:.6g} is too large for the route check: "
+                                 f"the oracle weight (1 + theta'^2 |p|^2)^{order} overflows "
+                                 f"at L = {L}")
+        first = lru_cache(lambda: _f_first_pass(fhat, p_axis, L, theta, order, x))
 
-        def f_rows(rows):  # the axis-1 pass, one block of rows at a time
-            return _czt_axis(first[rows], 1, L, theta, float(_OUTER[0]), _DU, len(_OUTER))
+        def f_rows(rows):  # the axis-1 pass, one block of rows at a time; the first, once
+            return _czt_axis(first()[rows], 1, L, theta, float(_OUTER[0]), _DU, len(_OUTER))
     return _regularized_quadrature(n, order, g_derivative, f_rows, k)
 
 

@@ -135,7 +135,8 @@ def gaussian_values(n: int, N: int, L: float, width: float, k: int = 1,
                     shift: float = 0.0, freq: float = 0.0) -> np.ndarray:
     """Grid samples of exp(-|x - shift|^2 / width + i freq x_1) times the k x k unit."""
     mesh = np.meshgrid(*([axis_points(N, L)] * n), indexing="ij")
-    r2 = sum((m - shift) ** 2 for m in mesh)
+    with np.errstate(over="ignore"):  # |x|^2 = inf on a vast box, where the value is 0.0
+        r2 = sum((m - shift) ** 2 for m in mesh)
     vals = np.exp(-r2 / width) * np.exp(1j * freq * mesh[0])
     out = np.zeros(vals.shape + (k, k), dtype=np.complex128)
     for i in range(k):

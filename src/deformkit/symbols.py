@@ -298,25 +298,14 @@ class _LatticeFold:
     shape (T, n), fold(c, count) is sum_t c[t] exp(2 pi i m_t.j / M) at j in {0, ...,
     count - 1}^n, of shape (count,)*n + tail, for c of shape (T,) + tail that carries any
     per-term phase or derivative factor.  The terms are summed into the bins m mod M in
-    term order (np.bincount, no BLAS), one inverse FFT runs per bin axis, and past M
-    points the samples repeat: they are tiled periodically.  The bins are found once.
+    term order (np.bincount, no BLAS), and the bins go to _periodic_samples.  The bins are
+    found once.
     """
 
     def __init__(self, m: np.ndarray, M: int):
         self.n, self.M, self.bins = m.shape[1], M, 0
         for ax in range(self.n):  # row-major flat index of m mod M
             self.bins = self.bins * M + m[:, ax] % M
-
-    @classmethod
-    def lattice(cls, m_axis: np.ndarray, n: int, M: int) -> "_LatticeFold":
-        """The fold of the whole lattice m_axis^n, its terms in row-major order: the same
-        bins, one np.add.outer of the per-axis bins m_axis mod M, with no (T, n) table."""
-        fold, axis_bins = cls.__new__(cls), m_axis % M
-        fold.n, fold.M, fold.bins = n, M, axis_bins
-        for _ in range(n - 1):
-            fold.bins = np.add.outer(fold.bins * M, axis_bins)
-        fold.bins = fold.bins.ravel()
-        return fold
 
     def __call__(self, c: np.ndarray, count: int) -> np.ndarray:
         n, M, tail = self.n, self.M, c.shape[1:]
@@ -326,13 +315,38 @@ class _LatticeFold:
         out = np.empty(M ** n * size, dtype=np.complex128)
         out.real = np.bincount(idx, c.real, len(out))
         out.imag = np.bincount(idx, c.imag, len(out))
-        out = out.reshape((M,) * n + tail)
-        for ax in range(n):
-            np.fft.ifft(out, axis=ax, norm="forward", out=out)
-        if count != M:
-            for ax in range(n):
-                out = np.take(out, np.arange(count) % M, axis=ax)
-        return out
+        return _periodic_samples(out.reshape((M,) * n + tail), n, count)
+
+
+def _lattice_fold(c: np.ndarray, n: int, M: int, count: int) -> np.ndarray:
+    """_LatticeFold of the whole lattice {-N/2, ..., N/2 - 1}^n in row-major term order, for
+    c of shape (N,)*n + tail, bit for bit, by slab adds: an axis splits into runs of
+    consecutive m mod M, and the runs' products are added in row-major order, so each bin
+    adds its terms in term order from zero, as np.bincount does."""
+    N = c.shape[0]
+    edges = sorted({0, N, *range(N // 2 % M, N, M)})  # the runs break where m mod M = 0
+    runs = [(slice(a, b), slice((a - N // 2) % M, (a - N // 2) % M + b - a))
+            for a, b in zip(edges, edges[1:])]
+    bins = np.zeros((M,) * n + c.shape[n:], dtype=np.complex128)
+    for run in _iproduct(runs, repeat=n):
+        bins[tuple(b for _, b in run)] += c[tuple(t for t, _ in run)]
+    return _periodic_samples(bins, n, count)
+
+
+def _periodic_samples(bins: np.ndarray, n: int, count: int) -> np.ndarray:
+    """The inverse FFT of bins (M,)*n + tail on its n leading axes, in place, repeated with
+    period M out to count per axis, one slab per period, into a fresh array."""
+    M = bins.shape[0]
+    for ax in range(n):
+        np.fft.ifft(bins, axis=ax, norm="forward", out=bins)
+    if count == M:
+        return bins
+    out = np.empty((count,) * n + bins.shape[n:], dtype=np.complex128)
+    for starts in _iproduct(range(0, count, M), repeat=n):
+        span = [min(M, count - s) for s in starts]
+        out[tuple(slice(s, s + w) for s, w in zip(starts, span))] = bins[
+            tuple(slice(w) for w in span)]
+    return out
 
 
 def _rowdot(a, b) -> np.ndarray:
@@ -412,6 +426,9 @@ class _GridData:
         _check_box(n, self.L)
         if not _is_pow2(N):
             raise ValueError(f"points per axis must be a power of two, got {N}")
+        with np.errstate(over="ignore"):  # the cell weight, dx^n
+            if not np.isfinite(np.float64(self.dx) ** n):
+                raise ValueError(f"cell weight (2L/N)^n overflows for L = {self.L}, N = {N}, n = {n}")
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.shape == (N,) * n:
             arr = arr.reshape((N,) * n + (1, 1))

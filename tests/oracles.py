@@ -283,7 +283,7 @@ def whole_mesh_weight_groups(n: int, order: int) -> tuple:
 
 def whole_mesh_outer_weight(n: int, order: int) -> np.ndarray:
     """W_N(u) = (1+|u|^2)^{-order} evaluated on the whole outer mesh, which
-    deformation._outer_weight holds on its rows 0..PAD Q/2."""
+    deformation._outer_weight holds on its indices 0..PAD Q/2 per axis."""
     umesh = np.meshgrid(*([_OUTER] * n), indexing="ij", sparse=True)
     return (1.0 + sum(u * u for u in umesh)) ** float(-order)
 

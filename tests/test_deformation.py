@@ -651,60 +651,81 @@ def test_half_mesh_weights_unfold_to_the_whole_mesh_bitwise(n):
     out = np.empty((OSC_Q,) * n)
     for (sigma_g, w), (_, want) in zip(half, whole):
         assert _unfold_weight(w, sigma_g, out).tobytes() == want.tobytes(), sigma_g
-    # W_N, even in u, is held on the outer rows 0..Q (u_0 <= 0) and read through _FOLD
+    # W_N, even in each u_i, is held on the outer indices 0..Q per axis (u <= 0), and each
+    # block gathers its rows and columns through _FOLD
     wn = deformation._outer_weight(n, order)
-    assert wn.shape == (OSC_Q + 1,) + (OSC_PAD * OSC_Q,) * (n - 1)
-    assert wn[deformation._FOLD].tobytes() == whole_mesh_outer_weight(n, order).tobytes()
+    assert wn.shape == (OSC_Q + 1,) * n
+    whole = wn[np.ix_(*[deformation._FOLD] * n)]
+    assert whole.tobytes() == whole_mesh_outer_weight(n, order).tobytes()
 
 
-def test_first_oracle_point_builds_small_weight_tables():
-    # the first point of a product builds the cached weights: W on the half mesh, 13 tables
-    # of 129^2 values, and W_N on the outer rows 0..256.  One N = 256, theta = 0.25 point
-    # peaks at 9.2 MiB (10.2 with W_N on the whole outer mesh); with the 13 weights on the
-    # whole mesh it peaked at 17.6 MiB
+def _clear_oracle_caches():
+    for cached in vars(deformation).values():
+        if hasattr(cached, "cache_clear") and cached is not deformation._chirp_spectrum:
+            cached.cache_clear()
+
+
+def _cold_point_256():
+    """A point of a 256 x 256 product at theta = 0.25, and the run that makes it cold: its
+    chirp spectra and FFT plans are made, and every other cache of deformation is cleared."""
     f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
     g = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 0.9) * (1 + 0.5j))
     fhat, ghat = series_coefficients(f), series_coefficients(g)
     J = DeformationMatrix.symplectic(0.25, 2)
-    x = [f.axis[128]] * 2
-    _quadrature_point_lattice(fhat, ghat, 2, L, J, x)  # the chirp spectra, the FFT plans
-    deformation._weight_groups.cache_clear()
-    deformation._outer_weight.cache_clear()
+    x = [float(f.axis[i]) for i in _check_points(256, 5, 2)[0]]
+    _quadrature_point_lattice(fhat, ghat, 2, L, J, x)
+
+    def run():
+        _clear_oracle_caches()
+        _quadrature_point_lattice(fhat, ghat, 2, L, J, x)
+    return f, g, J, run
+
+
+def _traced(run) -> tuple:
+    """(held after, peak) of run, in bytes, by tracemalloc."""
     tracemalloc.start()
     try:
-        _quadrature_point_lattice(fhat, ghat, 2, L, J, x)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2 ** 20
+
+
+def test_first_oracle_point_builds_small_weight_tables():
+    # the first point of a product builds the one cached table, W_N on the outer indices
+    # 0..256 per axis (257^2 values, 0.5 MiB), and keeps nothing else: the 13 Psi weights
+    # are made per point.  With the Psi weights cached and W_N on the rows 0..256 it kept
+    # 2.65 MiB
+    held, _ = _traced(_cold_point_256()[3])
+    assert deformation._outer_weight(2, 2).nbytes == 257 ** 2 * 8
+    assert held <= 257 ** 2 * 8 + 2 ** 16
+
+
+def test_cold_oracle_point_peaks_within_8_mib():
+    # one cold N = 256, theta = 0.25 point holds one phase's arrays at a time: the Psi sum
+    # (its weights, Psi's padded buffer, one derivative field) or the pairing (that buffer,
+    # the f side's first pass, W_N and one block).  It peaks at 6.8 MiB; with the Psi
+    # weights cached, the f side made before the Psi sum and Psi copied into its buffer,
+    # at 9.2 MiB
+    _, peak = _traced(_cold_point_256()[3])
+    assert peak <= 8 * 2 ** 20
 
 
 def test_grid_product_peaks_at_one_check_point():
     # the check points run first and keep k x k values, then the lattice route runs: the
-    # product's peak is the two series (2 MiB) and the first point's own, which builds the
-    # weights (9.2 MiB).  With the lattice route first, its working set stacked on the
-    # weights and the series: 12.2 MiB
-    f = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 1.2))
-    g = GridSymbol(2, 256, L, gaussian_values(2, 256, L, 0.9) * (1 + 0.5j))
-    J = DeformationMatrix.symplectic(0.25, 2)
-    deformed_product_numeric(f, g, J)  # the chirp spectra, the FFT plans
-    fhat, ghat = series_coefficients(f), series_coefficients(g)
-    x = [float(f.axis[i]) for i in _check_points(256, 5, 2)[0]]
+    # product's peak is the two series (2 MiB) and the first point's own, which builds
+    # W_N (6.8 MiB, 9.0 in all).  With the lattice route first, its working set stacked on
+    # the Psi weights, then cached, and the series: 12.2 MiB
+    f, g, J, cold_point = _cold_point_256()
+    deformed_product_numeric(f, g, J)  # the lattice route's FFT plans
+    _, point = _traced(cold_point)
 
-    def traced_peak(run):
-        deformation._weight_groups.cache_clear()
-        deformation._outer_weight.cache_clear()
-        tracemalloc.start()
-        try:
-            run()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def product():
+        _clear_oracle_caches()
+        deformed_product_numeric(f, g, J)
 
-    point = traced_peak(lambda: _quadrature_point_lattice(fhat, ghat, 2, L, J, x))
-    del fhat, ghat
-    product = traced_peak(lambda: deformed_product_numeric(f, g, J))
-    assert product <= 2 * 2 ** 20 + point + 2 ** 18
+    _, peak = _traced(product)
+    assert peak <= 2 * 2 ** 20 + point + 2 ** 18
 
 
 def test_oracle_point_never_holds_the_outer_mesh_whole(monkeypatch):

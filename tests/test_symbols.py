@@ -31,6 +31,7 @@ from deformkit.symbols import (
     significant_terms,
     sup_norm,
     _LatticeFold,
+    _lattice_fold,
     _wave_sum,
     write_rsym,
     write_symbol_file,
@@ -146,6 +147,35 @@ def test_lattice_fold_sums_each_bin_in_term_order():
     assert got[0, 0, 0] == (a + b) + c + 2.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N, M", [
+    pytest.param(256, 108, id="N>M-L5"),  # the oracle's M at L = 5 and 5.3: M does not
+    pytest.param(256, 120, id="N>M-L5.3"),  # divide the Q = 256 samples, so the last
+    pytest.param(512, 128, id="N>M-L6"),  # period is cut short
+    pytest.param(64, 108, id="N<M"),  # one run wraps inside the bins
+    pytest.param(128, 128, id="N=M"),
+])
+@pytest.mark.parametrize("zeros", ["some", "all"])
+def test_lattice_fold_is_the_table_fold_bitwise(n, k, N, M, zeros):
+    # the slab adds of _lattice_fold against np.bincount over the explicit (T, n) table of
+    # the lattice in row-major order, bins, transform and tiling to Q = 256 alike.  -0.0
+    # terms: a bin of them alone sums to 0.0, as bincount's does from zero, and the
+    # transform of all-zero bins keeps that sign
+    rng = np.random.default_rng(1000 * n + 100 * k + M)
+    c = rng.normal(size=(N,) * n + (k, k)) + 1j * rng.normal(size=(N,) * n + (k, k))
+    if zeros == "all":
+        c[...] = -0.0 - 0.0j
+    else:
+        c[::3] = -0.0 - 0.0j  # every alias of some bins on axis 0
+        c.real[1::5] = -0.0
+    m = np.indices((N,) * n).reshape(n, -1).T - N // 2
+    want = _LatticeFold(m, M)(c.reshape((-1, k, k)), 256)
+    got = _lattice_fold(c, n, M, 256)
+    assert got.shape == (256,) * n + (k, k)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_plane_wave_to_grid_far_frequencies_alias_exactly():
     # m and m + N fall into one bin; their sum is sampled, with the sign of the
     # first point -L taken exactly for every m
@@ -199,6 +229,16 @@ def test_grid_data_rejects_a_bad_fiber_size(cls, k):
     # as PlaneWaveSymbol and read_rsym do: k = 0 built an empty grid, k = 9 one past MAX_DIM
     with pytest.raises(ValueError, match=rf"fiber size must be in 1\.\.{MAX_DIM}, got {k}"):
         cls(1, 4, 1.0, np.zeros((4, k, k)))
+
+
+@pytest.mark.parametrize("n, L", [(2, 1e300), (1, 2.0 ** 1023)])
+@pytest.mark.parametrize("cls", [GridSymbol, ModuleVector])
+def test_grid_data_rejects_a_box_past_the_cell_weight(cls, n, L):
+    # (2L/N)^n overflows at L = 1e300, n = 2, and 2L itself at L = 2^1023; a box of
+    # L = 1e300 and n = 1 has the cell weight 5e299
+    with pytest.raises(ValueError, match="cell weight"):
+        cls(n, 4, L, np.zeros((4,) * n + (1, 1)))
+    assert cls(1, 4, 1e300, np.zeros((4, 1, 1))).weight == 5e299
 
 
 def test_axis_points_centered():
@@ -593,7 +633,12 @@ def plane_wave_symbols(draw):
 def grid_symbols(draw):
     n, k, N = draw(SIZES), draw(SIZES), draw(st.sampled_from((4, 8)))
     values = draw(arrays(np.complex128, (N,) * n + (k, k), elements=COMPLEX))
-    return GridSymbol(n, N, draw(HALF_WIDTHS), values)
+    try:
+        return GridSymbol(n, N, draw(HALF_WIDTHS), values)
+    except ValueError:
+        # a box whose cell weight (2L/N)^n overflows
+        # (test_grid_data_rejects_a_box_past_the_cell_weight)
+        reject()
 
 
 @READER_SETTINGS

@@ -290,6 +290,32 @@ def test_product_nan_theta_config_exits_2(tmp_path, capsys):
     assert len(message) == 1 and message[0].startswith("error: ")
 
 
+def test_product_theta_past_the_oracle_weight_exits_2(tmp_path, capsys):
+    # the route check's f side weighs f's coefficients by (1 + theta'^2 |p|^2)^2, which
+    # overflows at theta = 1e160: refused, where it raised OverflowError (a traceback)
+    for name, width in (("f", 1.2), ("g", 0.9)):
+        write_symbol_file(GridSymbol(2, 64, 6.0, gaussian_values(2, 64, 6.0, width)),
+                          str(tmp_path / f"{name}.rsym"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 1e160\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "product", str(tmp_path / "f.rsym"),
+                 str(tmp_path / "g.rsym"), "--out", str(tmp_path / "fg.rsym")])
+    assert code == 2
+    message = capsys.readouterr().err.strip().splitlines()
+    assert message[-1].startswith("error: theta = 1e+160 is too large for the route check")
+    assert not (tmp_path / "fg.rsym").exists()
+
+
+def test_verify_box_past_the_cell_weight_exits_2(tmp_path, capsys):
+    # a grid's cell weight (2L/N)^n overflows at L = 1e300, n = 2: refused where the grid
+    # is built, where it raised OverflowError (a traceback)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 1e300\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "verify"]) == 2
+    message = capsys.readouterr().err.strip().splitlines()
+    assert message[-1] == "error: cell weight (2L/N)^n overflows for L = 1e+300, N = 32, n = 2"
+
+
 def test_product_dimension_mismatch_exits_2(tmp_path):
     wave_file(tmp_path / "f.json", 1, (((1,), 1.0),))
     wave_file(tmp_path / "g.json", 2, (((1, 0), 1.0),))
