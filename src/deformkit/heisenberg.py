@@ -27,7 +27,7 @@ from math import factorial
 import numpy as np
 
 from .deformation import _czt_axis
-from .errors import ConvergenceError, GridMismatchError, UnsupportedOperatorError
+from .errors import ConvergenceError, UnsupportedOperatorError
 from .pseudodiff import (
     DiscretizedOperator, adjoint, op_from_phase_terms, operator_norm, phase_norms,
 )
@@ -115,12 +115,8 @@ def adu_conjugate(op: DiscretizedOperator, a, b) -> DiscretizedOperator:
 
     The composition chains both closures, so U A* U* is the exact adjoint
     of U A U*.  For A = Op(sigma) it is Op(sigma(. - a, . - b)).
-    A must act on one box (GridMismatchError otherwise).
+    A must act on one box: composing with U raises GridMismatchError otherwise.
     """
-    if op.geometry_in != op.geometry_out:
-        raise GridMismatchError(
-            f"AdU needs an operator on one box, got {op.geometry_in} -> {op.geometry_out}"
-        )
     U = heisenberg_operator(op.geometry_in, a, b)
     return U @ op @ adjoint(U)
 

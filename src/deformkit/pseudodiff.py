@@ -33,6 +33,7 @@ from .symbols import (
     PlaneWavePhaseSymbol,
     _LatticeFold,
     _derivative_factors,
+    _same_geometry,
     _sample_norms,
     centered_dft,
     centered_idft,
@@ -71,7 +72,7 @@ class DiscretizedOperator:
     adjoint_fn: object
 
     def __call__(self, g: ModuleVector) -> ModuleVector:
-        if g.geometry() != self.geometry_in:
+        if not _same_geometry(g.geometry(), self.geometry_in):
             raise GridMismatchError(
                 f"operator expects geometry {self.geometry_in}, got {g.geometry()}"
             )
@@ -79,7 +80,7 @@ class DiscretizedOperator:
         return ModuleVector(n, N, L, self.forward(g.values))
 
     def compose(self, other: "DiscretizedOperator") -> "DiscretizedOperator":
-        if other.geometry_out != self.geometry_in:
+        if not _same_geometry(other.geometry_out, self.geometry_in):
             raise GridMismatchError("operator domains do not chain")
         return DiscretizedOperator(
             other.geometry_in, self.geometry_out, _chain(other.forward, self.forward),

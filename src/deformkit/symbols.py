@@ -82,9 +82,15 @@ def _is_pow2(N: int) -> bool:
     return N >= 2 and (N & (N - 1)) == 0
 
 
+def _same_geometry(a: tuple, b: tuple) -> bool:
+    """Same (n, N, k), and the half-widths L equal within 1e-12 of the larger."""
+    (n, N, L, k), (m, M, K, j) = a, b
+    return (n, N, k) == (m, M, j) and abs(L - K) <= 1e-12 * max(L, K)
+
+
 def _same_box(a, b) -> bool:
-    """Same n and k, and the half-widths L equal within 1e-12 of the larger."""
-    return (a.n, a.k) == (b.n, b.k) and abs(a.L - b.L) <= 1e-12 * max(a.L, b.L)
+    """Same n and k, and the same half-width L by the _same_geometry rule."""
+    return _same_geometry((a.n, None, a.L, a.k), (b.n, None, b.L, b.k))
 
 
 def centered_dft(values: np.ndarray, axes) -> np.ndarray:
@@ -638,7 +644,7 @@ def sup_norm(f) -> float:
 
 def inner_product(f, g) -> MatrixElement:
     """Module inner product <f, g> = sum_i f_i^H g_i dx^n."""
-    if f.N != g.N or not _same_box(f, g):
+    if not _same_geometry(f.geometry(), g.geometry()):
         raise GridMismatchError(
             f"module vectors have different geometry: {f.geometry()} vs {g.geometry()}"
         )

@@ -186,7 +186,8 @@ def test_composition_refuses_too_many_term_pairs(monkeypatch):
     pytest.param(1.0, 2, False, id="k-off"),
 ])
 def test_every_box_check_shares_one_predicate(scale, k, same):
-    # symbols._same_box at each site: L within 1e-12 of the larger, n and k equal
+    # the one rule of symbols._same_geometry at each site: L within 1e-12 of the
+    # larger, n and k equal
     rng = np.random.default_rng(5)
 
     def phase(L1, k1):
@@ -202,6 +203,9 @@ def test_every_box_check_shares_one_predicate(scale, k, same):
             random_plane_wave(rng, 2, a[0], a[1], 2, 2),
             random_plane_wave(rng, 2, b[0], b[1], 2, 2), J_HALF)),
         (GridMismatchError, lambda a, b: symbols.inner_product(vector(*a), vector(*b))),
+        (GridMismatchError, lambda a, b: op_from_phase_terms(phase(*a), 8)(vector(*b))),
+        (GridMismatchError, lambda a, b: op_from_phase_terms(phase(*a), 8)
+         @ op_from_phase_terms(phase(*b), 8)),
     ]
     for error, check in checks:
         for a, b in [((L, 1), (L * scale, k)), ((L * scale, k), (L, 1))]:

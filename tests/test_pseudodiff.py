@@ -150,6 +150,28 @@ def test_composition_rejects_geometry_mismatch():
         a @ b
 
 
+def test_operators_compare_grids_by_the_box_rule():
+    # 0.1 * 3 lies one ulp above 0.3: one box for the operators, as for
+    # inner_product and the products, and the values do not read L
+    J = DeformationMatrix.symplectic(0.25, 2)
+    f_L, g_L = 0.1 * 3, 0.3
+    assert f_L != g_L
+    op = rieffel_operator(random_plane_wave(RNG, 2, f_L, 2, 2, 3), J, N=16)
+    other = rieffel_operator(random_plane_wave(RNG, 2, g_L, 2, 2, 3), J, N=16)
+    g = band_limited_vector(RNG, 2, 16, g_L, 2, 2)
+    g_own = ModuleVector(2, 16, f_L, g.values)
+    assert np.array_equal(op(g).values, op(g_own).values)
+    assert np.array_equal((op @ other)(g).values, op(other(g)).values)
+    assert np.array_equal((other @ op)(g_own).values, other(op(g_own)).values)
+    for vector in (band_limited_vector(RNG, 2, 32, f_L, 2, 2),
+                   band_limited_vector(RNG, 1, 16, f_L, 2, 2),
+                   band_limited_vector(RNG, 2, 16, f_L, 2, 1)):
+        with pytest.raises(GridMismatchError):
+            op(vector)
+    with pytest.raises(GridMismatchError):
+        op @ rieffel_operator(random_plane_wave(RNG, 2, f_L, 2, 2, 3), J, N=32)
+
+
 def test_right_multiply_commutes_with_left_action():
     # The deformed left action is a module map: L_f (g.c) = (L_f g).c.
     op = rieffel_operator(

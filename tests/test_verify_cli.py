@@ -1,5 +1,6 @@
 """Command line interface tests: parsing, exit codes, formats, determinism."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -316,12 +317,22 @@ def test_verify_box_past_the_cell_weight_exits_2(tmp_path, capsys):
     assert message[-1] == "error: cell weight (2L/N)^n overflows for L = 1e+300, N = 32, n = 2"
 
 
-def test_product_dimension_mismatch_exits_2(tmp_path):
-    wave_file(tmp_path / "f.json", 1, (((1,), 1.0),))
-    wave_file(tmp_path / "g.json", 2, (((1, 0), 1.0),))
-    code = main(["product", str(tmp_path / "f.json"), str(tmp_path / "g.json"),
-                 "--out", str(tmp_path / "o.json")])
-    assert code == 2
+def test_product_dimension_mismatch_exits_2(tmp_path, capsys):
+    # both products check their boxes, dimension n with them, before any work
+    wave_file(tmp_path / "w1.json", 1, (((1,), 1.0),))
+    wave_file(tmp_path / "w2.json", 2, (((1, 0), 1.0),))
+    for n in (1, 2):
+        write_symbol_file(GridSymbol(n, 16, 6.0, gaussian_values(n, 16, 6.0, 1.0)),
+                          str(tmp_path / f"g{n}.rsym"))
+    for f_name, g_name in (("w1.json", "w2.json"), ("w2.json", "w1.json"),
+                           ("g1.rsym", "g2.rsym"), ("g2.rsym", "g1.rsym"),
+                           ("w1.json", "g2.rsym"), ("g2.rsym", "w1.json")):
+        code = main(["product", str(tmp_path / f_name), str(tmp_path / g_name),
+                     "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: symbols live on different boxes: (n={f_name[1]}, L=6.0, k=1) "
+            f"vs (n={g_name[1]}, L=6.0, k=1)"]
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +656,44 @@ def test_package_error_inside_command_exits_2(tmp_path, capsys, monkeypatch, com
     assert main(argv) == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         "error: operator carries no lattice symbol"]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_verify_runs_a_repeated_suite_once(tmp_path, capsys, via_config):
+    out = tmp_path / "report.json"
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suites = plancherel, plancherel\n", encoding="utf-8")
+        argv = ["--config", str(cfg), "verify", "--out", str(out)]
+    else:
+        argv = ["verify", "--suites", "plancherel,plancherel", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [s["suite"] for s in report["suites"]] == ["plancherel"]
+    assert report["checks"] == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[0] for line in err] == ["[plancherel]", "total"]
+
+
+def test_verify_d_roundtrip_fails_on_moved_terms(monkeypatch):
+    # the roundtrip compares coefficients term by term, so a D inverse that moves
+    # a frequency fails the record, also under python -O
+    def moved(sym):
+        t = sym.terms.copy()
+        t["m"] = t["m"] + 1
+        return dataclasses.replace(sym, terms=t)
+
+    monkeypatch.setattr(suites, "d_inverse", moved)
+    [record] = SUITES["d-roundtrip"](RunConfig())
+    assert record["measured"] == np.inf and record["passed"] is False
+
+
+def test_src_holds_no_assert():
+    # an assert vanishes under python -O and ends in a traceback when it fires
+    for path in sorted((REPO / "src" / "deformkit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
 def test_verify_honors_config_file(tmp_path):
